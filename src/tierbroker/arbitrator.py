@@ -116,14 +116,17 @@ class ContextSnapshot:
 
     Keeps at most `window` completed observations per service; feed
     order must be nondecreasing in completion time for each service.
-    Node load is mirrored by note_start / completion folding so that
-    utilization = in-flight / cpu_slots at any instant.
+    Node load is mirrored by note_start / note_done so that
+    utilization = in-flight / cpu_slots at any instant. Every observe
+    bumps the service's window version, so an unchanged version means
+    an unchanged window.
     """
 
     def __init__(self, window: int = 100):
         self.window = window
         self._samples: dict[str, deque] = {}
         self._last_t: dict[str, float] = {}
+        self._versions: dict[str, int] = {}
         self._node_inflight: dict[str, int] = {}
         self._node_slots: dict[str, int] = {}
 
@@ -131,6 +134,11 @@ class ContextSnapshot:
         """Record that a node began executing one more invocation."""
         self._node_slots[node_id] = cpu_slots
         self._node_inflight[node_id] = self._node_inflight.get(node_id, 0) + 1
+
+    def note_done(self, node_id: str):
+        """Record that a node finished one invocation, freeing its slot."""
+        if self._node_inflight.get(node_id, 0) > 0:
+            self._node_inflight[node_id] -= 1
 
     def inflight(self, node_id: str) -> int:
         return self._node_inflight.get(node_id, 0)
@@ -148,11 +156,16 @@ class ContextSnapshot:
                 f"service {service_id}: completion at {t_done} after seeing {last}"
             )
         self._last_t[service_id] = t_done
+        self._versions[service_id] = self._versions.get(service_id, 0) + 1
         win = self._samples.get(service_id)
         if win is None:
             win = deque(maxlen=self.window)
             self._samples[service_id] = win
         win.append((t_done, latency_ms, exec_ms))
+
+    def version(self, service_id: str) -> int:
+        """Observations folded in so far for the service."""
+        return self._versions.get(service_id, 0)
 
     def count(self, service_id: str) -> int:
         return len(self._samples.get(service_id, ()))
@@ -188,8 +201,8 @@ def collect_context(record: InvocationRecord, ctx: ContextSnapshot) -> ContextSn
     """
     if record.outcome is not Outcome.COMPLETED:
         return ctx
-    if record.node_id is not None and ctx._node_inflight.get(record.node_id, 0) > 0:
-        ctx._node_inflight[record.node_id] -= 1
+    if record.node_id is not None:
+        ctx.note_done(record.node_id)
     ctx.observe(record.service_id, record.t_done, record.latency_ms, record.exec_ms)
     return ctx
 

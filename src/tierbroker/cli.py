@@ -12,6 +12,7 @@ arbitrated policy.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -62,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _ensure_out(path: str):
-    import os
-
     os.makedirs(path, exist_ok=True)
 
 
@@ -73,8 +72,6 @@ def cmd_run(args) -> int:
     result = simulate_scenario(scenario, policy=args.policy, seed=args.seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     _ensure_out(args.out)
-    import os
-
     if args.fmt in ("csv", "both"):
         write_metrics_csv(result.report, os.path.join(args.out, "metrics.csv"))
     if args.fmt in ("json", "both"):
@@ -98,8 +95,6 @@ def cmd_compare(args) -> int:
     ]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     _ensure_out(args.out)
-    import os
-
     write_compare_csv(reports, os.path.join(args.out, "compare.csv"))
     if args.fmt in ("json", "both"):
         write_compare_json(reports, os.path.join(args.out, "compare.json"))

@@ -7,12 +7,22 @@ start until execution completes. Dealers reject whatever is still
 queued when they close; the next arrival of an affected service gets
 re-placed. Analysis ticks run the delay-pressure and compute-shortfall
 detectors every second under the arbitrated policy.
+
+The analysis loop is incremental but exact. A verdict depends only on
+the service's window, its node and which dealers are open, so a service
+whose last analysis kept it in place is skipped until one of those
+changes; its tick is still logged and counted. When a tick leaves every
+service in place, the ticks up to the next event are logged at once,
+stopping early where a dealer opens or closes, and only the first tick
+not logged is pushed; it takes the heap slot the every-tick loop would
+have given it, so event order is unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -116,6 +126,8 @@ class _ServiceState:
     record: ServiceRecord | None
     migration_until: float = 0.0
     reschedules: int = 0
+    # (window version, node id, dealers open) of the last analysis that kept it in place.
+    quiet_key: tuple | None = None
 
 
 @dataclass
@@ -173,6 +185,8 @@ class Simulation:
             for c in scenario.consumers
         }
         self.services: dict[str, _ServiceState] = {}
+        self._placed: list[_ServiceState] = []  # analysis order: placed services by id
+        self._dealers = topology.by_tier(Tier.DEALER)
         self.node_states = {n.id: _NodeState(node=n) for n in topology}
 
     # ------------------------------------------------------------------
@@ -193,8 +207,10 @@ class Simulation:
                 record = self.registry.register_service(desc, self.topology, 0.0)
             else:
                 record = self._register_pinned(desc)
-            self.services[desc.id] = _ServiceState(desc=desc, record=record)
+            state = _ServiceState(desc=desc, record=record)
+            self.services[desc.id] = state
             if record is not None:
+                self._placed.append(state)
                 self._log_arbitration(0.0, "register", desc.id)
 
     def _register_pinned(self, desc: ServiceDescriptor) -> ServiceRecord | None:
@@ -220,7 +236,7 @@ class Simulation:
         for arrival in generate_workload(self.scenario.consumers, self.seed, self.horizon):
             self._push(arrival.t_ms, SimEvent(arrival.t_ms, 0, EventKind.ARRIVAL, arrival=arrival))
         day_ms = 1440 * 60000.0
-        for node in self.topology.by_tier(Tier.DEALER):
+        for node in self._dealers:
             open_minute, close_minute = node.open_hours
             day = 0
             while day * day_ms <= self.horizon:
@@ -373,76 +389,118 @@ class Simulation:
             request = node_state.queue.popleft()
             request.outcome = Outcome.REJECTED
 
+    def _dealers_open(self, t_ms: float) -> tuple[bool, ...]:
+        return tuple([is_dealer_open(node, t_ms) for node in self._dealers])
+
     def _on_analysis_tick(self, t_ms: float):
-        for service_id in sorted(self.services):
-            state = self.services[service_id]
-            if state.record is None:
-                continue
+        """Analyse every placed service, skipping those whose inputs are unchanged.
+
+        A service's analysis reads its window, its placement and, through
+        admissibility, which dealers are open. When a tick leaves it in
+        place, those three are kept as its quiet key, and a later tick
+        with the same key would reach the same verdict, so it is logged
+        and counted without running the detectors again.
+        """
+        dealers_open = self._dealers_open(t_ms)
+        quiet = True
+        for state in self._placed:
+            service_id = state.desc.id
             self._log_arbitration(t_ms, "analysis", service_id)
-            current = self.topology.get(state.record.placement.node_id)
-            advice = analyze_performance(
-                self.context, state.desc, current, self.topology, self.thresholds, t_ms
+            key = (
+                self.context.version(service_id),
+                state.record.placement.node_id,
+                dealers_open,
             )
-            if advice is None:
-                expected = state.desc.cpu_demand / current.cpu_speed * 1000.0
-                if expected > 0:
-                    advice = analyze_computation(
-                        self.context.recent_exec(service_id, self.thresholds.compute_run),
-                        expected,
-                        k=self.thresholds.compute_factor,
-                        m=self.thresholds.compute_run,
-                        service_id=service_id,
-                    )
-            if advice is None:
+            if key == state.quiet_key:
                 continue
-            decision = reschedule(
-                state.record, advice, self.topology, self.weights, t_ms
-            )
-            if decision.node_id != state.record.placement.node_id:
-                self._apply_move(t_ms, state, decision)
+            if self._analyze(t_ms, state):
+                state.quiet_key = None
+                quiet = False
+            else:
+                state.quiet_key = key
         t_next = t_ms + ANALYSIS_INTERVAL_MS
+        if quiet:
+            t_next = self._fast_forward(t_next, dealers_open)
         if t_next <= self.horizon:
             self._push(t_next, SimEvent(t_next, 0, EventKind.ANALYSIS_TICK))
+
+    def _analyze(self, t_ms: float, state: _ServiceState) -> bool:
+        """Run both detectors and act on their advice; True when the service moved."""
+        service_id = state.desc.id
+        current = self.topology.get(state.record.placement.node_id)
+        advice = analyze_performance(
+            self.context, state.desc, current, self.topology, self.thresholds, t_ms
+        )
+        if advice is None:
+            expected = state.desc.cpu_demand / current.cpu_speed * 1000.0
+            if expected > 0:
+                advice = analyze_computation(
+                    self.context.recent_exec(service_id, self.thresholds.compute_run),
+                    expected,
+                    k=self.thresholds.compute_factor,
+                    m=self.thresholds.compute_run,
+                    service_id=service_id,
+                )
+        if advice is None:
+            return False
+        decision = reschedule(state.record, advice, self.topology, self.weights, t_ms)
+        if decision.node_id == state.record.placement.node_id:
+            return False
+        self._apply_move(t_ms, state, decision)
+        return True
+
+    def _fast_forward(self, t_ms: float, dealers_open: tuple[bool, ...]) -> float:
+        """Log the ticks from t_ms on that find every service quiet; return the first left.
+
+        Called after a tick in which every service stayed quiet. Until the
+        next event pops, no window or placement changes, so a tick before
+        it finds the same keys unless a dealer opened or closed; hours
+        that reach past midnight do that with no calendar event, hence
+        the check on every tick. A tick at exactly the next event's time
+        is left to run after that event, as its push sequence orders it.
+        """
+        next_event = self._heap[0][0] if self._heap else math.inf
+        ids = [state.desc.id for state in self._placed]
+        while (
+            t_ms < next_event
+            and t_ms <= self.horizon
+            and self._dealers_open(t_ms) == dealers_open
+        ):
+            self.arbitration_log.extend([(t_ms, "analysis", service_id) for service_id in ids])
+            self.arbitration_events += len(ids)
+            t_ms += ANALYSIS_INTERVAL_MS
+        return t_ms
 
     # ------------------------------------------------------------------
     # reporting
 
-    def _finish(self) -> SimResult:
+    def _service_rows(self) -> list[ServiceRow]:
+        by_service: dict[str, list[InvocationRecord]] = {sid: [] for sid in self.services}
+        for record in self.records:
+            by_service[record.service_id].append(record)
         rows = []
         for service_id in sorted(self.services):
             state = self.services[service_id]
-            recs = [r for r in self.records if r.service_id == service_id]
-            completed = [r for r in recs if r.outcome is Outcome.COMPLETED]
-            mean_ms, p95_ms = latency_stats([r.latency_ms for r in completed])
+            recs = by_service[service_id]
             tier = state.record.placement.tier.value if state.record else "-"
             rows.append(
                 ServiceRow(
                     service_id=service_id,
                     tier=tier,
                     invocations=len(recs),
-                    completed=len(completed),
-                    rejected=sum(1 for r in recs if r.outcome is Outcome.REJECTED),
-                    dropped=sum(1 for r in recs if r.outcome is Outcome.DROPPED),
-                    in_flight=sum(1 for r in recs if r.outcome is None),
-                    mean_latency_ms=mean_ms,
-                    p95_latency_ms=p95_ms,
-                    energy_j_total=sum(r.energy_j for r in completed),
-                    charge_total=sum(r.charge for r in completed),
                     reschedules=state.reschedules,
+                    **_totals(recs),
                 )
             )
-        all_completed = [r for r in self.records if r.outcome is Outcome.COMPLETED]
-        mean_ms, p95_ms = latency_stats([r.latency_ms for r in all_completed])
+        return rows
+
+    def _finish(self) -> SimResult:
+        # The per-service groups are freed before the run-wide totals build
+        # their own lists, so the two never add to the peak together.
+        rows = self._service_rows()
         run_row = RunRow(
             arrivals=len(self.records),
-            completed=len(all_completed),
-            rejected=sum(1 for r in self.records if r.outcome is Outcome.REJECTED),
-            dropped=sum(1 for r in self.records if r.outcome is Outcome.DROPPED),
-            in_flight=sum(1 for r in self.records if r.outcome is None),
-            mean_latency_ms=mean_ms,
-            p95_latency_ms=p95_ms,
-            energy_j_total=sum(r.energy_j for r in all_completed),
-            charge_total=sum(r.charge for r in all_completed),
+            **_totals(self.records),
             reschedules=sum(s.reschedules for s in self.services.values()),
             arbitration_events=self.arbitration_events,
             security_violations=self.security_violations,
@@ -459,6 +517,22 @@ class Simulation:
             context=self.context,
             registry=self.registry,
         )
+
+
+def _totals(records: list[InvocationRecord]) -> dict:
+    """Outcome counts, latency stats and sums; floats add up in record order."""
+    completed = [r for r in records if r.outcome is Outcome.COMPLETED]
+    mean_ms, p95_ms = latency_stats([r.latency_ms for r in completed])
+    return dict(
+        completed=len(completed),
+        rejected=sum(1 for r in records if r.outcome is Outcome.REJECTED),
+        dropped=sum(1 for r in records if r.outcome is Outcome.DROPPED),
+        in_flight=sum(1 for r in records if r.outcome is None),
+        mean_latency_ms=mean_ms,
+        p95_latency_ms=p95_ms,
+        energy_j_total=sum(r.energy_j for r in completed),
+        charge_total=sum(r.charge for r in completed),
+    )
 
 
 def run(

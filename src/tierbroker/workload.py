@@ -139,6 +139,16 @@ def _get(d: dict, path: str, key: str, errors: list, required=False, default=Non
     return d[key]
 
 
+def _finite_number(val) -> bool:
+    """True for a JSON number that is a finite float: not a bool, NaN, ±Infinity or a huge int."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _num(
     d: dict,
     path: str,
@@ -152,8 +162,8 @@ def _num(
     val = _get(d, path, key, errors, required, None)
     if val is None:
         return default
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"{path}.{key}: expected a number")
+    if not _finite_number(val):
+        errors.append(f"{path}.{key}: expected a finite number")
         return default
     if minimum is not None and val < minimum:
         errors.append(f"{path}.{key}: must be >= {minimum}")
@@ -494,8 +504,8 @@ def _parse_consumer(d: dict, path: str) -> tuple[ConsumerSpec, list[str]]:
     else:
         for sid in sorted(raw):
             rate = raw[sid]
-            if isinstance(rate, bool) or not isinstance(rate, (int, float)) or rate < 0:
-                errors.append(f"{path}.rates.{sid}: expected a rate >= 0")
+            if not _finite_number(rate) or rate < 0:
+                errors.append(f"{path}.rates.{sid}: expected a finite rate >= 0")
             else:
                 rates[sid] = float(rate)
     return (

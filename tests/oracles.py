@@ -1,13 +1,21 @@
-"""Brute-force placement oracle, written against the documented rules only.
+"""Reference implementations the optimized code is checked against.
 
-Everything here re-derives admissibility, projections, scoring and the
+The brute-force placement oracle is written against the documented
+rules only: it re-derives admissibility, projections, scoring and the
 restricted-set flow from scratch so the scheduler can be checked against
 an implementation that shares no code with it beyond the data types.
+
+EveryTickSimulation keeps the analysis loop in its plainest form: every
+placed service runs both detectors on every tick, with no memo and no
+skipped ticks, so the incremental loop must reproduce it exactly.
 """
 
 from itertools import combinations
 
+from tierbroker.arbitrator import analyze_computation, analyze_performance, reschedule
 from tierbroker.model import SecurityClass, Tier, TrustBasis, TrustLevel
+from tierbroker import simulation
+from tierbroker.simulation import EventKind, SimEvent, Simulation
 
 from conftest import make_node
 
@@ -160,3 +168,37 @@ def tier_subsets(pool, max_size=None):
     for size in range(limit + 1):
         out.extend(combinations(pool, size))
     return out
+
+
+class EveryTickSimulation(Simulation):
+    """The simulator with the analysis tick evaluated in full every second."""
+
+    def _on_analysis_tick(self, t_ms):
+        for service_id in sorted(self.services):
+            state = self.services[service_id]
+            if state.record is None:
+                continue
+            self._log_arbitration(t_ms, "analysis", service_id)
+            current = self.topology.get(state.record.placement.node_id)
+            advice = analyze_performance(
+                self.context, state.desc, current, self.topology, self.thresholds, t_ms
+            )
+            if advice is None:
+                expected = state.desc.cpu_demand / current.cpu_speed * 1000.0
+                if expected > 0:
+                    advice = analyze_computation(
+                        self.context.recent_exec(service_id, self.thresholds.compute_run),
+                        expected,
+                        k=self.thresholds.compute_factor,
+                        m=self.thresholds.compute_run,
+                        service_id=service_id,
+                    )
+            if advice is None:
+                continue
+            decision = reschedule(state.record, advice, self.topology, self.weights, t_ms)
+            if decision.node_id != state.record.placement.node_id:
+                self._apply_move(t_ms, state, decision)
+        # Read at call time, like the simulator, so a test may stretch the interval.
+        t_next = t_ms + simulation.ANALYSIS_INTERVAL_MS
+        if t_next <= self.horizon:
+            self._push(t_next, SimEvent(t_next, 0, EventKind.ANALYSIS_TICK))

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import math
+
+import pytest
 
 from tierbroker.cli import COMPARE_ORDER, EXIT_CONFIG, EXIT_NO_NODE, EXIT_OK, main
 from tierbroker.report import CSV_COLUMNS
@@ -134,3 +137,25 @@ def test_unplaceable_service_exit_code(tmp_path):
     path.write_text(json.dumps(data))
     assert main(["run", "--scenario", str(path),
                  "--out", str(tmp_path / "out")]) == EXIT_NO_NODE
+
+
+@pytest.mark.parametrize(
+    "field_path, mutate",
+    [
+        ("scenario.horizon_ms", lambda d: d.update(horizon_ms=math.inf)),
+        ("scenario.consumers[0].rates.svc-echo",
+         lambda d: d["consumers"][0]["rates"].update({"svc-echo": math.inf})),
+        ("scenario.nodes[0].cpu_speed", lambda d: d["nodes"][0].update(cpu_speed=math.nan)),
+        ("scenario.horizon_ms", lambda d: d.update(horizon_ms=10**400)),
+    ],
+    ids=["infinite-horizon", "infinite-rate", "nan-cpu-speed", "huge-int-horizon"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, field_path, mutate):
+    # Python's json reads and writes NaN and Infinity; the parser must refuse them.
+    data = json.loads((SCENARIO_DIR / "minimal.json").read_text())
+    del data["tag_vocabulary"]
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"error: {field_path}: " in capsys.readouterr().err

@@ -1,0 +1,250 @@
+"""The memoized, fast-forwarding analysis loop against the every-tick reference.
+
+Both simulators run the same scenario on fresh topologies and
+registries; the arbitration log, every invocation record and the
+report must come out equal.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tierbroker import simulation
+from tierbroker.arbitrator import SchedulerWeights, Thresholds
+from tierbroker.model import EnergyModel, SecurityClass, Tier, Topology
+from tierbroker.registry import Registry
+from tierbroker.report import report_to_dict
+from tierbroker.simulation import Simulation
+from tierbroker.workload import Arrival, ConsumerSpec, Scenario, load_scenario, scenario_from_dict
+
+from conftest import SCENARIO_DIR, make_node, make_service
+from oracles import EveryTickSimulation
+
+
+def run_with(cls, scenario, seed=None):
+    # Topology, not build_topology: the property test feeds dealer hours
+    # that node validation would refuse (open >= close).
+    topology = Topology(scenario.nodes)
+    registry = Registry(topology, scenario.vocabulary, scenario.weights)
+    return cls(topology, registry, scenario, policy="sami", seed=seed).run()
+
+
+def assert_same_run(scenario, seed=None):
+    fast = run_with(Simulation, scenario, seed)
+    reference = run_with(EveryTickSimulation, scenario, seed)
+    assert fast.arbitration_log == reference.arbitration_log
+    assert fast.records == reference.records
+    assert report_to_dict(fast.report) == report_to_dict(reference.report)
+    return fast
+
+
+# ----------------------------------------------------------------------
+# random scenarios
+
+MINUTE = st.one_of(st.integers(0, 60), st.integers(1380, 1440), st.integers(0, 1440))
+OPEN_HOURS = st.one_of(
+    st.just((0, 1440)),
+    st.tuples(MINUTE, MINUTE),  # open >= close included: such a dealer never opens
+    # Hours reaching past midnight open or close at midnight, where the
+    # calendar pushes no DealerOpen or DealerClose event.
+    st.tuples(st.integers(-120, -1), st.integers(1, 120)),
+    st.tuples(st.integers(1320, 1439), st.integers(1441, 1560)),
+)
+
+
+@st.composite
+def dealers(draw, index):
+    return make_node(
+        f"D{index}",
+        Tier.DEALER,
+        cpu_speed=draw(st.sampled_from([2000.0, 4000.0, 8000.0])),
+        rtt_ms=draw(st.sampled_from([2.0, 5.0, 10.0])),
+        bandwidth_mbps=draw(st.sampled_from([50.0, 100.0])),
+        cpu_slots=draw(st.integers(1, 2)),
+        open_hours=draw(OPEN_HOURS),
+    )
+
+
+@st.composite
+def services(draw, index):
+    return make_service(
+        service_id=f"svc-{index}",
+        name=f"probe-{index}",
+        cpu_demand=draw(st.sampled_from([200.0, 1000.0, 2500.0])),
+        payload_in=draw(st.sampled_from([0.1, 0.5, 2.0])),
+        # 500 MB migrates for longer than a tick lasts.
+        storage_demand=draw(st.sampled_from([1.0, 500.0])),
+        latency_sensitive=draw(st.booleans()),
+        data_intensive=draw(st.booleans()),
+        security_class=draw(st.sampled_from(list(SecurityClass))),
+    )
+
+
+@st.composite
+def incremental_cases(draw):
+    # Stretching the tick lets a horizon cross midnight in a few thousand
+    # ticks. Every dealer open and close time falls on a 1 s or 60 s
+    # tick; 45 s ticks miss most of them.
+    interval = draw(st.sampled_from([1000.0, 45000.0, 60000.0]))
+    ticks = draw(st.integers(1, 3000))
+    horizon = ticks * interval + draw(st.sampled_from([0.0, 1.0, 999.5]))
+    nodes = [draw(dealers(i)) for i in range(draw(st.integers(0, 2)))]
+    nodes += [
+        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
+        make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=200.0, bandwidth_mbps=100.0,
+                  cpu_slots=8, mem_capacity=65536.0, storage_capacity=1048576.0,
+                  internet_path=True),
+    ]
+    descs = [draw(services(i)) for i in range(draw(st.integers(1, 3)))]
+    # Rates scale with the horizon so every run draws a few hundred arrivals at most.
+    rates = {
+        d.id: draw(st.integers(0, 200)) * 1000.0 / horizon for d in descs
+    }
+    window = draw(st.integers(2, 8))
+    thresholds = Thresholds(
+        delay_pressure_ms_per_s=draw(st.sampled_from([0.01, 1.0, 200.0, 5000.0])),
+        min_gain_ms=draw(st.sampled_from([0.0, 50.0])),
+        compute_factor=draw(st.sampled_from([1.0, 1.5])),
+        compute_run=draw(st.integers(1, 3)),
+        window=window,
+        min_samples=draw(st.integers(2, window)),
+    )
+    scenario = Scenario(
+        horizon_ms=horizon,
+        seed=draw(st.integers(0, 2**32)),
+        nodes=nodes,
+        services=descs,
+        consumers=[ConsumerSpec(id="u1", weight_latency=0.7, weight_cost=0.3, rates=rates)],
+        weights=SchedulerWeights(),
+        thresholds=thresholds,
+        energy=EnergyModel(),
+    )
+    return interval, scenario
+
+
+@settings(max_examples=100, deadline=None)
+@given(incremental_cases())
+def test_memoized_loop_matches_every_tick_reference(case):
+    interval, scenario = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
+        assert_same_run(scenario)
+
+
+# ----------------------------------------------------------------------
+# hand-written cases
+
+
+def test_dealer_hours_across_midnight_matches_reference():
+    # The shipped sparse-window scenario at the real one-second tick,
+    # run ten minutes past midnight so the dealer's day wraps.
+    scenario = load_scenario(str(SCENARIO_DIR / "dealer_hours.json"))
+    scenario = dataclasses.replace(scenario, horizon_ms=scenario.horizon_ms + 600000.0)
+    fast = assert_same_run(scenario, seed=7)
+    assert fast.report.run.reschedules > 0
+
+
+def test_dealer_opening_at_midnight_without_an_event_is_seen(monkeypatch):
+    # Hours of [-60, 60) open the dealer at midnight, where the calendar
+    # has no DealerOpen event to end a run of quiet ticks. The service
+    # leaves the dealer when it closes at 01:00 and must come back on the
+    # first tick of the next day. Minute ticks keep the day short.
+    monkeypatch.setattr(simulation, "ANALYSIS_INTERVAL_MS", 60000.0)
+    nodes = [
+        make_node("D0", Tier.DEALER, cpu_speed=4000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
+                  open_hours=(-60, 60)),
+        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
+    ]
+    horizon = 1500 * 60000.0
+    scenario = Scenario(
+        horizon_ms=horizon,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True)],
+        consumers=[ConsumerSpec("u1", 0.7, 0.3, {"svc-0": 100 * 1000.0 / horizon})],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
+        energy=EnergyModel(),
+    )
+    result = assert_same_run(scenario)
+    moves = [t for t, kind, _ in result.arbitration_log if kind == "reschedule"]
+    assert len(moves) == 2
+    assert moves[0] > 3600000.0
+    assert moves[1] == 86400000.0
+
+
+def tie_scenario(cloud):
+    """One service that starts on the cloud; two completions move it to M1.
+
+    It is latency-sensitive, so the delay-pressure detector watches it,
+    and data-intensive, so placement puts it on the cloud first.
+    """
+    node = {"cpu_slots": 2, "mem_capacity": 65536, "storage_capacity": 65536,
+            "trust": {"level": "High"}}
+    return scenario_from_dict({
+        "horizon_ms": 8000.0,
+        "seed": 1,
+        "nodes": [
+            dict(node, id="M1", tier="MNO", cpu_speed=8000, rtt_ms=50, bandwidth_mbps=100),
+            dict(node, id="C1", tier="Cloud", rtt_ms=200, internet_path=True, **cloud),
+        ],
+        "services": [{
+            "id": "svc-x", "name": "probe", "version": "1.0.0",
+            "capability_tags": ["compute"], "cpu_demand": 2000, "mem_demand": 64,
+            "storage_demand": 1.0, "payload_in": 0.5, "payload_out": 0.5,
+            "latency_sensitive": True, "data_intensive": True,
+        }],
+        "consumers": [{"id": "u1", "rates": {"svc-x": 1.0}}],
+        "thresholds": {"delay_pressure_ms_per_s": 100, "min_samples": 2, "window": 2},
+    })
+
+
+@pytest.mark.parametrize(
+    "cloud, arrivals, done, moved_at",
+    [
+        # Cloud response 200 + 80 + 250 = 530 ms. The second ExecDone, at
+        # 1000, is pushed at 750, after the 1000 ms tick: the tick runs
+        # first and sees one sample, so the move waits for 2000 ms.
+        ({"cpu_speed": 8000, "bandwidth_mbps": 100}, [100.0, 470.0], [630.0, 1000.0], 2000.0),
+        # Cloud response 200 + 800 + 1000 = 2000 ms. Each ExecDone is
+        # pushed when its transfer ends, a second before it and before
+        # the tick at its time is pushed, so it runs first: the quiet
+        # 3000 ms tick sees one sample and the 4000 ms tick sees two.
+        ({"cpu_speed": 2000, "bandwidth_mbps": 10}, [1000.0, 2000.0], [3000.0, 4000.0], 4000.0),
+    ],
+    ids=["tick-first", "exec-done-first"],
+)
+def test_exec_done_on_a_tick_keeps_push_order(monkeypatch, cloud, arrivals, done, moved_at):
+    scenario = tie_scenario(cloud)
+    monkeypatch.setattr(
+        simulation,
+        "generate_workload",
+        lambda consumers, seed, horizon: [Arrival(t, "u1", "svc-x") for t in arrivals],
+    )
+    result = assert_same_run(scenario)
+    assert [r.t_done for r in result.records] == done
+    assert [r.node_id for r in result.records] == ["C1", "C1"]
+    moves = [(t, sid) for t, kind, sid in result.arbitration_log if kind == "reschedule"]
+    assert moves == [(moved_at, "svc-x")]
+
+
+def test_quiet_ticks_skip_the_detectors(monkeypatch):
+    # dealer_hours logs one analysis per second for a day but sees a
+    # completion only every minute or so: most ticks must not reach the
+    # detectors, yet every tick is logged.
+    calls = []
+    original = simulation.analyze_performance
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(simulation, "analyze_performance", counting)
+    scenario = load_scenario(str(SCENARIO_DIR / "dealer_hours.json"))
+    result = simulation.simulate_scenario(scenario)
+    ticks = [t for t, kind, _ in result.arbitration_log if kind == "analysis"]
+    assert len(ticks) == int(scenario.horizon_ms // 1000)
+    assert len(calls) < len(ticks) // 10
+    assert ticks[-1] == scenario.horizon_ms
