@@ -16,7 +16,8 @@ from base64 import b64decode
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from statistics import fmean
+from itertools import islice
+from statistics import StatisticsError, fmean
 
 from .errors import NoAdmissibleNode, NonCloudNode, NotFoundError, OutOfOrderEvent
 from .model import (
@@ -114,7 +115,11 @@ def percentile(values: list[float], p: float) -> float:
 class ContextSnapshot:
     """Monitoring state: per-service sliding window, per-node load.
 
-    Keeps at most `window` completed observations per service; feed
+    Keeps at most `window` completed observations per service, as three
+    bounded columns: completion times, latencies and execution times.
+    The detectors read the columns in place, with no per-call copy of
+    the window, and sum them afresh on every read rather than keeping
+    running totals, so every mean is rounded as fmean rounds it. Feed
     order must be nondecreasing in completion time for each service.
     Node load is mirrored by note_start / note_done so that
     utilization = in-flight / cpu_slots at any instant. Every observe
@@ -124,7 +129,9 @@ class ContextSnapshot:
 
     def __init__(self, window: int = 100):
         self.window = window
-        self._samples: dict[str, deque] = {}
+        self._times: dict[str, deque] = {}
+        self._latencies: dict[str, deque] = {}
+        self._execs: dict[str, deque] = {}
         self._last_t: dict[str, float] = {}
         self._versions: dict[str, int] = {}
         self._node_inflight: dict[str, int] = {}
@@ -157,41 +164,49 @@ class ContextSnapshot:
             )
         self._last_t[service_id] = t_done
         self._versions[service_id] = self._versions.get(service_id, 0) + 1
-        win = self._samples.get(service_id)
-        if win is None:
-            win = deque(maxlen=self.window)
-            self._samples[service_id] = win
-        win.append((t_done, latency_ms, exec_ms))
+        times = self._times.get(service_id)
+        if times is None:
+            times = self._times[service_id] = deque(maxlen=self.window)
+            self._latencies[service_id] = deque(maxlen=self.window)
+            self._execs[service_id] = deque(maxlen=self.window)
+        times.append(t_done)
+        self._latencies[service_id].append(latency_ms)
+        self._execs[service_id].append(exec_ms)
 
     def version(self, service_id: str) -> int:
         """Observations folded in so far for the service."""
         return self._versions.get(service_id, 0)
 
     def count(self, service_id: str) -> int:
-        return len(self._samples.get(service_id, ()))
+        return len(self._times.get(service_id, ()))
 
     def latencies(self, service_id: str) -> list[float]:
-        return [s[1] for s in self._samples.get(service_id, ())]
+        return list(self._latencies.get(service_id, ()))
 
     def mean_latency(self, service_id: str) -> float:
-        return fmean(self.latencies(service_id))
+        latencies = self._latencies.get(service_id, ())
+        if not latencies:
+            raise StatisticsError("fmean requires at least one data point")
+        # What fmean computes, without its copy of the window.
+        return math.fsum(latencies) / len(latencies)
 
     def p95_latency(self, service_id: str) -> float:
-        return percentile(self.latencies(service_id), 95.0)
+        return percentile(self._latencies.get(service_id, ()), 95.0)
 
     def rate_per_s(self, service_id: str) -> float:
         """Observed completion rate over the window span."""
-        win = self._samples.get(service_id, ())
-        if len(win) < 2:
+        times = self._times.get(service_id, ())
+        if len(times) < 2:
             return 0.0
-        span_ms = win[-1][0] - win[0][0]
+        span_ms = times[-1] - times[0]
         if span_ms <= 0:
             return math.inf
-        return (len(win) - 1) * 1000.0 / span_ms
+        return (len(times) - 1) * 1000.0 / span_ms
 
     def recent_exec(self, service_id: str, m: int) -> list[float]:
-        win = self._samples.get(service_id, ())
-        return [s[2] for s in list(win)[-m:]]
+        """The execution-time column sliced as [-m:], without copying it first."""
+        execs = self._execs.get(service_id, ())
+        return list(islice(execs, max(len(execs) - m, 0) if m > 0 else -m, None))
 
 
 def collect_context(record: InvocationRecord, ctx: ContextSnapshot) -> ContextSnapshot:

@@ -1,21 +1,25 @@
 """Deterministic discrete-event simulation of the offload fabric.
 
-Events are ordered by (time, push sequence); every tie is therefore
-resolved the same way on every run. Each node serves its queue in FIFO
-order across cpu_slots parallel slots; a request occupies a slot from
-start until execution completes. Dealers reject whatever is still
-queued when they close; the next arrival of an affected service gets
-re-placed. Analysis ticks run the delay-pressure and compute-shortfall
-detectors every second under the arbitrated policy.
+Arrivals come from generate_workload as one list sorted by time and are
+taken from it in order; every other event sits on a heap of
+(time, push sequence, kind, payload) tuples. At equal times an arrival
+runs before any heap event, and arrivals with equal times run in list
+order, so every tie is resolved the same way on every run. Each node
+serves its queue in FIFO order across cpu_slots parallel slots; a
+request occupies a slot from start until execution completes. Dealers
+reject whatever is still queued when they close; the next arrival of an
+affected service gets re-placed. Analysis ticks run the delay-pressure
+and compute-shortfall detectors every second under the arbitrated
+policy.
 
 The analysis loop is incremental but exact. A verdict depends only on
 the service's window, its node and which dealers are open, so a service
 whose last analysis kept it in place is skipped until one of those
 changes; its tick is still logged and counted. When a tick leaves every
 service in place, the ticks up to the next event are logged at once,
-stopping early where a dealer opens or closes, and only the first tick
-not logged is pushed; it takes the heap slot the every-tick loop would
-have given it, so event order is unchanged.
+stopping early at midnight or where a dealer opens or closes, and only
+the first tick not logged is pushed; it takes the heap slot the
+every-tick loop would have given it, so event order is unchanged.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,6 +72,7 @@ from .workload import Arrival, Scenario, generate_workload
 log = logging.getLogger(__name__)
 
 ANALYSIS_INTERVAL_MS = 1000.0
+DAY_MS = 1440 * 60000.0
 
 POLICY_TIERS = {
     "cloud-only": Tier.CLOUD,
@@ -84,16 +90,6 @@ class EventKind(str, Enum):
     DEALER_CLOSE = "DealerClose"
     ANALYSIS_TICK = "AnalysisTick"
     MIGRATION_DONE = "MigrationDone"
-
-
-@dataclass
-class SimEvent:
-    t_ms: float
-    seq: int
-    kind: EventKind
-    request: InvocationRecord | None = None
-    node_id: str | None = None
-    arrival: Arrival | None = None
 
 
 def energy_j(
@@ -170,7 +166,8 @@ class Simulation:
         self.thresholds = scenario.thresholds
         self.energy_model = scenario.energy
 
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[tuple[float, int, EventKind, object]] = []
+        self._arrivals: list[Arrival] = []  # pending arrivals, latest first
         self._seq = 0
         self._next_request_id = 1
         self.records: list[InvocationRecord] = []
@@ -192,10 +189,10 @@ class Simulation:
     # ------------------------------------------------------------------
     # setup
 
-    def _push(self, t_ms: float, event: SimEvent):
+    def _push(self, t_ms: float, kind: EventKind, payload=None):
+        # Sequences are unique, so kind and payload are never compared.
         self._seq += 1
-        event.seq = self._seq
-        heapq.heappush(self._heap, (t_ms, self._seq, event))
+        heapq.heappush(self._heap, (t_ms, self._seq, kind, payload))
 
     def _log_arbitration(self, t_ms: float, kind: str, service_id: str):
         self.arbitration_log.append((t_ms, kind, service_id))
@@ -233,25 +230,25 @@ class Simulation:
         return self.registry.register_service(desc, self.topology, 0.0, placement=decision)
 
     def _schedule_calendar(self):
-        for arrival in generate_workload(self.scenario.consumers, self.seed, self.horizon):
-            self._push(arrival.t_ms, SimEvent(arrival.t_ms, 0, EventKind.ARRIVAL, arrival=arrival))
-        day_ms = 1440 * 60000.0
+        # Reversed, so the next arrival is popped from the end and each
+        # one is freed once handled.
+        arrivals = list(generate_workload(self.scenario.consumers, self.seed, self.horizon))
+        arrivals.reverse()
+        self._arrivals = arrivals
         for node in self._dealers:
+            node_state = self.node_states[node.id]
             open_minute, close_minute = node.open_hours
             day = 0
-            while day * day_ms <= self.horizon:
-                t_open = day * day_ms + open_minute * 60000.0
-                t_close = day * day_ms + close_minute * 60000.0
+            while day * DAY_MS <= self.horizon:
+                t_open = day * DAY_MS + open_minute * 60000.0
+                t_close = day * DAY_MS + close_minute * 60000.0
                 if 0.0 < t_open <= self.horizon:
-                    self._push(t_open, SimEvent(t_open, 0, EventKind.DEALER_OPEN, node_id=node.id))
+                    self._push(t_open, EventKind.DEALER_OPEN, node_state)
                 if 0.0 < t_close <= self.horizon:
-                    self._push(t_close, SimEvent(t_close, 0, EventKind.DEALER_CLOSE, node_id=node.id))
+                    self._push(t_close, EventKind.DEALER_CLOSE, node_state)
                 day += 1
         if self.policy == "sami" and ANALYSIS_INTERVAL_MS <= self.horizon:
-            self._push(
-                ANALYSIS_INTERVAL_MS,
-                SimEvent(ANALYSIS_INTERVAL_MS, 0, EventKind.ANALYSIS_TICK),
-            )
+            self._push(ANALYSIS_INTERVAL_MS, EventKind.ANALYSIS_TICK)
 
     # ------------------------------------------------------------------
     # event handlers
@@ -259,24 +256,36 @@ class Simulation:
     def run(self) -> SimResult:
         self._place_all()
         self._schedule_calendar()
-        while self._heap:
-            t_ms, _, event = heapq.heappop(self._heap)
-            if t_ms > self.horizon:
+        handlers = {
+            EventKind.TRANSFER_DONE: self._on_transfer_done,
+            EventKind.EXEC_DONE: self._on_exec_done,
+            EventKind.DEALER_OPEN: self._try_start,
+            EventKind.DEALER_CLOSE: self._on_dealer_close,
+            EventKind.ANALYSIS_TICK: self._on_analysis_tick,
+            EventKind.MIGRATION_DONE: self._try_start,
+        }
+        heap = self._heap
+        arrivals = self._arrivals
+        horizon = self.horizon
+        pop = heapq.heappop
+        on_arrival = self._on_arrival
+        while arrivals:
+            arrival = arrivals[-1]
+            t_arrival = arrival.t_ms
+            if t_arrival > horizon:  # never from generate_workload, which stops short of it
+                arrivals.clear()
                 break
-            if event.kind is EventKind.ARRIVAL:
-                self._on_arrival(t_ms, event.arrival)
-            elif event.kind is EventKind.TRANSFER_DONE:
-                self._on_transfer_done(t_ms, event.request)
-            elif event.kind is EventKind.EXEC_DONE:
-                self._on_exec_done(t_ms, event.request)
-            elif event.kind is EventKind.DEALER_OPEN:
-                self._try_start(t_ms, self.node_states[event.node_id])
-            elif event.kind is EventKind.DEALER_CLOSE:
-                self._on_dealer_close(t_ms, self.node_states[event.node_id])
-            elif event.kind is EventKind.ANALYSIS_TICK:
-                self._on_analysis_tick(t_ms)
-            elif event.kind is EventKind.MIGRATION_DONE:
-                self._try_start(t_ms, self.node_states[event.node_id])
+            # Strictly earlier: at equal times the arrival goes first.
+            while heap and heap[0][0] < t_arrival:
+                t_ms, _, kind, payload = pop(heap)
+                handlers[kind](t_ms, payload)
+            arrivals.pop()
+            on_arrival(t_arrival, arrival)
+        while heap:
+            t_ms, _, kind, payload = pop(heap)
+            if t_ms > horizon:
+                break
+            handlers[kind](t_ms, payload)
         return self._finish()
 
     def _on_arrival(self, t_ms: float, arrival: Arrival):
@@ -332,7 +341,7 @@ class Simulation:
         state.migration_until = t_ms + delay
         done = t_ms + delay
         if done <= self.horizon:
-            self._push(done, SimEvent(done, 0, EventKind.MIGRATION_DONE, node_id=new_node.id))
+            self._push(done, EventKind.MIGRATION_DONE, self.node_states[new_node.id])
 
     def _try_start(self, t_ms: float, node_state: _NodeState):
         node = node_state.node
@@ -357,11 +366,11 @@ class Simulation:
             head.transfer_ms = transmit_ms(state.desc.payload_total, node.bandwidth_mbps)
             head.exec_ms = state.desc.cpu_demand / node.cpu_speed * 1000.0
             t_transfer = t_ms + node.rtt_ms + head.transfer_ms
-            self._push(t_transfer, SimEvent(t_transfer, 0, EventKind.TRANSFER_DONE, request=head))
+            self._push(t_transfer, EventKind.TRANSFER_DONE, head)
 
     def _on_transfer_done(self, t_ms: float, request: InvocationRecord):
         t_exec = t_ms + request.exec_ms
-        self._push(t_exec, SimEvent(t_exec, 0, EventKind.EXEC_DONE, request=request))
+        self._push(t_exec, EventKind.EXEC_DONE, request)
 
     def _on_exec_done(self, t_ms: float, request: InvocationRecord):
         node_state = self.node_states[request.node_id]
@@ -392,7 +401,7 @@ class Simulation:
     def _dealers_open(self, t_ms: float) -> tuple[bool, ...]:
         return tuple([is_dealer_open(node, t_ms) for node in self._dealers])
 
-    def _on_analysis_tick(self, t_ms: float):
+    def _on_analysis_tick(self, t_ms: float, _payload=None):
         """Analyse every placed service, skipping those whose inputs are unchanged.
 
         A service's analysis reads its window, its placement and, through
@@ -422,7 +431,7 @@ class Simulation:
         if quiet:
             t_next = self._fast_forward(t_next, dealers_open)
         if t_next <= self.horizon:
-            self._push(t_next, SimEvent(t_next, 0, EventKind.ANALYSIS_TICK))
+            self._push(t_next, EventKind.ANALYSIS_TICK)
 
     def _analyze(self, t_ms: float, state: _ServiceState) -> bool:
         """Run both detectors and act on their advice; True when the service moved."""
@@ -453,22 +462,50 @@ class Simulation:
         """Log the ticks from t_ms on that find every service quiet; return the first left.
 
         Called after a tick in which every service stayed quiet. Until the
-        next event pops, no window or placement changes, so a tick before
-        it finds the same keys unless a dealer opened or closed; hours
-        that reach past midnight do that with no calendar event, hence
-        the check on every tick. A tick at exactly the next event's time
-        is left to run after that event, as its push sequence orders it.
+        next event, the heap's or the next arrival, no window or placement
+        changes, so a tick before it finds the same keys unless a dealer
+        opened or closed. A tick at exactly the next event's time is left
+        to run after that event, as its push sequence orders it.
+
+        Every open and close time in (0, horizon] is a calendar event and
+        a batch never reaches one, so inside a batch a dealer flips only
+        where the minute of day wraps at midnight, or by rounding next to
+        an event: the tick after an event may still find a dealer as it
+        was before, and the tick before an event may already find it as
+        it will be after. The first is the tick that called this, whose
+        tuple the batch's first tick may not share; the second can only
+        be the batch's last tick. A batch therefore stops at midnight,
+        inside it the minute of day only grows and each dealer is open on
+        one run of ticks, and the dealer tuple is compared on the first
+        tick, then the last, and bisected only when the last differs.
         """
         next_event = self._heap[0][0] if self._heap else math.inf
-        ids = [state.desc.id for state in self._placed]
-        while (
-            t_ms < next_event
-            and t_ms <= self.horizon
-            and self._dealers_open(t_ms) == dealers_open
-        ):
-            self.arbitration_log.extend([(t_ms, "analysis", service_id) for service_id in ids])
-            self.arbitration_events += len(ids)
+        if self._arrivals:
+            next_event = min(next_event, self._arrivals[-1].t_ms)
+        if self._dealers:
+            next_event = min(next_event, (t_ms // DAY_MS + 1) * DAY_MS)
+        ticks = []
+        while t_ms < next_event and t_ms <= self.horizon:
+            ticks.append(t_ms)
             t_ms += ANALYSIS_INTERVAL_MS
+        if ticks and self._dealers:
+            def differs(t):
+                return self._dealers_open(t) != dealers_open
+
+            if differs(ticks[0]):
+                stop = 0
+            elif differs(ticks[-1]):
+                stop = bisect_left(ticks, True, 1, len(ticks) - 1, key=differs)
+            else:
+                stop = len(ticks)
+            if stop < len(ticks):
+                t_ms = ticks[stop]
+                del ticks[stop:]
+        ids = [state.desc.id for state in self._placed]
+        self.arbitration_log.extend(
+            [(t, "analysis", service_id) for t in ticks for service_id in ids]
+        )
+        self.arbitration_events += len(ticks) * len(ids)
         return t_ms
 
     # ------------------------------------------------------------------
@@ -560,7 +597,6 @@ __all__ = [
     "POLICIES",
     "POLICY_TIERS",
     "EventKind",
-    "SimEvent",
     "SimResult",
     "Simulation",
     "build_topology",

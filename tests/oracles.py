@@ -8,14 +8,21 @@ an implementation that shares no code with it beyond the data types.
 EveryTickSimulation keeps the analysis loop in its plainest form: every
 placed service runs both detectors on every tick, with no memo and no
 skipped ticks, so the incremental loop must reproduce it exactly.
+
+HeapOnlySimulation keeps the event loop in its plainest form: every
+arrival is pushed onto the heap before any other event and an if/elif
+chain dispatches what pops, so the order of events at equal times is
+set by push sequence alone. The simulator's merge of the sorted arrival
+list with the heap must reproduce it exactly.
 """
 
+import heapq
 from itertools import combinations
 
 from tierbroker.arbitrator import analyze_computation, analyze_performance, reschedule
 from tierbroker.model import SecurityClass, Tier, TrustBasis, TrustLevel
 from tierbroker import simulation
-from tierbroker.simulation import EventKind, SimEvent, Simulation
+from tierbroker.simulation import EventKind, Simulation
 
 from conftest import make_node
 
@@ -173,7 +180,7 @@ def tier_subsets(pool, max_size=None):
 class EveryTickSimulation(Simulation):
     """The simulator with the analysis tick evaluated in full every second."""
 
-    def _on_analysis_tick(self, t_ms):
+    def _on_analysis_tick(self, t_ms, _payload=None):
         for service_id in sorted(self.services):
             state = self.services[service_id]
             if state.record is None:
@@ -201,4 +208,53 @@ class EveryTickSimulation(Simulation):
         # Read at call time, like the simulator, so a test may stretch the interval.
         t_next = t_ms + simulation.ANALYSIS_INTERVAL_MS
         if t_next <= self.horizon:
-            self._push(t_next, SimEvent(t_next, 0, EventKind.ANALYSIS_TICK))
+            self._push(t_next, EventKind.ANALYSIS_TICK)
+
+
+class HeapOnlySimulation(Simulation):
+    """The simulator with every arrival on the event heap."""
+
+    def _schedule_calendar(self):
+        # Through the module, so a test's stand-in for generate_workload is seen.
+        for arrival in simulation.generate_workload(
+            self.scenario.consumers, self.seed, self.horizon
+        ):
+            self._push(arrival.t_ms, EventKind.ARRIVAL, arrival)
+        day_ms = 1440 * 60000.0
+        for node in self._dealers:
+            node_state = self.node_states[node.id]
+            open_minute, close_minute = node.open_hours
+            day = 0
+            while day * day_ms <= self.horizon:
+                t_open = day * day_ms + open_minute * 60000.0
+                t_close = day * day_ms + close_minute * 60000.0
+                if 0.0 < t_open <= self.horizon:
+                    self._push(t_open, EventKind.DEALER_OPEN, node_state)
+                if 0.0 < t_close <= self.horizon:
+                    self._push(t_close, EventKind.DEALER_CLOSE, node_state)
+                day += 1
+        if self.policy == "sami" and simulation.ANALYSIS_INTERVAL_MS <= self.horizon:
+            self._push(simulation.ANALYSIS_INTERVAL_MS, EventKind.ANALYSIS_TICK)
+
+    def run(self):
+        self._place_all()
+        self._schedule_calendar()
+        while self._heap:
+            t_ms, _, kind, payload = heapq.heappop(self._heap)
+            if t_ms > self.horizon:
+                break
+            if kind is EventKind.ARRIVAL:
+                self._on_arrival(t_ms, payload)
+            elif kind is EventKind.TRANSFER_DONE:
+                self._on_transfer_done(t_ms, payload)
+            elif kind is EventKind.EXEC_DONE:
+                self._on_exec_done(t_ms, payload)
+            elif kind is EventKind.DEALER_OPEN:
+                self._try_start(t_ms, payload)
+            elif kind is EventKind.DEALER_CLOSE:
+                self._on_dealer_close(t_ms, payload)
+            elif kind is EventKind.ANALYSIS_TICK:
+                self._on_analysis_tick(t_ms)
+            elif kind is EventKind.MIGRATION_DONE:
+                self._try_start(t_ms, payload)
+        return self._finish()

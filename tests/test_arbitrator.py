@@ -1,11 +1,14 @@
 """Scheduler flow, scoring, analysis detectors, rescheduling, conformance."""
 
 import hashlib
+import statistics
 from base64 import b64encode
 from itertools import product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tierbroker.arbitrator import (
     AdviceKind,
@@ -273,6 +276,35 @@ def test_context_rate_over_window_span():
     # 24 intervals of 100 ms each.
     assert ctx.rate_per_s("svc") == pytest.approx(10.0)
     assert ctx.mean_latency("svc") == 500.0
+
+
+OBSERVATION = st.tuples(
+    st.floats(0.0, 5000.0),  # gap since the previous completion
+    st.floats(0.0, 1e9, allow_subnormal=True),  # latency
+    st.floats(0.0, 1e6),  # execution time
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.lists(OBSERVATION, max_size=30))
+def test_context_columns_match_a_plain_window(window, observations):
+    # The reference is the last `window` observations as one list; the
+    # draws run up to several windows long, so eviction is exercised.
+    ctx = ContextSnapshot(window=window)
+    seen = []
+    t = 0.0
+    for gap, latency, exec_ms in observations:
+        t += gap
+        ctx.observe("svc", t, latency, exec_ms)
+        seen.append((t, latency, exec_ms))
+        plain = seen[-window:]
+        latencies = [s[1] for s in plain]
+        assert ctx.count("svc") == len(plain)
+        assert ctx.latencies("svc") == latencies
+        mean = ctx.mean_latency("svc")
+        assert mean.hex() == statistics.fmean(ctx.latencies("svc")).hex()
+        for m in range(1, window + 2):
+            assert ctx.recent_exec("svc", m) == [s[2] for s in plain][-m:]
 
 
 def test_context_node_load_mirror():

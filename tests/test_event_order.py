@@ -1,0 +1,240 @@
+"""The merged arrival list against the heap-only event loop.
+
+The simulator takes arrivals from their sorted list and every other
+event from the heap; the reference pushes every arrival onto the heap
+first. Both must run events in the same order, ties included, so the
+arbitration log, every invocation record and the report come out equal.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tierbroker import simulation
+from tierbroker.arbitrator import SchedulerWeights, Thresholds
+from tierbroker.model import EnergyModel, SecurityClass, Tier, Topology
+from tierbroker.registry import Registry
+from tierbroker.report import report_to_dict
+from tierbroker.simulation import POLICIES, Simulation
+from tierbroker.workload import Arrival, ConsumerSpec, Scenario, scenario_from_dict
+
+from conftest import make_node, make_service
+from oracles import HeapOnlySimulation
+
+
+def run_with(cls, scenario, policy):
+    topology = Topology(scenario.nodes)
+    registry = Registry(topology, scenario.vocabulary, scenario.weights)
+    return cls(topology, registry, scenario, policy=policy).run()
+
+
+def assert_same_order(scenario, policy="sami"):
+    merged = run_with(Simulation, scenario, policy)
+    reference = run_with(HeapOnlySimulation, scenario, policy)
+    assert merged.arbitration_log == reference.arbitration_log
+    assert merged.records == reference.records
+    assert report_to_dict(merged.report) == report_to_dict(reference.report)
+    return merged
+
+
+def use_arrivals(monkeypatch, arrivals):
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
+    )
+
+
+# ----------------------------------------------------------------------
+# random scenarios on a coarse time grid
+
+# Every duration below is a multiple of 125 ms and arrivals fall on a
+# 250 ms grid, so arrivals often share their millisecond with each
+# other, with ticks, with dealer hours and with transfer, execution and
+# migration ends.
+GRID_MS = 250.0
+
+
+@st.composite
+def grid_nodes(draw):
+    nodes = [
+        make_node(
+            f"D{i}",
+            Tier.DEALER,
+            cpu_speed=draw(st.sampled_from([2000.0, 4000.0])),
+            rtt_ms=draw(st.sampled_from([0.0, 125.0])),
+            bandwidth_mbps=draw(st.sampled_from([32.0, 64.0])),
+            cpu_slots=draw(st.integers(1, 2)),
+            # Quarter minutes; open >= close included.
+            open_hours=(draw(st.integers(0, 12)) / 4, draw(st.integers(0, 12)) / 4),
+        )
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    nodes += [
+        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=250.0, bandwidth_mbps=32.0,
+                  cpu_slots=draw(st.integers(1, 2))),
+        make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=500.0, bandwidth_mbps=64.0,
+                  cpu_slots=8, mem_capacity=65536.0, storage_capacity=1048576.0,
+                  internet_path=True),
+    ]
+    return nodes
+
+
+@st.composite
+def grid_cases(draw):
+    horizon = draw(st.integers(4, 720)) * GRID_MS
+    descs = [
+        make_service(
+            service_id=f"svc-{i}",
+            name=f"probe-{i}",
+            cpu_demand=draw(st.sampled_from([500.0, 1000.0, 2000.0])),
+            payload_in=0.5,
+            payload_out=0.5,
+            latency_sensitive=draw(st.booleans()),
+            data_intensive=draw(st.booleans()),
+            security_class=draw(st.sampled_from(list(SecurityClass))),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    consumers = [
+        ConsumerSpec(id=cid, weight_latency=0.7, weight_cost=0.3,
+                     rates={d.id: 1.0 for d in descs})
+        for cid in ("u1", "u2")
+    ]
+    arrivals = draw(st.lists(
+        st.builds(
+            Arrival,
+            t_ms=st.integers(0, int(horizon / GRID_MS) - 1).map(lambda k: k * GRID_MS),
+            consumer_id=st.sampled_from(["u1", "u2"]),
+            service_id=st.sampled_from([d.id for d in descs]),
+        ),
+        max_size=80,
+    ))
+    arrivals.sort(key=lambda a: (a.t_ms, a.consumer_id, a.service_id))
+    window = draw(st.integers(2, 6))
+    scenario = Scenario(
+        horizon_ms=horizon,
+        seed=0,
+        nodes=draw(grid_nodes()),
+        services=descs,
+        consumers=consumers,
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(
+            delay_pressure_ms_per_s=draw(st.sampled_from([0.01, 100.0])),
+            min_gain_ms=0.0,
+            compute_factor=1.0,
+            compute_run=draw(st.integers(1, 3)),
+            window=window,
+            min_samples=draw(st.integers(2, window)),
+        ),
+        energy=EnergyModel(),
+    )
+    return scenario, arrivals, draw(st.sampled_from(POLICIES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases())
+def test_merged_arrivals_match_heap_only_reference(case):
+    scenario, arrivals, policy = case
+    with pytest.MonkeyPatch.context() as mp:
+        use_arrivals(mp, arrivals)
+        assert_same_order(scenario, policy)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(POLICIES))
+def test_generated_workload_matches_heap_only_reference(seed, policy):
+    # The real arrival streams for four minutes, in which D1 closes and
+    # D2 opens and closes.
+    scenario = tie_scenario(close_minute=1.5, horizon_ms=240000.0)
+    scenario.seed = seed
+    assert_same_order(scenario, policy)
+
+
+# ----------------------------------------------------------------------
+# hand-written ties
+
+
+def tie_scenario(close_minute, horizon_ms):
+    """svc-x prefers the dealer D1, open from midnight to close_minute.
+
+    D2 opens at close_minute, so svc-x moves there when D1 closes. The
+    data-intensive svc-y runs on C1 and answers in 200 + 80 + 250 = 530 ms.
+    """
+    node = {"cpu_slots": 2, "mem_capacity": 65536, "storage_capacity": 65536,
+            "trust": {"level": "High"}}
+    service = {"version": "1.0.0", "capability_tags": ["compute"], "cpu_demand": 2000,
+               "mem_demand": 64, "storage_demand": 1.0, "payload_in": 0.5,
+               "payload_out": 0.5}
+    scenario = scenario_from_dict({
+        "horizon_ms": horizon_ms,
+        "seed": 1,
+        "nodes": [
+            dict(node, id="D1", tier="Dealer", cpu_speed=4000, rtt_ms=5, bandwidth_mbps=100,
+                 open_hours=[0, 1]),
+            dict(node, id="D2", tier="Dealer", cpu_speed=4000, rtt_ms=5, bandwidth_mbps=100,
+                 open_hours=[1, 4]),
+            dict(node, id="M1", tier="MNO", cpu_speed=8000, rtt_ms=50, bandwidth_mbps=100),
+            dict(node, id="C1", tier="Cloud", cpu_speed=8000, rtt_ms=200, bandwidth_mbps=100,
+                 internet_path=True),
+        ],
+        "services": [
+            dict(service, id="svc-x", name="near", latency_sensitive=True),
+            dict(service, id="svc-y", name="bulk", data_intensive=True),
+        ],
+        "consumers": [
+            {"id": "u1", "rates": {"svc-x": 1.0, "svc-y": 1.0}},
+            {"id": "u2", "rates": {"svc-x": 1.0, "svc-y": 1.0}},
+        ],
+        "thresholds": {"min_samples": 2, "window": 2},
+    })
+    # The parser accepts whole minutes only.
+    d1, d2 = scenario.nodes[:2]
+    d1.open_hours = (0, close_minute)
+    d2.open_hours = (close_minute, 4)
+    return scenario
+
+
+def test_arrival_on_an_exec_done_goes_first(monkeypatch):
+    # svc-y's first request completes on C1 at 100 + 530 = 630 ms, the
+    # instant the second arrives.
+    use_arrivals(monkeypatch, [Arrival(100.0, "u1", "svc-y"), Arrival(630.0, "u1", "svc-y")])
+    result = assert_same_order(tie_scenario(close_minute=1, horizon_ms=5000.0))
+    first, second = result.records
+    assert first.t_done == second.t_arrive == 630.0
+    assert second.t_start == 630.0
+
+
+def test_arrival_on_a_dealer_close_goes_first(monkeypatch):
+    # D1 closes at 1 1/64 minutes, between two ticks; the arrival at that
+    # instant finds it closed and moves svc-x before the close runs.
+    close_ms = (1 + 1 / 64) * 60000.0
+    use_arrivals(monkeypatch, [Arrival(30000.0, "u1", "svc-x"), Arrival(close_ms, "u1", "svc-x")])
+    result = assert_same_order(tie_scenario(close_minute=1 + 1 / 64, horizon_ms=65000.0))
+    assert [r.node_id for r in result.records] == ["D1", "D2"]
+    assert (close_ms, "reschedule", "svc-x") in result.arbitration_log
+
+
+def test_arrival_on_an_analysis_tick_goes_first(monkeypatch):
+    # D1 closes at 60 s. The arrival at 61 s moves svc-x, and its move
+    # is logged before the 61 s tick's analyses.
+    use_arrivals(monkeypatch, [Arrival(30000.0, "u1", "svc-x"), Arrival(61000.0, "u1", "svc-x")])
+    result = assert_same_order(tie_scenario(close_minute=1, horizon_ms=62000.0))
+    at_61s = [(kind, sid) for t, kind, sid in result.arbitration_log if t == 61000.0]
+    assert at_61s == [("reschedule", "svc-x"), ("analysis", "svc-x"), ("analysis", "svc-y")]
+
+
+@pytest.mark.parametrize("policy", ["sami", "cloud-only"])
+def test_arrivals_of_two_streams_in_one_millisecond_keep_list_order(monkeypatch, policy):
+    # Three arrivals share the 1000 ms tick; the list orders them by
+    # consumer, then service, and request ids follow that order.
+    arrivals = [
+        Arrival(1000.0, "u1", "svc-x"),
+        Arrival(1000.0, "u1", "svc-y"),
+        Arrival(1000.0, "u2", "svc-x"),
+    ]
+    use_arrivals(monkeypatch, arrivals)
+    result = assert_same_order(tie_scenario(close_minute=1, horizon_ms=3000.0), policy)
+    assert [(r.request_id, r.consumer_id, r.service_id) for r in result.records] == [
+        (1, "u1", "svc-x"),
+        (2, "u1", "svc-y"),
+        (3, "u2", "svc-x"),
+    ]

@@ -44,6 +44,12 @@ def assert_same_run(scenario, seed=None):
 # random scenarios
 
 MINUTE = st.one_of(st.integers(0, 60), st.integers(1380, 1440), st.integers(0, 1440))
+# Tenths of a minute are not exact in binary, so an event time can round
+# to either side of the tick that reaches the same minute of day.
+FRACTIONAL_MINUTE = st.one_of(
+    st.integers(-1200, 15600).map(lambda k: k / 10),
+    st.floats(-120.0, 1560.0),
+)
 OPEN_HOURS = st.one_of(
     st.just((0, 1440)),
     st.tuples(MINUTE, MINUTE),  # open >= close included: such a dealer never opens
@@ -51,6 +57,7 @@ OPEN_HOURS = st.one_of(
     # calendar pushes no DealerOpen or DealerClose event.
     st.tuples(st.integers(-120, -1), st.integers(1, 120)),
     st.tuples(st.integers(1320, 1439), st.integers(1441, 1560)),
+    st.tuples(FRACTIONAL_MINUTE, FRACTIONAL_MINUTE),
 )
 
 
@@ -173,6 +180,84 @@ def test_dealer_opening_at_midnight_without_an_event_is_seen(monkeypatch):
     assert len(moves) == 2
     assert moves[0] > 3600000.0
     assert moves[1] == 86400000.0
+
+
+def burst_scenario(monkeypatch, open_hours, burst_at, horizon):
+    """svc-0 prefers the dealer D0, and five requests from burst_at on
+    leave it a window under pressure; it moves to D0 on the first tick
+    that finds D0 open while it is on M1.
+    """
+    nodes = [
+        make_node("D0", Tier.DEALER, cpu_speed=4000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
+                  open_hours=open_hours),
+        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
+    ]
+    burst = [Arrival(burst_at + 100.0 * i, "u1", "svc-0") for i in range(1, 6)]
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(burst)
+    )
+    return Scenario(
+        horizon_ms=horizon,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True)],
+        consumers=[ConsumerSpec("u1", 0.7, 0.3, {"svc-0": 1.0})],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
+        energy=EnergyModel(),
+    )
+
+
+def moves_in(result):
+    return [t for t, kind, _ in result.arbitration_log if kind == "reschedule"]
+
+
+def test_dealer_opening_late_by_rounding_is_seen(monkeypatch):
+    # On day one, 0.1 minutes past midnight is 86,406,000 ms, but there
+    # (86406000 / 60000) % 1440 falls just short of 0.1: the tick that
+    # runs after that DealerOpen still finds D0 closed, and the next tick
+    # finds it open. The hours reach past midnight, so D0 closes again
+    # when day two begins, before any later event.
+    monkeypatch.setattr(simulation, "ANALYSIS_INTERVAL_MS", 6000.0)
+    opens = simulation.DAY_MS + 6000.0
+    scenario = burst_scenario(
+        monkeypatch, (0.1, 1440.1), simulation.DAY_MS, 2 * simulation.DAY_MS + 60000.0
+    )
+    d0 = scenario.nodes[0]
+    assert not simulation.is_dealer_open(d0, opens)
+    assert simulation.is_dealer_open(d0, opens + 6000.0)
+    result = assert_same_run(scenario)
+    assert moves_in(result) == [opens + 6000.0]
+
+
+def test_dealer_opening_early_by_rounding_is_seen(monkeypatch):
+    # 8.3 minutes is 498,000 ms, but the DealerOpen lands a rounding
+    # error later: the tick at 498,000 ms already finds D0 open and runs
+    # before that event.
+    opens = 498000.0
+    scenario = burst_scenario(monkeypatch, (8.3, 20), 480000.0, 500000.0)
+    assert 8.3 * 60000.0 > opens
+    assert simulation.is_dealer_open(scenario.nodes[0], opens)
+    result = assert_same_run(scenario)
+    assert moves_in(result) == [opens]
+
+
+def test_dealer_opening_at_midnight_before_an_early_close_is_seen(monkeypatch):
+    # D0 opens at midnight with no event and closes at about 10:08 on day
+    # one, where the tick at 122,881,000 ms finds it closed a rounding
+    # error before its DealerClose. From 23:30 on day zero, svc-0 waits
+    # on M1 for D0 to open; the last tick before the next event finds D0
+    # closed again, as the tick before midnight did.
+    closes = simulation.DAY_MS + 36481000.0
+    hours = (-60, 608.0166666666669)
+    scenario = burst_scenario(
+        monkeypatch, hours, simulation.DAY_MS - 1800000.0, closes + 1000.0
+    )
+    assert closes < simulation.DAY_MS + hours[1] * 60000.0
+    assert not simulation.is_dealer_open(scenario.nodes[0], closes)
+    result = assert_same_run(scenario)
+    # The first move takes svc-0 off the closed dealer at its first arrival.
+    assert moves_in(result) == [simulation.DAY_MS - 1800000.0 + 100.0, simulation.DAY_MS]
 
 
 def tie_scenario(cloud):
