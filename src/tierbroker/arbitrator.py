@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from base64 import b64decode
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -19,7 +20,7 @@ from enum import Enum
 from itertools import islice
 from statistics import StatisticsError, fmean
 
-from .errors import NoAdmissibleNode, NonCloudNode, NotFoundError, OutOfOrderEvent
+from .errors import NoAdmissibleNode, NotFoundError, OutOfOrderEvent
 from .model import (
     TIER_RANK,
     InvocationRecord,
@@ -32,7 +33,6 @@ from .model import (
     Tier,
     Topology,
     UserProfile,
-    CloudClass,
     is_admissible,
     parse_semver,
     projected_response_ms,
@@ -41,6 +41,8 @@ from .model import (
 
 MAX_TAGS = 16
 MAX_DESCRIPTION = 2048
+# The capability_tags item pattern of docs/scenario.schema.
+_TAG_RE = re.compile(r"[a-z0-9][a-z0-9-]*")
 
 
 @dataclass
@@ -60,7 +62,6 @@ class Thresholds:
     compute_factor: float = 1.5  # exec overrun multiplier
     compute_run: int = 3  # consecutive overruns required
     window: int = 100  # sliding window size per service
-    sla_tolerance: float = 0.2  # p95 headroom allowed over the SLA
     min_samples: int = 20  # observations required before analysis speaks
 
 
@@ -340,51 +341,6 @@ def _tier_fallback(
     raise NoAdmissibleNode(service.id)  # unreachable with a non-empty pool
 
 
-def _unit_cost(node: ResourceNode) -> float:
-    # Price of the unit bundle: flat fee + one CPU-second + one MB moved.
-    return node.tariff.base_fee + node.tariff.cpu_rate + node.tariff.data_rate
-
-
-def _norm_or_neutral(value: float, lo: float, hi: float, invert: bool) -> float:
-    # Peers indistinguishable on a metric give neutral evidence.
-    if hi <= lo:
-        return 0.5
-    x = (value - lo) / (hi - lo)
-    return 1.0 - x if invert else x
-
-
-def score_cloud(node: ResourceNode, peers: list[ResourceNode]) -> float:
-    """Mean of four normalized metrics against the peer cloud set.
-
-    Lower round trip and unit cost score higher; more bandwidth and a
-    stronger security provision score higher. Result lies in [0, 1].
-    """
-    if node.tier is not Tier.CLOUD:
-        raise NonCloudNode(node.id)
-    clouds = [p for p in peers if p.tier is Tier.CLOUD]
-    if node.id not in {c.id for c in clouds}:
-        clouds = clouds + [node]
-    rtts = [c.rtt_ms for c in clouds]
-    bws = [c.bandwidth_mbps for c in clouds]
-    costs = [_unit_cost(c) for c in clouds]
-    secs = [c.security_norm for c in clouds]
-    terms = (
-        _norm_or_neutral(node.rtt_ms, min(rtts), max(rtts), invert=True),
-        _norm_or_neutral(node.bandwidth_mbps, min(bws), max(bws), invert=False),
-        _norm_or_neutral(_unit_cost(node), min(costs), max(costs), invert=True),
-        _norm_or_neutral(node.security_norm, min(secs), max(secs), invert=False),
-    )
-    return sum(terms) / 4.0
-
-
-def cloud_class(score: float) -> CloudClass:
-    if score >= 2.0 / 3.0:
-        return CloudClass.HIGH
-    if score >= 1.0 / 3.0:
-        return CloudClass.MID
-    return CloudClass.LOW
-
-
 def analyze_performance(
     ctx: ContextSnapshot,
     service: ServiceDescriptor,
@@ -535,9 +491,9 @@ def enforce_standard(
     """Registration-time conformance gate for service descriptions.
 
     Checks identity fields, semantic version form, tag discipline
-    (lowercase, bounded count, optional controlled vocabulary), bounded
-    description and sane resource figures. All problems are reported,
-    not just the first.
+    (lowercase letters, digits and hyphens, bounded count, optional
+    controlled vocabulary), bounded description and sane resource
+    figures. All problems are reported, not just the first.
     """
     v: list[Violation] = []
     if not service.id:
@@ -551,8 +507,8 @@ def enforce_standard(
     if not service.capability_tags:
         v.append(Violation("capability_tags", "at least one tag required"))
     for tag in sorted(service.capability_tags):
-        if not tag or tag != tag.lower():
-            v.append(Violation("capability_tags", f"tag {tag!r} must be lowercase"))
+        if not _TAG_RE.fullmatch(tag):
+            v.append(Violation("capability_tags", f"tag {tag!r} must match {_TAG_RE.pattern}"))
     if len(service.capability_tags) > MAX_TAGS:
         v.append(Violation("capability_tags", f"at most {MAX_TAGS} tags allowed"))
     if vocabulary is not None:

@@ -95,7 +95,8 @@ def cmd_compare(args) -> int:
     ]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     _ensure_out(args.out)
-    write_compare_csv(reports, os.path.join(args.out, "compare.csv"))
+    if args.fmt in ("csv", "both"):
+        write_compare_csv(reports, os.path.join(args.out, "compare.csv"))
     if args.fmt in ("json", "both"):
         write_compare_json(reports, os.path.join(args.out, "compare.json"))
     for report in reports:

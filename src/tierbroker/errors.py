@@ -79,10 +79,6 @@ class ChainTooShort(Exception):
     """Indirect trust needs at least two hops."""
 
 
-class NonCloudNode(Exception):
-    """Cloud scoring was asked to rate a non-cloud node."""
-
-
 class NonDealerNode(Exception):
     """Opening-hours check was asked about a node that is not a dealer."""
 

@@ -73,12 +73,6 @@ class PlacementReason(str, Enum):
     RESCHEDULE = "Reschedule"
 
 
-class CloudClass(str, Enum):
-    HIGH = "High"
-    MID = "Mid"
-    LOW = "Low"
-
-
 class Outcome(str, Enum):
     COMPLETED = "Completed"
     REJECTED = "Rejected"
@@ -93,11 +87,8 @@ class TrustAssessment:
 
 @dataclass
 class QoSParameters:
-    wan_delay_ms: float = 0.0
     jitter_ms: float = 0.0
     session_reestablish_ms: float = 0.0
-    bandwidth_mbps: float = 0.0
-    security_degree: float = 0.0
 
 
 @dataclass
@@ -159,7 +150,6 @@ class ResourceNode:
     tariff: Tariff
     qos: QoSParameters = field(default_factory=QoSParameters)
     open_hours: tuple[int, int] | None = None  # dealer minutes-of-day [open, close)
-    security_norm: float = 0.5  # normalized security provision in [0, 1]
 
 
 @dataclass
@@ -175,8 +165,6 @@ class PlacementDecision:
 @dataclass
 class UserProfile:
     consumer_id: str
-    weight_latency: float = 0.7
-    weight_cost: float = 0.3
     # Invocation counter keyed by service id.
     invocation_history: dict[str, int] = field(default_factory=dict)
 
@@ -204,15 +192,13 @@ class InvocationRecord:
 
 
 class Topology:
-    """Static node inventory with per-cloud performance classification."""
+    """Static node inventory, sorted by id."""
 
     def __init__(self, nodes: list[ResourceNode]):
         self.nodes = sorted(nodes, key=lambda n: n.id)
         self._by_id = {n.id: n for n in self.nodes}
         if len(self._by_id) != len(self.nodes):
             raise ValueError("duplicate node ids in topology")
-        self.cloud_scores: dict[str, float] = {}
-        self.cloud_classes: dict[str, CloudClass] = {}
 
     def get(self, node_id: str) -> ResourceNode:
         return self._by_id[node_id]
@@ -314,19 +300,16 @@ def check_node(node: ResourceNode) -> list[str]:
         problems.append(f"{node.id}: rtt_ms must be >= 0")
     if node.bandwidth_mbps <= 0:
         problems.append(f"{node.id}: bandwidth_mbps must be > 0")
-    if not 0.0 <= node.security_norm <= 1.0:
-        problems.append(f"{node.id}: security_norm must lie in [0, 1]")
-    if node.tier is Tier.DEALER:
-        if node.open_hours is None:
-            problems.append(f"{node.id}: dealer nodes need open_hours")
-        else:
-            o, c = node.open_hours
-            if not (0 <= o < c <= DAY_MINUTES):
-                problems.append(
-                    f"{node.id}: open_hours must satisfy 0 <= open < close <= {DAY_MINUTES}"
-                )
+    if node.tier is Tier.DEALER and node.open_hours is None:
+        problems.append(f"{node.id}: dealer nodes need open_hours")
+    if node.open_hours is not None:
+        o, c = node.open_hours
+        if not (0 <= o < c <= DAY_MINUTES):
+            problems.append(
+                f"{node.id}: open_hours must satisfy 0 <= open < close <= {DAY_MINUTES}"
+            )
     if node.tier is Tier.MNO and node.internet_path:
-        problems.append(f"{node.id}: MNO nodes are reached without an internet path")
+        problems.append(f"{node.id}: internet_path must be false for MNO nodes")
     for rate_name in ("base_fee", "cpu_rate", "data_rate"):
         if getattr(node.tariff, rate_name) < 0:
             problems.append(f"{node.id}: tariff.{rate_name} must be >= 0")

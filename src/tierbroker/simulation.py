@@ -37,13 +37,11 @@ from .arbitrator import (
     SchedulerWeights,
     analyze_computation,
     analyze_performance,
-    cloud_class,
     collect_context,
     decide_among,
     migration_delay_ms,
     reschedule,
     schedule_service,
-    score_cloud,
     update_user_profile,
 )
 from .billing import apply_slo_rebate, compute_charge
@@ -83,7 +81,6 @@ POLICIES = ("sami",) + tuple(sorted(POLICY_TIERS))
 
 
 class EventKind(str, Enum):
-    ARRIVAL = "Arrival"
     TRANSFER_DONE = "TransferDone"
     EXEC_DONE = "ExecDone"
     DEALER_OPEN = "DealerOpen"
@@ -101,19 +98,13 @@ def energy_j(
 
 
 def build_topology(nodes: list[ResourceNode]) -> Topology:
-    """Validate nodes, assemble the inventory and classify the clouds."""
+    """Validate nodes and assemble the inventory."""
     problems = []
     for node in sorted(nodes, key=lambda n: n.id):
         problems.extend(check_node(node))
     if problems:
         raise ConfigError("; ".join(problems))
-    topology = Topology(nodes)
-    clouds = topology.by_tier(Tier.CLOUD)
-    for cloud in clouds:
-        score = score_cloud(cloud, clouds)
-        topology.cloud_scores[cloud.id] = score
-        topology.cloud_classes[cloud.id] = cloud_class(score)
-    return topology
+    return Topology(nodes)
 
 
 @dataclass
@@ -175,12 +166,7 @@ class Simulation:
         self.arbitration_events = 0
         self.security_violations = 0
         self.context = ContextSnapshot(window=self.thresholds.window)
-        self.profiles = {
-            c.id: UserProfile(
-                consumer_id=c.id, weight_latency=c.weight_latency, weight_cost=c.weight_cost
-            )
-            for c in scenario.consumers
-        }
+        self.profiles = {c.id: UserProfile(consumer_id=c.id) for c in scenario.consumers}
         self.services: dict[str, _ServiceState] = {}
         self._placed: list[_ServiceState] = []  # analysis order: placed services by id
         self._dealers = topology.by_tier(Tier.DEALER)

@@ -77,8 +77,6 @@ class Arrival:
 @dataclass
 class ConsumerSpec:
     id: str
-    weight_latency: float
-    weight_cost: float
     rates: dict[str, float]  # service id -> requests per second
 
 
@@ -128,7 +126,10 @@ def generate_workload(
 
 # ----------------------------------------------------------------------
 # parsing helpers: every reader appends problems to an error list and
-# returns a best-effort value so one pass reports everything.
+# returns a best-effort value so one pass reports everything. Only an
+# absent key takes the default; an explicit null is a wrong type.
+
+_ABSENT = object()
 
 
 def _get(d: dict, path: str, key: str, errors: list, required=False, default=None):
@@ -158,9 +159,10 @@ def _num(
     default=0.0,
     minimum=None,
     strict_min=None,
+    maximum=None,
 ):
-    val = _get(d, path, key, errors, required, None)
-    if val is None:
+    val = _get(d, path, key, errors, required, _ABSENT)
+    if val is _ABSENT:
         return default
     if not _finite_number(val):
         errors.append(f"{path}.{key}: expected a finite number")
@@ -169,12 +171,14 @@ def _num(
         errors.append(f"{path}.{key}: must be >= {minimum}")
     if strict_min is not None and val <= strict_min:
         errors.append(f"{path}.{key}: must be > {strict_min}")
+    if maximum is not None and val > maximum:
+        errors.append(f"{path}.{key}: must be <= {maximum}")
     return float(val)
 
 
 def _int(d: dict, path: str, key: str, errors: list, required=False, default=0, minimum=None):
-    val = _get(d, path, key, errors, required, None)
-    if val is None:
+    val = _get(d, path, key, errors, required, _ABSENT)
+    if val is _ABSENT:
         return default
     if isinstance(val, bool) or not isinstance(val, int):
         errors.append(f"{path}.{key}: expected an integer")
@@ -184,19 +188,21 @@ def _int(d: dict, path: str, key: str, errors: list, required=False, default=0, 
     return val
 
 
-def _str(d: dict, path: str, key: str, errors: list, required=False, default=""):
-    val = _get(d, path, key, errors, required, None)
-    if val is None:
+def _str(d: dict, path: str, key: str, errors: list, required=False, default="", nonempty=False):
+    val = _get(d, path, key, errors, required, _ABSENT)
+    if val is _ABSENT:
         return default
     if not isinstance(val, str):
         errors.append(f"{path}.{key}: expected a string")
         return default
+    if nonempty and not val:
+        errors.append(f"{path}.{key}: must be non-empty")
     return val
 
 
 def _bool(d: dict, path: str, key: str, errors: list, default=False):
-    val = _get(d, path, key, errors, False, None)
-    if val is None:
+    val = _get(d, path, key, errors, False, _ABSENT)
+    if val is _ABSENT:
         return default
     if not isinstance(val, bool):
         errors.append(f"{path}.{key}: expected a boolean")
@@ -248,9 +254,11 @@ def parse_service(d: dict, path: str) -> tuple[ServiceDescriptor, list[str]]:
         errors.append(f"{path}.capability_tags: expected a list of strings")
     else:
         tags = set(tags_raw)
+        if len(tags) != len(tags_raw):
+            errors.append(f"{path}.capability_tags: tags must not repeat")
     vector = None
-    tv = d.get("test_vector")
-    if tv is not None:
+    tv = d.get("test_vector", _ABSENT)
+    if tv is not _ABSENT:
         if not isinstance(tv, dict):
             errors.append(f"{path}.test_vector: expected an object")
         else:
@@ -289,8 +297,8 @@ def parse_service(d: dict, path: str) -> tuple[ServiceDescriptor, list[str]]:
 
 def _parse_trust(d: dict, path: str, errors: list) -> TrustAssessment:
     assessments = []
-    direct = d.get("trust")
-    if direct is not None:
+    direct = d.get("trust", _ABSENT)
+    if direct is not _ABSENT:
         if not isinstance(direct, dict):
             errors.append(f"{path}.trust: expected an object")
         else:
@@ -310,8 +318,8 @@ def _parse_trust(d: dict, path: str, errors: list) -> TrustAssessment:
                 TrustBasis.ESTABLISHED,
             )
             assessments.append(TrustAssessment(level=level, basis=basis))
-    probes = d.get("trust_probes")
-    if probes is not None:
+    probes = d.get("trust_probes", _ABSENT)
+    if probes is not _ABSENT:
         if (
             not isinstance(probes, list)
             or not probes
@@ -320,8 +328,8 @@ def _parse_trust(d: dict, path: str, errors: list) -> TrustAssessment:
             errors.append(f"{path}.trust_probes: expected a non-empty list of booleans")
         else:
             assessments.append(establish_trust(all(probes), len(probes)))
-    opinions = d.get("trust_opinions")
-    if opinions is not None:
+    opinions = d.get("trust_opinions", _ABSENT)
+    if opinions is not _ABSENT:
         if not isinstance(opinions, list) or not opinions:
             errors.append(f"{path}.trust_opinions: expected a non-empty list")
         else:
@@ -330,6 +338,7 @@ def _parse_trust(d: dict, path: str, errors: list) -> TrustAssessment:
                 if not isinstance(op, dict):
                     errors.append(f"{path}.trust_opinions[{i}]: expected an object")
                     continue
+                _reject_unknown(op, f"{path}.trust_opinions[{i}]", {"level", "basis"}, errors)
                 level = _enum(
                     TrustLevel,
                     _get(op, f"{path}.trust_opinions[{i}]", "level", errors, required=True),
@@ -347,8 +356,8 @@ def _parse_trust(d: dict, path: str, errors: list) -> TrustAssessment:
                 parsed.append(TrustAssessment(level=level, basis=basis))
             if parsed:
                 assessments.append(aggregate_trust(parsed))
-    chain = d.get("trust_chain")
-    if chain is not None:
+    chain = d.get("trust_chain", _ABSENT)
+    if chain is not _ABSENT:
         if not isinstance(chain, list) or len(chain) < 2:
             errors.append(f"{path}.trust_chain: expected a list of at least two levels")
         else:
@@ -363,8 +372,8 @@ def _parse_trust(d: dict, path: str, errors: list) -> TrustAssessment:
                 for i, raw in enumerate(chain)
             ]
             assessments.append(indirect_trust(hops))
-    rep = d.get("reputation")
-    if rep is not None:
+    rep = d.get("reputation", _ABSENT)
+    if rep is not _ABSENT:
         if not isinstance(rep, dict):
             errors.append(f"{path}.reputation: expected an object")
         else:
@@ -381,7 +390,7 @@ def _parse_trust(d: dict, path: str, errors: list) -> TrustAssessment:
                     rep, f"{path}.reputation", "years_active", errors, minimum=0.0
                 ),
                 complaint_rate=_num(
-                    rep, f"{path}.reputation", "complaint_rate", errors, minimum=0.0
+                    rep, f"{path}.reputation", "complaint_rate", errors, minimum=0.0, maximum=1
                 ),
             )
             assessments.append(reputation_trust(record))
@@ -404,7 +413,7 @@ def parse_node(d: dict, path: str) -> tuple[ResourceNode, list[str]]:
         return node, [f"{path}: expected an object"]
     allowed = {
         "id", "tier", "cpu_speed", "cpu_slots", "mem_capacity", "storage_capacity",
-        "rtt_ms", "bandwidth_mbps", "internet_path", "open_hours", "security_norm",
+        "rtt_ms", "bandwidth_mbps", "internet_path", "open_hours",
         "trust", "trust_probes", "trust_opinions", "trust_chain", "reputation",
         "tariff", "qos",
     }
@@ -413,8 +422,8 @@ def parse_node(d: dict, path: str) -> tuple[ResourceNode, list[str]]:
         Tier, _get(d, path, "tier", errors, required=True), f"{path}.tier", errors, Tier.MNO
     )
     open_hours = None
-    oh = d.get("open_hours")
-    if oh is not None:
+    oh = d.get("open_hours", _ABSENT)
+    if oh is not _ABSENT:
         if (
             not isinstance(oh, list)
             or len(oh) != 2
@@ -424,8 +433,8 @@ def parse_node(d: dict, path: str) -> tuple[ResourceNode, list[str]]:
         else:
             open_hours = (oh[0], oh[1])
     tariff = default_tariff(tier)
-    tf = d.get("tariff")
-    if tf is not None:
+    tf = d.get("tariff", _ABSENT)
+    if tf is not _ABSENT:
         if not isinstance(tf, dict):
             errors.append(f"{path}.tariff: expected an object")
         else:
@@ -436,35 +445,21 @@ def parse_node(d: dict, path: str) -> tuple[ResourceNode, list[str]]:
                 data_rate=_num(tf, f"{path}.tariff", "data_rate", errors, minimum=0.0),
             )
     bandwidth = _num(d, path, "bandwidth_mbps", errors, required=True, strict_min=0.0, default=1.0)
-    security_norm = _num(d, path, "security_norm", errors, default=0.5, minimum=0.0)
-    qos = QoSParameters(bandwidth_mbps=bandwidth, security_degree=security_norm)
-    q = d.get("qos")
-    if q is not None:
+    qos = QoSParameters()
+    q = d.get("qos", _ABSENT)
+    if q is not _ABSENT:
         if not isinstance(q, dict):
             errors.append(f"{path}.qos: expected an object")
         else:
-            _reject_unknown(
-                q,
-                f"{path}.qos",
-                {"wan_delay_ms", "jitter_ms", "session_reestablish_ms",
-                 "bandwidth_mbps", "security_degree"},
-                errors,
-            )
+            _reject_unknown(q, f"{path}.qos", {"jitter_ms", "session_reestablish_ms"}, errors)
             qos = QoSParameters(
-                wan_delay_ms=_num(q, f"{path}.qos", "wan_delay_ms", errors, minimum=0.0),
                 jitter_ms=_num(q, f"{path}.qos", "jitter_ms", errors, minimum=0.0),
                 session_reestablish_ms=_num(
                     q, f"{path}.qos", "session_reestablish_ms", errors, minimum=0.0
                 ),
-                bandwidth_mbps=_num(
-                    q, f"{path}.qos", "bandwidth_mbps", errors, default=bandwidth, minimum=0.0
-                ),
-                security_degree=_num(
-                    q, f"{path}.qos", "security_degree", errors, default=security_norm, minimum=0.0
-                ),
             )
     node = ResourceNode(
-        id=_str(d, path, "id", errors, required=True),
+        id=_str(d, path, "id", errors, required=True, nonempty=True),
         tier=tier,
         cpu_speed=_num(d, path, "cpu_speed", errors, required=True, strict_min=0.0, default=1.0),
         cpu_slots=_int(d, path, "cpu_slots", errors, default=1, minimum=1),
@@ -479,7 +474,6 @@ def parse_node(d: dict, path: str) -> tuple[ResourceNode, list[str]]:
         tariff=tariff,
         qos=qos,
         open_hours=open_hours,
-        security_norm=security_norm,
     )
     if not errors:
         errors.extend(f"{path}.{p}" for p in check_node(node))
@@ -489,14 +483,8 @@ def parse_node(d: dict, path: str) -> tuple[ResourceNode, list[str]]:
 def _parse_consumer(d: dict, path: str) -> tuple[ConsumerSpec, list[str]]:
     errors: list[str] = []
     if not isinstance(d, dict):
-        return ConsumerSpec(id="", weight_latency=0.7, weight_cost=0.3, rates={}), [
-            f"{path}: expected an object"
-        ]
-    _reject_unknown(d, path, {"id", "weight_latency", "weight_cost", "rates"}, errors)
-    w_lat = _num(d, path, "weight_latency", errors, default=0.7, minimum=0.0)
-    w_cost = _num(d, path, "weight_cost", errors, default=0.3, minimum=0.0)
-    if abs(w_lat + w_cost - 1.0) > 1e-6:
-        errors.append(f"{path}: weight_latency + weight_cost must equal 1")
+        return ConsumerSpec(id="", rates={}), [f"{path}: expected an object"]
+    _reject_unknown(d, path, {"id", "rates"}, errors)
     rates: dict[str, float] = {}
     raw = _get(d, path, "rates", errors, required=True, default={})
     if not isinstance(raw, dict):
@@ -508,15 +496,8 @@ def _parse_consumer(d: dict, path: str) -> tuple[ConsumerSpec, list[str]]:
                 errors.append(f"{path}.rates.{sid}: expected a finite rate >= 0")
             else:
                 rates[sid] = float(rate)
-    return (
-        ConsumerSpec(
-            id=_str(d, path, "id", errors, required=True),
-            weight_latency=w_lat,
-            weight_cost=w_cost,
-            rates=rates,
-        ),
-        errors,
-    )
+    consumer_id = _str(d, path, "id", errors, required=True, nonempty=True)
+    return ConsumerSpec(id=consumer_id, rates=rates), errors
 
 
 def _load_vocabulary(path: str) -> set[str]:
@@ -545,14 +526,13 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> Scenario:
     horizon = _num(data, "scenario", "horizon_ms", errors, required=True, strict_min=0.0, default=1.0)
     seed = _int(data, "scenario", "seed", errors, default=0, minimum=0)
     rebate = _num(
-        data, "scenario", "rebate_frac", errors, default=DEFAULT_REBATE_FRAC, minimum=0.0
+        data, "scenario", "rebate_frac", errors,
+        default=DEFAULT_REBATE_FRAC, minimum=0.0, maximum=1,
     )
-    if rebate > 1.0:
-        errors.append("scenario.rebate_frac: must be <= 1")
 
     weights = SchedulerWeights()
-    w = data.get("weights")
-    if w is not None:
+    w = data.get("weights", _ABSENT)
+    if w is not _ABSENT:
         if not isinstance(w, dict):
             errors.append("scenario.weights: expected an object")
         else:
@@ -569,14 +549,14 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> Scenario:
                 errors.append("scenario.weights: w_latency + w_cost must equal 1")
 
     thresholds = Thresholds()
-    th = data.get("thresholds")
-    if th is not None:
+    th = data.get("thresholds", _ABSENT)
+    if th is not _ABSENT:
         if not isinstance(th, dict):
             errors.append("scenario.thresholds: expected an object")
         else:
             allowed = {
                 "delay_pressure_ms_per_s", "min_gain_ms", "compute_factor",
-                "compute_run", "window", "sla_tolerance", "min_samples",
+                "compute_run", "window", "min_samples",
             }
             _reject_unknown(th, "scenario.thresholds", allowed, errors)
             thresholds = Thresholds(
@@ -592,9 +572,6 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> Scenario:
                 ),
                 compute_run=_int(th, "scenario.thresholds", "compute_run", errors, default=3, minimum=1),
                 window=_int(th, "scenario.thresholds", "window", errors, default=100, minimum=2),
-                sla_tolerance=_num(
-                    th, "scenario.thresholds", "sla_tolerance", errors, default=0.2, minimum=0.0
-                ),
                 min_samples=_int(
                     th, "scenario.thresholds", "min_samples", errors, default=20, minimum=2
                 ),
@@ -603,8 +580,8 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> Scenario:
                 errors.append("scenario.thresholds: min_samples cannot exceed window")
 
     energy = EnergyModel()
-    en = data.get("energy")
-    if en is not None:
+    en = data.get("energy", _ABSENT)
+    if en is not _ABSENT:
         if not isinstance(en, dict):
             errors.append("scenario.energy: expected an object")
         else:
@@ -616,7 +593,7 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> Scenario:
 
     vocabulary = None
     vocab_path = data.get("tag_vocabulary")
-    if vocab_path is not None:
+    if "tag_vocabulary" in data:
         if not isinstance(vocab_path, str):
             errors.append("scenario.tag_vocabulary: expected a path string")
             vocab_path = None
@@ -717,7 +694,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "compute_factor": s.thresholds.compute_factor,
             "compute_run": s.thresholds.compute_run,
             "window": s.thresholds.window,
-            "sla_tolerance": s.thresholds.sla_tolerance,
             "min_samples": s.thresholds.min_samples,
         },
         "energy": {"p_tx_w": s.energy.p_tx_w, "p_idle_w": s.energy.p_idle_w},
@@ -738,7 +714,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "rtt_ms": n.rtt_ms,
             "bandwidth_mbps": n.bandwidth_mbps,
             "internet_path": n.internet_path,
-            "security_norm": n.security_norm,
             "trust": {"level": n.trust.level.value, "basis": n.trust.basis.value},
             "tariff": {
                 "base_fee": n.tariff.base_fee,
@@ -746,11 +721,8 @@ def scenario_to_dict(s: Scenario) -> dict:
                 "data_rate": n.tariff.data_rate,
             },
             "qos": {
-                "wan_delay_ms": n.qos.wan_delay_ms,
                 "jitter_ms": n.qos.jitter_ms,
                 "session_reestablish_ms": n.qos.session_reestablish_ms,
-                "bandwidth_mbps": n.qos.bandwidth_mbps,
-                "security_degree": n.qos.security_degree,
             },
         }
         if n.open_hours is not None:
@@ -781,11 +753,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         out["services"].append(sd)
     for c in s.consumers:
         out["consumers"].append(
-            {
-                "id": c.id,
-                "weight_latency": c.weight_latency,
-                "weight_cost": c.weight_cost,
-                "rates": {k: c.rates[k] for k in sorted(c.rates)},
-            }
+            {"id": c.id, "rates": {k: c.rates[k] for k in sorted(c.rates)}}
         )
     return out

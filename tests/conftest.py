@@ -37,7 +37,6 @@ def make_node(
     trust_basis=TrustBasis.ESTABLISHED,
     open_hours=None,
     tariff=None,
-    security_norm=0.5,
 ):
     if tier is Tier.DEALER and open_hours is None:
         open_hours = (540, 1020)
@@ -54,7 +53,6 @@ def make_node(
         trust=TrustAssessment(level=trust_level, basis=trust_basis),
         tariff=tariff or default_tariff(tier),
         open_hours=open_hours,
-        security_norm=security_norm,
     )
 
 

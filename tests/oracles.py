@@ -26,6 +26,10 @@ from tierbroker.simulation import EventKind, Simulation
 
 from conftest import make_node
 
+# HeapOnlySimulation's event kind for an arrival; the simulator keeps
+# arrivals off its heap and has no such kind.
+ARRIVAL = "Arrival"
+
 _TRUST_ORDER = [TrustLevel.UNTRUSTED, TrustLevel.LOW, TrustLevel.MEDIUM, TrustLevel.HIGH]
 
 
@@ -219,7 +223,7 @@ class HeapOnlySimulation(Simulation):
         for arrival in simulation.generate_workload(
             self.scenario.consumers, self.seed, self.horizon
         ):
-            self._push(arrival.t_ms, EventKind.ARRIVAL, arrival)
+            self._push(arrival.t_ms, ARRIVAL, arrival)
         day_ms = 1440 * 60000.0
         for node in self._dealers:
             node_state = self.node_states[node.id]
@@ -243,7 +247,7 @@ class HeapOnlySimulation(Simulation):
             t_ms, _, kind, payload = heapq.heappop(self._heap)
             if t_ms > self.horizon:
                 break
-            if kind is EventKind.ARRIVAL:
+            if kind is ARRIVAL:
                 self._on_arrival(t_ms, payload)
             elif kind is EventKind.TRANSFER_DONE:
                 self._on_transfer_done(t_ms, payload)

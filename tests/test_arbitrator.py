@@ -18,7 +18,6 @@ from tierbroker.arbitrator import (
     Thresholds,
     analyze_computation,
     analyze_performance,
-    cloud_class,
     collect_context,
     decide_among,
     enforce_standard,
@@ -29,17 +28,14 @@ from tierbroker.arbitrator import (
     reference_digest,
     reschedule,
     schedule_service,
-    score_cloud,
     update_user_profile,
 )
 from tierbroker.errors import (
     NoAdmissibleNode,
-    NonCloudNode,
     NotFoundError,
     OutOfOrderEvent,
 )
 from tierbroker.model import (
-    CloudClass,
     InvocationRecord,
     Outcome,
     PlacementDecision,
@@ -201,42 +197,6 @@ def test_decide_among_tie_breaks_by_id():
 def test_estimate_charge_uses_tariff(t0):
     svc = make_service(cpu_demand=100.0, payload_in=0.1, payload_out=0.1)
     assert estimate_charge(svc, t0.get("M1")) == pytest.approx(0.5 + 0.005 + 0.004)
-
-
-# ----------------------------------------------------------------------
-# cloud scoring
-
-
-def test_score_cloud_extremes():
-    best = make_node("C-best", Tier.CLOUD, 8000.0, 100.0, 200.0,
-                     internet_path=True, security_norm=0.9)
-    worst = make_node("C-worst", Tier.CLOUD, 8000.0, 300.0, 50.0,
-                      internet_path=True, security_norm=0.1,
-                      tariff=None)
-    worst.tariff.base_fee = 5.0
-    peers = [best, worst]
-    assert score_cloud(best, peers) == 1.0
-    assert score_cloud(worst, peers) == 0.0
-    assert cloud_class(score_cloud(best, peers)) is CloudClass.HIGH
-    assert cloud_class(score_cloud(worst, peers)) is CloudClass.LOW
-
-
-def test_score_cloud_singleton_is_neutral():
-    only = make_node("C-1", Tier.CLOUD, 8000.0, 200.0, 100.0, internet_path=True)
-    assert score_cloud(only, [only]) == 0.5
-    assert cloud_class(0.5) is CloudClass.MID
-
-
-def test_score_cloud_rejects_other_tiers(t0):
-    with pytest.raises(NonCloudNode):
-        score_cloud(t0.get("M1"), list(t0))
-
-
-def test_cloud_class_boundaries():
-    assert cloud_class(2 / 3) is CloudClass.HIGH
-    assert cloud_class(2 / 3 - 1e-9) is CloudClass.MID
-    assert cloud_class(1 / 3) is CloudClass.MID
-    assert cloud_class(1 / 3 - 1e-9) is CloudClass.LOW
 
 
 # ----------------------------------------------------------------------
@@ -591,6 +551,14 @@ def test_enforce_standard_tag_budget():
     assert enforce_standard(within).ok
     over = make_service(tags=tuple(f"t{i}" for i in range(17)))
     assert any(v.field == "capability_tags" for v in enforce_standard(over).violations)
+
+
+@pytest.mark.parametrize("tag", ["Compute", "a_b", "a b", "-a", "", "caf\u00e9"])
+def test_enforce_standard_tag_pattern(tag):
+    # The capability_tags item pattern of docs/scenario.schema.
+    result = enforce_standard(make_service(tags=("compute", tag)))
+    assert [v.field for v in result.violations] == ["capability_tags"]
+    assert enforce_standard(make_service(tags=("a-1", "9x"))).ok
 
 
 def test_enforce_standard_description_budget():

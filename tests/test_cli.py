@@ -76,6 +76,15 @@ def test_compare_emits_fixed_policy_order(tmp_path):
     assert [r["policy"] for r in payload] == list(COMPARE_ORDER)
 
 
+@pytest.mark.parametrize("fmt, written, absent", [("json", "compare.json", "compare.csv"),
+                                                  ("csv", "compare.csv", "compare.json")])
+def test_compare_format_flag_selects_outputs(tmp_path, fmt, written, absent):
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", MINIMAL, "--out", str(out), "--format", fmt]) == EXIT_OK
+    assert (out / written).is_file()
+    assert not (out / absent).exists()
+
+
 def test_validate_clean_scenario(capsys):
     assert main(["validate", "--scenario", MINIMAL]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "ok"
@@ -158,4 +167,30 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, field_path, muta
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"error: {field_path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "field_path, mutate",
+    [
+        ("scenario.nodes[0].id", lambda d: d["nodes"][0].update(id="")),
+        ("scenario.consumers[0].id", lambda d: d["consumers"][0].update(id="")),
+        ("scenario.nodes[0].reputation.complaint_rate",
+         lambda d: d["nodes"][0].update(
+             reputation={"legal_registered": True, "years_active": 6, "complaint_rate": 1.5})),
+    ],
+    ids=["empty-node-id", "empty-consumer-id", "complaint-rate-above-one"],
+)
+def test_values_the_schema_forbids_are_config_errors(tmp_path, capsys, command, field_path, mutate):
+    # Each of these once ran to exit 0 though docs/scenario.schema rejects it.
+    data = json.loads((SCENARIO_DIR / "minimal.json").read_text())
+    del data["tag_vocabulary"]
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = [command, "--scenario", str(bad)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
     assert f"error: {field_path}: " in capsys.readouterr().err

@@ -95,8 +95,7 @@ def grid_cases(draw):
         for i in range(draw(st.integers(1, 3)))
     ]
     consumers = [
-        ConsumerSpec(id=cid, weight_latency=0.7, weight_cost=0.3,
-                     rates={d.id: 1.0 for d in descs})
+        ConsumerSpec(id=cid, rates={d.id: 1.0 for d in descs})
         for cid in ("u1", "u2")
     ]
     arrivals = draw(st.lists(

@@ -123,7 +123,7 @@ def incremental_cases(draw):
         seed=draw(st.integers(0, 2**32)),
         nodes=nodes,
         services=descs,
-        consumers=[ConsumerSpec(id="u1", weight_latency=0.7, weight_cost=0.3, rates=rates)],
+        consumers=[ConsumerSpec(id="u1", rates=rates)],
         weights=SchedulerWeights(),
         thresholds=thresholds,
         energy=EnergyModel(),
@@ -170,7 +170,7 @@ def test_dealer_opening_at_midnight_without_an_event_is_seen(monkeypatch):
         seed=3,
         nodes=nodes,
         services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True)],
-        consumers=[ConsumerSpec("u1", 0.7, 0.3, {"svc-0": 100 * 1000.0 / horizon})],
+        consumers=[ConsumerSpec("u1", {"svc-0": 100 * 1000.0 / horizon})],
         weights=SchedulerWeights(),
         thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
         energy=EnergyModel(),
@@ -201,7 +201,7 @@ def burst_scenario(monkeypatch, open_hours, burst_at, horizon):
         seed=3,
         nodes=nodes,
         services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True)],
-        consumers=[ConsumerSpec("u1", 0.7, 0.3, {"svc-0": 1.0})],
+        consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
         weights=SchedulerWeights(),
         thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
         energy=EnergyModel(),

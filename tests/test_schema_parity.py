@@ -1,0 +1,359 @@
+"""docs/scenario.schema and the scenario parser give the same verdicts.
+
+The two define the scenario shape separately, so this file holds them
+to each other. The parser's verdict is what `tierbroker validate`
+applies: scenario_from_dict, then enforce_standard on every service.
+Each case changes one field of a scenario that uses every object
+level, and both sides must agree on it, except for the rules listed in
+PARSER_ONLY, which JSON Schema cannot state.
+"""
+
+import copy
+import json
+import math
+
+import jsonschema
+import pytest
+
+from tierbroker.arbitrator import enforce_standard
+from tierbroker.cli import EXIT_CONFIG, main
+from tierbroker.errors import ValidationError
+from tierbroker.workload import scenario_from_dict
+
+from conftest import SCENARIO_DIR
+
+SCHEMA = json.loads((SCENARIO_DIR.parent / "docs" / "scenario.schema").read_text())
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+SHIPPED = ("dealer_hours", "hot_cloud_service", "latency_mix", "minimal")
+DELETE = object()
+
+
+def _node(node_id, tier, **extra):
+    node = {
+        "id": node_id, "tier": tier, "cpu_speed": 4000, "cpu_slots": 2,
+        "mem_capacity": 4096, "storage_capacity": 10240, "rtt_ms": 50,
+        "bandwidth_mbps": 50,
+    }
+    node.update(extra)
+    return node
+
+
+def _service(service_id, name, **extra):
+    service = {
+        "id": service_id, "name": name, "version": "1.0.0",
+        "capability_tags": ["compute"], "description": "probe",
+        "cpu_demand": 2000, "mem_demand": 256, "storage_demand": 1.0,
+        "payload_in": 0.5, "payload_out": 0.5, "latency_sensitive": False,
+        "data_intensive": False, "security_class": "Public", "sla_latency_ms": 2000,
+    }
+    service.update(extra)
+    return service
+
+
+# A valid scenario holding every object the schema describes.
+FULL = {
+    "horizon_ms": 60000,
+    "seed": 3,
+    "rebate_frac": 0.1,
+    "tag_vocabulary": "tags.txt",
+    "weights": {"w_latency": 0.6, "w_cost": 0.4},
+    "thresholds": {
+        "delay_pressure_ms_per_s": 5000, "min_gain_ms": 50, "compute_factor": 1.5,
+        "compute_run": 3, "window": 100, "min_samples": 20,
+    },
+    "energy": {"p_tx_w": 1.0, "p_idle_w": 0.1},
+    "nodes": [
+        _node(
+            "D1", "Dealer", open_hours=[540, 1020], trust_probes=[True, True, True],
+            tariff={"base_fee": 0.2, "cpu_rate": 0.1, "data_rate": 0.01},
+            qos={"jitter_ms": 5, "session_reestablish_ms": 10},
+        ),
+        _node(
+            "M1", "MNO", internet_path=False,
+            trust={"level": "High", "basis": "Established"},
+            trust_opinions=[{"level": "High", "basis": "Aggregated"}],
+        ),
+        _node(
+            "C1", "Cloud", internet_path=True, trust_chain=["High", "High"],
+            reputation={"legal_registered": True, "years_active": 6, "complaint_rate": 0.01},
+        ),
+    ],
+    "services": [
+        _service(
+            "svc-a", "alpha",
+            test_vector={"input_b64": "aGVsbG8=", "expected_digest": "0" * 64},
+        ),
+        _service("svc-b", "beta", capability_tags=["storage", "backup"]),
+    ],
+    "consumers": [
+        {"id": "u1", "rates": {"svc-a": 0.5, "svc-b": 0.2}},
+        {"id": "u2", "rates": {"svc-a": 0.1}},
+    ],
+}
+
+
+def field_path(path):
+    return "scenario" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
+def mutated(path, value):
+    data = copy.deepcopy(FULL)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
+
+def schema_accepts(data):
+    return VALIDATOR.is_valid(data)
+
+
+def parser_errors(data):
+    try:
+        scenario = scenario_from_dict(data, base_dir=str(SCENARIO_DIR))
+    except ValidationError as exc:
+        return exc.errors
+    return [
+        f"{s.id}: {v.field}: {v.message}"
+        for s in scenario.services
+        for v in enforce_standard(s, scenario.vocabulary).violations
+    ]
+
+
+def _objects(value, schema, path=()):
+    """Every object in value that the schema gives named properties, with its subschema."""
+    if isinstance(value, dict) and "properties" in schema:
+        yield path, value, schema
+        for key, item in value.items():
+            yield from _objects(item, schema["properties"][key], path + (key,))
+    elif isinstance(value, list) and isinstance(schema.get("items"), dict):
+        for i, item in enumerate(value):
+            yield from _objects(item, schema["items"], path + (i,))
+
+
+OBJECTS = list(_objects(FULL, SCHEMA))
+
+UNKNOWN_KEYS = [
+    pytest.param(path + ("bogus",), 1, id="unknown-in-" + field_path(path))
+    for path, _, _ in OBJECTS
+]
+
+MISSING_REQUIRED = [
+    pytest.param(path + (key,), DELETE, id="missing-" + field_path(path + (key,)))
+    for path, _, schema in OBJECTS
+    for key in schema.get("required", ())
+]
+
+# Keys the scenario format no longer has; each was parsed but never read.
+REMOVED_KEYS = [
+    pytest.param(("nodes", 0, "qos", "wan_delay_ms"), 10, id="qos.wan_delay_ms"),
+    pytest.param(("nodes", 0, "qos", "bandwidth_mbps"), 50, id="qos.bandwidth_mbps"),
+    pytest.param(("nodes", 0, "qos", "security_degree"), 0.5, id="qos.security_degree"),
+    pytest.param(("nodes", 2, "security_norm"), 0.5, id="security_norm"),
+    pytest.param(("thresholds", "sla_tolerance"), 0.2, id="thresholds.sla_tolerance"),
+    pytest.param(("consumers", 0, "weight_latency"), 0.7, id="consumer.weight_latency"),
+    pytest.param(("consumers", 0, "weight_cost"), 0.3, id="consumer.weight_cost"),
+]
+
+WRONG_TYPES = [
+    pytest.param(("horizon_ms",), "60000", id="horizon-string"),
+    pytest.param(("horizon_ms",), None, id="horizon-null"),
+    pytest.param(("seed",), 1.5, id="seed-fraction"),
+    pytest.param(("seed",), True, id="seed-bool"),
+    pytest.param(("rebate_frac",), None, id="rebate-null"),
+    pytest.param(("tag_vocabulary",), 7, id="vocabulary-number"),
+    pytest.param(("weights",), [0.6, 0.4], id="weights-list"),
+    pytest.param(("weights",), None, id="weights-null"),
+    pytest.param(("thresholds", "window"), "100", id="window-string"),
+    pytest.param(("energy",), None, id="energy-null"),
+    pytest.param(("nodes",), {}, id="nodes-object"),
+    pytest.param(("nodes", 0, "tier"), 3, id="tier-number"),
+    pytest.param(("nodes", 0, "cpu_slots"), "2", id="cpu-slots-string"),
+    pytest.param(("nodes", 0, "cpu_slots"), None, id="cpu-slots-null"),
+    pytest.param(("nodes", 0, "open_hours"), "9-17", id="open-hours-string"),
+    pytest.param(("nodes", 0, "open_hours"), [540, 1020, 1200], id="open-hours-three"),
+    pytest.param(("nodes", 0, "open_hours"), None, id="open-hours-null"),
+    pytest.param(("nodes", 0, "trust_probes"), [1, 1], id="probes-numbers"),
+    pytest.param(("nodes", 0, "tariff", "base_fee"), "0.2", id="base-fee-string"),
+    pytest.param(("nodes", 0, "qos", "jitter_ms"), None, id="jitter-null"),
+    pytest.param(("nodes", 1, "trust"), "High", id="trust-string"),
+    pytest.param(("nodes", 1, "trust_opinions"), {"level": "High"}, id="opinions-object"),
+    pytest.param(("nodes", 2, "internet_path"), "yes", id="internet-path-string"),
+    pytest.param(("nodes", 2, "trust_chain"), "High", id="chain-string"),
+    pytest.param(("nodes", 2, "reputation", "legal_registered"), 1, id="legal-number"),
+    pytest.param(("services", 0, "version"), 1, id="version-number"),
+    pytest.param(("services", 0, "capability_tags"), "compute", id="tags-string"),
+    pytest.param(("services", 0, "capability_tags"), [7], id="tag-number"),
+    pytest.param(("services", 0, "latency_sensitive"), "no", id="sensitive-string"),
+    pytest.param(("services", 0, "test_vector"), "aGVsbG8=", id="vector-string"),
+    pytest.param(("services", 0, "test_vector", "expected_digest"), 0, id="digest-number"),
+    pytest.param(("consumers", 0, "rates"), [], id="rates-list"),
+    pytest.param(("consumers", 0, "rates", "svc-a"), "0.5", id="rate-string"),
+    pytest.param(("consumers", 0, "id"), 1, id="consumer-id-number"),
+]
+
+OUT_OF_RANGE = [
+    pytest.param(("horizon_ms",), 0, id="horizon-zero"),
+    pytest.param(("seed",), -1, id="seed-negative"),
+    pytest.param(("rebate_frac",), 1.5, id="rebate-above-one"),
+    pytest.param(("weights", "w_latency"), -0.2, id="w-latency-negative"),
+    pytest.param(("thresholds", "delay_pressure_ms_per_s"), 0, id="pressure-zero"),
+    pytest.param(("thresholds", "min_gain_ms"), -1, id="min-gain-negative"),
+    pytest.param(("thresholds", "compute_factor"), 0, id="compute-factor-zero"),
+    pytest.param(("thresholds", "compute_run"), 0, id="compute-run-zero"),
+    pytest.param(("thresholds", "window"), 1, id="window-one"),
+    pytest.param(("thresholds", "min_samples"), 1, id="min-samples-one"),
+    pytest.param(("energy", "p_idle_w"), -0.1, id="idle-power-negative"),
+    pytest.param(("nodes", 0, "cpu_speed"), 0, id="cpu-speed-zero"),
+    pytest.param(("nodes", 0, "cpu_slots"), 0, id="cpu-slots-zero"),
+    pytest.param(("nodes", 0, "mem_capacity"), 0, id="memory-zero"),
+    pytest.param(("nodes", 0, "storage_capacity"), -1, id="storage-negative"),
+    pytest.param(("nodes", 0, "rtt_ms"), -1, id="rtt-negative"),
+    pytest.param(("nodes", 0, "bandwidth_mbps"), 0, id="bandwidth-zero"),
+    pytest.param(("nodes", 0, "open_hours"), [-1, 1020], id="open-before-midnight"),
+    pytest.param(("nodes", 0, "open_hours"), [540, 1441], id="close-after-midnight"),
+    pytest.param(("nodes", 1, "open_hours"), [-1, 2000], id="mno-hours-out-of-day"),
+    pytest.param(("nodes", 0, "tariff", "cpu_rate"), -0.1, id="cpu-rate-negative"),
+    pytest.param(("nodes", 0, "qos", "session_reestablish_ms"), -1, id="reestablish-negative"),
+    pytest.param(("nodes", 2, "reputation", "complaint_rate"), 1.5, id="complaint-above-one"),
+    pytest.param(("nodes", 2, "reputation", "years_active"), -1, id="years-negative"),
+    pytest.param(("services", 0, "cpu_demand"), -1, id="cpu-demand-negative"),
+    pytest.param(("services", 0, "payload_out"), -0.5, id="payload-negative"),
+    pytest.param(("services", 0, "sla_latency_ms"), 0, id="sla-zero"),
+    pytest.param(("services", 0, "description"), "x" * 2049, id="description-too-long"),
+    pytest.param(("services", 0, "capability_tags"), [], id="no-tags"),
+    pytest.param(
+        ("services", 0, "capability_tags"), [f"t{i}" for i in range(17)], id="seventeen-tags"
+    ),
+    pytest.param(("consumers", 0, "rates", "svc-a"), -1, id="rate-negative"),
+]
+
+BROKEN_RULES = [
+    pytest.param(("nodes", 0, "id"), "", id="node-id-empty"),
+    pytest.param(("services", 0, "id"), "", id="service-id-empty"),
+    pytest.param(("services", 0, "name"), "", id="service-name-empty"),
+    pytest.param(("consumers", 0, "id"), "", id="consumer-id-empty"),
+    pytest.param(("nodes", 0, "tier"), "Edge", id="tier-unknown"),
+    pytest.param(("nodes", 1, "trust", "level"), "Total", id="trust-level-unknown"),
+    pytest.param(("nodes", 1, "trust_opinions", 0, "basis"), "Hearsay", id="basis-unknown"),
+    pytest.param(("nodes", 1, "trust_opinions"), [], id="opinions-empty"),
+    pytest.param(("nodes", 0, "trust_probes"), [], id="probes-empty"),
+    pytest.param(("nodes", 2, "trust_chain"), ["High"], id="chain-one-hop"),
+    pytest.param(("nodes", 2, "trust_chain"), ["High", "Full"], id="chain-level-unknown"),
+    pytest.param(("services", 0, "security_class"), "Secret", id="security-class-unknown"),
+    pytest.param(("services", 0, "version"), "1.0", id="version-not-semver"),
+    pytest.param(("services", 0, "capability_tags"), ["Compute"], id="tag-uppercase"),
+    pytest.param(("services", 0, "capability_tags"), ["compute", "compute"], id="tag-repeated"),
+    pytest.param(("nodes", 0, "open_hours"), DELETE, id="dealer-without-hours"),
+    pytest.param(("nodes", 0, "trust_probes"), DELETE, id="node-without-trust-evidence"),
+    pytest.param(("nodes", 1, "internet_path"), True, id="mno-over-internet"),
+]
+
+# Rejections JSON Schema cannot state: sums, comparisons between fields,
+# references across the document, files, non-finite numbers, and the
+# parser's refusal of integral floats (JSON Schema counts 1.0 as an integer).
+PARSER_ONLY = [
+    pytest.param(("weights", "w_cost"), 0.5, id="weights-not-summing-to-one"),
+    pytest.param(("thresholds", "min_samples"), 150, id="min-samples-above-window"),
+    pytest.param(("consumers", 0, "rates", "svc-missing"), 1.0, id="rate-for-unknown-service"),
+    pytest.param(("nodes", 1, "id"), "D1", id="duplicate-node-id"),
+    pytest.param(("services", 1, "id"), "svc-a", id="duplicate-service-id"),
+    pytest.param(("services", 1, "name"), "alpha", id="duplicate-service-name-version"),
+    pytest.param(("consumers", 1, "id"), "u1", id="duplicate-consumer-id"),
+    pytest.param(("nodes", 0, "open_hours"), [1020, 540], id="dealer-opens-after-closing"),
+    pytest.param(("nodes", 1, "open_hours"), [600, 600], id="hours-open-equals-close"),
+    pytest.param(("horizon_ms",), math.nan, id="horizon-nan"),
+    pytest.param(("horizon_ms",), math.inf, id="horizon-infinite"),
+    pytest.param(("horizon_ms",), 10**400, id="horizon-overflows-float"),
+    pytest.param(("nodes", 0, "cpu_speed"), math.nan, id="cpu-speed-nan"),
+    pytest.param(("consumers", 0, "rates", "svc-a"), math.inf, id="rate-infinite"),
+    pytest.param(("nodes", 0, "cpu_slots"), 1.0, id="cpu-slots-integral-float"),
+    pytest.param(("thresholds", "window"), 100.0, id="window-integral-float"),
+    pytest.param(("nodes", 0, "open_hours"), [540.0, 1020.0], id="open-hours-integral-floats"),
+    pytest.param(("tag_vocabulary",), "no-such-tags.txt", id="vocabulary-file-missing"),
+    pytest.param(("services", 0, "capability_tags"), ["teleport"], id="tag-outside-vocabulary"),
+]
+
+# Optional keys whose absence is itself a rule: a dealer needs hours, a
+# node needs trust evidence.
+_CONDITIONAL = {("nodes", 0, "open_hours"), ("nodes", 0, "trust_probes")}
+
+ACCEPTED = [
+    pytest.param(path + (key,), DELETE, id="without-" + field_path(path + (key,)))
+    for path, value, schema in OBJECTS
+    for key in value
+    if key not in schema.get("required", ()) and path + (key,) not in _CONDITIONAL
+] + [
+    pytest.param(("nodes", 0, "open_hours"), [0, 1440], id="dealer-open-all-day"),
+    pytest.param(("nodes", 1, "open_hours"), [540, 1020], id="mno-with-hours"),
+    pytest.param(("rebate_frac",), 1, id="rebate-one"),
+    pytest.param(("nodes", 2, "reputation", "complaint_rate"), 1, id="complaint-one"),
+    pytest.param(("services", 0, "version"), "2.1.0-rc.1+build.5", id="version-prerelease"),
+    pytest.param(("consumers", 0, "rates"), {}, id="consumer-with-empty-rates"),
+    pytest.param(("consumers", 0, "rates", "svc-a"), 0, id="rate-zero"),
+    pytest.param(("nodes", 2, "internet_path"), False, id="cloud-off-internet"),
+]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_scenarios_pass_both(name):
+    data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    assert schema_accepts(data)
+    assert parser_errors(data) == []
+
+
+def test_full_scenario_passes_both():
+    assert schema_accepts(FULL)
+    assert parser_errors(FULL) == []
+
+
+def test_full_scenario_reaches_every_object_level():
+    paths = {field_path(path) for path, _, _ in OBJECTS}
+    assert {
+        "scenario", "scenario.weights", "scenario.thresholds", "scenario.energy",
+        "scenario.nodes[0].tariff", "scenario.nodes[0].qos", "scenario.nodes[1].trust",
+        "scenario.nodes[1].trust_opinions[0]", "scenario.nodes[2].reputation",
+        "scenario.services[0]", "scenario.services[0].test_vector", "scenario.consumers[0]",
+    } <= paths
+
+
+@pytest.mark.parametrize("path, value", ACCEPTED)
+def test_both_accept(path, value):
+    data = mutated(path, value)
+    assert schema_accepts(data)
+    assert parser_errors(data) == []
+
+
+@pytest.mark.parametrize(
+    "path, value", UNKNOWN_KEYS + MISSING_REQUIRED + WRONG_TYPES + OUT_OF_RANGE + BROKEN_RULES
+)
+def test_both_reject(path, value):
+    data = mutated(path, value)
+    assert not schema_accepts(data)
+    errors = parser_errors(data)
+    assert any(str(path[-1]) in e for e in errors), errors
+    if path[-1] == "bogus":
+        assert f"{field_path(path)}: unknown field" in errors
+
+
+@pytest.mark.parametrize("path, value", PARSER_ONLY)
+def test_parser_only_rejections(path, value):
+    data = mutated(path, value)
+    assert schema_accepts(data)
+    errors = parser_errors(data)
+    assert any(str(path[-1]) in e for e in errors), errors
+
+
+@pytest.mark.parametrize("path, value", REMOVED_KEYS)
+def test_removed_keys_are_unknown_fields(tmp_path, capsys, path, value):
+    data = mutated(path, value)
+    assert not schema_accepts(data)
+    data["tag_vocabulary"] = str(SCENARIO_DIR / "tags.txt")
+    scenario = tmp_path / "old.json"
+    scenario.write_text(json.dumps(data))
+    assert main(["validate", "--scenario", str(scenario)]) == EXIT_CONFIG
+    assert f"error: {field_path(path)}: unknown field" in capsys.readouterr().err

@@ -3,12 +3,12 @@
 import pytest
 
 from tierbroker.errors import ConfigError
-from tierbroker.model import CloudClass, Outcome, Tier, minute_of_day
+from tierbroker.model import Outcome, Tier, minute_of_day
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICIES, build_topology, simulate_scenario
 from tierbroker.workload import load_scenario, scenario_from_dict
 
-from conftest import SCENARIO_DIR, make_node, t0_nodes
+from conftest import SCENARIO_DIR, make_node
 
 
 def inline_scenario(**overrides):
@@ -37,8 +37,7 @@ def inline_scenario(**overrides):
             }
         ],
         "consumers": [
-            {"id": "u1", "weight_latency": 0.7, "weight_cost": 0.3,
-             "rates": {"svc-x": 0.5}}
+            {"id": "u1", "rates": {"svc-x": 0.5}}
         ],
     }
     data.update(overrides)
@@ -123,9 +122,7 @@ def test_slot_capacity_respected():
 
 def test_in_flight_work_is_accounted():
     scenario = inline_scenario(horizon_ms=2000.0,
-                               consumers=[{"id": "u1", "weight_latency": 0.7,
-                                           "weight_cost": 0.3,
-                                           "rates": {"svc-x": 50.0}}])
+                               consumers=[{"id": "u1", "rates": {"svc-x": 50.0}}])
     run = simulate_scenario(scenario).report.run
     # Each request needs over 500 ms; late arrivals cannot finish in time.
     assert run.in_flight > 0
@@ -189,8 +186,7 @@ def test_dealer_close_flushes_queue():
             }
         ],
         "consumers": [
-            {"id": "u1", "weight_latency": 0.7, "weight_cost": 0.3,
-             "rates": {"svc-x": 5.0}}
+            {"id": "u1", "rates": {"svc-x": 5.0}}
         ],
     }
     scenario = scenario_from_dict(data)
@@ -224,12 +220,6 @@ def test_build_topology_rejects_bad_nodes():
     bad = make_node("M1", Tier.MNO, cpu_speed=0.0, rtt_ms=50.0, bandwidth_mbps=50.0)
     with pytest.raises(ConfigError):
         build_topology([bad])
-
-
-def test_build_topology_classifies_clouds():
-    topology = build_topology(t0_nodes())
-    assert topology.cloud_scores["C1"] == 0.5
-    assert topology.cloud_classes["C1"] is CloudClass.MID
 
 
 def test_unknown_policy_rejected():

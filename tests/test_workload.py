@@ -42,7 +42,7 @@ def test_splitmix64_wraps_seed():
 
 def consumers(rate=0.5, n_services=1):
     rates = {f"svc-{i}": rate for i in range(n_services)}
-    return [ConsumerSpec(id="u1", weight_latency=0.7, weight_cost=0.3, rates=rates)]
+    return [ConsumerSpec(id="u1", rates=rates)]
 
 
 def test_workload_is_deterministic():
@@ -71,8 +71,8 @@ def test_workload_streams_increase_strictly():
 
 def test_workload_streams_are_independent():
     both = [
-        ConsumerSpec(id="u1", weight_latency=0.7, weight_cost=0.3, rates={"svc-0": 0.5}),
-        ConsumerSpec(id="u2", weight_latency=0.7, weight_cost=0.3, rates={"svc-0": 0.5}),
+        ConsumerSpec(id="u1", rates={"svc-0": 0.5}),
+        ConsumerSpec(id="u2", rates={"svc-0": 0.5}),
     ]
     merged = generate_workload(both, seed=9, horizon_ms=120000.0)
     alone = generate_workload(both[:1], seed=9, horizon_ms=120000.0)
@@ -81,8 +81,7 @@ def test_workload_streams_are_independent():
 
 
 def test_workload_rate_zero_yields_nothing():
-    silent = [ConsumerSpec(id="u1", weight_latency=0.7, weight_cost=0.3,
-                           rates={"svc-0": 0.0})]
+    silent = [ConsumerSpec(id="u1", rates={"svc-0": 0.0})]
     assert generate_workload(silent, seed=3, horizon_ms=60000.0) == []
 
 
