@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from base64 import b64decode
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -38,11 +37,7 @@ from .model import (
     projected_response_ms,
     transmit_ms,
 )
-
-MAX_TAGS = 16
-MAX_DESCRIPTION = 2048
-# The capability_tags item pattern of docs/scenario.schema.
-_TAG_RE = re.compile(r"[a-z0-9][a-z0-9-]*")
+from .schema import conforms, standard
 
 
 @dataclass
@@ -490,35 +485,39 @@ def enforce_standard(
 ) -> ValidationResult:
     """Registration-time conformance gate for service descriptions.
 
-    Checks identity fields, semantic version form, tag discipline
-    (lowercase letters, digits and hyphens, bounded count, optional
-    controlled vocabulary), bounded description and sane resource
-    figures. All problems are reported, not just the first.
+    Checks the registration standard of the scenario schema (non-empty
+    identity fields, semantic version form, tag count and pattern,
+    bounded description), reading its limits from there, plus the
+    optional controlled vocabulary and sane resource figures. All
+    problems are reported, not just the first.
     """
+    rules = standard()
+    tags = rules["capability_tags"]
     v: list[Violation] = []
-    if not service.id:
-        v.append(Violation("id", "must be non-empty"))
-    if not service.name:
-        v.append(Violation("name", "must be non-empty"))
+    for key in ("id", "name"):
+        if not conforms(getattr(service, key), rules[key]):
+            v.append(Violation(key, "must be non-empty"))
     try:
         parse_semver(service.version)
     except ValueError:
         v.append(Violation("version", f"not a semantic version: {service.version!r}"))
-    if not service.capability_tags:
+    if len(service.capability_tags) < tags["minItems"]:
         v.append(Violation("capability_tags", "at least one tag required"))
+    # The pattern is printed without its anchors, as validate always has.
+    tag_pattern = tags["items"]["pattern"].strip("^$")
     for tag in sorted(service.capability_tags):
-        if not _TAG_RE.fullmatch(tag):
-            v.append(Violation("capability_tags", f"tag {tag!r} must match {_TAG_RE.pattern}"))
-    if len(service.capability_tags) > MAX_TAGS:
-        v.append(Violation("capability_tags", f"at most {MAX_TAGS} tags allowed"))
+        if not conforms(tag, tags["items"]):
+            v.append(Violation("capability_tags", f"tag {tag!r} must match {tag_pattern}"))
+    if len(service.capability_tags) > tags["maxItems"]:
+        v.append(Violation("capability_tags", f"at most {tags['maxItems']} tags allowed"))
     if vocabulary is not None:
         unknown = sorted(t for t in service.capability_tags if t not in vocabulary)
         for tag in unknown:
             v.append(Violation("capability_tags", f"tag {tag!r} not in vocabulary"))
-    if len(service.description) > MAX_DESCRIPTION:
-        v.append(
-            Violation("description", f"longer than {MAX_DESCRIPTION} characters")
-        )
+    if not conforms(service.description, rules["description"]):
+        v.append(Violation(
+            "description", f"longer than {rules['description']['maxLength']} characters"
+        ))
     for field_name in (
         "cpu_demand",
         "mem_demand",

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NonDealerNode
+from .schema import standard
 
 DAY_MINUTES = 1440
 
@@ -316,22 +317,15 @@ def check_node(node: ResourceNode) -> list[str]:
     return problems
 
 
-_SEMVER_RE = re.compile(
-    r"^(0|[1-9]\d*)\.(0|[1-9]\d*)\.(0|[1-9]\d*)"
-    r"(?:-((?:0|[1-9]\d*|\d*[a-zA-Z-][0-9a-zA-Z-]*)"
-    r"(?:\.(?:0|[1-9]\d*|\d*[a-zA-Z-][0-9a-zA-Z-]*))*))?"
-    r"(?:\+([0-9a-zA-Z-]+(?:\.[0-9a-zA-Z-]+)*))?$"
-)
-
-
 def parse_semver(text: str) -> tuple:
     """Parse a semantic version into an ordering key.
 
-    Raises ValueError for anything that is not full MAJOR.MINOR.PATCH
-    form. Pre-release versions order below the plain release; build
-    metadata is ignored for precedence.
+    Raises ValueError unless the registration standard's version
+    pattern (full MAJOR.MINOR.PATCH form) matches the whole string.
+    Pre-release versions order below the plain release; build metadata
+    is ignored for precedence.
     """
-    m = _SEMVER_RE.match(text)
+    m = re.fullmatch(standard()["version"]["pattern"], text)
     if not m:
         raise ValueError(f"not a semantic version: {text!r}")
     major, minor, patch = int(m.group(1)), int(m.group(2)), int(m.group(3))

@@ -35,6 +35,16 @@ from .model import (
     Topology,
     parse_semver,
 )
+from .schema import messages, normalized
+
+_TAGS = {"type": "array", "items": {"type": "string"}}
+# Query bodies by op; keys not named here are ignored.
+_QUERIES = {
+    "discover": {"properties": {"name": {"type": "string", "default": ""},
+                                "version": {"type": "string"}}},
+    "match": {"properties": {"tags": {**_TAGS, "default": []}, "keywords": _TAGS}},
+    "compose": {"properties": {"tags": {**_TAGS, "default": []}}},
+}
 
 
 class ServiceState(str, Enum):
@@ -310,22 +320,24 @@ class Registry:
                 )
             if not isinstance(body, dict):
                 raise ValidationError(["body must be an object"])
+            if op in _QUERIES:
+                errors = messages(body, _QUERIES[op], "body")
+                if errors:
+                    raise ValidationError(errors)
+                body = normalized(body, _QUERIES[op])
             if op == "register":
                 result = self._op_register(body, t_ms)
             elif op == "discover":
                 result = record_to_dict(
-                    self.discover_service(body.get("name", ""), body.get("version"))
+                    self.discover_service(body["name"], body.get("version"))
                 )
             elif op == "match":
                 query = FunctionalSpec(
-                    required_tags=set(body.get("tags", [])),
-                    keywords=body.get("keywords"),
+                    required_tags=set(body["tags"]), keywords=body.get("keywords")
                 )
                 result = [record_to_dict(r) for r in self.match_services(query)]
             elif op == "compose":
-                plan = self.compose_services(
-                    FunctionalSpec(required_tags=set(body.get("tags", [])))
-                )
+                plan = self.compose_services(FunctionalSpec(required_tags=set(body["tags"])))
                 result = {
                     "service_ids": plan.service_ids,
                     "covered_tags": sorted(plan.covered_tags),

@@ -555,7 +555,7 @@ def test_enforce_standard_tag_budget():
 
 @pytest.mark.parametrize("tag", ["Compute", "a_b", "a b", "-a", "", "caf\u00e9"])
 def test_enforce_standard_tag_pattern(tag):
-    # The capability_tags item pattern of docs/scenario.schema.
+    # The capability_tags item pattern of src/tierbroker/scenario.schema.json.
     result = enforce_standard(make_service(tags=("compute", tag)))
     assert [v.field for v in result.violations] == ["capability_tags"]
     assert enforce_standard(make_service(tags=("a-1", "9x"))).ok

@@ -183,7 +183,7 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, field_path, muta
     ids=["empty-node-id", "empty-consumer-id", "complaint-rate-above-one"],
 )
 def test_values_the_schema_forbids_are_config_errors(tmp_path, capsys, command, field_path, mutate):
-    # Each of these once ran to exit 0 though docs/scenario.schema rejects it.
+    # Each of these once ran to exit 0 though the scenario schema rejects it.
     data = json.loads((SCENARIO_DIR / "minimal.json").read_text())
     del data["tag_vocabulary"]
     mutate(data)

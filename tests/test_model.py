@@ -148,6 +148,14 @@ def test_parse_semver_ordering():
         parse_semver("v1.0.0")
 
 
+def test_parse_semver_matches_the_whole_string():
+    # A "$" anchor alone also matches before a final newline.
+    with pytest.raises(ValueError):
+        parse_semver("1.0.0\n")
+    with pytest.raises(ValueError):
+        parse_semver("1.0.0\nx")
+
+
 def test_check_node_reports_all_problems():
     bad = make_node("N1", Tier.MNO, cpu_speed=0.0, rtt_ms=-1.0, bandwidth_mbps=0.0)
     problems = check_node(bad)

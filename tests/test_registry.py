@@ -242,3 +242,37 @@ def test_envelope_duplicate_register(registry):
     again = registry.handle_request({"op": "register", "body": body}, t_ms=T0_NOON)
     assert again["ok"] is False
     assert again["error"]["type"] == "DuplicateService"
+
+
+@pytest.mark.parametrize(
+    "op, body, field",
+    [
+        ("match", {"tags": 5}, "body.tags"),
+        ("match", {"tags": "compute"}, "body.tags"),
+        ("match", {"tags": ["compute", 1]}, "body.tags[1]"),
+        ("match", {"tags": ["compute"], "keywords": 5}, "body.keywords"),
+        ("match", {"tags": ["compute"], "keywords": "probe"}, "body.keywords"),
+        ("match", {"tags": ["compute"], "keywords": [None]}, "body.keywords[0]"),
+        ("compose", {"tags": None}, "body.tags"),
+        ("compose", {"tags": {"compute": 1}}, "body.tags"),
+        ("discover", {"name": 5}, "body.name"),
+        ("discover", {"name": None}, "body.name"),
+        ("discover", {"name": "unit-probe", "version": 1}, "body.version"),
+    ],
+)
+def test_envelope_rejects_malformed_queries(registry, t0, op, body, field):
+    # With a record in place, match reads the keywords of every query.
+    reg(registry, t0)
+    reply = registry.handle_request({"op": op, "body": body})
+    assert reply["ok"] is False
+    assert reply["error"]["type"] == "ValidationError"
+    assert reply["error"]["message"].startswith(f"{field}: ")
+
+
+def test_envelope_queries_take_defaults(registry, t0):
+    reg(registry, t0)
+    assert registry.handle_request({"op": "match", "body": {}}) == {"ok": True, "result": []}
+    composed = registry.handle_request({"op": "compose", "body": {}})
+    assert composed["result"]["service_ids"] == []
+    missing = registry.handle_request({"op": "discover", "body": {}})
+    assert missing["error"]["type"] == "NotFoundError"
