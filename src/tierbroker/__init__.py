@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .arbitrator import (
     ContextSnapshot,
-    ProfileVerdict,
     RescheduleAdvice,
     SchedulerWeights,
     Thresholds,
@@ -62,7 +61,6 @@ __all__ = [
     "NotFoundError",
     "ParseError",
     "PlacementDecision",
-    "ProfileVerdict",
     "Registry",
     "RescheduleAdvice",
     "ResourceNode",

@@ -10,16 +10,14 @@ when the move strictly improves the projection.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from base64 import b64decode
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
 from statistics import StatisticsError, fmean
 
-from .errors import NoAdmissibleNode, NotFoundError, OutOfOrderEvent
+from .errors import NoAdmissibleNode, OutOfOrderEvent
 from .model import (
     TIER_RANK,
     InvocationRecord,
@@ -31,7 +29,6 @@ from .model import (
     ServiceDescriptor,
     Tier,
     Topology,
-    UserProfile,
     is_admissible,
     parse_semver,
     projected_response_ms,
@@ -88,28 +85,8 @@ class ValidationResult:
         return not self.violations
 
 
-@dataclass
-class ProfileVerdict:
-    service_id: str
-    functional_ok: bool
-    latency_ok: bool
-
-    @property
-    def recommendation(self) -> str:
-        return "Keep" if self.functional_ok and self.latency_ok else "Replace"
-
-
-def percentile(values: list[float], p: float) -> float:
-    """Nearest-rank percentile of an unsorted sample."""
-    if not values:
-        raise ValueError("percentile of empty sample")
-    ordered = sorted(values)
-    rank = math.ceil(p / 100.0 * len(ordered))
-    return ordered[max(rank, 1) - 1]
-
-
 class ContextSnapshot:
-    """Monitoring state: per-service sliding window, per-node load.
+    """Monitoring state: a sliding window of completions per service.
 
     Keeps at most `window` completed observations per service, as three
     bounded columns: completion times, latencies and execution times.
@@ -117,10 +94,8 @@ class ContextSnapshot:
     the window, and sum them afresh on every read rather than keeping
     running totals, so every mean is rounded as fmean rounds it. Feed
     order must be nondecreasing in completion time for each service.
-    Node load is mirrored by note_start / note_done so that
-    utilization = in-flight / cpu_slots at any instant. Every observe
-    bumps the service's window version, so an unchanged version means
-    an unchanged window.
+    Every observe bumps the service's window version, so an unchanged
+    version means an unchanged window.
     """
 
     def __init__(self, window: int = 100):
@@ -130,27 +105,6 @@ class ContextSnapshot:
         self._execs: dict[str, deque] = {}
         self._last_t: dict[str, float] = {}
         self._versions: dict[str, int] = {}
-        self._node_inflight: dict[str, int] = {}
-        self._node_slots: dict[str, int] = {}
-
-    def note_start(self, node_id: str, cpu_slots: int):
-        """Record that a node began executing one more invocation."""
-        self._node_slots[node_id] = cpu_slots
-        self._node_inflight[node_id] = self._node_inflight.get(node_id, 0) + 1
-
-    def note_done(self, node_id: str):
-        """Record that a node finished one invocation, freeing its slot."""
-        if self._node_inflight.get(node_id, 0) > 0:
-            self._node_inflight[node_id] -= 1
-
-    def inflight(self, node_id: str) -> int:
-        return self._node_inflight.get(node_id, 0)
-
-    def utilization(self, node_id: str) -> float:
-        slots = self._node_slots.get(node_id, 0)
-        if slots <= 0:
-            return 0.0
-        return self._node_inflight.get(node_id, 0) / slots
 
     def observe(self, service_id: str, t_done: float, latency_ms: float, exec_ms: float):
         last = self._last_t.get(service_id)
@@ -186,9 +140,6 @@ class ContextSnapshot:
         # What fmean computes, without its copy of the window.
         return math.fsum(latencies) / len(latencies)
 
-    def p95_latency(self, service_id: str) -> float:
-        return percentile(self._latencies.get(service_id, ()), 95.0)
-
     def rate_per_s(self, service_id: str) -> float:
         """Observed completion rate over the window span."""
         times = self._times.get(service_id, ())
@@ -206,23 +157,14 @@ class ContextSnapshot:
 
 
 def collect_context(record: InvocationRecord, ctx: ContextSnapshot) -> ContextSnapshot:
-    """Fold one completed invocation into the analysis window.
+    """Fold one completed invocation into its service's analysis window.
 
-    Completion also frees the slot note_start claimed on its node.
+    Records with any other outcome leave the context unchanged.
     """
     if record.outcome is not Outcome.COMPLETED:
         return ctx
-    if record.node_id is not None:
-        ctx.note_done(record.node_id)
     ctx.observe(record.service_id, record.t_done, record.latency_ms, record.exec_ms)
     return ctx
-
-
-def update_user_profile(profile: UserProfile, record: InvocationRecord) -> UserProfile:
-    """Bump the consumer's per-service invocation counter."""
-    history = profile.invocation_history
-    history[record.service_id] = history.get(record.service_id, 0) + 1
-    return profile
 
 
 def estimate_charge(service: ServiceDescriptor, node: ResourceNode) -> float:
@@ -403,35 +345,6 @@ def analyze_computation(
             projected_gain_ms=fmean(recent) - expected_exec_ms,
         )
     return None
-
-
-def reference_digest(vector) -> str:
-    """SHA-256 hex digest of a test vector's decoded input."""
-    return hashlib.sha256(b64decode(vector.input_b64)).hexdigest()
-
-
-def profile_service(
-    record, observed_digest: str, observed_p95_ms: float, tol: float = 0.2
-) -> ProfileVerdict:
-    """Conformance check on a registered service.
-
-    Functional conformance compares the observed digest against the
-    record's declared test vector (vacuously true without one); latency
-    conformance allows the observed p95 a tol fraction over the SLA.
-    Only active records can be profiled.
-    """
-    from .registry import ServiceState
-
-    if record.state is not ServiceState.ACTIVE:
-        raise NotFoundError(f"service {record.descriptor.id!r} is not active")
-    desc = record.descriptor
-    functional_ok = True
-    if desc.test_vector is not None:
-        functional_ok = observed_digest == desc.test_vector.expected_digest
-    latency_ok = observed_p95_ms <= desc.sla_latency_ms * (1.0 + tol)
-    return ProfileVerdict(
-        service_id=desc.id, functional_ok=functional_ok, latency_ok=latency_ok
-    )
 
 
 def migration_delay_ms(service: ServiceDescriptor, new_node: ResourceNode) -> float:

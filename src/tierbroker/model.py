@@ -100,12 +100,6 @@ class Tariff:
 
 
 @dataclass
-class TestVector:
-    input_b64: str
-    expected_digest: str
-
-
-@dataclass
 class EnergyModel:
     """Mobile-side radio power draw: active transmit vs idle wait."""
 
@@ -129,7 +123,6 @@ class ServiceDescriptor:
     data_intensive: bool = False
     security_class: SecurityClass = SecurityClass.PUBLIC
     sla_latency_ms: float = 1000.0
-    test_vector: TestVector | None = None
 
     @property
     def payload_total(self) -> float:
@@ -161,13 +154,6 @@ class PlacementDecision:
     reason: PlacementReason
     objective_ms: float
     decided_at: float
-
-
-@dataclass
-class UserProfile:
-    consumer_id: str
-    # Invocation counter keyed by service id.
-    invocation_history: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from statistics import fmean
-
-from .arbitrator import percentile
 
 CSV_COLUMNS = [
     "row",
@@ -77,6 +76,15 @@ class MetricsReport:
     run: RunRow | None = None
 
 
+def percentile(values: list[float], p: float) -> float:
+    """Nearest-rank percentile of an unsorted sample."""
+    if not values:
+        raise ValueError("percentile of empty sample")
+    ordered = sorted(values)
+    rank = math.ceil(p / 100.0 * len(ordered))
+    return ordered[max(rank, 1) - 1]
+
+
 def latency_stats(latencies: list[float]) -> tuple[float, float]:
     """(mean, p95) of a latency sample; empty samples read as zero."""
     if not latencies:
@@ -96,51 +104,12 @@ def round6(value: float) -> float:
     return float(format(value, ".6g"))
 
 
-def _service_cells(report: MetricsReport, row: ServiceRow) -> dict:
-    return {
-        "row": "service",
-        "policy": report.policy,
-        "seed": report.seed,
-        "service_id": row.service_id,
-        "tier": row.tier,
-        "invocations": row.invocations,
-        "completed": row.completed,
-        "rejected": row.rejected,
-        "dropped": row.dropped,
-        "in_flight": row.in_flight,
-        "mean_latency_ms": row.mean_latency_ms,
-        "p95_latency_ms": row.p95_latency_ms,
-        "energy_j_total": row.energy_j_total,
-        "charge_total": row.charge_total,
-        "reschedules": row.reschedules,
-        "arbitration_events": "",
-        "security_violations": "",
-        "wall_ms": "",
-    }
-
-
-def _run_cells(report: MetricsReport) -> dict:
-    run = report.run
-    return {
-        "row": "run",
-        "policy": report.policy,
-        "seed": report.seed,
-        "service_id": "",
-        "tier": "",
-        "invocations": run.arrivals,
-        "completed": run.completed,
-        "rejected": run.rejected,
-        "dropped": run.dropped,
-        "in_flight": run.in_flight,
-        "mean_latency_ms": run.mean_latency_ms,
-        "p95_latency_ms": run.p95_latency_ms,
-        "energy_j_total": run.energy_j_total,
-        "charge_total": run.charge_total,
-        "reschedules": run.reschedules,
-        "arbitration_events": run.arbitration_events,
-        "security_violations": run.security_violations,
-        "wall_ms": run.wall_ms,
-    }
+def _csv_cells(kind: str, report: MetricsReport, row: ServiceRow | RunRow) -> list[str]:
+    """One CSV line; the run row's arrivals fill invocations, absent columns stay empty."""
+    cells = {"row": kind, "policy": report.policy, "seed": report.seed, **asdict(row)}
+    if "arrivals" in cells:
+        cells["invocations"] = cells.pop("arrivals")
+    return [fmt(cells.get(column, "")) for column in CSV_COLUMNS]
 
 
 def _write_rows(path: str, reports: list[MetricsReport]):
@@ -149,10 +118,8 @@ def _write_rows(path: str, reports: list[MetricsReport]):
         writer.writerow(CSV_COLUMNS)
         for report in reports:
             for row in report.services:
-                cells = _service_cells(report, row)
-                writer.writerow([fmt(cells[c]) if cells[c] != "" else "" for c in CSV_COLUMNS])
-            cells = _run_cells(report)
-            writer.writerow([fmt(cells[c]) if cells[c] != "" else "" for c in CSV_COLUMNS])
+                writer.writerow(_csv_cells("service", report, row))
+            writer.writerow(_csv_cells("run", report, report.run))
 
 
 def write_metrics_csv(report: MetricsReport, path: str):
@@ -164,43 +131,20 @@ def write_compare_csv(reports: list[MetricsReport], path: str):
     _write_rows(path, reports)
 
 
+def _row_to_dict(row: ServiceRow | RunRow) -> dict:
+    # Rounded by declared type: an empty sum is the int 0 but prints as 0.0.
+    return {
+        f.name: round6(getattr(row, f.name)) if f.type == "float" else getattr(row, f.name)
+        for f in fields(row)
+    }
+
+
 def report_to_dict(report: MetricsReport) -> dict:
-    run = report.run
     return {
         "policy": report.policy,
         "seed": report.seed,
-        "services": [
-            {
-                "service_id": r.service_id,
-                "tier": r.tier,
-                "invocations": r.invocations,
-                "completed": r.completed,
-                "rejected": r.rejected,
-                "dropped": r.dropped,
-                "in_flight": r.in_flight,
-                "mean_latency_ms": round6(r.mean_latency_ms),
-                "p95_latency_ms": round6(r.p95_latency_ms),
-                "energy_j_total": round6(r.energy_j_total),
-                "charge_total": round6(r.charge_total),
-                "reschedules": r.reschedules,
-            }
-            for r in report.services
-        ],
-        "run": {
-            "arrivals": run.arrivals,
-            "completed": run.completed,
-            "rejected": run.rejected,
-            "dropped": run.dropped,
-            "in_flight": run.in_flight,
-            "mean_latency_ms": round6(run.mean_latency_ms),
-            "p95_latency_ms": round6(run.p95_latency_ms),
-            "energy_j_total": round6(run.energy_j_total),
-            "charge_total": round6(run.charge_total),
-            "reschedules": run.reschedules,
-            "arbitration_events": run.arbitration_events,
-            "security_violations": run.security_violations,
-            "wall_ms": round6(run.wall_ms),
-        },
+        "services": [_row_to_dict(row) for row in report.services],
+        "run": _row_to_dict(report.run),
     }
 
 

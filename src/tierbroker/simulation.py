@@ -42,7 +42,6 @@ from .arbitrator import (
     migration_delay_ms,
     reschedule,
     schedule_service,
-    update_user_profile,
 )
 from .billing import apply_slo_rebate, compute_charge
 from .errors import ConfigError, NoAdmissibleNode
@@ -55,7 +54,6 @@ from .model import (
     ServiceDescriptor,
     Tier,
     Topology,
-    UserProfile,
     check_node,
     is_admissible,
     is_dealer_open,
@@ -129,9 +127,6 @@ class SimResult:
     report: MetricsReport
     records: list[InvocationRecord]
     arbitration_log: list[tuple[float, str, str]]
-    profiles: dict[str, UserProfile]
-    context: ContextSnapshot
-    registry: Registry
 
 
 class Simulation:
@@ -166,7 +161,6 @@ class Simulation:
         self.arbitration_events = 0
         self.security_violations = 0
         self.context = ContextSnapshot(window=self.thresholds.window)
-        self.profiles = {c.id: UserProfile(consumer_id=c.id) for c in scenario.consumers}
         self.services: dict[str, _ServiceState] = {}
         self._placed: list[_ServiceState] = []  # analysis order: placed services by id
         self._dealers = topology.by_tier(Tier.DEALER)
@@ -285,7 +279,6 @@ class Simulation:
         )
         self._next_request_id += 1
         self.records.append(request)
-        update_user_profile(self.profiles[arrival.consumer_id], request)
 
         if state.record is None:
             request.outcome = Outcome.REJECTED
@@ -346,7 +339,6 @@ class Simulation:
                 break
             node_state.queue.popleft()
             node_state.running += 1
-            self.context.note_start(node.id, node.cpu_slots)
             head.t_start = t_ms
             head.queue_ms = t_ms - head.t_arrive
             head.transfer_ms = transmit_ms(state.desc.payload_total, node.bandwidth_mbps)
@@ -533,12 +525,7 @@ class Simulation:
             policy=self.policy, seed=self.seed, services=rows, run=run_row
         )
         return SimResult(
-            report=report,
-            records=self.records,
-            arbitration_log=self.arbitration_log,
-            profiles=self.profiles,
-            context=self.context,
-            registry=self.registry,
+            report=report, records=self.records, arbitration_log=self.arbitration_log
         )
 
 

@@ -28,7 +28,6 @@ from .model import (
     SecurityClass,
     ServiceDescriptor,
     Tariff,
-    TestVector,
     Tier,
     TrustAssessment,
     TrustBasis,
@@ -195,7 +194,6 @@ def _service(d: dict) -> ServiceDescriptor:
         **d,
         "capability_tags": set(d["capability_tags"]),
         "security_class": SecurityClass(d["security_class"]),
-        "test_vector": TestVector(**d["test_vector"]) if "test_vector" in d else None,
     })
 
 
@@ -265,10 +263,16 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> Scenario:
     vocabulary = None
     if "tag_vocabulary" in data and sound("tag_vocabulary"):
         full = os.path.join(base_dir, data["tag_vocabulary"])
-        if os.path.isfile(full):
-            vocabulary = _load_vocabulary(full)
-        else:
+        if not os.path.isfile(full):
             errors.append(f"scenario.tag_vocabulary: file not found: {data['tag_vocabulary']}")
+        else:
+            try:
+                vocabulary = _load_vocabulary(full)
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+                errors.append(
+                    f"scenario.tag_vocabulary: cannot read {data['tag_vocabulary']}: {reason}"
+                )
 
     nodes = []
     for i, nd in enumerate(items("nodes")):

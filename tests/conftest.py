@@ -70,7 +70,6 @@ def make_service(
     data_intensive=False,
     security_class=SecurityClass.PUBLIC,
     sla_latency_ms=1000.0,
-    test_vector=None,
 ):
     return ServiceDescriptor(
         id=service_id,
@@ -86,7 +85,6 @@ def make_service(
         data_intensive=data_intensive,
         security_class=security_class,
         sla_latency_ms=sla_latency_ms,
-        test_vector=test_vector,
     )
 
 

@@ -1,8 +1,6 @@
-"""Scheduler flow, scoring, analysis detectors, rescheduling, conformance."""
+"""Scheduler flow, scoring, monitoring context, analysis detectors, rescheduling."""
 
-import hashlib
 import statistics
-from base64 import b64encode
 from itertools import product
 from types import SimpleNamespace
 
@@ -23,16 +21,11 @@ from tierbroker.arbitrator import (
     enforce_standard,
     estimate_charge,
     migration_delay_ms,
-    percentile,
-    profile_service,
-    reference_digest,
     reschedule,
     schedule_service,
-    update_user_profile,
 )
 from tierbroker.errors import (
     NoAdmissibleNode,
-    NotFoundError,
     OutOfOrderEvent,
 )
 from tierbroker.model import (
@@ -43,10 +36,8 @@ from tierbroker.model import (
     SecurityClass,
     Tier,
     Topology,
-    UserProfile,
 )
-from tierbroker.model import TestVector as ProbeVector
-from tierbroker.registry import Registry, ServiceState
+from tierbroker.report import percentile
 
 from conftest import T0_MIDNIGHT, T0_NOON, make_node, make_service
 from oracles import (
@@ -219,7 +210,6 @@ def test_context_window_evicts_oldest():
         ctx.observe("svc", float(i), latency_ms=float(i), exec_ms=1.0)
     assert ctx.count("svc") == 100
     assert min(ctx.latencies("svc")) == 1.0
-    assert ctx.p95_latency("svc") == 95.0
 
 
 def test_context_rejects_time_travel():
@@ -267,23 +257,6 @@ def test_context_columns_match_a_plain_window(window, observations):
             assert ctx.recent_exec("svc", m) == [s[2] for s in plain][-m:]
 
 
-def test_context_node_load_mirror():
-    ctx = ContextSnapshot()
-    ctx.note_start("M1", 2)
-    ctx.note_start("M1", 2)
-    assert ctx.inflight("M1") == 2
-    assert ctx.utilization("M1") == 1.0
-    done = InvocationRecord(
-        request_id=1, service_id="svc", consumer_id="u", node_id="M1",
-        t_arrive=0.0, t_start=0.0, t_done=50.0, exec_ms=10.0,
-        outcome=Outcome.COMPLETED,
-    )
-    collect_context(done, ctx)
-    assert ctx.inflight("M1") == 1
-    assert ctx.utilization("M1") == 0.5
-    assert ctx.utilization("ghost") == 0.0
-
-
 def test_collect_context_skips_unfinished():
     ctx = ContextSnapshot()
     rejected = InvocationRecord(
@@ -292,16 +265,13 @@ def test_collect_context_skips_unfinished():
     )
     collect_context(rejected, ctx)
     assert ctx.count("svc") == 0
-
-
-def test_update_user_profile_counts_invocations():
-    profile = UserProfile(consumer_id="u1")
-    record = InvocationRecord(
-        request_id=1, service_id="svc-a", consumer_id="u1", node_id=None, t_arrive=0.0
+    done = InvocationRecord(
+        request_id=2, service_id="svc", consumer_id="u", node_id="M1",
+        t_arrive=0.0, t_start=0.0, t_done=50.0, exec_ms=10.0,
+        outcome=Outcome.COMPLETED,
     )
-    update_user_profile(profile, record)
-    update_user_profile(profile, record)
-    assert profile.invocation_history == {"svc-a": 2}
+    collect_context(done, ctx)
+    assert ctx.count("svc") == 1
 
 
 # ----------------------------------------------------------------------
@@ -407,62 +377,6 @@ def test_compute_shortfall_rejects_bad_expectation():
         analyze_computation([100.0], 0.0)
     with pytest.raises(ValueError):
         analyze_computation([100.0], -5.0)
-
-
-# ----------------------------------------------------------------------
-# profiling
-
-
-def vector_for(payload: bytes) -> ProbeVector:
-    return ProbeVector(
-        input_b64=b64encode(payload).decode(),
-        expected_digest=hashlib.sha256(payload).hexdigest(),
-    )
-
-
-def active_record(t0, **kwargs):
-    registry = Registry(t0)
-    return registry.register_service(make_service(**kwargs), t0, T0_NOON)
-
-
-def test_reference_digest_matches_hashlib():
-    vec = vector_for(b"hello")
-    assert reference_digest(vec) == hashlib.sha256(b"hello").hexdigest()
-
-
-def test_profile_keep_when_conformant(t0):
-    vec = vector_for(b"payload")
-    record = active_record(t0, test_vector=vec, sla_latency_ms=1000.0)
-    verdict = profile_service(record, vec.expected_digest, observed_p95_ms=900.0)
-    assert verdict.functional_ok and verdict.latency_ok
-    assert verdict.recommendation == "Keep"
-
-
-def test_profile_replace_on_digest_mismatch(t0):
-    record = active_record(t0, test_vector=vector_for(b"payload"))
-    verdict = profile_service(record, "0" * 64, observed_p95_ms=100.0)
-    assert not verdict.functional_ok
-    assert verdict.recommendation == "Replace"
-
-
-def test_profile_latency_tolerance_boundary(t0):
-    record = active_record(t0, sla_latency_ms=1000.0)
-    assert profile_service(record, "", observed_p95_ms=1200.0).latency_ok
-    verdict = profile_service(record, "", observed_p95_ms=1210.0)
-    assert not verdict.latency_ok
-    assert verdict.recommendation == "Replace"
-
-
-def test_profile_without_vector_trusts_function(t0):
-    record = active_record(t0)
-    assert profile_service(record, "anything", observed_p95_ms=10.0).functional_ok
-
-
-def test_profile_requires_active_record(t0):
-    record = active_record(t0)
-    record.state = ServiceState.DEREGISTERED
-    with pytest.raises(NotFoundError):
-        profile_service(record, "", observed_p95_ms=10.0)
 
 
 # ----------------------------------------------------------------------

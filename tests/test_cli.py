@@ -113,6 +113,18 @@ def test_vocabulary_violations_reported(tmp_path, capsys):
     assert "offvocab" in capsys.readouterr().out
 
 
+def test_unreadable_vocabulary_is_config_error(tmp_path, capsys):
+    data = json.loads((SCENARIO_DIR / "minimal.json").read_text())
+    vocabulary = tmp_path / "tags.bin"
+    vocabulary.write_bytes(b"compute\n\xff\xfe\x00binary\n")
+    data["tag_vocabulary"] = str(vocabulary)
+    path = tmp_path / "binvocab.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--scenario", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: scenario.tag_vocabulary: cannot read {vocabulary}: not UTF-8 text" in err
+
+
 def test_missing_scenario_is_config_error(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == EXIT_CONFIG

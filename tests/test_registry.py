@@ -234,6 +234,14 @@ def test_envelope_errors_never_raise(registry):
     )
     assert invalid["ok"] is False
     assert invalid["error"]["type"] == "ValidationError"
+    vector = {"input_b64": "aGVsbG8=", "expected_digest": "0" * 64}
+    removed = registry.handle_request(
+        {"op": "register", "body": {**envelope_register_body(), "test_vector": vector}},
+        t_ms=T0_NOON,
+    )
+    assert removed["ok"] is False
+    assert removed["error"]["type"] == "ValidationError"
+    assert "test_vector: unknown field" in removed["error"]["message"]
 
 
 def test_envelope_duplicate_register(registry):

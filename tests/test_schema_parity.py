@@ -82,10 +82,7 @@ FULL = {
         ),
     ],
     "services": [
-        _service(
-            "svc-a", "alpha",
-            test_vector={"input_b64": "aGVsbG8=", "expected_digest": "0" * 64},
-        ),
+        _service("svc-a", "alpha"),
         _service("svc-b", "beta", capability_tags=["storage", "backup"]),
     ],
     "consumers": [
@@ -151,7 +148,7 @@ MISSING_REQUIRED = [
     for key in schema.get("required", ())
 ]
 
-# Keys the scenario format no longer has; each was parsed but never read.
+# Keys the scenario format no longer has; each was parsed but no output read it.
 REMOVED_KEYS = [
     pytest.param(("nodes", 0, "qos", "wan_delay_ms"), 10, id="qos.wan_delay_ms"),
     pytest.param(("nodes", 0, "qos", "bandwidth_mbps"), 50, id="qos.bandwidth_mbps"),
@@ -160,6 +157,11 @@ REMOVED_KEYS = [
     pytest.param(("thresholds", "sla_tolerance"), 0.2, id="thresholds.sla_tolerance"),
     pytest.param(("consumers", 0, "weight_latency"), 0.7, id="consumer.weight_latency"),
     pytest.param(("consumers", 0, "weight_cost"), 0.3, id="consumer.weight_cost"),
+    pytest.param(
+        ("services", 0, "test_vector"),
+        {"input_b64": "aGVsbG8=", "expected_digest": "0" * 64},
+        id="service.test_vector",
+    ),
 ]
 
 WRONG_TYPES = [
@@ -192,8 +194,6 @@ WRONG_TYPES = [
     pytest.param(("services", 0, "capability_tags"), "compute", id="tags-string"),
     pytest.param(("services", 0, "capability_tags"), [7], id="tag-number"),
     pytest.param(("services", 0, "latency_sensitive"), "no", id="sensitive-string"),
-    pytest.param(("services", 0, "test_vector"), "aGVsbG8=", id="vector-string"),
-    pytest.param(("services", 0, "test_vector", "expected_digest"), 0, id="digest-number"),
     pytest.param(("consumers", 0, "rates"), [], id="rates-list"),
     pytest.param(("consumers", 0, "rates", "svc-a"), "0.5", id="rate-string"),
     pytest.param(("consumers", 0, "id"), 1, id="consumer-id-number"),
@@ -325,7 +325,7 @@ def test_full_scenario_reaches_every_object_level():
         "scenario", "scenario.weights", "scenario.thresholds", "scenario.energy",
         "scenario.nodes[0].tariff", "scenario.nodes[0].qos", "scenario.nodes[1].trust",
         "scenario.nodes[1].trust_opinions[0]", "scenario.nodes[2].reputation",
-        "scenario.services[0]", "scenario.services[0].test_vector", "scenario.consumers[0]",
+        "scenario.services[0]", "scenario.consumers[0]",
     } <= paths
 
 

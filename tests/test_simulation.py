@@ -227,10 +227,3 @@ def test_unknown_policy_rejected():
     with pytest.raises(ConfigError):
         simulate_scenario(scenario, policy="closest-first")
 
-
-def test_profiles_count_arrivals():
-    scenario = inline_scenario()
-    result = simulate_scenario(scenario)
-    profile = result.profiles["u1"]
-    total = sum(profile.invocation_history.values())
-    assert total == result.report.run.arrivals
