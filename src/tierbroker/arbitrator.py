@@ -153,7 +153,9 @@ class ContextSnapshot:
     def recent_exec(self, service_id: str, m: int) -> list[float]:
         """The execution-time column sliced as [-m:], without copying it first."""
         execs = self._execs.get(service_id, ())
-        return list(islice(execs, max(len(execs) - m, 0) if m > 0 else -m, None))
+        if m > 0:
+            return list(islice(reversed(execs), m))[::-1]
+        return list(islice(execs, -m, None))
 
 
 def collect_context(record: InvocationRecord, ctx: ContextSnapshot) -> ContextSnapshot:
@@ -278,26 +280,23 @@ def _tier_fallback(
     raise NoAdmissibleNode(service.id)  # unreachable with a non-empty pool
 
 
-def analyze_performance(
-    ctx: ContextSnapshot,
+def nearer_gain(
     service: ServiceDescriptor,
     current_node: ResourceNode,
     topology: Topology,
     thresholds: Thresholds,
     t_ms: float,
-) -> RescheduleAdvice | None:
-    """Delay-pressure detector for latency-sensitive services.
+) -> tuple[Tier, float] | None:
+    """The window-free half of analyze_performance: where a move could go.
 
-    Fires when observed load (arrival rate x mean latency) exceeds the
-    pressure threshold and some admissible node in a nearer tier projects
-    a response at least min_gain_ms better than the current node.
+    None when the service is not latency-sensitive, already sits on the
+    nearest tier, or no admissible node in a nearer tier projects a
+    response at least min_gain_ms better than the current node's.
+    Otherwise the nearest such tier and its best gain. It reads no
+    window, so it depends only on the service, its node and which
+    dealers are open at t_ms.
     """
     if not service.latency_sensitive:
-        return None
-    if ctx.count(service.id) < thresholds.min_samples:
-        return None
-    load = ctx.rate_per_s(service.id) * ctx.mean_latency(service.id)
-    if load <= thresholds.delay_pressure_ms_per_s:
         return None
     cur_rank = TIER_RANK[current_node.tier]
     cur_resp = projected_response_ms(service, current_node)
@@ -311,13 +310,40 @@ def analyze_performance(
         ]
         qualifying = [g for g in gains if g >= thresholds.min_gain_ms]
         if qualifying:
-            return RescheduleAdvice(
-                service_id=service.id,
-                trigger=AdviceKind.DELAY_PRESSURE,
-                target_tier_hint=tier,
-                projected_gain_ms=max(qualifying),
-            )
+            return tier, max(qualifying)
     return None
+
+
+def analyze_performance(
+    ctx: ContextSnapshot,
+    service: ServiceDescriptor,
+    current_node: ResourceNode,
+    topology: Topology,
+    thresholds: Thresholds,
+    t_ms: float,
+) -> RescheduleAdvice | None:
+    """Delay-pressure detector for latency-sensitive services.
+
+    Fires when some admissible node in a nearer tier projects a response
+    at least min_gain_ms better than the current node (nearer_gain) and
+    observed load (arrival rate x mean latency) exceeds the pressure
+    threshold. The window is read only when the first test passes.
+    """
+    nearer = nearer_gain(service, current_node, topology, thresholds, t_ms)
+    if nearer is None:
+        return None
+    if ctx.count(service.id) < thresholds.min_samples:
+        return None
+    load = ctx.rate_per_s(service.id) * ctx.mean_latency(service.id)
+    if load <= thresholds.delay_pressure_ms_per_s:
+        return None
+    tier, gain_ms = nearer
+    return RescheduleAdvice(
+        service_id=service.id,
+        trigger=AdviceKind.DELAY_PRESSURE,
+        target_tier_hint=tier,
+        projected_gain_ms=gain_ms,
+    )
 
 
 def analyze_computation(

@@ -254,13 +254,18 @@ def security_ok(service: ServiceDescriptor, node: ResourceNode) -> bool:
 
 def is_admissible(service: ServiceDescriptor, node: ResourceNode, t_ms: float) -> bool:
     """Hard feasibility gate: capacity, opening hours, trust, security."""
+    if node.tier is Tier.DEALER and not is_dealer_open(node, t_ms):
+        return False
+    return fits(service, node)
+
+
+def fits(service: ServiceDescriptor, node: ResourceNode) -> bool:
+    """The half of is_admissible that holds at all hours: capacity, trust, security."""
     if service.cpu_demand > node.cpu_speed:
         return False
     if service.mem_demand > node.mem_capacity:
         return False
     if service.storage_demand > node.storage_capacity:
-        return False
-    if node.tier is Tier.DEALER and not is_dealer_open(node, t_ms):
         return False
     return security_ok(service, node)
 

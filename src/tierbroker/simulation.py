@@ -13,13 +13,20 @@ and compute-shortfall detectors every second under the arbitrated
 policy.
 
 The analysis loop is incremental but exact. A verdict depends only on
-the service's window, its node and which dealers are open, so a service
-whose last analysis kept it in place is skipped until one of those
-changes; its tick is still logged and counted. When a tick leaves every
-service in place, the ticks up to the next event are logged at once,
-stopping early at midnight or where a dealer opens or closes, and only
-the first tick not logged is pushed; it takes the heap slot the
-every-tick loop would have given it, so event order is unchanged.
+the service's node, which dealers are open and the part of its window
+the detectors read. Where the delay-pressure detector cannot fire for
+want of a nearer node (nearer_gain, cached per service on node and
+dealers open), that part is the last compute_run execution times;
+otherwise it is the whole window. A service whose last analysis kept it
+in place is skipped while that key is unchanged. A tick looks only at
+the services that completed a request or moved since the tick before,
+or at every placed service when the dealers open differ from that
+tick's; every placed service is still logged and counted. When a tick
+leaves every service in place, the ticks up to the next event are
+logged at once, stopping early at midnight or where a dealer opens or
+closes, and only the first tick not logged is pushed; it takes the heap
+slot the every-tick loop would have given it, so event order is
+unchanged. Only the arbitrated policy feeds the analysis window.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .arbitrator import (
     collect_context,
     decide_among,
     migration_delay_ms,
+    nearer_gain,
     reschedule,
     schedule_service,
 )
@@ -55,6 +63,7 @@ from .model import (
     Tier,
     Topology,
     check_node,
+    fits,
     is_admissible,
     is_dealer_open,
     minute_of_day,
@@ -111,7 +120,15 @@ class _ServiceState:
     record: ServiceRecord | None
     migration_until: float = 0.0
     reschedules: int = 0
-    # (window version, node id, dealers open) of the last analysis that kept it in place.
+    # The node fits() last checked on arrival, and its answer.
+    fits_node: ResourceNode | None = None
+    fits_ok: bool = False
+    # (node id, dealers open), and whether nearer_gain found a nearer node there.
+    nearer_key: tuple | None = None
+    nearer: bool = False
+    # The key of the last analysis that kept it in place: (node id, dealers
+    # open) and then the window version when nearer is set, else the last
+    # compute_run exec times, the only part of the window read.
     quiet_key: tuple | None = None
 
 
@@ -160,9 +177,15 @@ class Simulation:
         self.arbitration_log: list[tuple[float, str, str]] = []
         self.arbitration_events = 0
         self.security_violations = 0
+        self._analysed = policy == "sami"
         self.context = ContextSnapshot(window=self.thresholds.window)
         self.services: dict[str, _ServiceState] = {}
         self._placed: list[_ServiceState] = []  # analysis order: placed services by id
+        self._placed_ids: list[str] = []
+        # Services that completed a request or moved since the last tick.
+        self._changed: set[str] = set()
+        # Dealers open at the last tick; None makes the first tick visit every service.
+        self._tick_dealers: tuple[bool, ...] | None = None
         self._dealers = topology.by_tier(Tier.DEALER)
         self.node_states = {n.id: _NodeState(node=n) for n in topology}
 
@@ -188,6 +211,7 @@ class Simulation:
             self.services[desc.id] = state
             if record is not None:
                 self._placed.append(state)
+                self._placed_ids.append(desc.id)
                 self._log_arbitration(0.0, "register", desc.id)
 
     def _register_pinned(self, desc: ServiceDescriptor) -> ServiceRecord | None:
@@ -284,7 +308,11 @@ class Simulation:
             request.outcome = Outcome.REJECTED
             return
         node = self.topology.get(state.record.placement.node_id)
-        if not is_admissible(state.desc, node, t_ms):
+        # is_admissible, with the half that holds at all hours cached per node.
+        if node is not state.fits_node:
+            state.fits_node = node
+            state.fits_ok = fits(state.desc, node)
+        if not state.fits_ok or (node.tier is Tier.DEALER and not is_dealer_open(node, t_ms)):
             if self.policy == "sami":
                 node = self._re_resolve(t_ms, state, request)
                 if node is None:
@@ -312,9 +340,15 @@ class Simulation:
         return self.topology.get(decision.node_id)
 
     def _apply_move(self, t_ms, state: _ServiceState, decision):
+        self._log_arbitration(t_ms, "reschedule", state.desc.id)
+        self._move(t_ms, state, decision)
+
+    def _move(self, t_ms, state: _ServiceState, decision):
+        """Place the service anew, unlogged; the next tick analyses it again."""
         state.record.placement = decision
         state.reschedules += 1
-        self._log_arbitration(t_ms, "reschedule", state.desc.id)
+        state.quiet_key = None
+        self._changed.add(state.desc.id)
         new_node = self.topology.get(decision.node_id)
         delay = migration_delay_ms(state.desc, new_node)
         state.migration_until = t_ms + delay
@@ -368,7 +402,9 @@ class Simulation:
             state.desc.sla_latency_ms,
             self.scenario.rebate_frac,
         )
-        collect_context(request, self.context)
+        if self._analysed:
+            collect_context(request, self.context)
+            self._changed.add(request.service_id)
         self._try_start(t_ms, node_state)
 
     def _on_dealer_close(self, t_ms: float, node_state: _NodeState):
@@ -380,36 +416,58 @@ class Simulation:
         return tuple([is_dealer_open(node, t_ms) for node in self._dealers])
 
     def _on_analysis_tick(self, t_ms: float, _payload=None):
-        """Analyse every placed service, skipping those whose inputs are unchanged.
+        """Analyse the services whose verdict may have changed; log every placed one.
 
-        A service's analysis reads its window, its placement and, through
-        admissibility, which dealers are open. When a tick leaves it in
-        place, those three are kept as its quiet key, and a later tick
-        with the same key would reach the same verdict, so it is logged
-        and counted without running the detectors again.
+        A service's analysis reads its placement, through admissibility
+        which dealers are open, and part of its window. When a tick leaves
+        it in place, those are kept as its quiet key (see _ServiceState),
+        and a later tick with the same key would reach the same verdict.
+        A service that neither completed a request nor moved since the
+        last tick keeps its key unless the dealers open changed, so only
+        the others are looked at. Each service's reschedule, if any, is
+        logged right after its analysis.
         """
         dealers_open = self._dealers_open(t_ms)
-        quiet = True
-        for state in self._placed:
-            service_id = state.desc.id
-            self._log_arbitration(t_ms, "analysis", service_id)
-            key = (
-                self.context.version(service_id),
-                state.record.placement.node_id,
-                dealers_open,
+        if dealers_open != self._tick_dealers:
+            self._tick_dealers = dealers_open
+            visit = self._placed
+        else:
+            visit = [self.services[service_id] for service_id in sorted(self._changed)]
+        self._changed.clear()
+        moved = [state for state in visit if self._visit(t_ms, state, dealers_open)]
+        ids = self._placed_ids
+        entries = [(t_ms, "analysis", service_id) for service_id in ids]
+        for state in reversed(moved):
+            entries.insert(
+                bisect_left(ids, state.desc.id) + 1, (t_ms, "reschedule", state.desc.id)
             )
-            if key == state.quiet_key:
-                continue
-            if self._analyze(t_ms, state):
-                state.quiet_key = None
-                quiet = False
-            else:
-                state.quiet_key = key
+        self.arbitration_log.extend(entries)
+        self.arbitration_events += len(entries)
         t_next = t_ms + ANALYSIS_INTERVAL_MS
-        if quiet:
+        if not moved:
             t_next = self._fast_forward(t_next, dealers_open)
         if t_next <= self.horizon:
             self._push(t_next, EventKind.ANALYSIS_TICK)
+
+    def _visit(self, t_ms: float, state: _ServiceState, dealers_open: tuple[bool, ...]) -> bool:
+        """Analyse the service unless its quiet key is unchanged; True when it moved."""
+        where = (state.record.placement.node_id, dealers_open)
+        if where != state.nearer_key:
+            state.nearer_key = where
+            state.nearer = nearer_gain(
+                state.desc, self.topology.get(where[0]), self.topology, self.thresholds, t_ms
+            ) is not None
+        service_id = state.desc.id
+        if state.nearer:
+            key = (where, self.context.version(service_id))
+        else:
+            key = (where, tuple(self.context.recent_exec(service_id, self.thresholds.compute_run)))
+        if key == state.quiet_key:
+            return False
+        if self._analyze(t_ms, state):
+            return True
+        state.quiet_key = key
+        return False
 
     def _analyze(self, t_ms: float, state: _ServiceState) -> bool:
         """Run both detectors and act on their advice; True when the service moved."""
@@ -433,7 +491,7 @@ class Simulation:
         decision = reschedule(state.record, advice, self.topology, self.weights, t_ms)
         if decision.node_id == state.record.placement.node_id:
             return False
-        self._apply_move(t_ms, state, decision)
+        self._move(t_ms, state, decision)
         return True
 
     def _fast_forward(self, t_ms: float, dealers_open: tuple[bool, ...]) -> float:
@@ -479,7 +537,7 @@ class Simulation:
             if stop < len(ticks):
                 t_ms = ticks[stop]
                 del ticks[stop:]
-        ids = [state.desc.id for state in self._placed]
+        ids = self._placed_ids
         self.arbitration_log.extend(
             [(t, "analysis", service_id) for t in ticks for service_id in ids]
         )

@@ -113,7 +113,8 @@ def incremental_cases(draw):
     thresholds = Thresholds(
         delay_pressure_ms_per_s=draw(st.sampled_from([0.01, 1.0, 200.0, 5000.0])),
         min_gain_ms=draw(st.sampled_from([0.0, 50.0])),
-        compute_factor=draw(st.sampled_from([1.0, 1.5])),
+        # Below 1 the compute check fires on a service that never moved.
+        compute_factor=draw(st.sampled_from([0.5, 1.0, 1.5])),
         compute_run=draw(st.integers(1, 3)),
         window=window,
         min_samples=draw(st.integers(2, window)),
@@ -313,6 +314,117 @@ def test_exec_done_on_a_tick_keeps_push_order(monkeypatch, cloud, arrivals, done
     assert [r.node_id for r in result.records] == ["C1", "C1"]
     moves = [(t, sid) for t, kind, sid in result.arbitration_log if kind == "reschedule"]
     assert moves == [(moved_at, "svc-x")]
+
+
+def moved_while_completing(compute_factor, compute_run):
+    """svc-x leaves the slow cloud for a faster operator node at 2000 ms.
+
+    Requests queued on C1 keep completing there until about 6600 ms,
+    each with a 1000 ms execution against 250 ms expected on M1, and
+    the 50 MB copy keeps M1 from starting any until 6000 ms. So the last
+    execution times first hold only C1's, then mix in M1's.
+    """
+    node = {"cpu_slots": 2, "mem_capacity": 65536, "storage_capacity": 65536,
+            "trust": {"level": "High"}}
+    return scenario_from_dict({
+        "horizon_ms": 20000.0,
+        "seed": 5,
+        "nodes": [
+            dict(node, id="M1", tier="MNO", cpu_speed=8000, rtt_ms=50, bandwidth_mbps=100),
+            dict(node, id="C1", tier="Cloud", cpu_speed=2000, rtt_ms=200, bandwidth_mbps=100,
+                 internet_path=True),
+        ],
+        "services": [{
+            "id": "svc-x", "name": "probe", "version": "1.0.0",
+            "capability_tags": ["compute"], "cpu_demand": 2000, "mem_demand": 64,
+            "storage_demand": 50.0, "payload_in": 0.5, "payload_out": 0.5,
+            "latency_sensitive": True, "data_intensive": True,
+        }],
+        "consumers": [{"id": "u1", "rates": {"svc-x": 5.0}}],
+        "thresholds": {"delay_pressure_ms_per_s": 100, "min_samples": 2, "window": 4,
+                       "compute_factor": compute_factor, "compute_run": compute_run},
+    })
+
+
+@pytest.mark.parametrize("compute_run", [1, 3])
+@pytest.mark.parametrize("compute_factor", [0.5, 1.5])
+def test_move_to_a_faster_node_with_old_requests_completing(
+    monkeypatch, compute_factor, compute_run
+):
+    # On M1 no node is nearer, so the quiet key holds the last execution
+    # times: C1's slow ones fire the compute check, which finds nothing
+    # better than M1, and M1's fast ones fire it again only below factor 1.
+    shortfalls = []
+    original = simulation.analyze_computation
+
+    def recording(observed, expected, **kwargs):
+        advice = original(observed, expected, **kwargs)
+        if advice is not None:
+            shortfalls.append(tuple(observed))
+        return advice
+
+    monkeypatch.setattr(simulation, "analyze_computation", recording)
+    result = assert_same_run(moved_while_completing(compute_factor, compute_run))
+    assert moves_in(result) == [2000.0]
+    late = [r.t_done for r in result.records if r.node_id == "C1" and (r.t_done or 0.0) > 2000.0]
+    assert len({t // 1000 for t in late}) >= 3  # C1 completions reach several ticks
+    assert any(1000.0 in execs for execs in shortfalls)
+    assert any(set(execs) == {250.0} for execs in shortfalls) == (compute_factor < 1)
+
+
+def test_moved_on_arrival_is_analysed_on_the_next_tick(monkeypatch):
+    # D0 closes at 60,000 ms. The arrival at 60,500 ms re-places svc-0,
+    # data-intensive, on C1, and its window is still under pressure from
+    # the burst on D0, so the 61,000 ms tick moves it on to M1. Nothing
+    # completes in between: only the move marks it for that tick.
+    nodes = [
+        make_node("D0", Tier.DEALER, cpu_speed=4000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
+                  open_hours=(0, 1)),
+        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
+        make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=300.0, bandwidth_mbps=100.0,
+                  internet_path=True),
+    ]
+    arrivals = [Arrival(1000.0 + 100.0 * i, "u1", "svc-0") for i in range(5)]
+    arrivals.append(Arrival(60500.0, "u1", "svc-0"))
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
+    )
+    scenario = Scenario(
+        horizon_ms=70000.0,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True,
+                               data_intensive=True)],
+        consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
+        energy=EnergyModel(),
+    )
+    result = assert_same_run(scenario)
+    assert moves_in(result) == [60500.0, 61000.0]
+    assert result.records[-1].node_id == "C1"
+    assert result.records[-1].t_done > 61000.0
+
+
+def test_latency_mix_memo_skips_most_evaluations(monkeypatch):
+    # All ten services sit on the nearest tier, so only their last
+    # execution times key the verdict. Without the memo every one of the
+    # 6,000 (service, tick) evaluations would run the detectors, and with
+    # a key on the whole window about 39% would; the exact key runs them
+    # on under a tenth.
+    calls = []
+    original = simulation.analyze_performance
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(simulation, "analyze_performance", counting)
+    scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
+    result = simulation.simulate_scenario(scenario, policy="sami")
+    evaluations = sum(1 for _, kind, _ in result.arbitration_log if kind == "analysis")
+    assert evaluations == int(scenario.horizon_ms // 1000) * len(scenario.services)
+    assert len(calls) < evaluations // 10
 
 
 def test_quiet_ticks_skip_the_detectors(monkeypatch):

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tierbroker.errors import ParseError, ValidationError
 from tierbroker.model import SecurityClass, Tier, TrustBasis, TrustLevel
@@ -78,6 +80,57 @@ def test_workload_streams_are_independent():
     alone = generate_workload(both[:1], seed=9, horizon_ms=120000.0)
     u1_times = [a.t_ms for a in merged if a.consumer_id == "u1"]
     assert u1_times == [a.t_ms for a in alone]
+
+
+STREAM_KEYS = st.tuples(st.sampled_from(["u1", "u2", "u3"]),
+                        st.sampled_from(["svc-0", "svc-1", "svc-2"]))
+STREAM_RATE = st.sampled_from([0.0, 0.2, 1.0, 3.0])
+STREAM_HORIZON_MS = 20000.0
+
+
+def consumers_of(rates):
+    """{(consumer, service): rate} as ConsumerSpecs."""
+    by_consumer = {}
+    for (consumer_id, service_id), rate in rates.items():
+        by_consumer.setdefault(consumer_id, {})[service_id] = rate
+    return [ConsumerSpec(id=c, rates=r) for c, r in by_consumer.items()]
+
+
+def stream_times(rates, seed):
+    """(consumer, service) -> its arrival times in the merged workload."""
+    times = {}
+    for a in generate_workload(consumers_of(rates), seed, STREAM_HORIZON_MS):
+        times.setdefault((a.consumer_id, a.service_id), []).append(a.t_ms)
+    return times
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(STREAM_KEYS, STREAM_RATE, max_size=6), st.integers(0, 2**64 - 1))
+def test_each_stream_draws_only_from_its_own_seed(rates, seed):
+    # A stream's arrivals are what it draws alone, seeded seed XOR its
+    # index among the streams with a positive rate: no other stream's
+    # rate or draws reach them.
+    merged = stream_times(rates, seed)
+    live = sorted(key for key, rate in rates.items() if rate > 0)
+    for index, key in enumerate(live):
+        assert merged.get(key, []) == stream_times({key: rates[key]}, seed ^ index).get(key, [])
+    assert set(merged) <= set(live)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(STREAM_KEYS, STREAM_RATE, max_size=6), st.integers(0, 2**64 - 1),
+       STREAM_KEYS, STREAM_RATE)
+def test_adding_a_stream_keeps_the_streams_before_it(rates, seed, added, rate):
+    # Adding a consumer or a rate leaves every stream that sorts before
+    # it unchanged, and a zero rate changes nothing. Streams after it
+    # move up one index and so draw from another seed.
+    assume(added not in rates)
+    before = stream_times(rates, seed)
+    after = stream_times({**rates, added: rate}, seed)
+    kept = {key: times for key, times in before.items() if rate == 0 or key < added}
+    assert {key: after[key] for key in kept} == kept
+    if rate == 0:
+        assert after == before
 
 
 def test_workload_rate_zero_yields_nothing():
