@@ -156,7 +156,7 @@ class PlacementDecision:
     decided_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class InvocationRecord:
     request_id: int
     service_id: str

@@ -27,6 +27,16 @@ logged at once, stopping early at midnight or where a dealer opens or
 closes, and only the first tick not logged is pushed; it takes the heap
 slot the every-tick loop would have given it, so event order is
 unchanged. Only the arbitrated policy feeds the analysis window.
+
+What a request costs on a node is fixed per (service, node) pair: its
+transfer and execution times, the transmit half of its energy and
+compute_charge's answer, which reads only the execution time, the
+tariff and the payload. Each is computed once per pair, the charge on
+the pair's first completion; the idle half of the energy and the SLO
+rebate, which read the request's own wait and latency, are computed per
+request. The report is built in one walk over the records in arrival
+order, feeding each service's row and the run row, so every float sum
+adds in arrival order.
 """
 
 from __future__ import annotations
@@ -100,8 +110,17 @@ def energy_j(
     size_mb: float, bandwidth_mbps: float, wait_ms: float, model: EnergyModel
 ) -> float:
     """Mobile-side energy: radio active while transmitting, idle while waiting."""
-    transmit_s = transmit_ms(size_mb, bandwidth_mbps) / 1000.0
-    return model.p_tx_w * transmit_s + model.p_idle_w * (wait_ms / 1000.0)
+    return waiting_energy_j(transmit_energy_j(size_mb, bandwidth_mbps, model), wait_ms, model)
+
+
+def transmit_energy_j(size_mb: float, bandwidth_mbps: float, model: EnergyModel) -> float:
+    """The radio's energy while transmitting: the half of energy_j fixed per (service, node)."""
+    return model.p_tx_w * (transmit_ms(size_mb, bandwidth_mbps) / 1000.0)
+
+
+def waiting_energy_j(transmit_j: float, wait_ms: float, model: EnergyModel) -> float:
+    """energy_j from its transmit half: the radio idles while the request waits."""
+    return transmit_j + model.p_idle_w * (wait_ms / 1000.0)
 
 
 def build_topology(nodes: list[ResourceNode]) -> Topology:
@@ -114,12 +133,23 @@ def build_topology(nodes: list[ResourceNode]) -> Topology:
     return Topology(nodes)
 
 
+@dataclass(slots=True)
+class _Cost:
+    """What every request of one service costs on one node."""
+
+    transfer_ms: float
+    exec_ms: float
+    transmit_j: float
+    charge: float | None = None  # compute_charge's answer, from the first completion
+
+
 @dataclass
 class _ServiceState:
     desc: ServiceDescriptor
     record: ServiceRecord | None
     migration_until: float = 0.0
     reschedules: int = 0
+    costs: dict[str, _Cost] = field(default_factory=dict)  # by node id
     # The node fits() last checked on arrival, and its answer.
     fits_node: ResourceNode | None = None
     fits_ok: bool = False
@@ -312,7 +342,8 @@ class Simulation:
         if node is not state.fits_node:
             state.fits_node = node
             state.fits_ok = fits(state.desc, node)
-        if not state.fits_ok or (node.tier is Tier.DEALER and not is_dealer_open(node, t_ms)):
+        admitted = state.fits_ok and (node.tier is not Tier.DEALER or is_dealer_open(node, t_ms))
+        if not admitted:
             if self.policy == "sami":
                 node = self._re_resolve(t_ms, state, request)
                 if node is None:
@@ -326,7 +357,8 @@ class Simulation:
         request.node_id = node.id
         node_state = self.node_states[node.id]
         node_state.queue.append(request)
-        self._try_start(t_ms, node_state)
+        # Unless re-placed, a dealer here was found open at t_ms just now.
+        self._try_start(t_ms, node_state, admitted)
 
     def _re_resolve(self, t_ms, state: _ServiceState, request: InvocationRecord):
         """Current node refuses the service (dealer closed, say): place anew."""
@@ -356,13 +388,22 @@ class Simulation:
         if done <= self.horizon:
             self._push(done, EventKind.MIGRATION_DONE, self.node_states[new_node.id])
 
-    def _try_start(self, t_ms: float, node_state: _NodeState):
+    def _try_start(self, t_ms: float, node_state: _NodeState, known_open: bool = False):
+        """Start queued requests in FIFO order while a slot is free.
+
+        known_open says the caller has just found this node open at t_ms;
+        otherwise a dealer is asked once, as t_ms is the same for every
+        request started here.
+        """
         node = node_state.node
-        while node_state.queue and node_state.running < node.cpu_slots:
-            head: InvocationRecord = node_state.queue[0]
+        queue = node_state.queue
+        if not queue or node_state.running >= node.cpu_slots:
+            return
+        if not known_open and node.tier is Tier.DEALER and not is_dealer_open(node, t_ms):
+            return
+        while queue and node_state.running < node.cpu_slots:
+            head: InvocationRecord = queue[0]
             state = self.services[head.service_id]
-            if node.tier is Tier.DEALER and not is_dealer_open(node, t_ms):
-                break
             migrating_here = (
                 state.record is not None
                 and state.record.placement.node_id == node.id
@@ -371,14 +412,25 @@ class Simulation:
             if migrating_here:
                 # Copy still transferring; the queue holds (FIFO preserved).
                 break
-            node_state.queue.popleft()
+            queue.popleft()
             node_state.running += 1
+            cost = state.costs.get(node.id)
+            if cost is None:
+                cost = state.costs[node.id] = self._cost(state.desc, node)
             head.t_start = t_ms
             head.queue_ms = t_ms - head.t_arrive
-            head.transfer_ms = transmit_ms(state.desc.payload_total, node.bandwidth_mbps)
-            head.exec_ms = state.desc.cpu_demand / node.cpu_speed * 1000.0
-            t_transfer = t_ms + node.rtt_ms + head.transfer_ms
+            head.transfer_ms = cost.transfer_ms
+            head.exec_ms = cost.exec_ms
+            t_transfer = t_ms + node.rtt_ms + cost.transfer_ms
             self._push(t_transfer, EventKind.TRANSFER_DONE, head)
+
+    def _cost(self, desc: ServiceDescriptor, node: ResourceNode) -> _Cost:
+        payload = desc.payload_total
+        return _Cost(
+            transfer_ms=transmit_ms(payload, node.bandwidth_mbps),
+            exec_ms=desc.cpu_demand / node.cpu_speed * 1000.0,
+            transmit_j=transmit_energy_j(payload, node.bandwidth_mbps, self.energy_model),
+        )
 
     def _on_transfer_done(self, t_ms: float, request: InvocationRecord):
         t_exec = t_ms + request.exec_ms
@@ -389,16 +441,17 @@ class Simulation:
         node = node_state.node
         node_state.running -= 1
         state = self.services[request.service_id]
+        cost = state.costs[node.id]
         request.t_done = t_ms
         request.outcome = Outcome.COMPLETED
-        request.energy_j = energy_j(
-            state.desc.payload_total, node.bandwidth_mbps, request.queue_ms, self.energy_model
-        )
-        charge = compute_charge(request, node.tariff, state.desc.payload_total)
+        request.energy_j = waiting_energy_j(cost.transmit_j, request.queue_ms, self.energy_model)
+        if cost.charge is None:
+            # It reads only exec_ms, the tariff and the payload, all fixed per pair.
+            cost.charge = compute_charge(request, node.tariff, state.desc.payload_total)
         request.charge = apply_slo_rebate(
-            charge,
+            cost.charge,
             node.qos,
-            request.latency_ms,
+            t_ms - request.t_arrive,  # request.latency_ms
             state.desc.sla_latency_ms,
             self.scenario.rebate_frac,
         )
@@ -547,33 +600,52 @@ class Simulation:
     # ------------------------------------------------------------------
     # reporting
 
-    def _service_rows(self) -> list[ServiceRow]:
-        by_service: dict[str, list[InvocationRecord]] = {sid: [] for sid in self.services}
+    def _finish(self) -> SimResult:
+        """The report, from one walk over the records in arrival order.
+
+        Each record feeds its service's tally and the run's, so every
+        float adds in arrival order, per service and run-wide.
+        """
+        tallies = {service_id: _Tally() for service_id in self.services}
+        run = _Tally()
+        completed = Outcome.COMPLETED
         for record in self.records:
-            by_service[record.service_id].append(record)
+            tally = tallies[record.service_id]
+            tally.invocations += 1
+            outcome = record.outcome
+            if outcome is completed:
+                latency = record.t_done - record.t_arrive  # record.latency_ms
+                tally.latencies.append(latency)
+                tally.energy.append(record.energy_j)
+                tally.charge.append(record.charge)
+                run.latencies.append(latency)
+                run.energy.append(record.energy_j)
+                run.charge.append(record.charge)
+            elif outcome is None:
+                tally.in_flight += 1
+            elif outcome is Outcome.REJECTED:
+                tally.rejected += 1
+            else:
+                tally.dropped += 1
         rows = []
         for service_id in sorted(self.services):
             state = self.services[service_id]
-            recs = by_service[service_id]
-            tier = state.record.placement.tier.value if state.record else "-"
+            tally = tallies[service_id]
+            run.rejected += tally.rejected
+            run.dropped += tally.dropped
+            run.in_flight += tally.in_flight
             rows.append(
                 ServiceRow(
                     service_id=service_id,
-                    tier=tier,
-                    invocations=len(recs),
+                    tier=state.record.placement.tier.value if state.record else "-",
+                    invocations=tally.invocations,
                     reschedules=state.reschedules,
-                    **_totals(recs),
+                    **tally.totals(),
                 )
             )
-        return rows
-
-    def _finish(self) -> SimResult:
-        # The per-service groups are freed before the run-wide totals build
-        # their own lists, so the two never add to the peak together.
-        rows = self._service_rows()
         run_row = RunRow(
             arrivals=len(self.records),
-            **_totals(self.records),
+            **run.totals(),
             reschedules=sum(s.reschedules for s in self.services.values()),
             arbitration_events=self.arbitration_events,
             security_violations=self.security_violations,
@@ -587,20 +659,31 @@ class Simulation:
         )
 
 
-def _totals(records: list[InvocationRecord]) -> dict:
-    """Outcome counts, latency stats and sums; floats add up in record order."""
-    completed = [r for r in records if r.outcome is Outcome.COMPLETED]
-    mean_ms, p95_ms = latency_stats([r.latency_ms for r in completed])
-    return dict(
-        completed=len(completed),
-        rejected=sum(1 for r in records if r.outcome is Outcome.REJECTED),
-        dropped=sum(1 for r in records if r.outcome is Outcome.DROPPED),
-        in_flight=sum(1 for r in records if r.outcome is None),
-        mean_latency_ms=mean_ms,
-        p95_latency_ms=p95_ms,
-        energy_j_total=sum(r.energy_j for r in completed),
-        charge_total=sum(r.charge for r in completed),
-    )
+@dataclass(slots=True)
+class _Tally:
+    """A row's outcome counts and, in record order, its completed samples."""
+
+    invocations: int = 0
+    rejected: int = 0
+    dropped: int = 0
+    in_flight: int = 0
+    latencies: list[float] = field(default_factory=list)
+    energy: list[float] = field(default_factory=list)
+    charge: list[float] = field(default_factory=list)
+
+    def totals(self) -> dict:
+        """The row's counts, latency stats and sums; sum() of no samples is the int 0."""
+        mean_ms, p95_ms = latency_stats(self.latencies)
+        return dict(
+            completed=len(self.latencies),
+            rejected=self.rejected,
+            dropped=self.dropped,
+            in_flight=self.in_flight,
+            mean_latency_ms=mean_ms,
+            p95_latency_ms=p95_ms,
+            energy_j_total=sum(self.energy),
+            charge_total=sum(self.charge),
+        )
 
 
 def run(

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .arbitrator import SchedulerWeights, Thresholds
 from .billing import DEFAULT_REBATE_FRAC, default_tariff
@@ -71,8 +72,14 @@ class SplitMix64:
         return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
 
 
-@dataclass
-class Arrival:
+class Arrival(NamedTuple):
+    """One request, due at t_ms from consumer_id to service_id.
+
+    The field order is the tie order: arrivals sort as plain tuples, by
+    time, then consumer id, then service id, and the simulator handles
+    them in that order.
+    """
+
     t_ms: float
     consumer_id: str
     service_id: str
@@ -115,16 +122,18 @@ def generate_workload(
             if rate > 0:
                 streams.append((consumer.id, service_id, rate))
     arrivals: list[Arrival] = []
+    append = arrivals.append
+    log = math.log
     for index, (consumer_id, service_id, rate) in enumerate(streams):
-        rng = SplitMix64((seed ^ index) & MASK64)
+        next_float = SplitMix64((seed ^ index) & MASK64).next_float
         t = 0.0
         while True:
             # Inverse-CDF exponential inter-arrival; u is never 0 or 1.
-            t += -math.log(rng.next_float()) / rate * 1000.0
+            t += -log(next_float()) / rate * 1000.0
             if t >= horizon_ms:
                 break
-            arrivals.append(Arrival(t_ms=t, consumer_id=consumer_id, service_id=service_id))
-    arrivals.sort(key=lambda a: (a.t_ms, a.consumer_id, a.service_id))
+            append(Arrival(t, consumer_id, service_id))
+    arrivals.sort()  # by (t_ms, consumer_id, service_id), the field order
     return arrivals
 
 

@@ -14,13 +14,19 @@ arrival is pushed onto the heap before any other event and an if/elif
 chain dispatches what pops, so the order of events at equal times is
 set by push sequence alone. The simulator's merge of the sorted arrival
 list with the heap must reproduce it exactly.
+
+reference_rows builds a run's report rows with one pass over the
+records per figure and per row, and builtin sum() over each completed
+sample in record order. The simulator's one-walk report must reproduce
+it exactly, int 0 for an empty sum included.
 """
 
 import heapq
 from itertools import combinations
 
 from tierbroker.arbitrator import analyze_computation, analyze_performance, reschedule
-from tierbroker.model import SecurityClass, Tier, TrustBasis, TrustLevel
+from tierbroker.model import Outcome, SecurityClass, Tier, TrustBasis, TrustLevel
+from tierbroker.report import RunRow, ServiceRow, latency_stats
 from tierbroker import simulation
 from tierbroker.simulation import EventKind, Simulation
 
@@ -262,3 +268,46 @@ class HeapOnlySimulation(Simulation):
             elif kind is EventKind.MIGRATION_DONE:
                 self._try_start(t_ms, payload)
         return self._finish()
+
+
+def reference_totals(records):
+    """Outcome counts, latency stats and sums; floats add up in record order."""
+    completed = [r for r in records if r.outcome is Outcome.COMPLETED]
+    mean_ms, p95_ms = latency_stats([r.latency_ms for r in completed])
+    return dict(
+        completed=len(completed),
+        rejected=sum(1 for r in records if r.outcome is Outcome.REJECTED),
+        dropped=sum(1 for r in records if r.outcome is Outcome.DROPPED),
+        in_flight=sum(1 for r in records if r.outcome is None),
+        mean_latency_ms=mean_ms,
+        p95_latency_ms=p95_ms,
+        energy_j_total=sum(r.energy_j for r in completed),
+        charge_total=sum(r.charge for r in completed),
+    )
+
+
+def reference_rows(sim):
+    """(service rows, run row) of a finished Simulation, figure by figure."""
+    by_service = {sid: [] for sid in sim.services}
+    for record in sim.records:
+        by_service[record.service_id].append(record)
+    rows = []
+    for service_id in sorted(sim.services):
+        state = sim.services[service_id]
+        recs = by_service[service_id]
+        rows.append(ServiceRow(
+            service_id=service_id,
+            tier=state.record.placement.tier.value if state.record else "-",
+            invocations=len(recs),
+            reschedules=state.reschedules,
+            **reference_totals(recs),
+        ))
+    run_row = RunRow(
+        arrivals=len(sim.records),
+        **reference_totals(sim.records),
+        reschedules=sum(s.reschedules for s in sim.services.values()),
+        arbitration_events=sim.arbitration_events,
+        security_violations=sim.security_violations,
+        wall_ms=sim.horizon,
+    )
+    return rows, run_row

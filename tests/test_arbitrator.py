@@ -34,8 +34,11 @@ from tierbroker.model import (
     PlacementDecision,
     PlacementReason,
     SecurityClass,
+    Tariff,
     Tier,
     Topology,
+    TrustBasis,
+    TrustLevel,
 )
 from tierbroker.report import percentile
 
@@ -174,6 +177,77 @@ def test_schedule_matches_oracle_across_weights_and_times():
             decision = schedule_service(svc, topology, weights, t_ms)
             assert (decision.node_id, decision.reason.value) == expected
     assert cases == 342 * 24 * 4
+
+
+# Few values per field, so that ties, equal capacities and demands
+# exactly at a capacity come up often.
+SPEEDS = st.sampled_from([500.0, 1000.0, 2000.0, 4000.0])
+SIZES = st.sampled_from([256.0, 1024.0, 4096.0, 60000.0])
+
+
+@st.composite
+def random_nodes(draw):
+    nodes = []
+    for index in range(draw(st.integers(1, 7))):
+        tier = draw(st.sampled_from(list(Tier)))
+        open_minute = draw(st.integers(0, 1439))
+        nodes.append(make_node(
+            f"n{index}",
+            tier,
+            cpu_speed=draw(SPEEDS),
+            rtt_ms=draw(st.sampled_from([2.0, 20.0, 150.0])),
+            bandwidth_mbps=draw(st.sampled_from([10.0, 100.0])),
+            cpu_slots=draw(st.integers(1, 4)),
+            mem_capacity=draw(SIZES),
+            storage_capacity=draw(SIZES),
+            internet_path=tier is not Tier.MNO and draw(st.booleans()),
+            trust_level=draw(st.sampled_from(list(TrustLevel))),
+            trust_basis=draw(st.sampled_from(list(TrustBasis))),
+            open_hours=(open_minute, draw(st.integers(open_minute + 1, 1440)))
+            if tier is Tier.DEALER else None,
+            tariff=Tariff(*draw(st.tuples(*[st.sampled_from([0.0, 0.1, 1.0])] * 3))),
+        ))
+    return nodes
+
+
+@st.composite
+def random_services(draw):
+    return make_service(
+        cpu_demand=draw(SPEEDS),
+        mem_demand=draw(SIZES),
+        storage_demand=draw(SIZES),
+        payload_in=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        payload_out=draw(st.sampled_from([0.0, 0.5])),
+        latency_sensitive=draw(st.booleans()),
+        data_intensive=draw(st.booleans()),
+        security_class=draw(st.sampled_from(list(SecurityClass))),
+    )
+
+
+@st.composite
+def random_instants(draw, nodes):
+    """A dealer's opening or closing minute on one of three days, exactly or 1 ms off,
+    three times in four; otherwise, or without dealers, any time in those days."""
+    boundaries = [minute for node in nodes if node.open_hours for minute in node.open_hours]
+    if not boundaries or draw(st.integers(0, 3)) == 0:
+        return draw(st.floats(min_value=0.0, max_value=3 * 86400000.0))
+    day, minute = draw(st.integers(0, 2)), draw(st.sampled_from(boundaries))
+    return day * 86400000.0 + minute * 60000.0 + draw(st.sampled_from([-1.0, 0.0, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_nodes(), random_services(), st.floats(min_value=0.0, max_value=1.0), st.data())
+def test_schedule_matches_oracle_on_random_topologies(nodes, svc, w_latency, data):
+    t_ms = max(data.draw(random_instants(nodes)), 0.0)
+    weights = SchedulerWeights(w_latency=w_latency, w_cost=1.0 - w_latency)
+    try:
+        expected = oracle_schedule(svc, nodes, weights.w_latency, weights.w_cost, t_ms)
+    except OracleNoNode:
+        with pytest.raises(NoAdmissibleNode):
+            schedule_service(svc, Topology(nodes), weights, t_ms)
+        return
+    decision = schedule_service(svc, Topology(nodes), weights, t_ms)
+    assert (decision.node_id, decision.reason.value) == expected
 
 
 def test_decide_among_tie_breaks_by_id():

@@ -1,22 +1,28 @@
-"""Properties of every run: request conservation and byte-stable outputs.
+"""Properties of every run: request conservation, byte-stable outputs
+and a report equal to the reference one.
 
 The scenarios come from the strategies that drive the reference-loop
-tests, under every policy.
+tests, under every policy. The report property feeds random record
+lists to Simulation._finish directly.
 """
 
 import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tierbroker import simulation
-from tierbroker.model import Topology
+from tierbroker.arbitrator import SchedulerWeights, Thresholds
+from tierbroker.model import EnergyModel, InvocationRecord, Outcome, Topology
 from tierbroker.registry import Registry
 from tierbroker.report import write_metrics_csv, write_metrics_json
 from tierbroker.simulation import POLICIES, Simulation
+from tierbroker.workload import Scenario
 
+from conftest import make_service, t0_nodes
+from oracles import reference_rows
 from test_event_order import grid_cases, use_arrivals
 from test_incremental import incremental_cases
 
@@ -74,3 +80,88 @@ def test_same_seed_writes_same_bytes(case, policy):
         first = metrics_bytes(scenario, policy, out)
         second = metrics_bytes(scenario, policy, out)
     assert first == second
+
+
+SERVICE_IDS = ("svc-a", "svc-b", "svc-c", "svc-d")
+OUTCOMES = (Outcome.COMPLETED, Outcome.REJECTED, Outcome.DROPPED, None)
+TIMES = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
+# Magnitudes far apart, so that sums added in another order come out different.
+AMOUNTS = st.floats(min_value=0.0, max_value=1e17, allow_nan=False, allow_infinity=False)
+
+
+def record(request_id, service_id, outcome, t_arrive, t_done=None, energy=0.0, charge=0.0):
+    rec = InvocationRecord(
+        request_id=request_id, service_id=service_id, consumer_id="u1", node_id=None,
+        t_arrive=t_arrive,
+    )
+    rec.outcome = outcome
+    if outcome is Outcome.COMPLETED:
+        rec.t_done, rec.energy_j, rec.charge = t_done, energy, charge
+    return rec
+
+
+@st.composite
+def finished_runs(draw):
+    """(records in arrival order, services left unplaced, reschedules per service)."""
+    records = []
+    for index, service_id in enumerate(draw(st.lists(st.sampled_from(SERVICE_IDS), max_size=40))):
+        outcome = draw(st.sampled_from(OUTCOMES))
+        completed = outcome is Outcome.COMPLETED
+        records.append(record(
+            index + 1, service_id, outcome, draw(TIMES),
+            t_done=draw(TIMES) if completed else None,
+            energy=draw(AMOUNTS) if completed else 0.0,
+            charge=draw(AMOUNTS) if completed else 0.0,
+        ))
+    unplaced = draw(st.sets(st.sampled_from(SERVICE_IDS)))
+    reschedules = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    return records, unplaced, reschedules
+
+
+def finished(records, unplaced, reschedules):
+    """A placed Simulation holding these records, as at the horizon."""
+    scenario = Scenario(
+        horizon_ms=60000.0,
+        seed=0,
+        nodes=t0_nodes(),
+        services=[make_service(service_id=sid, name=f"probe-{sid}") for sid in SERVICE_IDS],
+        consumers=[],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(),
+        energy=EnergyModel(),
+    )
+    topology = Topology(scenario.nodes)
+    sim = Simulation(topology, Registry(topology, None, scenario.weights), scenario)
+    sim._place_all()
+    for (service_id, state), count in zip(sorted(sim.services.items()), reschedules):
+        state.reschedules = count
+        if service_id in unplaced:
+            state.record = None
+    sim.records = records
+    return sim
+
+
+@settings(max_examples=200, deadline=None)
+@given(finished_runs())
+@example((
+    [
+        # svc-a: every outcome; svc-b: all rejected; svc-c: only in flight; svc-d: none.
+        record(1, "svc-a", Outcome.COMPLETED, 10.0, 1e16, energy=1e17, charge=0.1),
+        record(2, "svc-b", Outcome.REJECTED, 20.0),
+        record(3, "svc-a", Outcome.REJECTED, 30.0),
+        record(4, "svc-c", None, 40.0),
+        record(5, "svc-a", Outcome.DROPPED, 50.0),
+        record(6, "svc-a", None, 60.0),
+        record(7, "svc-a", Outcome.COMPLETED, 70.0, 75.0, energy=1.0, charge=1e16),
+        record(8, "svc-b", Outcome.REJECTED, 80.0),
+    ],
+    {"svc-d"},
+    [0, 1, 2, 3],
+))
+def test_one_pass_report_equals_reference(run):
+    sim = finished(*run)
+    report = sim._finish().report
+    rows, run_row = reference_rows(sim)
+    # repr tells the int 0 of an empty sum from 0.0 and shows every float exactly.
+    assert repr(report.services) == repr(rows)
+    assert repr(report.run) == repr(run_row)
