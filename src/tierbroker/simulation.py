@@ -23,10 +23,16 @@ the services that completed a request or moved since the tick before,
 or at every placed service when the dealers open differ from that
 tick's; every placed service is still logged and counted. When a tick
 leaves every service in place, the ticks up to the next event are
-logged at once, stopping early at midnight or where a dealer opens or
-closes, and only the first tick not logged is pushed; it takes the heap
-slot the every-tick loop would have given it, so event order is
+counted, not listed, stopping early at midnight or where a dealer opens
+or closes, and only the first tick not counted is pushed; it takes the
+heap slot the every-tick loop would have given it, so event order is
 unchanged. Only the arbitrated policy feeds the analysis window.
+
+The arbitration log stores such quiet ticks as runs (ArbitrationLog):
+a register, a reschedule or the analyses of a tick that moved a
+service is one entry, and a stretch of ticks that moved nothing is one
+run record however long it is, so the log grows with what happened,
+not with the horizon. It reads as the list of every entry.
 
 What a request costs on a node is fixed per (service, node) pair: its
 transfer and execution times, the transmit half of its energy and
@@ -44,8 +50,10 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from bisect import bisect_left
+import operator
+from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -169,11 +177,109 @@ class _NodeState:
     queue: deque = field(default_factory=deque)
 
 
+class _Run:
+    """n_ticks analysis ticks from t_first, each logging every id in order."""
+
+    __slots__ = ("t_first", "n_ticks", "ids")
+
+    def __init__(self, t_first: float, n_ticks: int, ids: tuple[str, ...]):
+        self.t_first = t_first
+        self.n_ticks = n_ticks
+        self.ids = ids
+
+
+class ArbitrationLog(Sequence):
+    """The run's (t_ms, kind, service id) entries in order, quiet ticks stored as runs.
+
+    Each register, reschedule and analysis of a tick that moved a
+    service is stored as its entry. Ticks that moved nothing are stored
+    as runs (t_first, n_ticks, ids): tick i is at t_first + i *
+    interval_ms and logs (t, "analysis", id) for each id in turn, and a
+    run that starts where a run over the same ids ends extends it. Tick
+    times are whole multiples of the interval, so that time is exact.
+
+    It is a read-only sequence: it iterates, takes len in O(1), indexes
+    and slices by bisection over the parts' cumulative lengths, and
+    compares equal to the list of its entries. Only the simulator adds
+    to it, through _append and _append_ticks.
+    """
+
+    __slots__ = ("_interval_ms", "_parts", "_ends")
+
+    def __init__(self, interval_ms: float):
+        self._interval_ms = interval_ms
+        self._parts: list[tuple[float, str, str] | _Run] = []
+        self._ends: list[int] = []  # _ends[k]: entries in _parts[:k + 1]
+
+    @property
+    def part_count(self) -> int:
+        """Entries and runs stored: the log's size in memory, not its length."""
+        return len(self._parts)
+
+    def _append(self, entry: tuple[float, str, str]):
+        self._ends.append(len(self) + 1)
+        self._parts.append(entry)
+
+    def _append_ticks(self, t_first: float, n_ticks: int, ids: tuple[str, ...]):
+        """Log n_ticks quiet ticks from t_first, each analysing every id in order."""
+        if not n_ticks or not ids:
+            return
+        parts = self._parts
+        last = parts[-1] if parts else None
+        if (
+            isinstance(last, _Run)
+            and last.ids == ids
+            and last.t_first + last.n_ticks * self._interval_ms == t_first
+        ):
+            last.n_ticks += n_ticks
+            self._ends[-1] += n_ticks * len(ids)
+            return
+        self._ends.append(len(self) + n_ticks * len(ids))
+        parts.append(_Run(t_first, n_ticks, ids))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("arbitration log index out of range")
+        k = bisect_right(self._ends, i)
+        part = self._parts[k]
+        if not isinstance(part, _Run):
+            return part
+        tick, j = divmod(i - (self._ends[k - 1] if k else 0), len(part.ids))
+        return (part.t_first + tick * self._interval_ms, "analysis", part.ids[j])
+
+    def __iter__(self):
+        interval_ms = self._interval_ms
+        for part in self._parts:
+            if isinstance(part, _Run):
+                for tick in range(part.n_ticks):
+                    t_ms = part.t_first + tick * interval_ms
+                    for service_id in part.ids:
+                        yield (t_ms, "analysis", service_id)
+            else:
+                yield part
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, ArbitrationLog)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"<ArbitrationLog: {len(self)} entries in {self.part_count} parts>"
+
+
 @dataclass
 class SimResult:
     report: MetricsReport
     records: list[InvocationRecord]
-    arbitration_log: list[tuple[float, str, str]]
+    arbitration_log: Sequence[tuple[float, str, str]]
 
 
 class Simulation:
@@ -204,14 +310,13 @@ class Simulation:
         self._seq = 0
         self._next_request_id = 1
         self.records: list[InvocationRecord] = []
-        self.arbitration_log: list[tuple[float, str, str]] = []
-        self.arbitration_events = 0
+        self.arbitration_log = ArbitrationLog(ANALYSIS_INTERVAL_MS)
         self.security_violations = 0
         self._analysed = policy == "sami"
         self.context = ContextSnapshot(window=self.thresholds.window)
         self.services: dict[str, _ServiceState] = {}
         self._placed: list[_ServiceState] = []  # analysis order: placed services by id
-        self._placed_ids: list[str] = []
+        self._placed_ids: tuple[str, ...] = ()
         # Services that completed a request or moved since the last tick.
         self._changed: set[str] = set()
         # Dealers open at the last tick; None makes the first tick visit every service.
@@ -227,9 +332,13 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (t_ms, self._seq, kind, payload))
 
+    @property
+    def arbitration_events(self) -> int:
+        """Entries logged so far: registers, analyses and reschedules."""
+        return len(self.arbitration_log)
+
     def _log_arbitration(self, t_ms: float, kind: str, service_id: str):
-        self.arbitration_log.append((t_ms, kind, service_id))
-        self.arbitration_events += 1
+        self.arbitration_log._append((t_ms, kind, service_id))
 
     def _place_all(self):
         for desc in sorted(self.scenario.services, key=lambda s: s.id):
@@ -241,8 +350,8 @@ class Simulation:
             self.services[desc.id] = state
             if record is not None:
                 self._placed.append(state)
-                self._placed_ids.append(desc.id)
                 self._log_arbitration(0.0, "register", desc.id)
+        self._placed_ids = tuple(state.desc.id for state in self._placed)
 
     def _register_pinned(self, desc: ServiceDescriptor) -> ServiceRecord | None:
         """Baseline policies: best node of one tier, or nothing at all.
@@ -487,18 +596,18 @@ class Simulation:
         else:
             visit = [self.services[service_id] for service_id in sorted(self._changed)]
         self._changed.clear()
-        moved = [state for state in visit if self._visit(t_ms, state, dealers_open)]
-        ids = self._placed_ids
-        entries = [(t_ms, "analysis", service_id) for service_id in ids]
-        for state in reversed(moved):
-            entries.insert(
-                bisect_left(ids, state.desc.id) + 1, (t_ms, "reschedule", state.desc.id)
-            )
-        self.arbitration_log.extend(entries)
-        self.arbitration_events += len(entries)
-        t_next = t_ms + ANALYSIS_INTERVAL_MS
-        if not moved:
-            t_next = self._fast_forward(t_next, dealers_open)
+        moved = {state.desc.id for state in visit if self._visit(t_ms, state, dealers_open)}
+        log = self.arbitration_log
+        if moved:
+            for service_id in self._placed_ids:
+                log._append((t_ms, "analysis", service_id))
+                if service_id in moved:
+                    log._append((t_ms, "reschedule", service_id))
+            ticks = 1
+        else:
+            ticks = 1 + self._fast_forward(t_ms + ANALYSIS_INTERVAL_MS, dealers_open)
+            log._append_ticks(t_ms, ticks, self._placed_ids)
+        t_next = t_ms + ticks * ANALYSIS_INTERVAL_MS
         if t_next <= self.horizon:
             self._push(t_next, EventKind.ANALYSIS_TICK)
 
@@ -547,14 +656,16 @@ class Simulation:
         self._move(t_ms, state, decision)
         return True
 
-    def _fast_forward(self, t_ms: float, dealers_open: tuple[bool, ...]) -> float:
-        """Log the ticks from t_ms on that find every service quiet; return the first left.
+    def _fast_forward(self, t_ms: float, dealers_open: tuple[bool, ...]) -> int:
+        """Count the ticks from t_ms on that find every service quiet.
 
         Called after a tick in which every service stayed quiet. Until the
         next event, the heap's or the next arrival, no window or placement
         changes, so a tick before it finds the same keys unless a dealer
         opened or closed. A tick at exactly the next event's time is left
-        to run after that event, as its push sequence orders it.
+        to run after that event, as its push sequence orders it. The
+        batch is counted, not listed: tick i is at t_ms + i * interval,
+        exact because every tick time is a whole multiple of the interval.
 
         Every open and close time in (0, horizon] is a calendar event and
         a batch never reaches one, so inside a batch a dealer flips only
@@ -568,34 +679,31 @@ class Simulation:
         one run of ticks, and the dealer tuple is compared on the first
         tick, then the last, and bisected only when the last differs.
         """
-        next_event = self._heap[0][0] if self._heap else math.inf
-        if self._arrivals:
-            next_event = min(next_event, self._arrivals[-1].t_ms)
+        interval = ANALYSIS_INTERVAL_MS
+        # Tick i is in the batch while t_ms + i * interval < end: end is the
+        # next event, midnight where there are dealers, or just past the
+        # horizon, as a tick may fall on the horizon itself.
+        end = math.nextafter(self.horizon, math.inf)
+        if self._heap and self._heap[0][0] < end:
+            end = self._heap[0][0]
+        if self._arrivals and self._arrivals[-1].t_ms < end:
+            end = self._arrivals[-1].t_ms
         if self._dealers:
-            next_event = min(next_event, (t_ms // DAY_MS + 1) * DAY_MS)
-        ticks = []
-        while t_ms < next_event and t_ms <= self.horizon:
-            ticks.append(t_ms)
-            t_ms += ANALYSIS_INTERVAL_MS
-        if ticks and self._dealers:
-            def differs(t):
-                return self._dealers_open(t) != dealers_open
+            end = min(end, (t_ms // DAY_MS + 1) * DAY_MS)
+        # end is finite even when no event is left. Below 2**53 tick times
+        # and their multiples of the interval are whole numbers, so end - t_ms
+        # is exact and the rounded quotient crosses no whole number the exact
+        # one does not: its ceiling is the count.
+        n = max(0, math.ceil((end - t_ms) / interval))
+        if n and self._dealers:
+            def differs(i: int) -> bool:
+                return self._dealers_open(t_ms + i * interval) != dealers_open
 
-            if differs(ticks[0]):
-                stop = 0
-            elif differs(ticks[-1]):
-                stop = bisect_left(ticks, True, 1, len(ticks) - 1, key=differs)
-            else:
-                stop = len(ticks)
-            if stop < len(ticks):
-                t_ms = ticks[stop]
-                del ticks[stop:]
-        ids = self._placed_ids
-        self.arbitration_log.extend(
-            [(t, "analysis", service_id) for t in ticks for service_id in ids]
-        )
-        self.arbitration_events += len(ticks) * len(ids)
-        return t_ms
+            if differs(0):
+                n = 0
+            elif differs(n - 1):
+                n = bisect_left(range(n), True, 1, n - 1, key=differs)
+        return n
 
     # ------------------------------------------------------------------
     # reporting
@@ -710,6 +818,7 @@ __all__ = [
     "ANALYSIS_INTERVAL_MS",
     "POLICIES",
     "POLICY_TIERS",
+    "ArbitrationLog",
     "EventKind",
     "SimResult",
     "Simulation",

@@ -6,6 +6,8 @@ report must come out equal.
 """
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -96,7 +98,16 @@ def incremental_cases(draw):
     # tick; 45 s ticks miss most of them.
     interval = draw(st.sampled_from([1000.0, 45000.0, 60000.0]))
     ticks = draw(st.integers(1, 3000))
-    horizon = ticks * interval + draw(st.sampled_from([0.0, 1.0, 999.5]))
+    # The last batch stops at the horizon: exactly on a tick, a rounding
+    # step either side of one, or anywhere before the next.
+    on_tick = ticks * interval
+    horizon = draw(st.one_of(
+        st.sampled_from([
+            on_tick, on_tick + 1.0, on_tick + 999.5,
+            math.nextafter(on_tick, 0.0), math.nextafter(on_tick, math.inf),
+        ]),
+        st.floats(on_tick, on_tick + interval, exclude_max=True),
+    ))
     nodes = [draw(dealers(i)) for i in range(draw(st.integers(0, 2)))]
     nodes += [
         make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
@@ -259,6 +270,96 @@ def test_dealer_opening_at_midnight_before_an_early_close_is_seen(monkeypatch):
     result = assert_same_run(scenario)
     # The first move takes svc-0 off the closed dealer at its first arrival.
     assert moves_in(result) == [simulation.DAY_MS - 1800000.0 + 100.0, simulation.DAY_MS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    interval=st.sampled_from([1000.0, 45000.0, 60000.0]),
+    first_tick=st.integers(1, 2**32),
+    span=st.integers(0, 2**20),
+    nudge=st.sampled_from([None, 0.0, math.inf]),
+    bound=st.sampled_from(["heap", "arrival", "horizon"]),
+)
+def test_batch_count_is_exact_far_from_zero(interval, first_tick, span, nudge, bound):
+    # The batch is counted by dividing, not by stepping, so check the count
+    # against exact rational arithmetic where tick times are large: the
+    # batch ends before the next event or after the last tick within the
+    # horizon, exactly on a tick or a rounding step either side of one.
+    t_ms = first_tick * interval
+    edge = t_ms + span * interval
+    if nudge is not None:
+        edge = math.nextafter(edge, nudge)
+    horizon = edge if bound == "horizon" else edge + 10 * interval
+    scenario = Scenario(
+        horizon_ms=horizon,
+        seed=0,
+        nodes=[make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0)],
+        services=[make_service("svc-0")],
+        consumers=[],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(),
+        energy=EnergyModel(),
+    )
+    topology = Topology(scenario.nodes)
+    sim = Simulation(topology, Registry(topology, scenario.vocabulary, scenario.weights), scenario)
+    if bound == "heap":
+        sim._heap = [(edge, 1, simulation.EventKind.EXEC_DONE, None)]
+    elif bound == "arrival":
+        sim._arrivals = [Arrival(edge, "u1", "svc-0")]
+    first, step = Fraction(t_ms), Fraction(interval)
+    within_horizon = math.floor((Fraction(horizon) - first) / step) + 1
+    before_event = math.ceil((Fraction(edge) - first) / step) if bound != "horizon" else math.inf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
+        assert sim._fast_forward(t_ms, ()) == max(0, min(before_event, within_horizon))
+
+
+class NoteDryBatches(Simulation):
+    """Notes, for each batch of quiet ticks, whether no event is left at all."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.dry = []
+
+    def _fast_forward(self, t_ms, dealers_open):
+        self.dry.append(not self._heap and not self._arrivals)
+        return super()._fast_forward(t_ms, dealers_open)
+
+
+@pytest.mark.parametrize("horizon", [30000.0, 30000.5, math.nextafter(31000.0, 0.0)])
+def test_ticks_after_the_last_event_run_to_the_horizon(monkeypatch, horizon):
+    # With no dealer there is no midnight stop, and once the two requests
+    # have completed neither the heap nor the arrivals hold an event: the
+    # next event is at math.inf and the horizon alone ends the batch.
+    nodes = [
+        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
+        make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=200.0, bandwidth_mbps=100.0,
+                  internet_path=True),
+    ]
+    arrivals = [Arrival(100.0, "u1", "svc-0"), Arrival(200.0, "u1", "svc-0")]
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
+    )
+    scenario = Scenario(
+        horizon_ms=horizon,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-0", cpu_demand=1000.0)],
+        consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(),
+        energy=EnergyModel(),
+    )
+    topology = Topology(scenario.nodes)
+    sim = NoteDryBatches(topology, Registry(topology, scenario.vocabulary, scenario.weights),
+                         scenario, policy="sami")
+    fast = sim.run()
+    reference = run_with(EveryTickSimulation, scenario)
+    assert fast.arbitration_log == reference.arbitration_log
+    assert fast.records == reference.records
+    assert sim.dry[-1]
+    ticks = [t for t, kind, _ in fast.arbitration_log if kind == "analysis"]
+    assert ticks == [1000.0 * i for i in range(1, int(horizon // 1000.0) + 1)]
 
 
 def tie_scenario(cloud):
