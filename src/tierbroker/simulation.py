@@ -2,15 +2,21 @@
 
 Arrivals come from generate_workload as one list sorted by time and are
 taken from it in order; every other event sits on a heap of
-(time, push sequence, kind, payload) tuples. At equal times an arrival
-runs before any heap event, and arrivals with equal times run in list
-order, so every tie is resolved the same way on every run. Each node
-serves its queue in FIFO order across cpu_slots parallel slots; a
-request occupies a slot from start until execution completes. Dealers
-reject whatever is still queued when they close; the next arrival of an
-affected service gets re-placed. Analysis ticks run the delay-pressure
-and compute-shortfall detectors every second under the arbitrated
-policy.
+(time, push sequence, handler, payload) tuples, where the handler is
+the bound method the loop calls as handler(time, payload). At equal
+times an arrival runs before any heap event, and arrivals with equal
+times run in list order, so every tie is resolved the same way on every
+run. Each node serves its queue in FIFO order across cpu_slots parallel
+slots; a request occupies a slot from start until execution completes.
+Dealers reject whatever is still queued when they close; the next
+arrival of an affected service gets re-placed. Analysis ticks run the
+delay-pressure and compute-shortfall detectors every second under the
+arbitrated policy.
+
+A start fixes its completion time, yet the ExecDone is pushed by a
+TransferDone when the transfer ends, not at the start: that push
+sequence orders it against a tick at the same time, which runs first
+when it was pushed while the request was still transferring.
 
 The analysis loop is incremental but exact. A verdict depends only on
 the service's node, which dealers are open and the part of its window
@@ -32,7 +38,7 @@ The arbitration log stores such quiet ticks as runs (ArbitrationLog):
 a register, a reschedule or the analyses of a tick that moved a
 service is one entry, and a stretch of ticks that moved nothing is one
 run record however long it is, so the log grows with what happened,
-not with the horizon. It reads as the list of every entry.
+not with the horizon. It iterates as the list of every entry.
 
 What a request costs on a node is fixed per (service, node) pair: its
 transfer and execution times, the transmit half of its energy and
@@ -51,11 +57,10 @@ import heapq
 import logging
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .arbitrator import (
     ContextSnapshot,
@@ -84,7 +89,6 @@ from .model import (
     fits,
     is_admissible,
     is_dealer_open,
-    minute_of_day,
     security_ok,
     transmit_ms,
 )
@@ -103,15 +107,6 @@ POLICY_TIERS = {
     "dealer-only": Tier.DEALER,
 }
 POLICIES = ("sami",) + tuple(sorted(POLICY_TIERS))
-
-
-class EventKind(str, Enum):
-    TRANSFER_DONE = "TransferDone"
-    EXEC_DONE = "ExecDone"
-    DEALER_OPEN = "DealerOpen"
-    DEALER_CLOSE = "DealerClose"
-    ANALYSIS_TICK = "AnalysisTick"
-    MIGRATION_DONE = "MigrationDone"
 
 
 def energy_j(
@@ -188,7 +183,7 @@ class _Run:
         self.ids = ids
 
 
-class ArbitrationLog(Sequence):
+class ArbitrationLog:
     """The run's (t_ms, kind, service id) entries in order, quiet ticks stored as runs.
 
     Each register, reschedule and analysis of a tick that moved a
@@ -198,18 +193,17 @@ class ArbitrationLog(Sequence):
     run that starts where a run over the same ids ends extends it. Tick
     times are whole multiples of the interval, so that time is exact.
 
-    It is a read-only sequence: it iterates, takes len in O(1), indexes
-    and slices by bisection over the parts' cumulative lengths, and
-    compares equal to the list of its entries. Only the simulator adds
-    to it, through _append and _append_ticks.
+    It iterates as the list of its entries, takes len in O(1), answers
+    `in` by iterating, and compares equal to that list. Only the
+    simulator adds to it, through _append and _append_ticks.
     """
 
-    __slots__ = ("_interval_ms", "_parts", "_ends")
+    __slots__ = ("_interval_ms", "_parts", "_len")
 
     def __init__(self, interval_ms: float):
         self._interval_ms = interval_ms
         self._parts: list[tuple[float, str, str] | _Run] = []
-        self._ends: list[int] = []  # _ends[k]: entries in _parts[:k + 1]
+        self._len = 0
 
     @property
     def part_count(self) -> int:
@@ -217,13 +211,14 @@ class ArbitrationLog(Sequence):
         return len(self._parts)
 
     def _append(self, entry: tuple[float, str, str]):
-        self._ends.append(len(self) + 1)
+        self._len += 1
         self._parts.append(entry)
 
     def _append_ticks(self, t_first: float, n_ticks: int, ids: tuple[str, ...]):
         """Log n_ticks quiet ticks from t_first, each analysing every id in order."""
         if not n_ticks or not ids:
             return
+        self._len += n_ticks * len(ids)
         parts = self._parts
         last = parts[-1] if parts else None
         if (
@@ -232,28 +227,11 @@ class ArbitrationLog(Sequence):
             and last.t_first + last.n_ticks * self._interval_ms == t_first
         ):
             last.n_ticks += n_ticks
-            self._ends[-1] += n_ticks * len(ids)
             return
-        self._ends.append(len(self) + n_ticks * len(ids))
         parts.append(_Run(t_first, n_ticks, ids))
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("arbitration log index out of range")
-        k = bisect_right(self._ends, i)
-        part = self._parts[k]
-        if not isinstance(part, _Run):
-            return part
-        tick, j = divmod(i - (self._ends[k - 1] if k else 0), len(part.ids))
-        return (part.t_first + tick * self._interval_ms, "analysis", part.ids[j])
+        return self._len
 
     def __iter__(self):
         interval_ms = self._interval_ms
@@ -279,7 +257,7 @@ class ArbitrationLog(Sequence):
 class SimResult:
     report: MetricsReport
     records: list[InvocationRecord]
-    arbitration_log: Sequence[tuple[float, str, str]]
+    arbitration_log: ArbitrationLog
 
 
 class Simulation:
@@ -305,7 +283,7 @@ class Simulation:
         self.thresholds = scenario.thresholds
         self.energy_model = scenario.energy
 
-        self._heap: list[tuple[float, int, EventKind, object]] = []
+        self._heap: list[tuple[float, int, Callable, object]] = []
         self._arrivals: list[Arrival] = []  # pending arrivals, latest first
         self._seq = 0
         self._next_request_id = 1
@@ -327,15 +305,10 @@ class Simulation:
     # ------------------------------------------------------------------
     # setup
 
-    def _push(self, t_ms: float, kind: EventKind, payload=None):
-        # Sequences are unique, so kind and payload are never compared.
+    def _push(self, t_ms: float, handler: Callable, payload=None):
+        # Sequences are unique, so handler and payload are never compared.
         self._seq += 1
-        heapq.heappush(self._heap, (t_ms, self._seq, kind, payload))
-
-    @property
-    def arbitration_events(self) -> int:
-        """Entries logged so far: registers, analyses and reschedules."""
-        return len(self.arbitration_log)
+        heapq.heappush(self._heap, (t_ms, self._seq, handler, payload))
 
     def _log_arbitration(self, t_ms: float, kind: str, service_id: str):
         self.arbitration_log._append((t_ms, kind, service_id))
@@ -386,12 +359,12 @@ class Simulation:
                 t_open = day * DAY_MS + open_minute * 60000.0
                 t_close = day * DAY_MS + close_minute * 60000.0
                 if 0.0 < t_open <= self.horizon:
-                    self._push(t_open, EventKind.DEALER_OPEN, node_state)
+                    self._push(t_open, self._try_start, node_state)
                 if 0.0 < t_close <= self.horizon:
-                    self._push(t_close, EventKind.DEALER_CLOSE, node_state)
+                    self._push(t_close, self._on_dealer_close, node_state)
                 day += 1
         if self.policy == "sami" and ANALYSIS_INTERVAL_MS <= self.horizon:
-            self._push(ANALYSIS_INTERVAL_MS, EventKind.ANALYSIS_TICK)
+            self._push(ANALYSIS_INTERVAL_MS, self._on_analysis_tick)
 
     # ------------------------------------------------------------------
     # event handlers
@@ -399,14 +372,6 @@ class Simulation:
     def run(self) -> SimResult:
         self._place_all()
         self._schedule_calendar()
-        handlers = {
-            EventKind.TRANSFER_DONE: self._on_transfer_done,
-            EventKind.EXEC_DONE: self._on_exec_done,
-            EventKind.DEALER_OPEN: self._try_start,
-            EventKind.DEALER_CLOSE: self._on_dealer_close,
-            EventKind.ANALYSIS_TICK: self._on_analysis_tick,
-            EventKind.MIGRATION_DONE: self._try_start,
-        }
         heap = self._heap
         arrivals = self._arrivals
         horizon = self.horizon
@@ -420,15 +385,15 @@ class Simulation:
                 break
             # Strictly earlier: at equal times the arrival goes first.
             while heap and heap[0][0] < t_arrival:
-                t_ms, _, kind, payload = pop(heap)
-                handlers[kind](t_ms, payload)
+                t_ms, _, handler, payload = pop(heap)
+                handler(t_ms, payload)
             arrivals.pop()
             on_arrival(t_arrival, arrival)
         while heap:
-            t_ms, _, kind, payload = pop(heap)
+            t_ms, _, handler, payload = pop(heap)
             if t_ms > horizon:
                 break
-            handlers[kind](t_ms, payload)
+            handler(t_ms, payload)
         return self._finish()
 
     def _on_arrival(self, t_ms: float, arrival: Arrival):
@@ -477,12 +442,9 @@ class Simulation:
             request.outcome = Outcome.DROPPED
             return None
         if decision.node_id != state.record.placement.node_id:
-            self._apply_move(t_ms, state, decision)
+            self._log_arbitration(t_ms, "reschedule", state.desc.id)
+            self._move(t_ms, state, decision)
         return self.topology.get(decision.node_id)
-
-    def _apply_move(self, t_ms, state: _ServiceState, decision):
-        self._log_arbitration(t_ms, "reschedule", state.desc.id)
-        self._move(t_ms, state, decision)
 
     def _move(self, t_ms, state: _ServiceState, decision):
         """Place the service anew, unlogged; the next tick analyses it again."""
@@ -491,11 +453,9 @@ class Simulation:
         state.quiet_key = None
         self._changed.add(state.desc.id)
         new_node = self.topology.get(decision.node_id)
-        delay = migration_delay_ms(state.desc, new_node)
-        state.migration_until = t_ms + delay
-        done = t_ms + delay
+        done = state.migration_until = t_ms + migration_delay_ms(state.desc, new_node)
         if done <= self.horizon:
-            self._push(done, EventKind.MIGRATION_DONE, self.node_states[new_node.id])
+            self._push(done, self._try_start, self.node_states[new_node.id])
 
     def _try_start(self, t_ms: float, node_state: _NodeState, known_open: bool = False):
         """Start queued requests in FIFO order while a slot is free.
@@ -514,36 +474,37 @@ class Simulation:
             head: InvocationRecord = queue[0]
             state = self.services[head.service_id]
             migrating_here = (
-                state.record is not None
-                and state.record.placement.node_id == node.id
-                and t_ms < state.migration_until
+                state.record.placement.node_id == node.id and t_ms < state.migration_until
             )
             if migrating_here:
                 # Copy still transferring; the queue holds (FIFO preserved).
                 break
             queue.popleft()
             node_state.running += 1
-            cost = state.costs.get(node.id)
-            if cost is None:
-                cost = state.costs[node.id] = self._cost(state.desc, node)
+            cost = self._cost(state, node)
             head.t_start = t_ms
             head.queue_ms = t_ms - head.t_arrive
             head.transfer_ms = cost.transfer_ms
             head.exec_ms = cost.exec_ms
             t_transfer = t_ms + node.rtt_ms + cost.transfer_ms
-            self._push(t_transfer, EventKind.TRANSFER_DONE, head)
+            self._push(t_transfer, self._on_transfer_done, head)
 
-    def _cost(self, desc: ServiceDescriptor, node: ResourceNode) -> _Cost:
-        payload = desc.payload_total
-        return _Cost(
-            transfer_ms=transmit_ms(payload, node.bandwidth_mbps),
-            exec_ms=desc.cpu_demand / node.cpu_speed * 1000.0,
-            transmit_j=transmit_energy_j(payload, node.bandwidth_mbps, self.energy_model),
-        )
+    def _cost(self, state: _ServiceState, node: ResourceNode) -> _Cost:
+        """What a request of the service costs on the node, built on first use."""
+        cost = state.costs.get(node.id)
+        if cost is None:
+            desc = state.desc
+            payload = desc.payload_total
+            cost = state.costs[node.id] = _Cost(
+                transfer_ms=transmit_ms(payload, node.bandwidth_mbps),
+                exec_ms=desc.cpu_demand / node.cpu_speed * 1000.0,
+                transmit_j=transmit_energy_j(payload, node.bandwidth_mbps, self.energy_model),
+            )
+        return cost
 
     def _on_transfer_done(self, t_ms: float, request: InvocationRecord):
         t_exec = t_ms + request.exec_ms
-        self._push(t_exec, EventKind.EXEC_DONE, request)
+        self._push(t_exec, self._on_exec_done, request)
 
     def _on_exec_done(self, t_ms: float, request: InvocationRecord):
         node_state = self.node_states[request.node_id]
@@ -609,7 +570,7 @@ class Simulation:
             log._append_ticks(t_ms, ticks, self._placed_ids)
         t_next = t_ms + ticks * ANALYSIS_INTERVAL_MS
         if t_next <= self.horizon:
-            self._push(t_next, EventKind.ANALYSIS_TICK)
+            self._push(t_next, self._on_analysis_tick)
 
     def _visit(self, t_ms: float, state: _ServiceState, dealers_open: tuple[bool, ...]) -> bool:
         """Analyse the service unless its quiet key is unchanged; True when it moved."""
@@ -639,7 +600,7 @@ class Simulation:
             self.context, state.desc, current, self.topology, self.thresholds, t_ms
         )
         if advice is None:
-            expected = state.desc.cpu_demand / current.cpu_speed * 1000.0
+            expected = self._cost(state, current).exec_ms
             if expected > 0:
                 advice = analyze_computation(
                     self.context.recent_exec(service_id, self.thresholds.compute_run),
@@ -755,7 +716,7 @@ class Simulation:
             arrivals=len(self.records),
             **run.totals(),
             reschedules=sum(s.reschedules for s in self.services.values()),
-            arbitration_events=self.arbitration_events,
+            arbitration_events=len(self.arbitration_log),
             security_violations=self.security_violations,
             wall_ms=self.horizon,
         )
@@ -819,14 +780,10 @@ __all__ = [
     "POLICIES",
     "POLICY_TIERS",
     "ArbitrationLog",
-    "EventKind",
     "SimResult",
     "Simulation",
     "build_topology",
     "energy_j",
-    "is_dealer_open",
-    "minute_of_day",
     "run",
     "simulate_scenario",
-    "transmit_ms",
 ]

@@ -10,10 +10,11 @@ placed service runs both detectors on every tick, with no memo and no
 skipped ticks, so the incremental loop must reproduce it exactly.
 
 HeapOnlySimulation keeps the event loop in its plainest form: every
-arrival is pushed onto the heap before any other event and an if/elif
-chain dispatches what pops, so the order of events at equal times is
-set by push sequence alone. The simulator's merge of the sorted arrival
-list with the heap must reproduce it exactly.
+arrival is pushed onto the heap, with _on_arrival as its handler, before
+any other event, and one loop calls the handler of whatever pops, so
+the order of events at equal times is set by push sequence alone. The
+simulator's merge of the sorted arrival list with the heap must
+reproduce it exactly.
 
 reference_rows builds a run's report rows with one pass over the
 records per figure and per row, and builtin sum() over each completed
@@ -28,13 +29,9 @@ from tierbroker.arbitrator import analyze_computation, analyze_performance, resc
 from tierbroker.model import Outcome, SecurityClass, Tier, TrustBasis, TrustLevel
 from tierbroker.report import RunRow, ServiceRow, latency_stats
 from tierbroker import simulation
-from tierbroker.simulation import EventKind, Simulation
+from tierbroker.simulation import Simulation
 
 from conftest import make_node
-
-# HeapOnlySimulation's event kind for an arrival; the simulator keeps
-# arrivals off its heap and has no such kind.
-ARRIVAL = "Arrival"
 
 _TRUST_ORDER = [TrustLevel.UNTRUSTED, TrustLevel.LOW, TrustLevel.MEDIUM, TrustLevel.HIGH]
 
@@ -214,11 +211,12 @@ class EveryTickSimulation(Simulation):
                 continue
             decision = reschedule(state.record, advice, self.topology, self.weights, t_ms)
             if decision.node_id != state.record.placement.node_id:
-                self._apply_move(t_ms, state, decision)
+                self._log_arbitration(t_ms, "reschedule", service_id)
+                self._move(t_ms, state, decision)
         # Read at call time, like the simulator, so a test may stretch the interval.
         t_next = t_ms + simulation.ANALYSIS_INTERVAL_MS
         if t_next <= self.horizon:
-            self._push(t_next, EventKind.ANALYSIS_TICK)
+            self._push(t_next, self._on_analysis_tick)
 
 
 class HeapOnlySimulation(Simulation):
@@ -229,7 +227,7 @@ class HeapOnlySimulation(Simulation):
         for arrival in simulation.generate_workload(
             self.scenario.consumers, self.seed, self.horizon
         ):
-            self._push(arrival.t_ms, ARRIVAL, arrival)
+            self._push(arrival.t_ms, self._on_arrival, arrival)
         day_ms = 1440 * 60000.0
         for node in self._dealers:
             node_state = self.node_states[node.id]
@@ -239,34 +237,21 @@ class HeapOnlySimulation(Simulation):
                 t_open = day * day_ms + open_minute * 60000.0
                 t_close = day * day_ms + close_minute * 60000.0
                 if 0.0 < t_open <= self.horizon:
-                    self._push(t_open, EventKind.DEALER_OPEN, node_state)
+                    self._push(t_open, self._try_start, node_state)
                 if 0.0 < t_close <= self.horizon:
-                    self._push(t_close, EventKind.DEALER_CLOSE, node_state)
+                    self._push(t_close, self._on_dealer_close, node_state)
                 day += 1
         if self.policy == "sami" and simulation.ANALYSIS_INTERVAL_MS <= self.horizon:
-            self._push(simulation.ANALYSIS_INTERVAL_MS, EventKind.ANALYSIS_TICK)
+            self._push(simulation.ANALYSIS_INTERVAL_MS, self._on_analysis_tick)
 
     def run(self):
         self._place_all()
         self._schedule_calendar()
         while self._heap:
-            t_ms, _, kind, payload = heapq.heappop(self._heap)
+            t_ms, _, handler, payload = heapq.heappop(self._heap)
             if t_ms > self.horizon:
                 break
-            if kind is ARRIVAL:
-                self._on_arrival(t_ms, payload)
-            elif kind is EventKind.TRANSFER_DONE:
-                self._on_transfer_done(t_ms, payload)
-            elif kind is EventKind.EXEC_DONE:
-                self._on_exec_done(t_ms, payload)
-            elif kind is EventKind.DEALER_OPEN:
-                self._try_start(t_ms, payload)
-            elif kind is EventKind.DEALER_CLOSE:
-                self._on_dealer_close(t_ms, payload)
-            elif kind is EventKind.ANALYSIS_TICK:
-                self._on_analysis_tick(t_ms)
-            elif kind is EventKind.MIGRATION_DONE:
-                self._try_start(t_ms, payload)
+            handler(t_ms, payload)
         return self._finish()
 
 
@@ -306,7 +291,7 @@ def reference_rows(sim):
         arrivals=len(sim.records),
         **reference_totals(sim.records),
         reschedules=sum(s.reschedules for s in sim.services.values()),
-        arbitration_events=sim.arbitration_events,
+        arbitration_events=len(sim.arbitration_log),
         security_violations=sim.security_violations,
         wall_ms=sim.horizon,
     )

@@ -2,12 +2,12 @@
 
 The simulator stores registers, reschedules and the analyses of a tick
 that moved a service as entries, and quiet ticks as runs. Read back, the
-log must be that list of entries in every way a sequence is read.
+log must be that list of entries in every way it is read: its length,
+iteration, membership and equality.
 """
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ IDS = ("a", "b", "c")
 INTERVALS = (1000.0, 60000.0)
 
 # Entries share their times, kinds and ids with the runs' entries, so
-# membership, index and count see equal entries in both kinds of part.
+# membership sees equal entries in both kinds of part.
 ENTRY = st.tuples(
     st.integers(0, 4).map(lambda k: k * 1000.0),
     st.sampled_from(["register", "analysis", "reschedule"]),
@@ -79,28 +79,12 @@ def build(interval, ops):
 @given(st.sampled_from(INTERVALS), operations(), st.data())
 def test_log_reads_as_the_list_of_its_entries(interval, ops, data):
     log, plain, parts = build(interval, ops)
-    n = len(plain)
-    assert len(log) == n
+    assert len(log) == len(plain)
     assert log.part_count == parts
     assert list(log) == plain
-    assert list(reversed(log)) == plain[::-1]
-    for i in range(-n, n):
-        assert log[i] == plain[i]
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            log[i]
-
-    bound = st.one_of(st.none(), st.integers(-n - 2, n + 2))
-    for _ in range(3):
-        window = slice(data.draw(bound), data.draw(bound),
-                       data.draw(st.one_of(st.none(), st.sampled_from([1, 2, 3, -1, -2]))))
-        assert log[window] == plain[window]
 
     for probe in [*plain[:3], *data.draw(st.lists(ENTRY, max_size=3)), (0.0, "unknown", "a")]:
         assert (probe in log) == (probe in plain)
-        assert log.count(probe) == plain.count(probe)
-        if probe in plain:
-            assert log.index(probe) == plain.index(probe)
 
     # Equality both ways, against the list and against another log.
     same, _, _ = build(interval, ops)

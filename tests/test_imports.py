@@ -1,4 +1,5 @@
-"""Import hygiene for the package: no unused imports, no dangling exports."""
+"""Import hygiene for the package: no unused imports, no dangling exports,
+and no module but __init__.py exporting a name it imported."""
 
 import ast
 import importlib
@@ -18,6 +19,18 @@ def exported(tree):
         ):
             return set(ast.literal_eval(node.value))
     return set()
+
+
+def defined(tree):
+    """The names a module binds at top level with def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
 
 
 def imported(tree):
@@ -46,3 +59,13 @@ def test_every_export_resolves(path):
     module_name = "tierbroker" if path.stem == "__init__" else f"tierbroker.{path.stem}"
     module = importlib.import_module(module_name)
     assert sorted(name for name in names if not hasattr(module, name)) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_exports_are_defined_in_their_module(path):
+    # A name belongs in the __all__ of the module that defines it; only
+    # the package's __init__.py gathers names from the others.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(exported(tree) - defined(tree)) == []

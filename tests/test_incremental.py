@@ -303,7 +303,7 @@ def test_batch_count_is_exact_far_from_zero(interval, first_tick, span, nudge, b
     topology = Topology(scenario.nodes)
     sim = Simulation(topology, Registry(topology, scenario.vocabulary, scenario.weights), scenario)
     if bound == "heap":
-        sim._heap = [(edge, 1, simulation.EventKind.EXEC_DONE, None)]
+        sim._heap = [(edge, 1, sim._on_exec_done, None)]
     elif bound == "arrival":
         sim._arrivals = [Arrival(edge, "u1", "svc-0")]
     first, step = Fraction(t_ms), Fraction(interval)
@@ -400,8 +400,14 @@ def tie_scenario(cloud):
         # the tick at its time is pushed, so it runs first: the quiet
         # 3000 ms tick sees one sample and the 4000 ms tick sees two.
         ({"cpu_speed": 2000, "bandwidth_mbps": 10}, [1000.0, 2000.0], [3000.0, 4000.0], 4000.0),
+        # Cloud response 200 + 800 + 500 = 1500 ms. The ticks at 2000 and
+        # 3000 are pushed at 1000 and 2000, while the request completing
+        # at their time is still in flight, so each tick runs before its
+        # ExecDone: the 3000 ms tick sees one sample and the move waits
+        # for 4000 ms. An ExecDone pushed at the start would overtake them.
+        ({"cpu_speed": 4000, "bandwidth_mbps": 10}, [500.0, 1500.0], [2000.0, 3000.0], 4000.0),
     ],
-    ids=["tick-first", "exec-done-first"],
+    ids=["tick-first", "exec-done-first", "tick-pushed-mid-flight"],
 )
 def test_exec_done_on_a_tick_keeps_push_order(monkeypatch, cloud, arrivals, done, moved_at):
     scenario = tie_scenario(cloud)
