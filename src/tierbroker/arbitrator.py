@@ -85,56 +85,67 @@ class ValidationResult:
         return not self.violations
 
 
+class _Window:
+    """One service's bounded columns, its last completion time and its version."""
+
+    __slots__ = ("times", "latencies", "execs", "last_t", "version")
+
+    def __init__(self, window: int):
+        self.times: deque = deque(maxlen=window)
+        self.latencies: deque = deque(maxlen=window)
+        self.execs: deque = deque(maxlen=window)
+        self.last_t = -math.inf
+        self.version = 0
+
+
+_NO_WINDOW = _Window(0)  # what every read sees for a service never observed
+
+
 class ContextSnapshot:
     """Monitoring state: a sliding window of completions per service.
 
     Keeps at most `window` completed observations per service, as three
     bounded columns: completion times, latencies and execution times.
-    The detectors read the columns in place, with no per-call copy of
-    the window, and sum them afresh on every read rather than keeping
-    running totals, so every mean is rounded as fmean rounds it. Feed
-    order must be nondecreasing in completion time for each service.
-    Every observe bumps the service's window version, so an unchanged
-    version means an unchanged window.
+    Each service's columns, last completion time and version sit on one
+    object, so an observe looks the service up once. The detectors read
+    the columns in place, with no per-call copy of the window, and sum
+    them afresh on every read rather than keeping running totals, so
+    every mean is rounded as fmean rounds it. Feed order must be
+    nondecreasing in completion time for each service. Every observe
+    bumps the service's window version, so an unchanged version means an
+    unchanged window.
     """
 
     def __init__(self, window: int = 100):
         self.window = window
-        self._times: dict[str, deque] = {}
-        self._latencies: dict[str, deque] = {}
-        self._execs: dict[str, deque] = {}
-        self._last_t: dict[str, float] = {}
-        self._versions: dict[str, int] = {}
+        self._windows: dict[str, _Window] = {}
 
     def observe(self, service_id: str, t_done: float, latency_ms: float, exec_ms: float):
-        last = self._last_t.get(service_id)
-        if last is not None and t_done < last:
+        w = self._windows.get(service_id)
+        if w is None:
+            w = self._windows[service_id] = _Window(self.window)
+        elif t_done < w.last_t:
             raise OutOfOrderEvent(
-                f"service {service_id}: completion at {t_done} after seeing {last}"
+                f"service {service_id}: completion at {t_done} after seeing {w.last_t}"
             )
-        self._last_t[service_id] = t_done
-        self._versions[service_id] = self._versions.get(service_id, 0) + 1
-        times = self._times.get(service_id)
-        if times is None:
-            times = self._times[service_id] = deque(maxlen=self.window)
-            self._latencies[service_id] = deque(maxlen=self.window)
-            self._execs[service_id] = deque(maxlen=self.window)
-        times.append(t_done)
-        self._latencies[service_id].append(latency_ms)
-        self._execs[service_id].append(exec_ms)
+        w.last_t = t_done
+        w.version += 1
+        w.times.append(t_done)
+        w.latencies.append(latency_ms)
+        w.execs.append(exec_ms)
 
     def version(self, service_id: str) -> int:
         """Observations folded in so far for the service."""
-        return self._versions.get(service_id, 0)
+        return self._windows.get(service_id, _NO_WINDOW).version
 
     def count(self, service_id: str) -> int:
-        return len(self._times.get(service_id, ()))
+        return len(self._windows.get(service_id, _NO_WINDOW).times)
 
     def latencies(self, service_id: str) -> list[float]:
-        return list(self._latencies.get(service_id, ()))
+        return list(self._windows.get(service_id, _NO_WINDOW).latencies)
 
     def mean_latency(self, service_id: str) -> float:
-        latencies = self._latencies.get(service_id, ())
+        latencies = self._windows.get(service_id, _NO_WINDOW).latencies
         if not latencies:
             raise StatisticsError("fmean requires at least one data point")
         # What fmean computes, without its copy of the window.
@@ -142,7 +153,7 @@ class ContextSnapshot:
 
     def rate_per_s(self, service_id: str) -> float:
         """Observed completion rate over the window span."""
-        times = self._times.get(service_id, ())
+        times = self._windows.get(service_id, _NO_WINDOW).times
         if len(times) < 2:
             return 0.0
         span_ms = times[-1] - times[0]
@@ -152,7 +163,7 @@ class ContextSnapshot:
 
     def recent_exec(self, service_id: str, m: int) -> list[float]:
         """The execution-time column sliced as [-m:], without copying it first."""
-        execs = self._execs.get(service_id, ())
+        execs = self._windows.get(service_id, _NO_WINDOW).execs
         if m > 0:
             return list(islice(reversed(execs), m))[::-1]
         return list(islice(execs, -m, None))
@@ -165,7 +176,9 @@ def collect_context(record: InvocationRecord, ctx: ContextSnapshot) -> ContextSn
     """
     if record.outcome is not Outcome.COMPLETED:
         return ctx
-    ctx.observe(record.service_id, record.t_done, record.latency_ms, record.exec_ms)
+    t_done = record.t_done
+    # record.latency_ms, without the property call.
+    ctx.observe(record.service_id, t_done, t_done - record.t_arrive, record.exec_ms)
     return ctx
 
 

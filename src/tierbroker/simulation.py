@@ -25,14 +25,21 @@ want of a nearer node (nearer_gain, cached per service on node and
 dealers open), that part is the last compute_run execution times;
 otherwise it is the whole window. A service whose last analysis kept it
 in place is skipped while that key is unchanged. A tick looks only at
-the services that completed a request or moved since the tick before,
-or at every placed service when the dealers open differ from that
-tick's; every placed service is still logged and counted. When a tick
-leaves every service in place, the ticks up to the next event are
-counted, not listed, stopping early at midnight or where a dealer opens
-or closes, and only the first tick not counted is pushed; it takes the
-heap slot the every-tick loop would have given it, so event order is
-unchanged. Only the arbitrated policy feeds the analysis window.
+the services that moved since the tick before or completed a request
+that could change their key, or at every placed service when the
+dealers open differ from that tick's; every placed service is still
+logged and counted. Execution times are fixed per (service, node), so
+a completion cannot change a key whose last compute_run execution times
+all equal the time of the node it ran on: with one more appended, that
+run stays the same. When a tick leaves every service in place, the
+ticks up to the next event are counted, not listed, stopping early at
+midnight or where a dealer opens or closes, and only the first tick not
+counted is pushed; it takes the heap slot the every-tick loop would
+have given it, so event order is unchanged. Only the arbitrated policy
+feeds the analysis window. run() empties the heap when it ends: its
+entries hold bound methods, so events left past the horizon would keep
+the finished simulation in a reference cycle until the next full
+collection.
 
 The arbitration log stores such quiet ticks as runs (ArbitrationLog):
 a register, a reschedule or the analyses of a tick that moved a
@@ -295,7 +302,8 @@ class Simulation:
         self.services: dict[str, _ServiceState] = {}
         self._placed: list[_ServiceState] = []  # analysis order: placed services by id
         self._placed_ids: tuple[str, ...] = ()
-        # Services that completed a request or moved since the last tick.
+        # Services that moved since the last tick, or completed a request
+        # that could change their quiet key.
         self._changed: set[str] = set()
         # Dealers open at the last tick; None makes the first tick visit every service.
         self._tick_dealers: tuple[bool, ...] | None = None
@@ -394,6 +402,9 @@ class Simulation:
             if t_ms > horizon:
                 break
             handler(t_ms, payload)
+        # Past the horizon; its handlers are bound methods, so what is left
+        # would hold this simulation in a cycle until the next full collection.
+        heap.clear()
         return self._finish()
 
     def _on_arrival(self, t_ms: float, arrival: Arrival):
@@ -527,7 +538,19 @@ class Simulation:
         )
         if self._analysed:
             collect_context(request, self.context)
-            self._changed.add(request.service_id)
+            # Unless nearer is set, the key ends in the last compute_run
+            # execution times, fewer while the window is shorter. When they
+            # are compute_run copies of this node's time, this completion
+            # leaves them so. Below 1, compute_run keys no such run.
+            quiet_key = state.quiet_key
+            run = self.thresholds.compute_run
+            if (
+                quiet_key is None
+                or state.nearer
+                or run < 1
+                or quiet_key[1].count(cost.exec_ms) != run
+            ):
+                self._changed.add(request.service_id)
         self._try_start(t_ms, node_state)
 
     def _on_dealer_close(self, t_ms: float, node_state: _NodeState):
@@ -545,10 +568,9 @@ class Simulation:
         which dealers are open, and part of its window. When a tick leaves
         it in place, those are kept as its quiet key (see _ServiceState),
         and a later tick with the same key would reach the same verdict.
-        A service that neither completed a request nor moved since the
-        last tick keeps its key unless the dealers open changed, so only
-        the others are looked at. Each service's reschedule, if any, is
-        logged right after its analysis.
+        A service that _changed does not hold keeps its key unless the
+        dealers open changed, so only the others are looked at. Each
+        service's reschedule, if any, is logged right after its analysis.
         """
         dealers_open = self._dealers_open(t_ms)
         if dealers_open != self._tick_dealers:

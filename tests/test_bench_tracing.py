@@ -12,6 +12,7 @@ import importlib.util
 from pathlib import Path
 
 from tierbroker import simulation
+from tierbroker.model import Outcome
 from tierbroker.workload import load_scenario
 
 from conftest import SCENARIO_DIR
@@ -39,7 +40,7 @@ def test_tracer_wraps_live_names_and_records_the_layers():
 
     scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
     with tracing.installed(tracing.Tracer()) as tracer:
-        simulation.simulate_scenario(scenario)
+        result = simulation.simulate_scenario(scenario)
 
     spans = tracer.span_counts()
     for name in (
@@ -50,4 +51,8 @@ def test_tracer_wraps_live_names_and_records_the_layers():
         "report.latency_stats",
     ):
         assert spans[name] > 0, name
+    # arbitrator.context_calls counts these spans: one per completed request.
+    completed = sum(r.outcome is Outcome.COMPLETED for r in result.records)
+    assert completed > 0
+    assert spans["arbitrator.collect_context"] == completed
     assert [getattr(owner, attribute) for owner, attribute, _, _ in targets] == originals

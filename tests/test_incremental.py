@@ -552,3 +552,108 @@ def test_quiet_ticks_skip_the_detectors(monkeypatch):
     assert len(ticks) == int(scenario.horizon_ms // 1000)
     assert len(calls) < len(ticks) // 10
     assert ticks[-1] == scenario.horizon_ms
+
+
+class NoteCompletions(Simulation):
+    """Notes each completion's (time, node, quiet key before it, marked after
+    it) and the time of each analysis."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.done = []
+        self.analysed = []
+
+    def _on_exec_done(self, t_ms, request):
+        quiet_key = self.services[request.service_id].quiet_key
+        super()._on_exec_done(t_ms, request)
+        self.done.append((t_ms, request.node_id, quiet_key, request.service_id in self._changed))
+
+    def _analyze(self, t_ms, state):
+        self.analysed.append(t_ms)
+        return super()._analyze(t_ms, state)
+
+
+def left_behind(monkeypatch, c1_speed, latency_sensitive=True, **thresholds):
+    """svc-x starts on C1, one slot, with eight early requests queued there.
+
+    Latency-sensitive, it moves to M1 under delay pressure while they
+    still queue, and they keep completing on C1 after the move; three
+    later requests run on M1. On M1 no node is nearer, so the quiet key
+    holds the last compute_run execution times: 250 ms on M1, and on C1
+    1000, 500 or 250 ms at its speed of 2000, 4000 or 8000.
+    """
+    nodes = [
+        make_node("M1", Tier.MNO, cpu_speed=8000.0, rtt_ms=50.0, bandwidth_mbps=100.0),
+        make_node("C1", Tier.CLOUD, cpu_speed=c1_speed, rtt_ms=200.0, bandwidth_mbps=100.0,
+                  cpu_slots=1, internet_path=True),
+    ]
+    times = [100.0 * i for i in range(1, 9)] + [4100.0, 4300.0, 7100.0]
+    monkeypatch.setattr(
+        simulation, "generate_workload",
+        lambda consumers, seed, horizon: [Arrival(t, "u1", "svc-x") for t in times],
+    )
+    scenario = Scenario(
+        horizon_ms=10000.0,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-x", cpu_demand=2000.0, payload_in=0.5, payload_out=0.5,
+                               latency_sensitive=latency_sensitive, data_intensive=True)],
+        consumers=[ConsumerSpec("u1", {"svc-x": 1.0})],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(**{"delay_pressure_ms_per_s": 100.0, "window": 4,
+                                 "min_samples": 2, "compute_run": 2, **thresholds}),
+        energy=EnergyModel(),
+    )
+    topology = Topology(scenario.nodes)
+    sim = NoteCompletions(topology, Registry(topology, scenario.vocabulary, scenario.weights),
+                          scenario, policy="sami")
+    result = sim.run()
+    reference = run_with(EveryTickSimulation, scenario)
+    assert result.arbitration_log == reference.arbitration_log
+    assert result.records == reference.records
+    assert report_to_dict(result.report) == report_to_dict(reference.report)
+    return sim, moves_in(result)
+
+
+def test_old_node_completion_with_another_exec_time_is_analysed(monkeypatch):
+    # M1's completions at 4480 and 4680 leave the quiet key (250, 250)
+    # after the 5000 ms tick. C1's at 5220 makes it (250, 1000): it must
+    # mark svc-x, although M1's cost would keep the key, and the 6000 ms
+    # tick must analyse it.
+    sim, moves = left_behind(monkeypatch, 2000.0)
+    assert moves == [3000.0]
+    assert (5220.0, "C1", (("M1", ()), (250.0, 250.0)), True) in sim.done
+    assert 6000.0 in sim.analysed
+
+
+def test_old_node_completion_with_the_same_exec_time_is_skipped(monkeypatch):
+    # At C1's speed of 8000 both nodes take 250 ms, so C1's completions
+    # after the 3000 ms tick keep the key (250, 250), as do M1's: none
+    # marks svc-x, and no later tick analyses it.
+    sim, moves = left_behind(monkeypatch, 8000.0)
+    assert moves == [2000.0]
+    skipped = [(t, node) for t, node, quiet_key, marked in sim.done if not marked]
+    assert skipped == [(3280.0, "C1"), (3810.0, "C1"), (4340.0, "C1"),
+                       (4480.0, "M1"), (4680.0, "M1"), (7480.0, "M1")]
+    assert sim.analysed == [1000.0, 2000.0, 3000.0]
+
+
+@pytest.mark.parametrize("latency_sensitive", [True, False])
+@pytest.mark.parametrize("compute_run", [3, 0], ids=["longer-than-window", "zero"])
+def test_compute_run_no_window_tail_can_match_never_skips(
+    monkeypatch, compute_run, latency_sensitive
+):
+    # The file format requires compute_run >= 1, but Thresholds built in
+    # code take any. Longer than the window of 2, the key's tail has at
+    # most 2 times; at 0 recent_exec reads the whole window. Neither is a
+    # run of compute_run equal times, so every completion marks svc-x:
+    # on M1, the one at 7480 ms too, whose 250 ms the key's (500, 500)
+    # does not hold. Not latency-sensitive, svc-x stays on C1, where
+    # nothing is ever nearer. The first completion, at 880 ms, comes
+    # before the first tick: at 0 the compute check cannot read an empty
+    # window.
+    sim, moves = left_behind(monkeypatch, 4000.0, latency_sensitive,
+                             window=2, compute_run=compute_run)
+    assert moves == ([2000.0] if latency_sensitive else [])
+    assert all(marked for *_, marked in sim.done)
+    assert any(quiet_key is not None for _, _, quiet_key, _ in sim.done)

@@ -3,10 +3,13 @@ and a report equal to the reference one.
 
 The scenarios come from the strategies that drive the reference-loop
 tests, under every policy. The report property feeds random record
-lists to Simulation._finish directly.
+lists to Simulation._finish directly, and the context property feeds
+random completions to ContextSnapshot against plain per-service lists.
 """
 
+import math
 import os
+import statistics
 import tempfile
 
 import pytest
@@ -14,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tierbroker import simulation
-from tierbroker.arbitrator import SchedulerWeights, Thresholds
+from tierbroker.arbitrator import ContextSnapshot, SchedulerWeights, Thresholds
+from tierbroker.errors import OutOfOrderEvent
 from tierbroker.model import EnergyModel, InvocationRecord, Outcome, Topology
 from tierbroker.registry import Registry
 from tierbroker.report import write_metrics_csv, write_metrics_json
@@ -165,3 +169,83 @@ def test_one_pass_report_equals_reference(run):
     # repr tells the int 0 of an empty sum from 0.0 and shows every float exactly.
     assert repr(report.services) == repr(rows)
     assert repr(report.run) == repr(run_row)
+
+
+class PlainContext:
+    """ContextSnapshot's reads from full per-service lists sliced to the window."""
+
+    def __init__(self, window):
+        self.window = window
+        self.seen = {}
+
+    def observe(self, service_id, t_done, latency_ms, exec_ms):
+        self.seen.setdefault(service_id, []).append((t_done, latency_ms, exec_ms))
+
+    def column(self, service_id, index):
+        return [obs[index] for obs in self.seen.get(service_id, [])[-self.window:]]
+
+    def reads(self, service_id):
+        times, latencies, execs = (self.column(service_id, i) for i in range(3))
+        try:
+            mean = statistics.fmean(latencies).hex()
+        except statistics.StatisticsError:
+            mean = "StatisticsError"
+        if len(times) < 2:
+            rate = 0.0
+        elif times[-1] - times[0] <= 0:
+            rate = math.inf
+        else:
+            rate = (len(times) - 1) * 1000.0 / (times[-1] - times[0])
+        return dict(
+            version=len(self.seen.get(service_id, [])),
+            count=len(times),
+            latencies=latencies,
+            mean=mean,
+            rate=rate,
+            recent={m: execs[-m:] for m in range(-2, self.window + 3)},
+        )
+
+
+def context_reads(ctx, service_id):
+    try:
+        mean = ctx.mean_latency(service_id).hex()
+    except statistics.StatisticsError:
+        mean = "StatisticsError"
+    return dict(
+        version=ctx.version(service_id),
+        count=ctx.count(service_id),
+        latencies=ctx.latencies(service_id),
+        mean=mean,
+        rate=ctx.rate_per_s(service_id),
+        recent={m: ctx.recent_exec(service_id, m) for m in range(-2, ctx.window + 3)},
+    )
+
+
+CONTEXT_IDS = ("svc-a", "svc-b", "svc-c")
+FEED = st.lists(st.tuples(
+    st.sampled_from(CONTEXT_IDS),
+    st.one_of(st.just(0.0), st.floats(0.0, 5000.0)),  # gap since the last completion fed
+    st.floats(-1e12, 1e12),  # latency
+    st.floats(0.0, 1e6),  # execution time
+), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), FEED)
+def test_context_reads_equal_plain_lists(window, feed):
+    # Every read of every service, after every observe, equals the one
+    # from full lists; ties in time give a zero span and an infinite rate.
+    ctx = ContextSnapshot(window=window)
+    plain = PlainContext(window)
+    t = 0.0
+    for service_id, gap, latency, exec_ms in feed:
+        t += gap
+        ctx.observe(service_id, t, latency, exec_ms)
+        plain.observe(service_id, t, latency, exec_ms)
+        for other in CONTEXT_IDS:
+            assert context_reads(ctx, other) == plain.reads(other)
+    for service_id in plain.seen:
+        last = plain.seen[service_id][-1][0]
+        with pytest.raises(OutOfOrderEvent):
+            ctx.observe(service_id, math.nextafter(last, -math.inf), 1.0, 1.0)
+        assert context_reads(ctx, service_id) == plain.reads(service_id)

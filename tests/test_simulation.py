@@ -1,11 +1,15 @@
 """Event loop behavior: determinism, queueing, conservation, baselines."""
 
+import gc
+import weakref
+
 import pytest
 
 from tierbroker.errors import ConfigError
 from tierbroker.model import Outcome, Tier, minute_of_day
+from tierbroker.registry import Registry
 from tierbroker.report import report_to_dict
-from tierbroker.simulation import POLICIES, build_topology, simulate_scenario
+from tierbroker.simulation import POLICIES, Simulation, build_topology, simulate_scenario
 from tierbroker.workload import load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR, make_node
@@ -227,3 +231,25 @@ def test_unknown_policy_rejected():
     with pytest.raises(ConfigError):
         simulate_scenario(scenario, policy="closest-first")
 
+
+
+def test_finished_run_frees_its_simulation():
+    # Heap entries hold bound methods, so events left past the horizon
+    # would keep the simulation, and its windows, in a cycle until the
+    # next full collection. With the collector off, only reference counts
+    # can free it. At seed 7 two requests are still running at the
+    # horizon: the loop pops one's event and stops, leaving the other's.
+    scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
+    topology = build_topology(scenario.nodes)
+    sim = Simulation(topology, Registry(topology, scenario.vocabulary, scenario.weights),
+                     scenario, policy="sami", seed=7)
+    freed = weakref.ref(sim)
+    gc.disable()
+    try:
+        result = sim.run()
+        del sim, topology
+        assert freed() is None
+    finally:
+        gc.enable()
+    running = [r for r in result.records if r.t_start is not None and r.outcome is None]
+    assert len(running) >= 2
