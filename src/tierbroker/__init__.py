@@ -45,7 +45,7 @@ from .registry import (
     ServiceRecord,
     ServiceState,
 )
-from .simulation import Simulation, build_topology, run, simulate_scenario
+from .simulation import Simulation, run, simulate_scenario
 from .workload import Scenario, generate_workload, load_scenario
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "TrustLevel",
     "UncoverableGoal",
     "ValidationError",
-    "build_topology",
     "generate_workload",
     "is_admissible",
     "load_scenario",

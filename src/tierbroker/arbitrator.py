@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import islice
 from statistics import StatisticsError, fmean
 
-from .errors import NoAdmissibleNode, OutOfOrderEvent
+from .errors import ConfigError, NoAdmissibleNode, OutOfOrderEvent
 from .model import (
     TIER_RANK,
     InvocationRecord,
@@ -55,6 +55,11 @@ class Thresholds:
     compute_run: int = 3  # consecutive overruns required
     window: int = 100  # sliding window size per service
     min_samples: int = 20  # observations required before analysis speaks
+
+    def __post_init__(self):
+        # analyze_computation slices the last m times: [-0:] is the whole window.
+        if self.compute_run <= 0:
+            raise ConfigError(f"thresholds.compute_run must be >= 1, got {self.compute_run}")
 
 
 class AdviceKind(str, Enum):
@@ -162,11 +167,12 @@ class ContextSnapshot:
         return (len(times) - 1) * 1000.0 / span_ms
 
     def recent_exec(self, service_id: str, m: int) -> list[float]:
-        """The execution-time column sliced as [-m:], without copying it first."""
+        """The last m execution times, oldest first, without copying the column.
+
+        m=0 reads no times.
+        """
         execs = self._windows.get(service_id, _NO_WINDOW).execs
-        if m > 0:
-            return list(islice(reversed(execs), m))[::-1]
-        return list(islice(execs, -m, None))
+        return list(islice(reversed(execs), m))[::-1]
 
 
 def collect_context(record: InvocationRecord, ctx: ContextSnapshot) -> ContextSnapshot:

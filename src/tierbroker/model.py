@@ -16,6 +16,7 @@ from .errors import NonDealerNode
 from .schema import standard
 
 DAY_MINUTES = 1440
+DAY_MS = DAY_MINUTES * 60000.0
 
 
 class Tier(str, Enum):
@@ -200,18 +201,18 @@ class Topology:
         return len(self.nodes)
 
 
-def minute_of_day(t_ms: float) -> float:
-    return (t_ms / 60000.0) % DAY_MINUTES
-
-
 def is_dealer_open(node: ResourceNode, t_ms: float) -> bool:
-    """Open interval is [open_minute, close_minute) on every day."""
+    """Open from open_minute up to close_minute of every day, in milliseconds of day.
+
+    Float % is exact, so with whole minutes the answer flips exactly at
+    day * DAY_MS + minute * 60000.0, where the calendar's events fall.
+    """
     if node.tier is not Tier.DEALER:
         raise NonDealerNode(node.id)
     if node.open_hours is None:
         return False
     open_minute, close_minute = node.open_hours
-    return open_minute <= minute_of_day(t_ms) < close_minute
+    return open_minute * 60000.0 <= t_ms % DAY_MS < close_minute * 60000.0
 
 
 def transmit_ms(size_mb: float, bandwidth_mbps: float) -> float:
@@ -296,9 +297,10 @@ def check_node(node: ResourceNode) -> list[str]:
         problems.append(f"{node.id}: dealer nodes need open_hours")
     if node.open_hours is not None:
         o, c = node.open_hours
-        if not (0 <= o < c <= DAY_MINUTES):
+        if not (0 <= o < c <= DAY_MINUTES and o % 1 == 0 == c % 1):
             problems.append(
-                f"{node.id}: open_hours must satisfy 0 <= open < close <= {DAY_MINUTES}"
+                f"{node.id}: open_hours must be whole minutes with"
+                f" 0 <= open < close <= {DAY_MINUTES}"
             )
     if node.tier is Tier.MNO and node.internet_path:
         problems.append(f"{node.id}: internet_path must be false for MNO nodes")

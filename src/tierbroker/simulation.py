@@ -9,9 +9,12 @@ times run in list order, so every tie is resolved the same way on every
 run. Each node serves its queue in FIFO order across cpu_slots parallel
 slots; a request occupies a slot from start until execution completes.
 Dealers reject whatever is still queued when they close; the next
-arrival of an affected service gets re-placed. Analysis ticks run the
-delay-pressure and compute-shortfall detectors every second under the
-arbitrated policy.
+arrival of an affected service gets re-placed, so a closed dealer's
+queue stays empty. Simulation refuses every node check_node refuses,
+which holds dealer hours to whole minutes: is_dealer_open then flips
+exactly at the calendar's DealerOpen and DealerClose events and nowhere
+else. Analysis ticks run the delay-pressure and compute-shortfall
+detectors every second under the arbitrated policy.
 
 A start fixes its completion time, yet the ExecDone is pushed by a
 TransferDone when the transfer ends, not at the start: that push
@@ -32,14 +35,13 @@ logged and counted. Execution times are fixed per (service, node), so
 a completion cannot change a key whose last compute_run execution times
 all equal the time of the node it ran on: with one more appended, that
 run stays the same. When a tick leaves every service in place, the
-ticks up to the next event are counted, not listed, stopping early at
-midnight or where a dealer opens or closes, and only the first tick not
-counted is pushed; it takes the heap slot the every-tick loop would
-have given it, so event order is unchanged. Only the arbitrated policy
-feeds the analysis window. run() empties the heap when it ends: its
-entries hold bound methods, so events left past the horizon would keep
-the finished simulation in a reference cycle until the next full
-collection.
+ticks up to the next event are counted, not listed, as no dealer opens
+or closes before it, and only the first tick not counted is pushed; it
+takes the heap slot the every-tick loop would have given it, so event
+order is unchanged. Only the arbitrated policy feeds the analysis
+window. run() empties the heap when it ends: its entries hold bound
+methods, so events left past the horizon would keep the finished
+simulation in a reference cycle until the next full collection.
 
 The arbitration log stores such quiet ticks as runs (ArbitrationLog):
 a register, a reschedule or the analyses of a tick that moved a
@@ -64,7 +66,6 @@ import heapq
 import logging
 import math
 import operator
-from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -84,6 +85,7 @@ from .arbitrator import (
 from .billing import apply_slo_rebate, compute_charge
 from .errors import ConfigError, NoAdmissibleNode
 from .model import (
+    DAY_MS,
     EnergyModel,
     InvocationRecord,
     Outcome,
@@ -106,7 +108,6 @@ from .workload import Arrival, Scenario, generate_workload
 log = logging.getLogger(__name__)
 
 ANALYSIS_INTERVAL_MS = 1000.0
-DAY_MS = 1440 * 60000.0
 
 POLICY_TIERS = {
     "cloud-only": Tier.CLOUD,
@@ -131,16 +132,6 @@ def transmit_energy_j(size_mb: float, bandwidth_mbps: float, model: EnergyModel)
 def waiting_energy_j(transmit_j: float, wait_ms: float, model: EnergyModel) -> float:
     """energy_j from its transmit half: the radio idles while the request waits."""
     return transmit_j + model.p_idle_w * (wait_ms / 1000.0)
-
-
-def build_topology(nodes: list[ResourceNode]) -> Topology:
-    """Validate nodes and assemble the inventory."""
-    problems = []
-    for node in sorted(nodes, key=lambda n: n.id):
-        problems.extend(check_node(node))
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return Topology(nodes)
 
 
 @dataclass(slots=True)
@@ -280,6 +271,9 @@ class Simulation:
     ):
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
+        problems = [problem for node in topology for problem in check_node(node)]
+        if problems:
+            raise ConfigError("; ".join(problems))
         self.topology = topology
         self.registry = registry
         self.scenario = scenario
@@ -442,8 +436,7 @@ class Simulation:
         request.node_id = node.id
         node_state = self.node_states[node.id]
         node_state.queue.append(request)
-        # Unless re-placed, a dealer here was found open at t_ms just now.
-        self._try_start(t_ms, node_state, admitted)
+        self._try_start(t_ms, node_state)
 
     def _re_resolve(self, t_ms, state: _ServiceState, request: InvocationRecord):
         """Current node refuses the service (dealer closed, say): place anew."""
@@ -468,19 +461,13 @@ class Simulation:
         if done <= self.horizon:
             self._push(done, self._try_start, self.node_states[new_node.id])
 
-    def _try_start(self, t_ms: float, node_state: _NodeState, known_open: bool = False):
+    def _try_start(self, t_ms: float, node_state: _NodeState):
         """Start queued requests in FIFO order while a slot is free.
 
-        known_open says the caller has just found this node open at t_ms;
-        otherwise a dealer is asked once, as t_ms is the same for every
-        request started here.
+        A dealer needs no asking: its queue is empty while it is closed.
         """
         node = node_state.node
         queue = node_state.queue
-        if not queue or node_state.running >= node.cpu_slots:
-            return
-        if not known_open and node.tier is Tier.DEALER and not is_dealer_open(node, t_ms):
-            return
         while queue and node_state.running < node.cpu_slots:
             head: InvocationRecord = queue[0]
             state = self.services[head.service_id]
@@ -541,14 +528,12 @@ class Simulation:
             # Unless nearer is set, the key ends in the last compute_run
             # execution times, fewer while the window is shorter. When they
             # are compute_run copies of this node's time, this completion
-            # leaves them so. Below 1, compute_run keys no such run.
+            # leaves them so.
             quiet_key = state.quiet_key
-            run = self.thresholds.compute_run
             if (
                 quiet_key is None
                 or state.nearer
-                or run < 1
-                or quiet_key[1].count(cost.exec_ms) != run
+                or quiet_key[1].count(cost.exec_ms) != self.thresholds.compute_run
             ):
                 self._changed.add(request.service_id)
         self._try_start(t_ms, node_state)
@@ -588,7 +573,7 @@ class Simulation:
                     log._append((t_ms, "reschedule", service_id))
             ticks = 1
         else:
-            ticks = 1 + self._fast_forward(t_ms + ANALYSIS_INTERVAL_MS, dealers_open)
+            ticks = 1 + self._fast_forward(t_ms + ANALYSIS_INTERVAL_MS)
             log._append_ticks(t_ms, ticks, self._placed_ids)
         t_next = t_ms + ticks * ANALYSIS_INTERVAL_MS
         if t_next <= self.horizon:
@@ -639,54 +624,31 @@ class Simulation:
         self._move(t_ms, state, decision)
         return True
 
-    def _fast_forward(self, t_ms: float, dealers_open: tuple[bool, ...]) -> int:
+    def _fast_forward(self, t_ms: float) -> int:
         """Count the ticks from t_ms on that find every service quiet.
 
         Called after a tick in which every service stayed quiet. Until the
         next event, the heap's or the next arrival, no window or placement
-        changes, so a tick before it finds the same keys unless a dealer
-        opened or closed. A tick at exactly the next event's time is left
-        to run after that event, as its push sequence orders it. The
-        batch is counted, not listed: tick i is at t_ms + i * interval,
-        exact because every tick time is a whole multiple of the interval.
-
-        Every open and close time in (0, horizon] is a calendar event and
-        a batch never reaches one, so inside a batch a dealer flips only
-        where the minute of day wraps at midnight, or by rounding next to
-        an event: the tick after an event may still find a dealer as it
-        was before, and the tick before an event may already find it as
-        it will be after. The first is the tick that called this, whose
-        tuple the batch's first tick may not share; the second can only
-        be the batch's last tick. A batch therefore stops at midnight,
-        inside it the minute of day only grows and each dealer is open on
-        one run of ticks, and the dealer tuple is compared on the first
-        tick, then the last, and bisected only when the last differs.
+        changes, and no dealer opens or closes, as that happens only at
+        calendar events: a tick before it finds the same keys. A tick at
+        exactly the next event's time is left to run after that event, as
+        its push sequence orders it. The batch is counted, not listed:
+        tick i is at t_ms + i * interval, exact because every tick time is
+        a whole multiple of the interval.
         """
-        interval = ANALYSIS_INTERVAL_MS
         # Tick i is in the batch while t_ms + i * interval < end: end is the
-        # next event, midnight where there are dealers, or just past the
-        # horizon, as a tick may fall on the horizon itself.
+        # next event or just past the horizon, as a tick may fall on the
+        # horizon itself.
         end = math.nextafter(self.horizon, math.inf)
         if self._heap and self._heap[0][0] < end:
             end = self._heap[0][0]
         if self._arrivals and self._arrivals[-1].t_ms < end:
             end = self._arrivals[-1].t_ms
-        if self._dealers:
-            end = min(end, (t_ms // DAY_MS + 1) * DAY_MS)
         # end is finite even when no event is left. Below 2**53 tick times
         # and their multiples of the interval are whole numbers, so end - t_ms
         # is exact and the rounded quotient crosses no whole number the exact
         # one does not: its ceiling is the count.
-        n = max(0, math.ceil((end - t_ms) / interval))
-        if n and self._dealers:
-            def differs(i: int) -> bool:
-                return self._dealers_open(t_ms + i * interval) != dealers_open
-
-            if differs(0):
-                n = 0
-            elif differs(n - 1):
-                n = bisect_left(range(n), True, 1, n - 1, key=differs)
-        return n
+        return max(0, math.ceil((end - t_ms) / ANALYSIS_INTERVAL_MS))
 
     # ------------------------------------------------------------------
     # reporting
@@ -792,7 +754,7 @@ def simulate_scenario(
     scenario: Scenario, policy: str = "sami", seed: int | None = None
 ) -> SimResult:
     """Build topology and registry from the scenario, then run."""
-    topology = build_topology(scenario.nodes)
+    topology = Topology(scenario.nodes)
     registry = Registry(topology, scenario.vocabulary, scenario.weights)
     return Simulation(topology, registry, scenario, policy=policy, seed=seed).run()
 
@@ -804,7 +766,6 @@ __all__ = [
     "ArbitrationLog",
     "SimResult",
     "Simulation",
-    "build_topology",
     "energy_j",
     "run",
     "simulate_scenario",

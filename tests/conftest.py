@@ -10,11 +10,11 @@ from tierbroker.model import (
     SecurityClass,
     ServiceDescriptor,
     Tier,
+    Topology,
     TrustAssessment,
     TrustBasis,
     TrustLevel,
 )
-from tierbroker.simulation import build_topology
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -100,4 +100,4 @@ def t0_nodes():
 
 @pytest.fixture
 def t0():
-    return build_topology(t0_nodes())
+    return Topology(t0_nodes())

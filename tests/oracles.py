@@ -44,15 +44,12 @@ def trust_rank(level):
     return _TRUST_ORDER.index(level)
 
 
-def oracle_minute(t_ms):
-    return (t_ms / 60000.0) % 1440
-
-
 def oracle_dealer_open(node, t_ms):
+    """Open from open_minute to close_minute, in milliseconds of day."""
     if node.open_hours is None:
         return False
     lo, hi = node.open_hours
-    return lo <= oracle_minute(t_ms) < hi
+    return lo * 60000 <= t_ms % 86_400_000 < hi * 60000
 
 
 def oracle_security_ok(service, node):

@@ -24,6 +24,7 @@ from tierbroker.billing import apply_slo_rebate, compute_charge
 from tierbroker.cli import EXIT_OK, main
 from tierbroker.errors import NoAdmissibleNode, NotBillable
 from tierbroker.model import (
+    DAY_MS,
     EnergyModel,
     InvocationRecord,
     Outcome,
@@ -35,7 +36,6 @@ from tierbroker.model import (
     TrustAssessment,
     TrustBasis,
     TrustLevel,
-    minute_of_day,
 )
 from tierbroker.simulation import POLICIES, energy_j, simulate_scenario
 from tierbroker.trust import aggregate_trust, indirect_trust
@@ -267,12 +267,12 @@ def test_c09_dealer_hours_respected_over_a_day():
     out_of_hours = [
         r for r in result.records
         if r.node_id in dealer_ids and r.t_start is not None
-        and not 540.0 <= minute_of_day(r.t_start) < 1020.0
+        and not 540 * 60000.0 <= r.t_start % DAY_MS < 1020 * 60000.0
     ]
     fallbacks = [
         r for r in result.records
         if r.outcome is Outcome.COMPLETED and r.node_id not in dealer_ids
-        and not 540.0 <= minute_of_day(r.t_arrive) < 1020.0
+        and not 540 * 60000.0 <= r.t_arrive % DAY_MS < 1020 * 60000.0
     ]
     dealer_work = [r for r in result.records if r.node_id in dealer_ids
                    and r.t_start is not None]

@@ -54,6 +54,13 @@ GRID_MS = 250.0
 
 
 @st.composite
+def open_hours(draw):
+    """Whole minutes within the longest horizon, open < close."""
+    open_minute = draw(st.integers(0, 2))
+    return open_minute, draw(st.integers(open_minute + 1, 3))
+
+
+@st.composite
 def grid_nodes(draw):
     nodes = [
         make_node(
@@ -63,8 +70,7 @@ def grid_nodes(draw):
             rtt_ms=draw(st.sampled_from([0.0, 125.0])),
             bandwidth_mbps=draw(st.sampled_from([32.0, 64.0])),
             cpu_slots=draw(st.integers(1, 2)),
-            # Quarter minutes; open >= close included.
-            open_hours=(draw(st.integers(0, 12)) / 4, draw(st.integers(0, 12)) / 4),
+            open_hours=draw(open_hours()),
         )
         for i in range(draw(st.integers(0, 2)))
     ]
@@ -143,7 +149,7 @@ def test_merged_arrivals_match_heap_only_reference(case):
 def test_generated_workload_matches_heap_only_reference(seed, policy):
     # The real arrival streams for four minutes, in which D1 closes and
     # D2 opens and closes.
-    scenario = tie_scenario(close_minute=1.5, horizon_ms=240000.0)
+    scenario = tie_scenario(close_minute=2, horizon_ms=240000.0)
     scenario.seed = seed
     assert_same_order(scenario, policy)
 
@@ -163,14 +169,14 @@ def tie_scenario(close_minute, horizon_ms):
     service = {"version": "1.0.0", "capability_tags": ["compute"], "cpu_demand": 2000,
                "mem_demand": 64, "storage_demand": 1.0, "payload_in": 0.5,
                "payload_out": 0.5}
-    scenario = scenario_from_dict({
+    return scenario_from_dict({
         "horizon_ms": horizon_ms,
         "seed": 1,
         "nodes": [
             dict(node, id="D1", tier="Dealer", cpu_speed=4000, rtt_ms=5, bandwidth_mbps=100,
-                 open_hours=[0, 1]),
+                 open_hours=[0, close_minute]),
             dict(node, id="D2", tier="Dealer", cpu_speed=4000, rtt_ms=5, bandwidth_mbps=100,
-                 open_hours=[1, 4]),
+                 open_hours=[close_minute, 4]),
             dict(node, id="M1", tier="MNO", cpu_speed=8000, rtt_ms=50, bandwidth_mbps=100),
             dict(node, id="C1", tier="Cloud", cpu_speed=8000, rtt_ms=200, bandwidth_mbps=100,
                  internet_path=True),
@@ -185,11 +191,6 @@ def tie_scenario(close_minute, horizon_ms):
         ],
         "thresholds": {"min_samples": 2, "window": 2},
     })
-    # The parser accepts whole minutes only.
-    d1, d2 = scenario.nodes[:2]
-    d1.open_hours = (0, close_minute)
-    d2.open_hours = (close_minute, 4)
-    return scenario
 
 
 def test_arrival_on_an_exec_done_goes_first(monkeypatch):
@@ -203,11 +204,12 @@ def test_arrival_on_an_exec_done_goes_first(monkeypatch):
 
 
 def test_arrival_on_a_dealer_close_goes_first(monkeypatch):
-    # D1 closes at 1 1/64 minutes, between two ticks; the arrival at that
+    # D1 closes at 2 minutes, between two 45 s ticks; the arrival at that
     # instant finds it closed and moves svc-x before the close runs.
-    close_ms = (1 + 1 / 64) * 60000.0
+    monkeypatch.setattr(simulation, "ANALYSIS_INTERVAL_MS", 45000.0)
+    close_ms = 2 * 60000.0
     use_arrivals(monkeypatch, [Arrival(30000.0, "u1", "svc-x"), Arrival(close_ms, "u1", "svc-x")])
-    result = assert_same_order(tie_scenario(close_minute=1 + 1 / 64, horizon_ms=65000.0))
+    result = assert_same_order(tie_scenario(close_minute=2, horizon_ms=125000.0))
     assert [r.node_id for r in result.records] == ["D1", "D2"]
     assert (close_ms, "reschedule", "svc-x") in result.arbitration_log
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from tierbroker import simulation
 from tierbroker.arbitrator import SchedulerWeights, Thresholds
-from tierbroker.model import EnergyModel, SecurityClass, Tier, Topology
+from tierbroker.errors import ConfigError
+from tierbroker.model import DAY_MS, EnergyModel, SecurityClass, Tier, Topology
 from tierbroker.registry import Registry
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import Simulation
@@ -26,8 +27,6 @@ from oracles import EveryTickSimulation
 
 
 def run_with(cls, scenario, seed=None):
-    # Topology, not build_topology: the property test feeds dealer hours
-    # that node validation would refuse (open >= close).
     topology = Topology(scenario.nodes)
     registry = Registry(topology, scenario.vocabulary, scenario.weights)
     return cls(topology, registry, scenario, policy="sami", seed=seed).run()
@@ -46,20 +45,11 @@ def assert_same_run(scenario, seed=None):
 # random scenarios
 
 MINUTE = st.one_of(st.integers(0, 60), st.integers(1380, 1440), st.integers(0, 1440))
-# Tenths of a minute are not exact in binary, so an event time can round
-# to either side of the tick that reaches the same minute of day.
-FRACTIONAL_MINUTE = st.one_of(
-    st.integers(-1200, 15600).map(lambda k: k / 10),
-    st.floats(-120.0, 1560.0),
-)
+# Whole minutes with open < close, as check_node requires; hours near
+# midnight make quiet batches that run across it.
 OPEN_HOURS = st.one_of(
     st.just((0, 1440)),
-    st.tuples(MINUTE, MINUTE),  # open >= close included: such a dealer never opens
-    # Hours reaching past midnight open or close at midnight, where the
-    # calendar pushes no DealerOpen or DealerClose event.
-    st.tuples(st.integers(-120, -1), st.integers(1, 120)),
-    st.tuples(st.integers(1320, 1439), st.integers(1441, 1560)),
-    st.tuples(FRACTIONAL_MINUTE, FRACTIONAL_MINUTE),
+    st.tuples(MINUTE, MINUTE).map(sorted).filter(lambda h: h[0] < h[1]).map(tuple),
 )
 
 
@@ -156,6 +146,10 @@ def test_memoized_loop_matches_every_tick_reference(case):
 # hand-written cases
 
 
+def moves_in(result):
+    return [t for t, kind, _ in result.arbitration_log if kind == "reschedule"]
+
+
 def test_dealer_hours_across_midnight_matches_reference():
     # The shipped sparse-window scenario at the real one-second tick,
     # run ten minutes past midnight so the dealer's day wraps.
@@ -163,113 +157,6 @@ def test_dealer_hours_across_midnight_matches_reference():
     scenario = dataclasses.replace(scenario, horizon_ms=scenario.horizon_ms + 600000.0)
     fast = assert_same_run(scenario, seed=7)
     assert fast.report.run.reschedules > 0
-
-
-def test_dealer_opening_at_midnight_without_an_event_is_seen(monkeypatch):
-    # Hours of [-60, 60) open the dealer at midnight, where the calendar
-    # has no DealerOpen event to end a run of quiet ticks. The service
-    # leaves the dealer when it closes at 01:00 and must come back on the
-    # first tick of the next day. Minute ticks keep the day short.
-    monkeypatch.setattr(simulation, "ANALYSIS_INTERVAL_MS", 60000.0)
-    nodes = [
-        make_node("D0", Tier.DEALER, cpu_speed=4000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
-                  open_hours=(-60, 60)),
-        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
-    ]
-    horizon = 1500 * 60000.0
-    scenario = Scenario(
-        horizon_ms=horizon,
-        seed=3,
-        nodes=nodes,
-        services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True)],
-        consumers=[ConsumerSpec("u1", {"svc-0": 100 * 1000.0 / horizon})],
-        weights=SchedulerWeights(),
-        thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
-        energy=EnergyModel(),
-    )
-    result = assert_same_run(scenario)
-    moves = [t for t, kind, _ in result.arbitration_log if kind == "reschedule"]
-    assert len(moves) == 2
-    assert moves[0] > 3600000.0
-    assert moves[1] == 86400000.0
-
-
-def burst_scenario(monkeypatch, open_hours, burst_at, horizon):
-    """svc-0 prefers the dealer D0, and five requests from burst_at on
-    leave it a window under pressure; it moves to D0 on the first tick
-    that finds D0 open while it is on M1.
-    """
-    nodes = [
-        make_node("D0", Tier.DEALER, cpu_speed=4000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
-                  open_hours=open_hours),
-        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
-    ]
-    burst = [Arrival(burst_at + 100.0 * i, "u1", "svc-0") for i in range(1, 6)]
-    monkeypatch.setattr(
-        simulation, "generate_workload", lambda consumers, seed, horizon: list(burst)
-    )
-    return Scenario(
-        horizon_ms=horizon,
-        seed=3,
-        nodes=nodes,
-        services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True)],
-        consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
-        weights=SchedulerWeights(),
-        thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
-        energy=EnergyModel(),
-    )
-
-
-def moves_in(result):
-    return [t for t, kind, _ in result.arbitration_log if kind == "reschedule"]
-
-
-def test_dealer_opening_late_by_rounding_is_seen(monkeypatch):
-    # On day one, 0.1 minutes past midnight is 86,406,000 ms, but there
-    # (86406000 / 60000) % 1440 falls just short of 0.1: the tick that
-    # runs after that DealerOpen still finds D0 closed, and the next tick
-    # finds it open. The hours reach past midnight, so D0 closes again
-    # when day two begins, before any later event.
-    monkeypatch.setattr(simulation, "ANALYSIS_INTERVAL_MS", 6000.0)
-    opens = simulation.DAY_MS + 6000.0
-    scenario = burst_scenario(
-        monkeypatch, (0.1, 1440.1), simulation.DAY_MS, 2 * simulation.DAY_MS + 60000.0
-    )
-    d0 = scenario.nodes[0]
-    assert not simulation.is_dealer_open(d0, opens)
-    assert simulation.is_dealer_open(d0, opens + 6000.0)
-    result = assert_same_run(scenario)
-    assert moves_in(result) == [opens + 6000.0]
-
-
-def test_dealer_opening_early_by_rounding_is_seen(monkeypatch):
-    # 8.3 minutes is 498,000 ms, but the DealerOpen lands a rounding
-    # error later: the tick at 498,000 ms already finds D0 open and runs
-    # before that event.
-    opens = 498000.0
-    scenario = burst_scenario(monkeypatch, (8.3, 20), 480000.0, 500000.0)
-    assert 8.3 * 60000.0 > opens
-    assert simulation.is_dealer_open(scenario.nodes[0], opens)
-    result = assert_same_run(scenario)
-    assert moves_in(result) == [opens]
-
-
-def test_dealer_opening_at_midnight_before_an_early_close_is_seen(monkeypatch):
-    # D0 opens at midnight with no event and closes at about 10:08 on day
-    # one, where the tick at 122,881,000 ms finds it closed a rounding
-    # error before its DealerClose. From 23:30 on day zero, svc-0 waits
-    # on M1 for D0 to open; the last tick before the next event finds D0
-    # closed again, as the tick before midnight did.
-    closes = simulation.DAY_MS + 36481000.0
-    hours = (-60, 608.0166666666669)
-    scenario = burst_scenario(
-        monkeypatch, hours, simulation.DAY_MS - 1800000.0, closes + 1000.0
-    )
-    assert closes < simulation.DAY_MS + hours[1] * 60000.0
-    assert not simulation.is_dealer_open(scenario.nodes[0], closes)
-    result = assert_same_run(scenario)
-    # The first move takes svc-0 off the closed dealer at its first arrival.
-    assert moves_in(result) == [simulation.DAY_MS - 1800000.0 + 100.0, simulation.DAY_MS]
 
 
 @settings(max_examples=300, deadline=None)
@@ -311,26 +198,29 @@ def test_batch_count_is_exact_far_from_zero(interval, first_tick, span, nudge, b
     before_event = math.ceil((Fraction(edge) - first) / step) if bound != "horizon" else math.inf
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
-        assert sim._fast_forward(t_ms, ()) == max(0, min(before_event, within_horizon))
+        assert sim._fast_forward(t_ms) == max(0, min(before_event, within_horizon))
 
 
-class NoteDryBatches(Simulation):
-    """Notes, for each batch of quiet ticks, whether no event is left at all."""
+class NoteBatches(Simulation):
+    """Notes each batch of quiet ticks: its first tick, its tick count and
+    whether no event is left at all."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.dry = []
+        self.batches = []
 
-    def _fast_forward(self, t_ms, dealers_open):
-        self.dry.append(not self._heap and not self._arrivals)
-        return super()._fast_forward(t_ms, dealers_open)
+    def _fast_forward(self, t_ms):
+        dry = not self._heap and not self._arrivals
+        n = super()._fast_forward(t_ms)
+        self.batches.append((t_ms, n, dry))
+        return n
 
 
 @pytest.mark.parametrize("horizon", [30000.0, 30000.5, math.nextafter(31000.0, 0.0)])
 def test_ticks_after_the_last_event_run_to_the_horizon(monkeypatch, horizon):
-    # With no dealer there is no midnight stop, and once the two requests
-    # have completed neither the heap nor the arrivals hold an event: the
-    # next event is at math.inf and the horizon alone ends the batch.
+    # Once the two requests have completed neither the heap nor the
+    # arrivals hold an event: the next event is at math.inf and the
+    # horizon alone ends the batch.
     nodes = [
         make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
         make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=200.0, bandwidth_mbps=100.0,
@@ -351,15 +241,62 @@ def test_ticks_after_the_last_event_run_to_the_horizon(monkeypatch, horizon):
         energy=EnergyModel(),
     )
     topology = Topology(scenario.nodes)
-    sim = NoteDryBatches(topology, Registry(topology, scenario.vocabulary, scenario.weights),
-                         scenario, policy="sami")
+    sim = NoteBatches(topology, Registry(topology, scenario.vocabulary, scenario.weights),
+                      scenario, policy="sami")
     fast = sim.run()
     reference = run_with(EveryTickSimulation, scenario)
     assert fast.arbitration_log == reference.arbitration_log
     assert fast.records == reference.records
-    assert sim.dry[-1]
+    assert sim.batches[-1][2]
     ticks = [t for t, kind, _ in fast.arbitration_log if kind == "analysis"]
     assert ticks == [1000.0 * i for i in range(1, int(horizon // 1000.0) + 1)]
+
+
+def test_quiet_batch_runs_across_midnight(monkeypatch):
+    # D0 keeps hours 09:00-17:00, so the calendar has no event at
+    # midnight and the dealers open read the same on both sides of it.
+    # svc-0 is on M1 from the start, and five requests at 18:20 on day
+    # zero leave its window under pressure with D0 closed. Nothing
+    # happens from their completion until D0 opens on day one: one
+    # batch of quiet ticks covers midnight, and the tick at 09:00 moves
+    # svc-0 to D0. Minute ticks keep the two days short.
+    monkeypatch.setattr(simulation, "ANALYSIS_INTERVAL_MS", 60000.0)
+    nodes = [
+        make_node("D0", Tier.DEALER, cpu_speed=4000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
+                  open_hours=(540, 1020)),
+        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
+    ]
+    burst_at = 1100 * 60000.0
+    arrivals = [Arrival(burst_at + 100.0 * i, "u1", "svc-0") for i in range(5)]
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
+    )
+    scenario = Scenario(
+        horizon_ms=2 * DAY_MS,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True)],
+        consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
+        energy=EnergyModel(),
+    )
+    topology = Topology(scenario.nodes)
+    sim = NoteBatches(topology, Registry(topology, scenario.vocabulary, scenario.weights),
+                      scenario, policy="sami")
+    fast = sim.run()
+    reference = run_with(EveryTickSimulation, scenario)
+    assert fast.arbitration_log == reference.arbitration_log
+    assert fast.records == reference.records
+    assert report_to_dict(fast.report) == report_to_dict(reference.report)
+    assert [r.node_id for r in fast.records] == ["M1"] * 5
+    opens = DAY_MS + 540 * 60000.0
+    assert moves_in(fast) == [opens]
+    across = [(t, n) for t, n, _ in sim.batches if t < DAY_MS <= t + (n - 1) * 60000.0]
+    assert len(across) == 1
+    # The 18:21 tick analyses the burst's completions; the batch starts
+    # at the next one and stops short of D0's DealerOpen.
+    assert across == [(burst_at + 2 * 60000.0, (opens - burst_at) / 60000.0 - 2)]
 
 
 def tie_scenario(cloud):
@@ -639,21 +576,20 @@ def test_old_node_completion_with_the_same_exec_time_is_skipped(monkeypatch):
 
 
 @pytest.mark.parametrize("latency_sensitive", [True, False])
-@pytest.mark.parametrize("compute_run", [3, 0], ids=["longer-than-window", "zero"])
-def test_compute_run_no_window_tail_can_match_never_skips(
-    monkeypatch, compute_run, latency_sensitive
-):
-    # The file format requires compute_run >= 1, but Thresholds built in
-    # code take any. Longer than the window of 2, the key's tail has at
-    # most 2 times; at 0 recent_exec reads the whole window. Neither is a
-    # run of compute_run equal times, so every completion marks svc-x:
-    # on M1, the one at 7480 ms too, whose 250 ms the key's (500, 500)
-    # does not hold. Not latency-sensitive, svc-x stays on C1, where
-    # nothing is ever nearer. The first completion, at 880 ms, comes
-    # before the first tick: at 0 the compute check cannot read an empty
-    # window.
-    sim, moves = left_behind(monkeypatch, 4000.0, latency_sensitive,
-                             window=2, compute_run=compute_run)
+def test_compute_run_no_window_tail_can_match_never_skips(monkeypatch, latency_sensitive):
+    # Longer than the window of 2, the key's tail has at most 2 times,
+    # never a run of 3 equal times, so every completion marks svc-x: on
+    # M1, the one at 7480 ms too, whose 250 ms the key's (500, 500) does
+    # not hold. Not latency-sensitive, svc-x stays on C1, where nothing
+    # is ever nearer.
+    sim, moves = left_behind(monkeypatch, 4000.0, latency_sensitive, window=2, compute_run=3)
     assert moves == ([2000.0] if latency_sensitive else [])
     assert all(marked for *_, marked in sim.done)
     assert any(quiet_key is not None for _, _, quiet_key, _ in sim.done)
+
+
+def test_thresholds_refuse_a_compute_run_below_one():
+    # The compute check reads the last compute_run execution times; the
+    # file format already requires at least one.
+    with pytest.raises(ConfigError, match="compute_run"):
+        Thresholds(compute_run=0)

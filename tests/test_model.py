@@ -1,9 +1,14 @@
 """Domain model rules: projections, admissibility, hours, versions."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tierbroker.errors import NonDealerNode
 from tierbroker.model import (
+    DAY_MS,
     SecurityClass,
     Tier,
     TrustAssessment,
@@ -13,7 +18,6 @@ from tierbroker.model import (
     effective_level_for_security,
     is_admissible,
     is_dealer_open,
-    minute_of_day,
     parse_semver,
     projected_response_ms,
     security_ok,
@@ -41,11 +45,31 @@ def test_payload_total():
     assert svc.payload_total == 1.0
 
 
-def test_minute_of_day_wraps():
-    assert minute_of_day(0.0) == 0.0
-    assert minute_of_day(60000.0) == 1.0
-    assert minute_of_day(1440 * 60000.0) == 0.0
-    assert minute_of_day(1441 * 60000.0) == 1.0
+WHOLE_MINUTE_HOURS = st.integers(0, 1439).flatmap(
+    lambda open_minute: st.tuples(st.just(open_minute), st.integers(open_minute + 1, 1440))
+)
+
+
+@given(WHOLE_MINUTE_HOURS, st.integers(0, 10**5))
+def test_dealer_flips_exactly_at_calendar_events(hours, day):
+    # The calendar pushes each day's events at day * DAY_MS + minute *
+    # 60000.0. At that instant the dealer must read as after the event,
+    # and one float step earlier as before it. The reference works in
+    # whole milliseconds: open at an instant some day's [open, close)
+    # holds, and just before one some day's (open, close] holds.
+    open_minute, close_minute = hours
+    node = make_node("D1", Tier.DEALER, 2000.0, 5.0, 100.0, open_hours=hours)
+    days = (day - 1, day, day + 1)
+    spans = [(d * 86_400_000 + open_minute * 60_000, d * 86_400_000 + close_minute * 60_000)
+             for d in days]
+    for minute in hours:
+        t = day * DAY_MS + minute * 60000.0
+        exact = day * 86_400_000 + minute * 60_000
+        assert t == exact
+        assert is_dealer_open(node, t) == any(lo <= exact < hi for lo, hi in spans)
+        if t > 0:
+            before = math.nextafter(t, -math.inf)
+            assert is_dealer_open(node, before) == any(lo < exact <= hi for lo, hi in spans)
 
 
 def test_dealer_open_half_open_interval():

@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 from tierbroker import simulation
 from tierbroker.arbitrator import ContextSnapshot, SchedulerWeights, Thresholds
 from tierbroker.errors import OutOfOrderEvent
-from tierbroker.model import EnergyModel, InvocationRecord, Outcome, Topology
+from tierbroker.model import (
+    EnergyModel,
+    InvocationRecord,
+    Outcome,
+    Tier,
+    Topology,
+    is_dealer_open,
+)
 from tierbroker.registry import Registry
 from tierbroker.report import write_metrics_csv, write_metrics_json
 from tierbroker.simulation import POLICIES, Simulation
@@ -32,8 +39,6 @@ from test_incremental import incremental_cases
 
 
 def run_policy(scenario, policy):
-    # Topology, not build_topology: the strategies include dealer hours
-    # that node validation would refuse (open >= close).
     topology = Topology(scenario.nodes)
     registry = Registry(topology, scenario.vocabulary, scenario.weights)
     return Simulation(topology, registry, scenario, policy=policy).run()
@@ -63,6 +68,35 @@ def test_requests_are_conserved_on_tied_events(case):
     with pytest.MonkeyPatch.context() as mp:
         use_arrivals(mp, arrivals)
         assert_conserved(run_policy(scenario, policy).report)
+
+
+def assert_dealers_open_at_starts(scenario, result):
+    # _try_start does not ask a dealer whether it is open, as its queue is
+    # empty while it is closed. Both reference simulations inherit
+    # _try_start, so only this property would see a start out of hours.
+    nodes = {node.id: node for node in scenario.nodes}
+    for record in result.records:
+        node = nodes.get(record.node_id)
+        if record.t_start is not None and node.tier is Tier.DEALER:
+            assert is_dealer_open(node, record.t_start), record
+
+
+@settings(max_examples=60, deadline=None)
+@given(incremental_cases(), st.sampled_from(POLICIES))
+def test_dealers_start_requests_only_while_open(case, policy):
+    interval, scenario = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
+        assert_dealers_open_at_starts(scenario, run_policy(scenario, policy))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_cases())
+def test_dealers_start_requests_only_while_open_on_tied_events(case):
+    scenario, arrivals, policy = case
+    with pytest.MonkeyPatch.context() as mp:
+        use_arrivals(mp, arrivals)
+        assert_dealers_open_at_starts(scenario, run_policy(scenario, policy))
 
 
 def metrics_bytes(scenario, policy, out_dir):
@@ -202,7 +236,7 @@ class PlainContext:
             latencies=latencies,
             mean=mean,
             rate=rate,
-            recent={m: execs[-m:] for m in range(-2, self.window + 3)},
+            recent={m: execs[-m:] for m in range(1, self.window + 3)},
         )
 
 
@@ -217,7 +251,7 @@ def context_reads(ctx, service_id):
         latencies=ctx.latencies(service_id),
         mean=mean,
         rate=ctx.rate_per_s(service_id),
-        recent={m: ctx.recent_exec(service_id, m) for m in range(-2, ctx.window + 3)},
+        recent={m: ctx.recent_exec(service_id, m) for m in range(1, ctx.window + 3)},
     )
 
 

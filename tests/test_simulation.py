@@ -6,10 +6,10 @@ import weakref
 import pytest
 
 from tierbroker.errors import ConfigError
-from tierbroker.model import Outcome, Tier, minute_of_day
+from tierbroker.model import DAY_MS, Outcome, Tier, Topology
 from tierbroker.registry import Registry
 from tierbroker.report import report_to_dict
-from tierbroker.simulation import POLICIES, Simulation, build_topology, simulate_scenario
+from tierbroker.simulation import POLICIES, Simulation, simulate_scenario
 from tierbroker.workload import load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR, make_node
@@ -201,7 +201,7 @@ def test_dealer_close_flushes_queue():
     assert conserved(run)
     for record in result.records:
         if record.t_start is not None:
-            assert minute_of_day(record.t_start) < 1.0
+            assert record.t_start % DAY_MS < 60000.0
 
 
 def test_analysis_ticks_run_every_second():
@@ -220,10 +220,26 @@ def test_baseline_policies_log_no_analysis():
     assert "reschedule" not in kinds
 
 
-def test_build_topology_rejects_bad_nodes():
-    bad = make_node("M1", Tier.MNO, cpu_speed=0.0, rtt_ms=50.0, bandwidth_mbps=50.0)
-    with pytest.raises(ConfigError):
-        build_topology([bad])
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"open_hours": (0.1, 20)},
+        {"open_hours": (-60, 60)},
+        {"open_hours": (600, 600)},
+        {"cpu_slots": 0},
+    ],
+    ids=["fractional-minute", "before-midnight", "never-open", "no-slots"],
+)
+def test_simulation_refuses_nodes_check_node_refuses(fields):
+    # Nodes built in code skip the parser, so the simulator applies the
+    # node rules itself; only whole-minute hours flip at calendar events.
+    bad = make_node("D9", Tier.DEALER, cpu_speed=2000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
+                    **fields)
+    scenario = load_scenario(str(SCENARIO_DIR / "minimal.json"))
+    topology = Topology(scenario.nodes + [bad])
+    registry = Registry(topology, scenario.vocabulary, scenario.weights)
+    with pytest.raises(ConfigError, match="D9: "):
+        Simulation(topology, registry, scenario)
 
 
 def test_unknown_policy_rejected():
@@ -240,7 +256,7 @@ def test_finished_run_frees_its_simulation():
     # can free it. At seed 7 two requests are still running at the
     # horizon: the loop pops one's event and stops, leaving the other's.
     scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
-    topology = build_topology(scenario.nodes)
+    topology = Topology(scenario.nodes)
     sim = Simulation(topology, Registry(topology, scenario.vocabulary, scenario.weights),
                      scenario, policy="sami", seed=7)
     freed = weakref.ref(sim)
