@@ -39,7 +39,6 @@ from .model import (
     projected_response_ms,
 )
 from .registry import (
-    CompositePlan,
     FunctionalSpec,
     Registry,
     ServiceRecord,
@@ -49,7 +48,6 @@ from .simulation import Simulation, run, simulate_scenario
 from .workload import Scenario, generate_workload, load_scenario
 
 __all__ = [
-    "CompositePlan",
     "ConfigError",
     "ContextSnapshot",
     "DuplicateService",

@@ -2,16 +2,12 @@
 
 Records move Active -> Replaced or Active -> Deregistered and never
 back; replaced records keep a forwarding link to their successor so
-discovery by an old name lands on the live service. All mutating
-operations funnel through one lock so concurrent callers see a
-serialized history. An in-process JSON envelope (handle_request) fronts
-the registry for callers that speak dicts rather than dataclasses.
+discovery by an old name lands on the live service.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .arbitrator import (
@@ -22,12 +18,10 @@ from .arbitrator import (
 from .errors import (
     DuplicateService,
     IncompatibleReplacement,
-    NoAdmissibleNode,
     NotFoundError,
     StandardViolation,
     StateError,
     UncoverableGoal,
-    ValidationError,
 )
 from .model import (
     PlacementDecision,
@@ -35,16 +29,6 @@ from .model import (
     Topology,
     parse_semver,
 )
-from .schema import messages, normalized
-
-_TAGS = {"type": "array", "items": {"type": "string"}}
-# Query bodies by op; keys not named here are ignored.
-_QUERIES = {
-    "discover": {"properties": {"name": {"type": "string", "default": ""},
-                                "version": {"type": "string"}}},
-    "match": {"properties": {"tags": {**_TAGS, "default": []}, "keywords": _TAGS}},
-    "compose": {"properties": {"tags": {**_TAGS, "default": []}}},
-}
 
 
 class ServiceState(str, Enum):
@@ -58,7 +42,6 @@ class ServiceRecord:
     descriptor: ServiceDescriptor
     placement: PlacementDecision | None
     state: ServiceState
-    registered_at: float
     replaced_by: str | None = None
 
 
@@ -68,15 +51,6 @@ class FunctionalSpec:
 
     required_tags: set[str]
     keywords: list[str] | None = None
-
-
-@dataclass
-class CompositePlan:
-    """Ordered cover of a goal tag set by registered services."""
-
-    service_ids: list[str] = field(default_factory=list)
-    covered_tags: set[str] = field(default_factory=set)
-    residual_tags: set[str] = field(default_factory=set)
 
 
 def jaccard(a: set[str], b: set[str]) -> float:
@@ -89,15 +63,13 @@ def jaccard(a: set[str], b: set[str]) -> float:
 class Registry:
     def __init__(
         self,
-        topology: Topology | None = None,
+        *,
         vocabulary: set[str] | None = None,
         weights: SchedulerWeights | None = None,
     ):
-        self.topology = topology
         self.vocabulary = vocabulary
         self.weights = weights or SchedulerWeights()
         self._records: dict[str, ServiceRecord] = {}
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -117,28 +89,26 @@ class Registry:
         check = enforce_standard(desc, self.vocabulary)
         if not check.ok:
             raise StandardViolation(desc.id, check.violations)
-        with self._lock:
-            if desc.id in self._records:
-                raise DuplicateService(f"service id {desc.id!r} already registered")
-            for rec in self._records.values():
-                if (
-                    rec.state is ServiceState.ACTIVE
-                    and rec.descriptor.name == desc.name
-                    and rec.descriptor.version == desc.version
-                ):
-                    raise DuplicateService(
-                        f"active record for {desc.name} {desc.version} already exists"
-                    )
-            if placement is None:
-                placement = schedule_service(desc, topology, self.weights, t_ms)
-            record = ServiceRecord(
-                descriptor=desc,
-                placement=placement,
-                state=ServiceState.ACTIVE,
-                registered_at=t_ms,
-            )
-            self._records[desc.id] = record
-            return record
+        if desc.id in self._records:
+            raise DuplicateService(f"service id {desc.id!r} already registered")
+        for rec in self._records.values():
+            if (
+                rec.state is ServiceState.ACTIVE
+                and rec.descriptor.name == desc.name
+                and rec.descriptor.version == desc.version
+            ):
+                raise DuplicateService(
+                    f"active record for {desc.name} {desc.version} already exists"
+                )
+        if placement is None:
+            placement = schedule_service(desc, topology, self.weights, t_ms)
+        record = ServiceRecord(
+            descriptor=desc,
+            placement=placement,
+            state=ServiceState.ACTIVE,
+        )
+        self._records[desc.id] = record
+        return record
 
     def replace_service(self, old_id: str, new_id: str) -> ServiceRecord:
         """Retire one active record in favour of another.
@@ -147,19 +117,18 @@ class Registry:
         capability tag of the outgoing service; the old record keeps a
         forwarding link so discovery by its name finds the successor.
         """
-        with self._lock:
-            old = self._records.get(old_id)
-            if old is None or old.state is not ServiceState.ACTIVE:
-                raise NotFoundError(f"no active record {old_id!r} to replace")
-            new = self._records.get(new_id)
-            if new is None or new.state is not ServiceState.ACTIVE:
-                raise NotFoundError(f"no active record {new_id!r} to replace with")
-            missing = old.descriptor.capability_tags - new.descriptor.capability_tags
-            if missing:
-                raise IncompatibleReplacement(old_id, new_id, missing)
-            old.state = ServiceState.REPLACED
-            old.replaced_by = new_id
-            return new
+        old = self._records.get(old_id)
+        if old is None or old.state is not ServiceState.ACTIVE:
+            raise NotFoundError(f"no active record {old_id!r} to replace")
+        new = self._records.get(new_id)
+        if new is None or new.state is not ServiceState.ACTIVE:
+            raise NotFoundError(f"no active record {new_id!r} to replace with")
+        missing = old.descriptor.capability_tags - new.descriptor.capability_tags
+        if missing:
+            raise IncompatibleReplacement(old_id, new_id, missing)
+        old.state = ServiceState.REPLACED
+        old.replaced_by = new_id
+        return new
 
     def replace_with_best_match(self, old_id: str) -> ServiceRecord:
         """Swap a misbehaving service for the best-matching substitute.
@@ -177,14 +146,13 @@ class Registry:
         raise NotFoundError(f"no active substitute covers {old_id!r}")
 
     def deregister_service(self, service_id: str) -> ServiceRecord:
-        with self._lock:
-            rec = self._records.get(service_id)
-            if rec is None:
-                raise NotFoundError(f"no record {service_id!r}")
-            if rec.state is not ServiceState.ACTIVE:
-                raise StateError(f"record {service_id!r} is {rec.state.value}")
-            rec.state = ServiceState.DEREGISTERED
-            return rec
+        rec = self._records.get(service_id)
+        if rec is None:
+            raise NotFoundError(f"no record {service_id!r}")
+        if rec.state is not ServiceState.ACTIVE:
+            raise StateError(f"record {service_id!r} is {rec.state.value}")
+        rec.state = ServiceState.DEREGISTERED
+        return rec
 
     # ------------------------------------------------------------------
     # queries
@@ -271,15 +239,17 @@ class Registry:
         ranked.sort(key=lambda item: item[:3])
         return [item[3] for item in ranked]
 
-    def compose_services(self, goal: FunctionalSpec) -> CompositePlan:
+    def compose_services(self, goal: FunctionalSpec) -> list[str]:
         """Greedy set cover of the goal tags by active records.
 
+        Returns the chosen service ids in the order they were picked.
         Each round takes the record covering the most still-uncovered
-        tags, names breaking ties. Raises UncoverableGoal carrying the
-        residual tags when registered services cannot finish the cover.
+        tags, names then ids breaking ties. Raises UncoverableGoal
+        carrying the residual tags when registered services cannot
+        finish the cover.
         """
         uncovered = set(goal.required_tags)
-        plan = CompositePlan()
+        chosen = []
         pool = self.active_records()
         while uncovered:
             best = None
@@ -293,107 +263,7 @@ class Registry:
                     best, best_key = rec, key
             if best is None:
                 raise UncoverableGoal(uncovered)
-            plan.service_ids.append(best.descriptor.id)
-            plan.covered_tags |= best.descriptor.capability_tags & goal.required_tags
+            chosen.append(best.descriptor.id)
             uncovered -= best.descriptor.capability_tags
             pool = [r for r in pool if r.descriptor.id != best.descriptor.id]
-        return plan
-
-    # ------------------------------------------------------------------
-    # envelope front
-
-    def handle_request(self, envelope: dict, t_ms: float = 0.0) -> dict:
-        """Serve one JSON-shaped request: {"op": ..., "body": {...}}.
-
-        Responses are {"ok": true, "result": ...} or {"ok": false,
-        "error": {"type", "message"}}; errors never raise through.
-        """
-        try:
-            if not isinstance(envelope, dict):
-                raise ValidationError(["envelope must be an object"])
-            op = envelope.get("op")
-            body = envelope.get("body", {})
-            unknown = set(envelope) - {"op", "body"}
-            if unknown:
-                raise ValidationError(
-                    [f"unknown envelope field {k!r}" for k in sorted(unknown)]
-                )
-            if not isinstance(body, dict):
-                raise ValidationError(["body must be an object"])
-            if op in _QUERIES:
-                errors = messages(body, _QUERIES[op], "body")
-                if errors:
-                    raise ValidationError(errors)
-                body = normalized(body, _QUERIES[op])
-            if op == "register":
-                result = self._op_register(body, t_ms)
-            elif op == "discover":
-                result = record_to_dict(
-                    self.discover_service(body["name"], body.get("version"))
-                )
-            elif op == "match":
-                query = FunctionalSpec(
-                    required_tags=set(body["tags"]), keywords=body.get("keywords")
-                )
-                result = [record_to_dict(r) for r in self.match_services(query)]
-            elif op == "compose":
-                plan = self.compose_services(FunctionalSpec(required_tags=set(body["tags"])))
-                result = {
-                    "service_ids": plan.service_ids,
-                    "covered_tags": sorted(plan.covered_tags),
-                    "residual_tags": sorted(plan.residual_tags),
-                }
-            else:
-                raise ValidationError([f"unknown op {op!r}"])
-            return {"ok": True, "result": result}
-        except (
-            ValidationError,
-            StandardViolation,
-            DuplicateService,
-            NotFoundError,
-            StateError,
-            IncompatibleReplacement,
-            UncoverableGoal,
-            NoAdmissibleNode,
-        ) as exc:
-            return {
-                "ok": False,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-
-    def _require_topology(self) -> Topology:
-        if self.topology is None:
-            raise ValidationError(["registry has no topology bound"])
-        return self.topology
-
-    def _op_register(self, body: dict, t_ms: float) -> dict:
-        from .workload import parse_service  # local import avoids a cycle
-
-        desc, errors = parse_service(body, "body")
-        if errors:
-            raise ValidationError(errors)
-        record = self.register_service(desc, self._require_topology(), t_ms)
-        return record_to_dict(record)
-
-
-def record_to_dict(record: ServiceRecord) -> dict:
-    d = record.descriptor
-    out = {
-        "id": d.id,
-        "name": d.name,
-        "version": d.version,
-        "capability_tags": sorted(d.capability_tags),
-        "security_class": d.security_class.value,
-        "state": record.state.value,
-        "registered_at": record.registered_at,
-    }
-    if record.placement is not None:
-        out["placement"] = {
-            "node_id": record.placement.node_id,
-            "tier": record.placement.tier.value,
-            "reason": record.placement.reason.value,
-            "objective_ms": record.placement.objective_ms,
-        }
-    if record.replaced_by:
-        out["replaced_by"] = record.replaced_by
-    return out
+        return chosen

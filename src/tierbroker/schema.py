@@ -240,11 +240,6 @@ def field_path(prefix: str, path: tuple) -> str:
     return prefix + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 
 
-def messages(value, schema: dict, prefix: str, root: dict | None = None) -> list[str]:
-    """Every problem as '<field path>: <message>', paths starting at prefix."""
-    return [f"{field_path(prefix, p)}: {m}" for p, m in problems(value, schema, root)]
-
-
 def normalized(value, schema: dict):
     """value with every number a float and every absent property that has
     a default filled in, following properties, additionalProperties,

@@ -755,7 +755,7 @@ def simulate_scenario(
 ) -> SimResult:
     """Build topology and registry from the scenario, then run."""
     topology = Topology(scenario.nodes)
-    registry = Registry(topology, scenario.vocabulary, scenario.weights)
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
     return Simulation(topology, registry, scenario, policy=policy, seed=seed).run()
 
 

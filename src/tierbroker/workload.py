@@ -35,7 +35,7 @@ from .model import (
     TrustLevel,
     check_node,
 )
-from .schema import field_path, messages, normalized, problems, scenario_schema
+from .schema import field_path, normalized, problems, scenario_schema
 from .trust import (
     ReputationRecord,
     aggregate_trust,
@@ -154,10 +154,6 @@ def _format() -> dict:
     return {**full, "$defs": {**full["$defs"], "registration_standard": {}}}
 
 
-def _item(key: str) -> dict:
-    return _format()["properties"][key]["items"]
-
-
 def _assessment(d: dict) -> TrustAssessment:
     return TrustAssessment(level=TrustLevel(d["level"]), basis=TrustBasis(d["basis"]))
 
@@ -204,24 +200,6 @@ def _service(d: dict) -> ServiceDescriptor:
         "capability_tags": set(d["capability_tags"]),
         "security_class": SecurityClass(d["security_class"]),
     })
-
-
-def parse_service(d: dict, path: str) -> tuple[ServiceDescriptor | None, list[str]]:
-    """One service description, or None and every problem with its field path.
-
-    The registration standard is not checked here: see enforce_standard.
-    """
-    errors = messages(d, _item("services"), path, _format())
-    return (None if errors else _service(normalized(d, _item("services")))), errors
-
-
-def parse_node(d: dict, path: str) -> tuple[ResourceNode | None, list[str]]:
-    """One node, or None and every problem with its field path."""
-    errors = messages(d, _item("nodes"), path, _format())
-    if errors:
-        return None, errors
-    node = _node(normalized(d, _item("nodes")))
-    return node, [f"{path}.{p}" for p in check_node(node)]
 
 
 def _load_vocabulary(path: str) -> set[str]:

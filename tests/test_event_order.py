@@ -24,7 +24,7 @@ from oracles import HeapOnlySimulation
 
 def run_with(cls, scenario, policy):
     topology = Topology(scenario.nodes)
-    registry = Registry(topology, scenario.vocabulary, scenario.weights)
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
     return cls(topology, registry, scenario, policy=policy).run()
 
 

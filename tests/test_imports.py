@@ -1,5 +1,6 @@
 """Import hygiene for the package: no unused imports, no dangling exports,
-and no module but __init__.py exporting a name it imported."""
+no module but __init__.py exporting a name it imported, and no
+unexported definition that only the tests reach."""
 
 import ast
 import importlib
@@ -69,3 +70,46 @@ def test_exports_are_defined_in_their_module(path):
     # the package's __init__.py gathers names from the others.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(exported(tree) - defined(tree)) == []
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+# Top-level names that only tests reach, each kept on purpose.
+TEST_ONLY = {
+    "scenario_to_dict",  # writes scenarios for the scenario-format round-trip tests
+}
+
+
+def references(tree):
+    """(name, owner) for every Name, Attribute and import alias in tree,
+    owner being the top-level def or class it sits in, or None."""
+    for top in tree.body:
+        owner = top.name if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif isinstance(node, ast.alias):
+                yield node.name.rpartition(".")[2], owner
+
+
+def test_every_definition_is_reached_outside_tests():
+    # A def or class the package does not export must be used by the
+    # package or the benchmark, not only by its own body or the tests.
+    public = exported(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+    sources = MODULES + sorted(BENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    reached = {}  # name -> {(file, owner)} of its references
+    for path, tree in trees.items():
+        for name, owner in references(tree):
+            reached.setdefault(name, set()).add((path, owner))
+    unreached = [
+        f"{path.name}: {node.name}"
+        for path in MODULES
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in public | TEST_ONLY
+        and not reached.get(node.name, set()) - {(path, node.name)}
+    ]
+    assert unreached == []

@@ -28,7 +28,7 @@ from oracles import EveryTickSimulation
 
 def run_with(cls, scenario, seed=None):
     topology = Topology(scenario.nodes)
-    registry = Registry(topology, scenario.vocabulary, scenario.weights)
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
     return cls(topology, registry, scenario, policy="sami", seed=seed).run()
 
 
@@ -188,7 +188,8 @@ def test_batch_count_is_exact_far_from_zero(interval, first_tick, span, nudge, b
         energy=EnergyModel(),
     )
     topology = Topology(scenario.nodes)
-    sim = Simulation(topology, Registry(topology, scenario.vocabulary, scenario.weights), scenario)
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
+    sim = Simulation(topology, registry, scenario)
     if bound == "heap":
         sim._heap = [(edge, 1, sim._on_exec_done, None)]
     elif bound == "arrival":
@@ -241,8 +242,8 @@ def test_ticks_after_the_last_event_run_to_the_horizon(monkeypatch, horizon):
         energy=EnergyModel(),
     )
     topology = Topology(scenario.nodes)
-    sim = NoteBatches(topology, Registry(topology, scenario.vocabulary, scenario.weights),
-                      scenario, policy="sami")
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
+    sim = NoteBatches(topology, registry, scenario, policy="sami")
     fast = sim.run()
     reference = run_with(EveryTickSimulation, scenario)
     assert fast.arbitration_log == reference.arbitration_log
@@ -282,8 +283,8 @@ def test_quiet_batch_runs_across_midnight(monkeypatch):
         energy=EnergyModel(),
     )
     topology = Topology(scenario.nodes)
-    sim = NoteBatches(topology, Registry(topology, scenario.vocabulary, scenario.weights),
-                      scenario, policy="sami")
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
+    sim = NoteBatches(topology, registry, scenario, policy="sami")
     fast = sim.run()
     reference = run_with(EveryTickSimulation, scenario)
     assert fast.arbitration_log == reference.arbitration_log
@@ -542,8 +543,8 @@ def left_behind(monkeypatch, c1_speed, latency_sensitive=True, **thresholds):
         energy=EnergyModel(),
     )
     topology = Topology(scenario.nodes)
-    sim = NoteCompletions(topology, Registry(topology, scenario.vocabulary, scenario.weights),
-                          scenario, policy="sami")
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
+    sim = NoteCompletions(topology, registry, scenario, policy="sami")
     result = sim.run()
     reference = run_with(EveryTickSimulation, scenario)
     assert result.arbitration_log == reference.arbitration_log

@@ -3,8 +3,9 @@ and a report equal to the reference one.
 
 The scenarios come from the strategies that drive the reference-loop
 tests, under every policy. The report property feeds random record
-lists to Simulation._finish directly, and the context property feeds
-random completions to ContextSnapshot against plain per-service lists.
+lists to Simulation._finish directly, the context property feeds
+random completions to ContextSnapshot against plain per-service lists,
+and the composition property draws registries and goals.
 """
 
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from tierbroker import simulation
 from tierbroker.arbitrator import ContextSnapshot, SchedulerWeights, Thresholds
-from tierbroker.errors import OutOfOrderEvent
+from tierbroker.errors import OutOfOrderEvent, UncoverableGoal
 from tierbroker.model import (
     EnergyModel,
     InvocationRecord,
@@ -27,12 +28,12 @@ from tierbroker.model import (
     Topology,
     is_dealer_open,
 )
-from tierbroker.registry import Registry
+from tierbroker.registry import FunctionalSpec, Registry
 from tierbroker.report import write_metrics_csv, write_metrics_json
 from tierbroker.simulation import POLICIES, Simulation
 from tierbroker.workload import Scenario
 
-from conftest import make_service, t0_nodes
+from conftest import T0_NOON, make_service, t0_nodes
 from oracles import reference_rows
 from test_event_order import grid_cases, use_arrivals
 from test_incremental import incremental_cases
@@ -40,7 +41,7 @@ from test_incremental import incremental_cases
 
 def run_policy(scenario, policy):
     topology = Topology(scenario.nodes)
-    registry = Registry(topology, scenario.vocabulary, scenario.weights)
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
     return Simulation(topology, registry, scenario, policy=policy).run()
 
 
@@ -169,7 +170,7 @@ def finished(records, unplaced, reschedules):
         energy=EnergyModel(),
     )
     topology = Topology(scenario.nodes)
-    sim = Simulation(topology, Registry(topology, None, scenario.weights), scenario)
+    sim = Simulation(topology, Registry(weights=scenario.weights), scenario)
     sim._place_all()
     for (service_id, state), count in zip(sorted(sim.services.items()), reschedules):
         state.reschedules = count
@@ -283,3 +284,49 @@ def test_context_reads_equal_plain_lists(window, feed):
         with pytest.raises(OutOfOrderEvent):
             ctx.observe(service_id, math.nextafter(last, -math.inf), 1.0, 1.0)
         assert context_reads(ctx, service_id) == plain.reads(service_id)
+
+
+COMPOSE_TAGS = ("a", "b", "c", "d", "e")
+COMPOSE_OFFERS = st.lists(st.tuples(
+    st.sampled_from(("alpha", "beta", "gamma")),  # few names, so names tie
+    st.sets(st.sampled_from(COMPOSE_TAGS), min_size=1),
+    st.booleans(),  # deregistered after registering
+), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(COMPOSE_OFFERS, st.sets(st.sampled_from(COMPOSE_TAGS)))
+def test_compose_is_the_greedy_cover(offers, goal):
+    # Either the ids cover the goal, each the greedy pick among the
+    # active records not yet taken (most uncovered tags, then name, then
+    # id), or the goal is uncoverable and the residual is exactly the
+    # goal tags no active record offers.
+    registry = Registry()
+    topology = Topology(t0_nodes())
+    for i, (name, tags, retired) in enumerate(offers):
+        service_id = f"svc-{i}"
+        registry.register_service(
+            make_service(service_id=service_id, name=name, version=f"1.{i}.0", tags=tags),
+            topology, T0_NOON,
+        )
+        if retired:
+            registry.deregister_service(service_id)
+    active = {r.descriptor.id: r.descriptor for r in registry.active_records()}
+    offered = set().union(*(d.capability_tags for d in active.values()))
+    try:
+        chosen = registry.compose_services(FunctionalSpec(required_tags=set(goal)))
+    except UncoverableGoal as exc:
+        assert exc.residual_tags == sorted(goal - offered) != []
+        return
+    assert goal <= offered
+    uncovered, taken = set(goal), set()
+    for service_id in chosen:
+        assert service_id in active and service_id not in taken
+        best = min(
+            (-len(uncovered & d.capability_tags), d.name, d.id)
+            for d in active.values() if d.id not in taken
+        )
+        assert best[0] < 0 and best[2] == service_id
+        uncovered -= active[service_id].capability_tags
+        taken.add(service_id)
+    assert uncovered == set()

@@ -1,4 +1,4 @@
-"""Registry lifecycle, discovery, matching, composition, envelope."""
+"""Registry lifecycle, discovery, matching, composition and replacement."""
 
 import pytest
 
@@ -10,20 +10,21 @@ from tierbroker.errors import (
     StateError,
     UncoverableGoal,
 )
-from tierbroker.model import Tier
+from tierbroker.model import PlacementDecision, PlacementReason, Tier
 from tierbroker.registry import (
     FunctionalSpec,
     Registry,
     ServiceState,
     jaccard,
 )
+from tierbroker.workload import scenario_from_dict
 
 from conftest import T0_NOON, make_service
 
 
 @pytest.fixture
-def registry(t0):
-    return Registry(t0)
+def registry():
+    return Registry()
 
 
 def reg(registry, t0, **kwargs):
@@ -42,7 +43,6 @@ def test_register_places_and_activates(registry, t0):
     record = reg(registry, t0)
     assert record.state is ServiceState.ACTIVE
     assert record.placement.tier is Tier.DEALER
-    assert record.registered_at == T0_NOON
 
 
 def test_register_rejects_standard_violations(registry, t0):
@@ -150,10 +150,8 @@ def test_compose_greedy_cover(registry, t0):
     reg(registry, t0, service_id="svc-ab", name="ab", version="1.0.0", tags=("a", "b"))
     reg(registry, t0, service_id="svc-c", name="c", version="1.0.0", tags=("c",))
     reg(registry, t0, service_id="svc-a", name="a", version="1.0.0", tags=("a",))
-    plan = registry.compose_services(FunctionalSpec(required_tags={"a", "b", "c"}))
-    assert plan.service_ids == ["svc-ab", "svc-c"]
-    assert plan.covered_tags == {"a", "b", "c"}
-    assert plan.residual_tags == set()
+    goal = FunctionalSpec(required_tags={"a", "b", "c"})
+    assert registry.compose_services(goal) == ["svc-ab", "svc-c"]
 
 
 def test_compose_reports_residual(registry, t0):
@@ -181,106 +179,134 @@ def test_replace_with_best_match_needs_cover(registry, t0):
         registry.replace_with_best_match("svc-old")
 
 
-def envelope_register_body(service_id="svc-env", name="envelope-probe"):
-    return {
-        "id": service_id,
-        "name": name,
-        "version": "1.0.0",
-        "capability_tags": ["compute"],
-        "cpu_demand": 100.0,
-        "mem_demand": 64.0,
-        "storage_demand": 1.0,
-        "payload_in": 0.1,
-        "payload_out": 0.1,
-    }
+def test_registry_takes_no_topology(t0):
+    # The topology is register_service's argument; the constructor's
+    # parameters are keyword-only so an old positional topology fails.
+    with pytest.raises(TypeError):
+        Registry(t0)
 
 
-def test_envelope_register_and_discover(registry):
-    reply = registry.handle_request(
-        {"op": "register", "body": envelope_register_body()}, t_ms=T0_NOON
-    )
-    assert reply["ok"] is True
-    assert reply["result"]["state"] == "Active"
-    assert reply["result"]["placement"]["tier"] == "Dealer"
-    found = registry.handle_request({"op": "discover", "body": {"name": "envelope-probe"}})
-    assert found["ok"] is True
-    assert found["result"]["id"] == "svc-env"
+def test_scenario_service_registers_and_is_discovered(registry, t0):
+    # A service read from scenario JSON registers Active on the dealer
+    # and answers to its name.
+    scenario = scenario_from_dict({
+        "horizon_ms": 1000,
+        "nodes": [{"id": "D1", "tier": "Dealer", "cpu_speed": 1000, "cpu_slots": 1,
+                   "mem_capacity": 1024, "storage_capacity": 1024, "rtt_ms": 10,
+                   "bandwidth_mbps": 10, "open_hours": [540, 1020],
+                   "trust": {"level": "High"}}],
+        "services": [{"id": "svc-json", "name": "json-probe", "version": "1.0.0",
+                      "capability_tags": ["compute"], "cpu_demand": 100.0,
+                      "mem_demand": 64.0, "storage_demand": 1.0}],
+        "consumers": [{"id": "u1", "rates": {"svc-json": 1.0}}],
+    })
+    record = registry.register_service(scenario.services[0], t0, T0_NOON)
+    assert record.state is ServiceState.ACTIVE
+    assert record.placement.tier is Tier.DEALER
+    assert registry.discover_service("json-probe") is record
 
 
-def test_envelope_match_and_compose(registry, t0):
+def test_empty_queries_find_nothing(registry, t0):
+    reg(registry, t0)
+    assert registry.match_services(FunctionalSpec(required_tags=set())) == []
+    assert registry.compose_services(FunctionalSpec(required_tags=set())) == []
+    with pytest.raises(NotFoundError):
+        registry.discover_service("")
+
+
+def test_retired_records_are_neither_matched_nor_composed(registry, t0):
     reg(registry, t0, service_id="svc-ab", name="ab", version="1.0.0", tags=("a", "b"))
-    reg(registry, t0, service_id="svc-c", name="c", version="1.0.0", tags=("c",))
-    matched = registry.handle_request({"op": "match", "body": {"tags": ["a"]}})
-    assert matched["ok"] is True
-    assert [r["id"] for r in matched["result"]] == ["svc-ab"]
-    composed = registry.handle_request({"op": "compose", "body": {"tags": ["a", "b", "c"]}})
-    assert composed["ok"] is True
-    assert composed["result"]["service_ids"] == ["svc-ab", "svc-c"]
-    assert composed["result"]["residual_tags"] == []
+    reg(registry, t0, service_id="svc-abc", name="abc", version="1.0.0",
+        tags=("a", "b", "c"))
+    reg(registry, t0, service_id="svc-a", name="a", version="1.0.0", tags=("a",))
+    reg(registry, t0, service_id="svc-b", name="b", version="1.0.0", tags=("b",))
+    registry.deregister_service("svc-abc")
+    registry.replace_service("svc-a", "svc-ab")
+    spec = FunctionalSpec(required_tags={"a", "b"})
+    assert [r.descriptor.id for r in registry.match_services(spec)] == ["svc-ab", "svc-b"]
+    assert registry.compose_services(spec) == ["svc-ab"]
+    with pytest.raises(UncoverableGoal) as exc_info:
+        registry.compose_services(FunctionalSpec(required_tags={"a", "c"}))
+    assert exc_info.value.residual_tags == ["c"]
 
 
-def test_envelope_errors_never_raise(registry):
-    bad_op = registry.handle_request({"op": "deregister", "body": {}})
-    assert bad_op["ok"] is False
-    assert bad_op["error"]["type"] == "ValidationError"
-    missing = registry.handle_request({"op": "discover", "body": {"name": "ghost"}})
-    assert missing["ok"] is False
-    assert missing["error"]["type"] == "NotFoundError"
-    extra = registry.handle_request({"op": "match", "body": {}, "extra": 1})
-    assert extra["ok"] is False
-    assert extra["error"]["type"] == "ValidationError"
-    invalid = registry.handle_request(
-        {"op": "register", "body": {"id": "x", "name": "x"}}, t_ms=T0_NOON
-    )
-    assert invalid["ok"] is False
-    assert invalid["error"]["type"] == "ValidationError"
-    vector = {"input_b64": "aGVsbG8=", "expected_digest": "0" * 64}
-    removed = registry.handle_request(
-        {"op": "register", "body": {**envelope_register_body(), "test_vector": vector}},
-        t_ms=T0_NOON,
-    )
-    assert removed["ok"] is False
-    assert removed["error"]["type"] == "ValidationError"
-    assert "test_vector: unknown field" in removed["error"]["message"]
+def test_register_pins_a_given_placement(registry, t0):
+    # A pre-made placement is kept as it is; the arbitration flow would
+    # have put this service on the dealer.
+    pinned = PlacementDecision(service_id="svc-1", node_id="C1", tier=Tier.CLOUD,
+                               reason=PlacementReason.CAPACITY_FALLBACK, objective_ms=0.0,
+                               decided_at=T0_NOON)
+    record = registry.register_service(make_service(), t0, T0_NOON, placement=pinned)
+    assert record.placement is pinned
 
 
-def test_envelope_duplicate_register(registry):
-    body = envelope_register_body()
-    assert registry.handle_request({"op": "register", "body": body}, t_ms=T0_NOON)["ok"]
-    again = registry.handle_request({"op": "register", "body": body}, t_ms=T0_NOON)
-    assert again["ok"] is False
-    assert again["error"]["type"] == "DuplicateService"
+def test_register_checks_the_vocabulary(t0):
+    registry = Registry(vocabulary={"compute"})
+    reg(registry, t0, service_id="svc-1", tags=("compute",))
+    with pytest.raises(StandardViolation):
+        reg(registry, t0, service_id="svc-2", name="other", tags=("teleport",))
+
+
+def test_deregistering_frees_the_name_and_version_but_not_the_id(registry, t0):
+    reg(registry, t0, service_id="svc-1", name="alpha", version="1.0.0")
+    registry.deregister_service("svc-1")
+    again = reg(registry, t0, service_id="svc-2", name="alpha", version="1.0.0")
+    assert registry.discover_service("alpha") is again
+    with pytest.raises(DuplicateService):
+        reg(registry, t0, service_id="svc-1", name="beta", version="1.0.0")
+
+
+def states(registry):
+    """State, forwarding link and placement of each record the failure
+    cases set up or try to add, by id."""
+    ids = ("svc-a", "svc-b", "svc-gone", "svc-new")
+    found = {}
+    for service_id in ids:
+        try:
+            rec = registry.get(service_id)
+        except NotFoundError:
+            continue
+        found[service_id] = (rec.state, rec.replaced_by, rec.placement)
+    return found
 
 
 @pytest.mark.parametrize(
-    "op, body, field",
+    "call, error",
     [
-        ("match", {"tags": 5}, "body.tags"),
-        ("match", {"tags": "compute"}, "body.tags"),
-        ("match", {"tags": ["compute", 1]}, "body.tags[1]"),
-        ("match", {"tags": ["compute"], "keywords": 5}, "body.keywords"),
-        ("match", {"tags": ["compute"], "keywords": "probe"}, "body.keywords"),
-        ("match", {"tags": ["compute"], "keywords": [None]}, "body.keywords[0]"),
-        ("compose", {"tags": None}, "body.tags"),
-        ("compose", {"tags": {"compute": 1}}, "body.tags"),
-        ("discover", {"name": 5}, "body.name"),
-        ("discover", {"name": None}, "body.name"),
-        ("discover", {"name": "unit-probe", "version": 1}, "body.version"),
+        pytest.param(lambda r, t: r.get("ghost"), NotFoundError, id="get-unknown"),
+        pytest.param(lambda r, t: r.resolve("ghost"), NotFoundError, id="resolve-unknown"),
+        pytest.param(lambda r, t: r.deregister_service("ghost"), NotFoundError,
+                     id="deregister-unknown"),
+        pytest.param(lambda r, t: r.deregister_service("svc-gone"), StateError,
+                     id="deregister-retired"),
+        pytest.param(lambda r, t: r.replace_service("svc-gone", "svc-a"), NotFoundError,
+                     id="replace-retired"),
+        pytest.param(lambda r, t: r.replace_service("svc-a", "ghost"), NotFoundError,
+                     id="replace-with-unknown"),
+        pytest.param(lambda r, t: r.replace_service("svc-a", "svc-b"), IncompatibleReplacement,
+                     id="replace-uncovered"),
+        pytest.param(lambda r, t: r.replace_with_best_match("svc-a"), NotFoundError,
+                     id="best-match-uncovered"),
+        pytest.param(lambda r, t: r.discover_service("alpha", "9.9.9"), NotFoundError,
+                     id="discover-unknown-version"),
+        pytest.param(lambda r, t: r.compose_services(FunctionalSpec(required_tags={"a", "z"})),
+                     UncoverableGoal, id="compose-uncoverable"),
+        pytest.param(lambda r, t: reg(r, t, service_id="svc-a", name="new", version="2.0.0"),
+                     DuplicateService, id="register-taken-id"),
+        pytest.param(lambda r, t: reg(r, t, service_id="svc-new", name="alpha",
+                                      version="1.0.0"),
+                     DuplicateService, id="register-taken-name-version"),
+        pytest.param(lambda r, t: reg(r, t, service_id="svc-new", name="new", version="1.0"),
+                     StandardViolation, id="register-bad-version"),
     ],
 )
-def test_envelope_rejects_malformed_queries(registry, t0, op, body, field):
-    # With a record in place, match reads the keywords of every query.
-    reg(registry, t0)
-    reply = registry.handle_request({"op": op, "body": body})
-    assert reply["ok"] is False
-    assert reply["error"]["type"] == "ValidationError"
-    assert reply["error"]["message"].startswith(f"{field}: ")
-
-
-def test_envelope_queries_take_defaults(registry, t0):
-    reg(registry, t0)
-    assert registry.handle_request({"op": "match", "body": {}}) == {"ok": True, "result": []}
-    composed = registry.handle_request({"op": "compose", "body": {}})
-    assert composed["result"]["service_ids"] == []
-    missing = registry.handle_request({"op": "discover", "body": {}})
-    assert missing["error"]["type"] == "NotFoundError"
+def test_failed_calls_change_no_record(registry, t0, call, error):
+    # Each call checks everything before it changes anything.
+    reg(registry, t0, service_id="svc-a", name="alpha", version="1.0.0", tags=("a", "b"))
+    reg(registry, t0, service_id="svc-b", name="beta", version="1.0.0", tags=("a",))
+    reg(registry, t0, service_id="svc-gone", name="gamma", version="1.0.0", tags=("a", "b"))
+    registry.deregister_service("svc-gone")
+    before = states(registry)
+    with pytest.raises(error):
+        call(registry, t0)
+    assert states(registry) == before

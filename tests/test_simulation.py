@@ -237,7 +237,7 @@ def test_simulation_refuses_nodes_check_node_refuses(fields):
                     **fields)
     scenario = load_scenario(str(SCENARIO_DIR / "minimal.json"))
     topology = Topology(scenario.nodes + [bad])
-    registry = Registry(topology, scenario.vocabulary, scenario.weights)
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
     with pytest.raises(ConfigError, match="D9: "):
         Simulation(topology, registry, scenario)
 
@@ -257,8 +257,8 @@ def test_finished_run_frees_its_simulation():
     # horizon: the loop pops one's event and stops, leaving the other's.
     scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
     topology = Topology(scenario.nodes)
-    sim = Simulation(topology, Registry(topology, scenario.vocabulary, scenario.weights),
-                     scenario, policy="sami", seed=7)
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
+    sim = Simulation(topology, registry, scenario, policy="sami", seed=7)
     freed = weakref.ref(sim)
     gc.disable()
     try:

@@ -14,8 +14,6 @@ from tierbroker.workload import (
     SplitMix64,
     generate_workload,
     load_scenario,
-    parse_node,
-    parse_service,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -246,7 +244,7 @@ def test_scenario_round_trip():
 
 
 # ----------------------------------------------------------------------
-# node and service parsing
+# node and service fields, read through scenario_from_dict
 
 
 def node_dict(**extra):
@@ -264,93 +262,92 @@ def node_dict(**extra):
     return base
 
 
-def test_parse_node_trust_probes():
-    node, errors = parse_node(node_dict(trust_probes=[True, True, True]), "n")
-    assert errors == []
+def service_dict(**extra):
+    return {"id": "s1", "name": "probe", "version": "1.0.0", "capability_tags": ["a"],
+            **extra}
+
+
+def one_of_each(node=None, service=None):
+    """A scenario with one node, one service and one consumer of it."""
+    return {
+        "horizon_ms": 1000,
+        "nodes": [node or node_dict(trust={"level": "High"})],
+        "services": [service or service_dict()],
+        "consumers": [{"id": "u1", "rates": {"s1": 1.0}}],
+    }
+
+
+def read_node(**extra):
+    return scenario_from_dict(one_of_each(node=node_dict(**extra))).nodes[0]
+
+
+def problems_of(**parts):
+    with pytest.raises(ValidationError) as exc_info:
+        scenario_from_dict(one_of_each(**parts))
+    return exc_info.value.errors
+
+
+def test_scenario_node_trust_probes():
+    node = read_node(trust_probes=[True, True, True])
     assert node.trust.level is TrustLevel.HIGH
     assert node.trust.basis is TrustBasis.ESTABLISHED
-    node, errors = parse_node(node_dict(trust_probes=[True, True]), "n")
-    assert errors == []
-    assert node.trust.level is TrustLevel.MEDIUM
-    node, errors = parse_node(node_dict(trust_probes=[True, False, True]), "n")
-    assert errors == []
-    assert node.trust.level is TrustLevel.UNTRUSTED
+    assert read_node(trust_probes=[True, True]).trust.level is TrustLevel.MEDIUM
+    assert read_node(trust_probes=[True, False, True]).trust.level is TrustLevel.UNTRUSTED
 
 
-def test_parse_node_trust_probes_must_not_be_empty():
-    _, errors = parse_node(node_dict(trust_probes=[]), "n")
-    assert any("trust_probes" in e for e in errors)
+def test_scenario_node_trust_probes_must_not_be_empty():
+    errors = problems_of(node=node_dict(trust_probes=[]))
+    assert any(e.startswith("scenario.nodes[0].trust_probes") for e in errors)
 
 
-def test_parse_node_trust_chain():
-    node, errors = parse_node(node_dict(trust_chain=["High", "High"]), "n")
-    assert errors == []
+def test_scenario_node_trust_chain():
+    node = read_node(trust_chain=["High", "High"])
     assert node.trust.level is TrustLevel.LOW
     assert node.trust.basis is TrustBasis.INDIRECT
-    _, errors = parse_node(node_dict(trust_chain=["High"]), "n")
-    assert any("trust_chain" in e for e in errors)
+    errors = problems_of(node=node_dict(trust_chain=["High"]))
+    assert any(e.startswith("scenario.nodes[0].trust_chain") for e in errors)
 
 
-def test_parse_node_trust_opinions_median():
-    node, errors = parse_node(
-        node_dict(trust_opinions=[{"level": "High"}, {"level": "High"},
-                                  {"level": "Low"}]),
-        "n",
-    )
-    assert errors == []
+def test_scenario_node_trust_opinions_median():
+    node = read_node(trust_opinions=[{"level": "High"}, {"level": "High"}, {"level": "Low"}])
     assert node.trust.level is TrustLevel.HIGH
     assert node.trust.basis is TrustBasis.AGGREGATED
 
 
-def test_parse_node_reputation():
-    node, errors = parse_node(
-        node_dict(reputation={"legal_registered": True, "years_active": 6,
-                              "complaint_rate": 0.01}),
-        "n",
-    )
-    assert errors == []
+def test_scenario_node_reputation():
+    node = read_node(reputation={"legal_registered": True, "years_active": 6,
+                                 "complaint_rate": 0.01})
     assert node.trust.level is TrustLevel.HIGH
     assert node.trust.basis is TrustBasis.REPUTATION
 
 
-def test_parse_node_combines_evidence():
-    node, errors = parse_node(
-        node_dict(
-            trust_chain=["High", "High"],
-            reputation={"legal_registered": True, "years_active": 6,
-                        "complaint_rate": 0.01},
-        ),
-        "n",
+def test_scenario_node_combines_evidence():
+    node = read_node(
+        trust_chain=["High", "High"],
+        reputation={"legal_registered": True, "years_active": 6, "complaint_rate": 0.01},
     )
-    assert errors == []
     # Reputation High outranks the chain's capped Low.
     assert node.trust.level is TrustLevel.HIGH
     assert node.trust.basis is TrustBasis.REPUTATION
 
 
-def test_parse_node_requires_trust_evidence():
-    _, errors = parse_node(node_dict(), "n")
-    assert any("trust evidence required" in e for e in errors)
-
-
-def test_parse_node_rejects_unknown_fields():
-    _, errors = parse_node(node_dict(trust={"level": "High"}, gpu_count=4), "n")
-    assert any("unknown field" in e and "gpu_count" in e for e in errors)
-
-
-def test_parse_service_defaults_and_errors():
-    desc, errors = parse_service(
-        {"id": "s1", "name": "probe", "version": "1.0.0", "capability_tags": ["a"]},
-        "s",
+def test_scenario_node_requires_trust_evidence():
+    errors = problems_of(node=node_dict())
+    assert any(
+        e.startswith("scenario.nodes[0]: ") and "trust evidence required" in e for e in errors
     )
-    assert errors == []
+
+
+def test_scenario_node_rejects_unknown_fields():
+    errors = problems_of(node=node_dict(trust={"level": "High"}, gpu_count=4))
+    assert "scenario.nodes[0].gpu_count: unknown field" in errors
+
+
+def test_scenario_service_defaults_and_errors():
+    desc = scenario_from_dict(one_of_each()).services[0]
     assert desc.security_class is SecurityClass.PUBLIC
     assert desc.sla_latency_ms == 1000.0
     assert not desc.latency_sensitive
-    _, errors = parse_service(
-        {"id": "s1", "name": "probe", "version": "1.0.0",
-         "capability_tags": "not-a-list", "cpu_demand": -1},
-        "s",
-    )
-    assert any("capability_tags" in e for e in errors)
-    assert any("cpu_demand" in e for e in errors)
+    errors = problems_of(service=service_dict(capability_tags="not-a-list", cpu_demand=-1))
+    assert any(e.startswith("scenario.services[0].capability_tags") for e in errors)
+    assert any(e.startswith("scenario.services[0].cpu_demand") for e in errors)
