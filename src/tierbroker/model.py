@@ -314,11 +314,12 @@ def parse_semver(text: str) -> tuple:
     """Parse a semantic version into an ordering key.
 
     Raises ValueError unless the registration standard's version
-    pattern (full MAJOR.MINOR.PATCH form) matches the whole string.
+    pattern (full MAJOR.MINOR.PATCH form) matches the whole string,
+    its digits ASCII only.
     Pre-release versions order below the plain release; build metadata
     is ignored for precedence.
     """
-    m = re.fullmatch(standard()["version"]["pattern"], text)
+    m = re.fullmatch(standard()["version"]["pattern"], text, re.ASCII)
     if not m:
         raise ValueError(f"not a semantic version: {text!r}")
     major, minor, patch = int(m.group(1)), int(m.group(2)), int(m.group(3))

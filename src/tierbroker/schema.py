@@ -107,7 +107,8 @@ def _max_length(value, n, schema, root, path):
 
 
 def _pattern(value, pattern, schema, root, path):
-    if isinstance(value, str) and not re.fullmatch(pattern, value):
+    # ASCII, so \d is [0-9] as in ECMA-262, the dialect JSON Schema names.
+    if isinstance(value, str) and not re.fullmatch(pattern, value, re.ASCII):
         yield path, f"must match {pattern}"
 
 

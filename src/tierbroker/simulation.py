@@ -23,25 +23,26 @@ when it was pushed while the request was still transferring.
 
 The analysis loop is incremental but exact. A verdict depends only on
 the service's node, which dealers are open and the part of its window
-the detectors read. Where the delay-pressure detector cannot fire for
-want of a nearer node (nearer_gain, cached per service on node and
-dealers open), that part is the last compute_run execution times;
-otherwise it is the whole window. A service whose last analysis kept it
-in place is skipped while that key is unchanged. A tick looks only at
-the services that moved since the tick before or completed a request
-that could change their key, or at every placed service when the
-dealers open differ from that tick's; every placed service is still
-logged and counted. Execution times are fixed per (service, node), so
-a completion cannot change a key whose last compute_run execution times
-all equal the time of the node it ran on: with one more appended, that
-run stays the same. When a tick leaves every service in place, the
-ticks up to the next event are counted, not listed, as no dealer opens
-or closes before it, and only the first tick not counted is pushed; it
-takes the heap slot the every-tick loop would have given it, so event
-order is unchanged. Only the arbitrated policy feeds the analysis
-window. run() empties the heap when it ends: its entries hold bound
-methods, so events left past the horizon would keep the finished
-simulation in a reference cycle until the next full collection.
+the detectors read: the last compute_run execution times where the
+delay-pressure detector cannot fire for want of a nearer node
+(nearer_gain), else the whole window, whose version stands for it.
+When an analysis keeps the service in place, that part is its quiet
+key, and later ticks skip the service while the key is unchanged. A
+move and a dealer's opening or close forget the key and nearer_gain's
+answer (_forget). A tick looks only at the services marked since the
+tick before: placed, forgotten, or completing a request that could
+change their key; every placed service is still logged and counted.
+Execution times are fixed per (service, node), so a completion cannot
+change a key whose last compute_run execution times all equal the time
+of the node it ran on: with one more appended, that run stays the
+same. When a tick leaves every service in place, the ticks up to the
+next event are counted, not listed, as no dealer opens or closes before
+it, and only the first tick not counted is pushed; it takes the heap
+slot the every-tick loop would have given it, so event order is
+unchanged. Only the arbitrated policy feeds the analysis window. run()
+empties the heap when it ends: its entries hold bound methods, so
+events left past the horizon would keep the finished simulation in a
+reference cycle until the next full collection.
 
 The arbitration log stores such quiet ticks as runs (ArbitrationLog):
 a register, a reschedule or the analyses of a tick that moved a
@@ -154,13 +155,11 @@ class _ServiceState:
     # The node fits() last checked on arrival, and its answer.
     fits_node: ResourceNode | None = None
     fits_ok: bool = False
-    # (node id, dealers open), and whether nearer_gain found a nearer node there.
-    nearer_key: tuple | None = None
-    nearer: bool = False
-    # The key of the last analysis that kept it in place: (node id, dealers
-    # open) and then the window version when nearer is set, else the last
-    # compute_run exec times, the only part of the window read.
-    quiet_key: tuple | None = None
+    # Whether nearer_gain found a nearer node, and the key of the last quiet
+    # analysis: the window version when nearer is set, else the last compute_run
+    # exec times. Both None from a move or a dealer event to the next tick.
+    nearer: bool | None = None
+    quiet_key: int | tuple | None = None
 
 
 @dataclass
@@ -296,12 +295,9 @@ class Simulation:
         self.services: dict[str, _ServiceState] = {}
         self._placed: list[_ServiceState] = []  # analysis order: placed services by id
         self._placed_ids: tuple[str, ...] = ()
-        # Services that moved since the last tick, or completed a request
-        # that could change their quiet key.
+        # Services the next tick analyses: placed, moved or forgotten since
+        # the last tick, or completing a request that could change their quiet key.
         self._changed: set[str] = set()
-        # Dealers open at the last tick; None makes the first tick visit every service.
-        self._tick_dealers: tuple[bool, ...] | None = None
-        self._dealers = topology.by_tier(Tier.DEALER)
         self.node_states = {n.id: _NodeState(node=n) for n in topology}
 
     # ------------------------------------------------------------------
@@ -317,7 +313,7 @@ class Simulation:
 
     def _place_all(self):
         for desc in sorted(self.scenario.services, key=lambda s: s.id):
-            if self.policy == "sami":
+            if self._analysed:
                 record = self.registry.register_service(desc, self.topology, 0.0)
             else:
                 record = self._register_pinned(desc)
@@ -325,6 +321,7 @@ class Simulation:
             self.services[desc.id] = state
             if record is not None:
                 self._placed.append(state)
+                self._changed.add(desc.id)
                 self._log_arbitration(0.0, "register", desc.id)
         self._placed_ids = tuple(state.desc.id for state in self._placed)
 
@@ -353,19 +350,23 @@ class Simulation:
         arrivals = list(generate_workload(self.scenario.consumers, self.seed, self.horizon))
         arrivals.reverse()
         self._arrivals = arrivals
-        for node in self._dealers:
+        self._push_calendar()
+
+    def _push_calendar(self):
+        """Push the dealers' openings and closes, then the first tick, before any other event."""
+        for node in self.topology.by_tier(Tier.DEALER):
+            if node.open_hours == (0, 1440):  # open round the clock: never opens or closes
+                continue
             node_state = self.node_states[node.id]
             open_minute, close_minute = node.open_hours
-            day = 0
-            while day * DAY_MS <= self.horizon:
+            for day in range(int(self.horizon // DAY_MS) + 1):
                 t_open = day * DAY_MS + open_minute * 60000.0
                 t_close = day * DAY_MS + close_minute * 60000.0
                 if 0.0 < t_open <= self.horizon:
-                    self._push(t_open, self._try_start, node_state)
+                    self._push(t_open, self._on_dealer_open, node_state)
                 if 0.0 < t_close <= self.horizon:
                     self._push(t_close, self._on_dealer_close, node_state)
-                day += 1
-        if self.policy == "sami" and ANALYSIS_INTERVAL_MS <= self.horizon:
+        if self._analysed and ANALYSIS_INTERVAL_MS <= self.horizon:
             self._push(ANALYSIS_INTERVAL_MS, self._on_analysis_tick)
 
     # ------------------------------------------------------------------
@@ -423,7 +424,7 @@ class Simulation:
             state.fits_ok = fits(state.desc, node)
         admitted = state.fits_ok and (node.tier is not Tier.DEALER or is_dealer_open(node, t_ms))
         if not admitted:
-            if self.policy == "sami":
+            if self._analysed:
                 node = self._re_resolve(t_ms, state, request)
                 if node is None:
                     return
@@ -454,12 +455,17 @@ class Simulation:
         """Place the service anew, unlogged; the next tick analyses it again."""
         state.record.placement = decision
         state.reschedules += 1
-        state.quiet_key = None
-        self._changed.add(state.desc.id)
+        self._forget(state)
         new_node = self.topology.get(decision.node_id)
         done = state.migration_until = t_ms + migration_delay_ms(state.desc, new_node)
         if done <= self.horizon:
             self._push(done, self._try_start, self.node_states[new_node.id])
+
+    def _forget(self, *states: _ServiceState):
+        """Drop what the last analyses found; the next tick analyses these services anew."""
+        for state in states:
+            state.nearer = state.quiet_key = None
+            self._changed.add(state.desc.id)
 
     def _try_start(self, t_ms: float, node_state: _NodeState):
         """Start queued requests in FIFO order while a slot is free.
@@ -533,38 +539,31 @@ class Simulation:
             if (
                 quiet_key is None
                 or state.nearer
-                or quiet_key[1].count(cost.exec_ms) != self.thresholds.compute_run
+                or quiet_key.count(cost.exec_ms) != self.thresholds.compute_run
             ):
                 self._changed.add(request.service_id)
         self._try_start(t_ms, node_state)
+
+    def _on_dealer_open(self, t_ms: float, _node_state: _NodeState):
+        """Forget every placed service's verdict; admissibility has changed.
+
+        Nothing needs starting: the queue was empty while the dealer was
+        closed, and a request queued at this instant waits on a busy slot
+        or a migration, whose end calls _try_start.
+        """
+        self._forget(*self._placed)
 
     def _on_dealer_close(self, t_ms: float, node_state: _NodeState):
         while node_state.queue:
             request = node_state.queue.popleft()
             request.outcome = Outcome.REJECTED
-
-    def _dealers_open(self, t_ms: float) -> tuple[bool, ...]:
-        return tuple([is_dealer_open(node, t_ms) for node in self._dealers])
+        self._forget(*self._placed)
 
     def _on_analysis_tick(self, t_ms: float, _payload=None):
-        """Analyse the services whose verdict may have changed; log every placed one.
-
-        A service's analysis reads its placement, through admissibility
-        which dealers are open, and part of its window. When a tick leaves
-        it in place, those are kept as its quiet key (see _ServiceState),
-        and a later tick with the same key would reach the same verdict.
-        A service that _changed does not hold keeps its key unless the
-        dealers open changed, so only the others are looked at. Each
-        service's reschedule, if any, is logged right after its analysis.
-        """
-        dealers_open = self._dealers_open(t_ms)
-        if dealers_open != self._tick_dealers:
-            self._tick_dealers = dealers_open
-            visit = self._placed
-        else:
-            visit = [self.services[service_id] for service_id in sorted(self._changed)]
+        """Analyse the services in _changed; log every placed one, and each move after it."""
+        visit = [self.services[service_id] for service_id in sorted(self._changed)]
         self._changed.clear()
-        moved = {state.desc.id for state in visit if self._visit(t_ms, state, dealers_open)}
+        moved = {state.desc.id for state in visit if self._visit(t_ms, state)}
         log = self.arbitration_log
         if moved:
             for service_id in self._placed_ids:
@@ -579,19 +578,17 @@ class Simulation:
         if t_next <= self.horizon:
             self._push(t_next, self._on_analysis_tick)
 
-    def _visit(self, t_ms: float, state: _ServiceState, dealers_open: tuple[bool, ...]) -> bool:
+    def _visit(self, t_ms: float, state: _ServiceState) -> bool:
         """Analyse the service unless its quiet key is unchanged; True when it moved."""
-        where = (state.record.placement.node_id, dealers_open)
-        if where != state.nearer_key:
-            state.nearer_key = where
-            state.nearer = nearer_gain(
-                state.desc, self.topology.get(where[0]), self.topology, self.thresholds, t_ms
-            ) is not None
+        if state.nearer is None:
+            node = self.topology.get(state.record.placement.node_id)
+            gain = nearer_gain(state.desc, node, self.topology, self.thresholds, t_ms)
+            state.nearer = gain is not None
         service_id = state.desc.id
         if state.nearer:
-            key = (where, self.context.version(service_id))
+            key = self.context.version(service_id)
         else:
-            key = (where, tuple(self.context.recent_exec(service_id, self.thresholds.compute_run)))
+            key = tuple(self.context.recent_exec(service_id, self.thresholds.compute_run))
         if key == state.quiet_key:
             return False
         if self._analyze(t_ms, state):

@@ -225,21 +225,7 @@ class HeapOnlySimulation(Simulation):
             self.scenario.consumers, self.seed, self.horizon
         ):
             self._push(arrival.t_ms, self._on_arrival, arrival)
-        day_ms = 1440 * 60000.0
-        for node in self._dealers:
-            node_state = self.node_states[node.id]
-            open_minute, close_minute = node.open_hours
-            day = 0
-            while day * day_ms <= self.horizon:
-                t_open = day * day_ms + open_minute * 60000.0
-                t_close = day * day_ms + close_minute * 60000.0
-                if 0.0 < t_open <= self.horizon:
-                    self._push(t_open, self._try_start, node_state)
-                if 0.0 < t_close <= self.horizon:
-                    self._push(t_close, self._on_dealer_close, node_state)
-                day += 1
-        if self.policy == "sami" and simulation.ANALYSIS_INTERVAL_MS <= self.horizon:
-            self._push(simulation.ANALYSIS_INTERVAL_MS, self._on_analysis_tick)
+        self._push_calendar()
 
     def run(self):
         self._place_all()

@@ -1,8 +1,9 @@
 """Byte-stable outputs: the SHA-256 of every file `run` and `compare` write.
 
-The digests pin the four shipped scenarios at seed 42. A change that
-moves any of them changes what users get, and needs its own CHANGES.md
-entry saying why, together with the new digests.
+The digests pin the four shipped scenarios at seed 42 and at the
+held-out seed 7. A change that moves any of them changes what users
+get, and needs its own CHANGES.md entry saying why, together with the
+new digests.
 """
 
 import hashlib
@@ -40,15 +41,50 @@ GOLDEN = {
     },
 }
 
+GOLDEN_SEED_7 = {
+    "dealer_hours": {
+        "metrics.csv": "51ea6ecaf1d8ee9537fbea2d13174fb8822ce8bc5a9ce2f86e4d3d0d06142826",
+        "metrics.json": "8362df418417d70542607530f5fd6193ff083445dd152cd59e1dd0990d38c4f5",
+        "compare.csv": "50a878279516db4d592da88d8d1ffc699bd02fc2bf52a73311e075a64788114a",
+        "compare.json": "12d519f1219e051600a46c14aebdad9923496a2801a3604e25ac1842333fa9d3",
+    },
+    "hot_cloud_service": {
+        "metrics.csv": "dede5ea265226a33ba4ffce400a2d0eb7582e92f9dc3ebcf65f38ab316643735",
+        "metrics.json": "3dc3367851a70ab7ac91868d2e9bafc1126649cc444f4de19223d5fcdddd9afb",
+        "compare.csv": "657d2ecaab5f11aea45be6fa84b3d7095305337c449adfd1c827d08bdea79554",
+        "compare.json": "a770ce81f571b183fb3040ade9786a83c88aef7b312b9158ad4b6a30fafa5210",
+    },
+    "latency_mix": {
+        "metrics.csv": "7cbaebe3bed1824aa5b0867f59952f50e305349dd8817229e9ea9bb70e84657e",
+        "metrics.json": "da0cb8f28381d54b8c216436cc5611ae5ae0af63dec8318aa5b81556c917d75c",
+        "compare.csv": "2ffb42c7c07bdfc03a4705454ed7d6a0ecddbba5b4e9249a0ca56854579b910a",
+        "compare.json": "ab3d9166e4f09738c6e4afb34493d8e0af81943236a37bccb04ad256fdae3c90",
+    },
+    "minimal": {
+        "metrics.csv": "23f4c7eb5904b0e51791246fb6a1e846a01c14ad137717b9870005223e4d06fe",
+        "metrics.json": "59ef1cd8104f0d85af03e99c34ebff316dfb6a0df19342186f5db2bf012484d3",
+        "compare.csv": "a1b4dfda70052cea44f3d46c94a9ce642d54fd09b577996fcd0d3aaa81e247fd",
+        "compare.json": "3f52ff7e92278130ff9ac9b253fa3e016fbf7cff5a1cc8f406e9076bc53fb4e3",
+    },
+}
+
+
+def output_digests(tmp_path, name, seed, filenames):
+    scenario = str(SCENARIO_DIR / f"{name}.json")
+    for command in ("run", "compare"):
+        args = [command, "--scenario", scenario, "--seed", str(seed), "--out", str(tmp_path)]
+        assert main(args) == EXIT_OK
+    return {
+        filename: hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
+        for filename in filenames
+    }
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_scenario_outputs_match_golden_digests(tmp_path, name):
-    scenario = str(SCENARIO_DIR / f"{name}.json")
-    for command in ("run", "compare"):
-        args = [command, "--scenario", scenario, "--seed", "42", "--out", str(tmp_path)]
-        assert main(args) == EXIT_OK
-    digests = {
-        filename: hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
-        for filename in GOLDEN[name]
-    }
-    assert digests == GOLDEN[name]
+    assert output_digests(tmp_path, name, 42, GOLDEN[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEED_7))
+def test_held_out_seed_outputs_match_golden_digests(tmp_path, name):
+    assert output_digests(tmp_path, name, 7, GOLDEN_SEED_7[name]) == GOLDEN_SEED_7[name]

@@ -10,13 +10,21 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tierbroker import simulation
 from tierbroker.arbitrator import SchedulerWeights, Thresholds
 from tierbroker.errors import ConfigError
-from tierbroker.model import DAY_MS, EnergyModel, SecurityClass, Tier, Topology
+from tierbroker.model import (
+    DAY_MS,
+    EnergyModel,
+    Outcome,
+    SecurityClass,
+    Tariff,
+    Tier,
+    Topology,
+)
 from tierbroker.registry import Registry
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import Simulation
@@ -26,15 +34,15 @@ from conftest import SCENARIO_DIR, make_node, make_service
 from oracles import EveryTickSimulation
 
 
-def run_with(cls, scenario, seed=None):
+def run_with(cls, scenario, seed=None, policy="sami"):
     topology = Topology(scenario.nodes)
     registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    return cls(topology, registry, scenario, policy="sami", seed=seed).run()
+    return cls(topology, registry, scenario, policy=policy, seed=seed).run()
 
 
-def assert_same_run(scenario, seed=None):
-    fast = run_with(Simulation, scenario, seed)
-    reference = run_with(EveryTickSimulation, scenario, seed)
+def assert_same_run(scenario, seed=None, policy="sami"):
+    fast = run_with(Simulation, scenario, seed, policy)
+    reference = run_with(EveryTickSimulation, scenario, seed, policy)
     assert fast.arbitration_log == reference.arbitration_log
     assert fast.records == reference.records
     assert report_to_dict(fast.report) == report_to_dict(reference.report)
@@ -140,6 +148,36 @@ def test_memoized_loop_matches_every_tick_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
         assert_same_run(scenario)
+
+
+class CheckOpenings(Simulation):
+    """Asserts at every dealer opening that _try_start would start nothing."""
+
+    openings = 0
+
+    def _on_dealer_open(self, t_ms, node_state):
+        # Starting nothing, _try_start changes nothing, so asking is harmless.
+        before = (node_state.running, len(node_state.queue))
+        self._try_start(t_ms, node_state)
+        assert (node_state.running, len(node_state.queue)) == before
+        self.openings += 1
+        super()._on_dealer_open(t_ms, node_state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(incremental_cases(), st.sampled_from(["sami", "dealer-only"]))
+def test_a_dealer_opening_has_nothing_to_start(case, policy):
+    # Why the opening starts nothing itself: a closed dealer's queue is
+    # empty, and a request queued at the opening instant waits on a busy
+    # slot or a migration, whose end starts it.
+    interval, scenario = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
+        topology = Topology(scenario.nodes)
+        registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
+        sim = CheckOpenings(topology, registry, scenario, policy=policy)
+        sim.run()
+    event("dealer opened" if sim.openings else "no dealer opened")
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +598,7 @@ def test_old_node_completion_with_another_exec_time_is_analysed(monkeypatch):
     # tick must analyse it.
     sim, moves = left_behind(monkeypatch, 2000.0)
     assert moves == [3000.0]
-    assert (5220.0, "C1", (("M1", ()), (250.0, 250.0)), True) in sim.done
+    assert (5220.0, "C1", (250.0, 250.0), True) in sim.done
     assert 6000.0 in sim.analysed
 
 
@@ -587,6 +625,71 @@ def test_compute_run_no_window_tail_can_match_never_skips(monkeypatch, latency_s
     assert moves == ([2000.0] if latency_sensitive else [])
     assert all(marked for *_, marked in sim.done)
     assert any(quiet_key is not None for _, _, quiet_key, _ in sim.done)
+
+
+def test_a_dealer_close_is_analysed_on_the_next_tick(monkeypatch):
+    # svc-0 starts on C1, the dealers being closed until 00:01. At the
+    # 00:01 tick its window is under pressure and Da is nearer, but the
+    # weights favour the cheap, slow Db, which projects no better than
+    # C1, so svc-0 stays and its window never changes again. Db's close
+    # at 00:03 leaves Da alone in the pool: the tick then moves svc-0 to
+    # Da, though nothing it reads from its window changed.
+    monkeypatch.setattr(simulation, "ANALYSIS_INTERVAL_MS", 60000.0)
+    nodes = [
+        make_node("Da", Tier.DEALER, cpu_speed=8000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
+                  open_hours=(1, 1440), tariff=Tariff(base_fee=10.0, cpu_rate=0.1,
+                                                      data_rate=0.01)),
+        make_node("Db", Tier.DEALER, cpu_speed=2000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
+                  open_hours=(1, 3)),
+        make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=200.0, bandwidth_mbps=100.0,
+                  cpu_slots=8, internet_path=True),
+    ]
+    arrivals = [Arrival(1000.0 * i, "u1", "svc-0") for i in range(1, 6)]
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
+    )
+    scenario = Scenario(
+        horizon_ms=240000.0,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True)],
+        consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
+        weights=SchedulerWeights(w_latency=0.2, w_cost=0.8),
+        thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
+        energy=EnergyModel(),
+    )
+    fast = assert_same_run(scenario)
+    assert {r.node_id for r in fast.records} == {"C1"}
+    assert moves_in(fast) == [180000.0]
+
+
+@pytest.mark.parametrize("policy", ["sami", "dealer-only"])
+def test_round_the_clock_dealer_keeps_its_queue_across_midnight(monkeypatch, policy):
+    # D0 is open all day, hours (0, 1440), so it never closes: the five
+    # requests queued on its one slot across midnight all complete there.
+    monkeypatch.setattr(simulation, "ANALYSIS_INTERVAL_MS", 60000.0)
+    nodes = [
+        make_node("D0", Tier.DEALER, cpu_speed=4000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
+                  cpu_slots=1, open_hours=(0, 1440)),
+        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
+    ]
+    arrivals = [Arrival(DAY_MS - 500.0 + 100.0 * i, "u1", "svc-0") for i in range(5)]
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
+    )
+    scenario = Scenario(
+        horizon_ms=DAY_MS + 60000.0,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True)],
+        consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(),
+        energy=EnergyModel(),
+    )
+    fast = assert_same_run(scenario, policy=policy)
+    assert [(r.node_id, r.outcome) for r in fast.records] == [("D0", Outcome.COMPLETED)] * 5
+    assert fast.records[-1].t_start > DAY_MS
 
 
 def test_thresholds_refuse_a_compute_run_below_one():

@@ -180,6 +180,12 @@ def test_parse_semver_matches_the_whole_string():
         parse_semver("1.0.0\nx")
 
 
+def test_parse_semver_reads_only_ascii_digits():
+    # Python's \d also matches other scripts' digits; ECMA-262's does not.
+    with pytest.raises(ValueError):
+        parse_semver("1\u0661.0.0")
+
+
 def test_check_node_reports_all_problems():
     bad = make_node("N1", Tier.MNO, cpu_speed=0.0, rtt_ms=-1.0, bandwidth_mbps=0.0)
     problems = check_node(bad)

@@ -284,6 +284,9 @@ PARSER_ONLY = [
     pytest.param(("services", 0, "capability_tags"), ["teleport"], id="tag-outside-vocabulary"),
     pytest.param(("services", 0, "version"), "1.0.0\n", id="version-trailing-newline"),
     pytest.param(("services", 0, "capability_tags"), ["compute\n"], id="tag-trailing-newline"),
+    # Python's \d matches non-ASCII digits too, so jsonschema accepts this;
+    # ECMA-262, the regex dialect JSON Schema names, does not.
+    pytest.param(("services", 0, "version"), "1\u0661.0.0", id="version-non-ascii-digit"),
 ]
 
 # Optional keys whose absence is itself a rule: a dealer needs hours, a
