@@ -30,25 +30,27 @@ When an analysis keeps the service in place, that part is its quiet
 key, and later ticks skip the service while the key is unchanged. A
 move and a dealer's opening or close forget the key and nearer_gain's
 answer (_forget). A tick looks only at the services marked since the
-tick before: placed, forgotten, or completing a request that could
-change their key; every placed service is still logged and counted.
-Execution times are fixed per (service, node), so a completion cannot
-change a key whose last compute_run execution times all equal the time
-of the node it ran on: with one more appended, that run stays the
-same. When a tick leaves every service in place, the ticks up to the
-next event are counted, not listed, as no dealer opens or closes before
-it, and only the first tick not counted is pushed; it takes the heap
-slot the every-tick loop would have given it, so event order is
-unchanged. Only the arbitrated policy feeds the analysis window. run()
-empties the heap when it ends: its entries hold bound methods, so
-events left past the horizon would keep the finished simulation in a
-reference cycle until the next full collection.
+tick before: forgotten, or completing a request that could change their
+key. A service nothing has completed for is never analysed, as neither
+detector advises on an empty window. Execution times are fixed per
+(service, node), so a completion cannot change a key whose last
+compute_run execution times all equal the time of the node it ran on:
+with one more appended, that run stays the same. When a tick leaves
+every service in place, the ticks up to the next event are skipped, as
+no dealer opens or closes before it, and only the first tick not
+skipped is pushed; it takes the heap slot the every-tick loop would
+have given it, so event order is unchanged. Only the arbitrated policy
+feeds the analysis window. run() empties the heap when it ends: its
+entries hold bound methods, so events left past the horizon would keep
+the finished simulation in a reference cycle until the next full
+collection.
 
-The arbitration log stores such quiet ticks as runs (ArbitrationLog):
-a register, a reschedule or the analyses of a tick that moved a
-service is one entry, and a stretch of ticks that moved nothing is one
-run record however long it is, so the log grows with what happened,
-not with the horizon. It iterates as the list of every entry.
+The arbitration log records decisions: a (t_ms, kind, service id)
+entry for each register and each reschedule, so it grows with what
+happened, not with the horizon. The analyses are counted, not logged:
+every tick counts one per placed service, whether or not the detectors
+ran, so arbitration_events adds floor(horizon / interval) times the
+placed services to the log's length under the arbitrated policy.
 
 What a request costs on a node is fixed per (service, node) pair: its
 transfer and execution times, the transmit half of its energy and
@@ -66,7 +68,6 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import operator
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -169,92 +170,11 @@ class _NodeState:
     queue: deque = field(default_factory=deque)
 
 
-class _Run:
-    """n_ticks analysis ticks from t_first, each logging every id in order."""
-
-    __slots__ = ("t_first", "n_ticks", "ids")
-
-    def __init__(self, t_first: float, n_ticks: int, ids: tuple[str, ...]):
-        self.t_first = t_first
-        self.n_ticks = n_ticks
-        self.ids = ids
-
-
-class ArbitrationLog:
-    """The run's (t_ms, kind, service id) entries in order, quiet ticks stored as runs.
-
-    Each register, reschedule and analysis of a tick that moved a
-    service is stored as its entry. Ticks that moved nothing are stored
-    as runs (t_first, n_ticks, ids): tick i is at t_first + i *
-    interval_ms and logs (t, "analysis", id) for each id in turn, and a
-    run that starts where a run over the same ids ends extends it. Tick
-    times are whole multiples of the interval, so that time is exact.
-
-    It iterates as the list of its entries, takes len in O(1), answers
-    `in` by iterating, and compares equal to that list. Only the
-    simulator adds to it, through _append and _append_ticks.
-    """
-
-    __slots__ = ("_interval_ms", "_parts", "_len")
-
-    def __init__(self, interval_ms: float):
-        self._interval_ms = interval_ms
-        self._parts: list[tuple[float, str, str] | _Run] = []
-        self._len = 0
-
-    @property
-    def part_count(self) -> int:
-        """Entries and runs stored: the log's size in memory, not its length."""
-        return len(self._parts)
-
-    def _append(self, entry: tuple[float, str, str]):
-        self._len += 1
-        self._parts.append(entry)
-
-    def _append_ticks(self, t_first: float, n_ticks: int, ids: tuple[str, ...]):
-        """Log n_ticks quiet ticks from t_first, each analysing every id in order."""
-        if not n_ticks or not ids:
-            return
-        self._len += n_ticks * len(ids)
-        parts = self._parts
-        last = parts[-1] if parts else None
-        if (
-            isinstance(last, _Run)
-            and last.ids == ids
-            and last.t_first + last.n_ticks * self._interval_ms == t_first
-        ):
-            last.n_ticks += n_ticks
-            return
-        parts.append(_Run(t_first, n_ticks, ids))
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        interval_ms = self._interval_ms
-        for part in self._parts:
-            if isinstance(part, _Run):
-                for tick in range(part.n_ticks):
-                    t_ms = part.t_first + tick * interval_ms
-                    for service_id in part.ids:
-                        yield (t_ms, "analysis", service_id)
-            else:
-                yield part
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, ArbitrationLog)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"<ArbitrationLog: {len(self)} entries in {self.part_count} parts>"
-
-
 @dataclass
 class SimResult:
     report: MetricsReport
     records: list[InvocationRecord]
-    arbitration_log: ArbitrationLog
+    arbitration_log: list[tuple[float, str, str]]  # (t_ms, kind, service id)
 
 
 class Simulation:
@@ -288,15 +208,14 @@ class Simulation:
         self._seq = 0
         self._next_request_id = 1
         self.records: list[InvocationRecord] = []
-        self.arbitration_log = ArbitrationLog(ANALYSIS_INTERVAL_MS)
+        self.arbitration_log: list[tuple[float, str, str]] = []
         self.security_violations = 0
         self._analysed = policy == "sami"
         self.context = ContextSnapshot(window=self.thresholds.window)
         self.services: dict[str, _ServiceState] = {}
-        self._placed: list[_ServiceState] = []  # analysis order: placed services by id
-        self._placed_ids: tuple[str, ...] = ()
-        # Services the next tick analyses: placed, moved or forgotten since
-        # the last tick, or completing a request that could change their quiet key.
+        self._placed: list[_ServiceState] = []  # placed services, by id
+        # Services the next tick analyses: moved or forgotten since the last
+        # tick, or completing a request that could change their quiet key.
         self._changed: set[str] = set()
         self.node_states = {n.id: _NodeState(node=n) for n in topology}
 
@@ -308,9 +227,6 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (t_ms, self._seq, handler, payload))
 
-    def _log_arbitration(self, t_ms: float, kind: str, service_id: str):
-        self.arbitration_log._append((t_ms, kind, service_id))
-
     def _place_all(self):
         for desc in sorted(self.scenario.services, key=lambda s: s.id):
             if self._analysed:
@@ -321,9 +237,7 @@ class Simulation:
             self.services[desc.id] = state
             if record is not None:
                 self._placed.append(state)
-                self._changed.add(desc.id)
-                self._log_arbitration(0.0, "register", desc.id)
-        self._placed_ids = tuple(state.desc.id for state in self._placed)
+                self.arbitration_log.append((0.0, "register", desc.id))
 
     def _register_pinned(self, desc: ServiceDescriptor) -> ServiceRecord | None:
         """Baseline policies: best node of one tier, or nothing at all.
@@ -447,7 +361,7 @@ class Simulation:
             request.outcome = Outcome.DROPPED
             return None
         if decision.node_id != state.record.placement.node_id:
-            self._log_arbitration(t_ms, "reschedule", state.desc.id)
+            self.arbitration_log.append((t_ms, "reschedule", state.desc.id))
             self._move(t_ms, state, decision)
         return self.topology.get(decision.node_id)
 
@@ -560,20 +474,15 @@ class Simulation:
         self._forget(*self._placed)
 
     def _on_analysis_tick(self, t_ms: float, _payload=None):
-        """Analyse the services in _changed; log every placed one, and each move after it."""
+        """Analyse the services in _changed, in id order, and log each move."""
         visit = [self.services[service_id] for service_id in sorted(self._changed)]
         self._changed.clear()
-        moved = {state.desc.id for state in visit if self._visit(t_ms, state)}
-        log = self.arbitration_log
-        if moved:
-            for service_id in self._placed_ids:
-                log._append((t_ms, "analysis", service_id))
-                if service_id in moved:
-                    log._append((t_ms, "reschedule", service_id))
-            ticks = 1
-        else:
-            ticks = 1 + self._fast_forward(t_ms + ANALYSIS_INTERVAL_MS)
-            log._append_ticks(t_ms, ticks, self._placed_ids)
+        moved = False
+        for state in visit:
+            if self._visit(t_ms, state):
+                self.arbitration_log.append((t_ms, "reschedule", state.desc.id))
+                moved = True
+        ticks = 1 if moved else 1 + self._fast_forward(t_ms + ANALYSIS_INTERVAL_MS)
         t_next = t_ms + ticks * ANALYSIS_INTERVAL_MS
         if t_next <= self.horizon:
             self._push(t_next, self._on_analysis_tick)
@@ -629,9 +538,9 @@ class Simulation:
         changes, and no dealer opens or closes, as that happens only at
         calendar events: a tick before it finds the same keys. A tick at
         exactly the next event's time is left to run after that event, as
-        its push sequence orders it. The batch is counted, not listed:
-        tick i is at t_ms + i * interval, exact because every tick time is
-        a whole multiple of the interval.
+        its push sequence orders it. The batch is skipped: tick i is at
+        t_ms + i * interval, exact because every tick time is a whole
+        multiple of the interval.
         """
         # Tick i is in the batch while t_ms + i * interval < end: end is the
         # next event or just past the horizon, as a tick may fall on the
@@ -677,6 +586,9 @@ class Simulation:
                 tally.rejected += 1
             else:
                 tally.dropped += 1
+        # A tick falls on each whole multiple of the interval up to the horizon,
+        # and docs/metrics.md counts an analysis per placed service at each.
+        ticks = int(self.horizon // ANALYSIS_INTERVAL_MS) if self._analysed else 0
         rows = []
         for service_id in sorted(self.services):
             state = self.services[service_id]
@@ -697,7 +609,7 @@ class Simulation:
             arrivals=len(self.records),
             **run.totals(),
             reschedules=sum(s.reschedules for s in self.services.values()),
-            arbitration_events=len(self.arbitration_log),
+            arbitration_events=len(self.arbitration_log) + ticks * len(self._placed),
             security_violations=self.security_violations,
             wall_ms=self.horizon,
         )
@@ -760,7 +672,6 @@ __all__ = [
     "ANALYSIS_INTERVAL_MS",
     "POLICIES",
     "POLICY_TIERS",
-    "ArbitrationLog",
     "SimResult",
     "Simulation",
     "energy_j",

@@ -23,6 +23,8 @@ it exactly, int 0 for an empty sum included.
 """
 
 import heapq
+import math
+from fractions import Fraction
 from itertools import combinations
 
 from tierbroker.arbitrator import analyze_computation, analyze_performance, reschedule
@@ -189,7 +191,6 @@ class EveryTickSimulation(Simulation):
             state = self.services[service_id]
             if state.record is None:
                 continue
-            self._log_arbitration(t_ms, "analysis", service_id)
             current = self.topology.get(state.record.placement.node_id)
             advice = analyze_performance(
                 self.context, state.desc, current, self.topology, self.thresholds, t_ms
@@ -208,7 +209,7 @@ class EveryTickSimulation(Simulation):
                 continue
             decision = reschedule(state.record, advice, self.topology, self.weights, t_ms)
             if decision.node_id != state.record.placement.node_id:
-                self._log_arbitration(t_ms, "reschedule", service_id)
+                self.arbitration_log.append((t_ms, "reschedule", service_id))
                 self._move(t_ms, state, decision)
         # Read at call time, like the simulator, so a test may stretch the interval.
         t_next = t_ms + simulation.ANALYSIS_INTERVAL_MS
@@ -255,7 +256,12 @@ def reference_totals(records):
 
 
 def reference_rows(sim):
-    """(service rows, run row) of a finished Simulation, figure by figure."""
+    """(service rows, run row) of a finished Simulation, figure by figure.
+
+    arbitration_events is docs/metrics.md's sum: one registration per
+    placed service, one analysis per placed service per tick under sami,
+    and the reschedules.
+    """
     by_service = {sid: [] for sid in sim.services}
     for record in sim.records:
         by_service[record.service_id].append(record)
@@ -270,11 +276,16 @@ def reference_rows(sim):
             reschedules=state.reschedules,
             **reference_totals(recs),
         ))
+    placed = sum(1 for state in sim.services.values() if state.record is not None)
+    # Ticks fall on every whole multiple of the interval up to the horizon.
+    interval = Fraction(simulation.ANALYSIS_INTERVAL_MS)
+    ticks = math.floor(Fraction(sim.horizon) / interval) if sim.policy == "sami" else 0
+    reschedules = sum(s.reschedules for s in sim.services.values())
     run_row = RunRow(
         arrivals=len(sim.records),
         **reference_totals(sim.records),
-        reschedules=sum(s.reschedules for s in sim.services.values()),
-        arbitration_events=len(sim.arbitration_log),
+        reschedules=reschedules,
+        arbitration_events=placed + ticks * placed + reschedules,
         security_violations=sim.security_violations,
         wall_ms=sim.horizon,
     )

@@ -37,7 +37,7 @@ from tierbroker.model import (
     TrustBasis,
     TrustLevel,
 )
-from tierbroker.simulation import POLICIES, energy_j, simulate_scenario
+from tierbroker.simulation import POLICIES, POLICY_TIERS, energy_j, simulate_scenario
 from tierbroker.trust import aggregate_trust, indirect_trust
 from tierbroker.workload import SplitMix64, load_scenario
 
@@ -282,23 +282,31 @@ def test_c09_dealer_hours_respected_over_a_day():
 
 
 def test_c10_arbitration_event_count_reconciles():
+    # The log holds the decisions: a register per placed service and a
+    # reschedule per move. Every tick analyses every placed service, so
+    # the count adds floor(horizon / 1 s) analyses per placed service.
     mismatches = []
-    for name in ("hot_cloud_service.json", "dealer_hours.json", "latency_mix.json"):
+    for name, policy in product(
+        ("hot_cloud_service.json", "dealer_hours.json", "latency_mix.json"), POLICIES
+    ):
         scenario = load_scenario(str(SCENARIO_DIR / name))
-        result = simulate_scenario(scenario)
+        result = simulate_scenario(scenario, policy=policy)
         log = result.arbitration_log
-        registers = sum(1 for e in log if e[1] == "register")
-        analyses = sum(1 for e in log if e[1] == "analysis")
+        registers = sorted(sid for _, kind, sid in log if kind == "register")
         reschedules = sum(1 for e in log if e[1] == "reschedule")
+        placed = sorted(row.service_id for row in result.report.services if row.tier != "-")
+        pool = policy == "sami" or any(n.tier is POLICY_TIERS[policy] for n in scenario.nodes)
+        ticks = math.floor(scenario.horizon_ms / 1000.0) if policy == "sami" else 0
         run = result.report.run
         if not (
-            run.arbitration_events
-            == len(log)
-            == registers + analyses + reschedules
-            and registers == len(scenario.services)
+            len(log) == len(registers) + reschedules
+            and registers == placed
+            and len(placed) == (len(scenario.services) if pool else 0)
             and reschedules == run.reschedules
+            and run.arbitration_events
+            == len(registers) + ticks * len(placed) + reschedules
         ):
-            mismatches.append(name)
+            mismatches.append((name, policy))
     check(10, not mismatches,
           "arbitration_events = registrations + analyses + reschedules in every run")
 

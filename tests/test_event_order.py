@@ -214,13 +214,35 @@ def test_arrival_on_a_dealer_close_goes_first(monkeypatch):
     assert (close_ms, "reschedule", "svc-x") in result.arbitration_log
 
 
+class NoteHandlers(Simulation):
+    """Notes each arrival and analysis tick the loop runs, in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def _on_arrival(self, t_ms, arrival):
+        self.calls.append((t_ms, "arrival"))
+        super()._on_arrival(t_ms, arrival)
+
+    def _on_analysis_tick(self, t_ms, _payload=None):
+        self.calls.append((t_ms, "tick"))
+        super()._on_analysis_tick(t_ms, _payload)
+
+
 def test_arrival_on_an_analysis_tick_goes_first(monkeypatch):
-    # D1 closes at 60 s. The arrival at 61 s moves svc-x, and its move
-    # is logged before the 61 s tick's analyses.
+    # D1 closes at 60 s. The arrival at 61 s moves svc-x before the 61 s
+    # tick runs.
     use_arrivals(monkeypatch, [Arrival(30000.0, "u1", "svc-x"), Arrival(61000.0, "u1", "svc-x")])
-    result = assert_same_order(tie_scenario(close_minute=1, horizon_ms=62000.0))
-    at_61s = [(kind, sid) for t, kind, sid in result.arbitration_log if t == 61000.0]
-    assert at_61s == [("reschedule", "svc-x"), ("analysis", "svc-x"), ("analysis", "svc-y")]
+    scenario = tie_scenario(close_minute=1, horizon_ms=62000.0)
+    result = assert_same_order(scenario)
+    at_61s = [entry for entry in result.arbitration_log if entry[0] == 61000.0]
+    assert at_61s == [(61000.0, "reschedule", "svc-x")]
+    sim = NoteHandlers(Topology(scenario.nodes),
+                       Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
+                       scenario)
+    assert sim.run().arbitration_log == result.arbitration_log
+    assert [kind for t, kind in sim.calls if t == 61000.0] == ["arrival", "tick"]
 
 
 @pytest.mark.parametrize("policy", ["sami", "cloud-only"])

@@ -241,18 +241,57 @@ def test_batch_count_is_exact_far_from_zero(interval, first_tick, span, nudge, b
 
 
 class NoteBatches(Simulation):
-    """Notes each batch of quiet ticks: its first tick, its tick count and
-    whether no event is left at all."""
+    """Notes each analysis tick the loop runs and each batch of quiet ticks
+    it skips: the batch's first tick, its tick count and whether no event
+    is left at all."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.ticks = []
         self.batches = []
+
+    def _on_analysis_tick(self, t_ms, _payload=None):
+        self.ticks.append(t_ms)
+        super()._on_analysis_tick(t_ms, _payload)
 
     def _fast_forward(self, t_ms):
         dry = not self._heap and not self._arrivals
         n = super()._fast_forward(t_ms)
         self.batches.append((t_ms, n, dry))
         return n
+
+    def tick_times(self):
+        """The times of the ticks run and skipped, in order."""
+        interval = simulation.ANALYSIS_INTERVAL_MS
+        skipped = [t_first + i * interval for t_first, n, _ in self.batches for i in range(n)]
+        return sorted(self.ticks + skipped)
+
+
+def note_batches(scenario, policy="sami"):
+    topology = Topology(scenario.nodes)
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
+    sim = NoteBatches(topology, registry, scenario, policy=policy)
+    return sim, sim.run()
+
+
+@settings(max_examples=100, deadline=None)
+@given(incremental_cases(), st.sampled_from(simulation.POLICIES))
+def test_ticks_run_and_skipped_are_every_tick_to_the_horizon(case, policy):
+    # arbitration_events counts an analysis per placed service at every
+    # whole multiple of the interval up to the horizon; each of those
+    # ticks must be run or skipped exactly once, and no other.
+    interval, scenario = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
+        sim, result = note_batches(scenario, policy)
+        ticks = sim.tick_times()
+    if policy == "sami":
+        assert ticks == [k * interval for k in range(1, int(scenario.horizon_ms // interval) + 1)]
+    else:
+        assert ticks == []
+    placed = sum(1 for state in sim.services.values() if state.record is not None)
+    run = result.report.run
+    assert run.arbitration_events == len(result.arbitration_log) + len(ticks) * placed
 
 
 @pytest.mark.parametrize("horizon", [30000.0, 30000.5, math.nextafter(31000.0, 0.0)])
@@ -279,16 +318,12 @@ def test_ticks_after_the_last_event_run_to_the_horizon(monkeypatch, horizon):
         thresholds=Thresholds(),
         energy=EnergyModel(),
     )
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    sim = NoteBatches(topology, registry, scenario, policy="sami")
-    fast = sim.run()
+    sim, fast = note_batches(scenario)
     reference = run_with(EveryTickSimulation, scenario)
     assert fast.arbitration_log == reference.arbitration_log
     assert fast.records == reference.records
     assert sim.batches[-1][2]
-    ticks = [t for t, kind, _ in fast.arbitration_log if kind == "analysis"]
-    assert ticks == [1000.0 * i for i in range(1, int(horizon // 1000.0) + 1)]
+    assert sim.tick_times() == [1000.0 * i for i in range(1, int(horizon // 1000.0) + 1)]
 
 
 def test_quiet_batch_runs_across_midnight(monkeypatch):
@@ -320,10 +355,7 @@ def test_quiet_batch_runs_across_midnight(monkeypatch):
         thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
         energy=EnergyModel(),
     )
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    sim = NoteBatches(topology, registry, scenario, policy="sami")
-    fast = sim.run()
+    sim, fast = note_batches(scenario)
     reference = run_with(EveryTickSimulation, scenario)
     assert fast.arbitration_log == reference.arbitration_log
     assert fast.records == reference.records
@@ -504,16 +536,16 @@ def test_latency_mix_memo_skips_most_evaluations(monkeypatch):
 
     monkeypatch.setattr(simulation, "analyze_performance", counting)
     scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
-    result = simulation.simulate_scenario(scenario, policy="sami")
-    evaluations = sum(1 for _, kind, _ in result.arbitration_log if kind == "analysis")
+    sim, _ = note_batches(scenario)
+    evaluations = len(sim.tick_times()) * len(scenario.services)
     assert evaluations == int(scenario.horizon_ms // 1000) * len(scenario.services)
     assert len(calls) < evaluations // 10
 
 
 def test_quiet_ticks_skip_the_detectors(monkeypatch):
-    # dealer_hours logs one analysis per second for a day but sees a
+    # dealer_hours counts one analysis per second for a day but sees a
     # completion only every minute or so: most ticks must not reach the
-    # detectors, yet every tick is logged.
+    # detectors, yet every tick is run or skipped.
     calls = []
     original = simulation.analyze_performance
 
@@ -523,11 +555,58 @@ def test_quiet_ticks_skip_the_detectors(monkeypatch):
 
     monkeypatch.setattr(simulation, "analyze_performance", counting)
     scenario = load_scenario(str(SCENARIO_DIR / "dealer_hours.json"))
-    result = simulation.simulate_scenario(scenario)
-    ticks = [t for t, kind, _ in result.arbitration_log if kind == "analysis"]
+    sim, _ = note_batches(scenario)
+    ticks = sim.tick_times()
     assert len(ticks) == int(scenario.horizon_ms // 1000)
     assert len(calls) < len(ticks) // 10
     assert ticks[-1] == scenario.horizon_ms
+
+
+class NoteAnalysed(Simulation):
+    """Notes the id of each service passed to _analyze."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.analysed = []
+
+    def _analyze(self, t_ms, state):
+        self.analysed.append(state.desc.id)
+        return super()._analyze(t_ms, state)
+
+
+def test_a_service_nothing_completed_for_is_never_analysed(monkeypatch):
+    # No dealer opens or closes, and svc-1 gets no request: its window
+    # stays empty, where neither detector can advise, so no tick may
+    # analyse it. svc-0's completions mark it for the ticks after them.
+    nodes = [
+        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
+        make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=200.0, bandwidth_mbps=100.0,
+                  internet_path=True),
+    ]
+    arrivals = [Arrival(100.0 * i, "u1", "svc-0") for i in range(1, 6)]
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
+    )
+    scenario = Scenario(
+        horizon_ms=10000.0,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-0", name="probe-0", cpu_demand=1000.0),
+                  make_service("svc-1", name="probe-1")],
+        consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(),
+        energy=EnergyModel(),
+    )
+    sim = NoteAnalysed(Topology(scenario.nodes),
+                       Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
+                       scenario)
+    result = sim.run()
+    reference = run_with(EveryTickSimulation, scenario)
+    assert result.arbitration_log == reference.arbitration_log
+    assert result.records == reference.records
+    assert "svc-0" in sim.analysed
+    assert "svc-1" not in sim.analysed
 
 
 class NoteCompletions(Simulation):

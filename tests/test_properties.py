@@ -172,8 +172,12 @@ def finished(records, unplaced, reschedules):
     topology = Topology(scenario.nodes)
     sim = Simulation(topology, Registry(weights=scenario.weights), scenario)
     sim._place_all()
+    # An unplaced service was never registered; each reschedule is logged.
+    sim._placed = [state for state in sim._placed if state.desc.id not in unplaced]
+    sim.arbitration_log = [entry for entry in sim.arbitration_log if entry[2] not in unplaced]
     for (service_id, state), count in zip(sorted(sim.services.items()), reschedules):
         state.reschedules = count
+        sim.arbitration_log += [(scenario.horizon_ms, "reschedule", service_id)] * count
         if service_id in unplaced:
             state.record = None
     sim.records = records

@@ -13,6 +13,7 @@ from tierbroker.simulation import POLICIES, Simulation, simulate_scenario
 from tierbroker.workload import load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR, make_node
+from test_incremental import note_batches
 
 
 def inline_scenario(**overrides):
@@ -206,18 +207,17 @@ def test_dealer_close_flushes_queue():
 
 def test_analysis_ticks_run_every_second():
     scenario = load_scenario(str(SCENARIO_DIR / "hot_cloud_service.json"))
-    result = simulate_scenario(scenario)
-    analysis = [e for e in result.arbitration_log if e[1] == "analysis"]
-    assert len(analysis) == 60  # one service, ticks at 1 s .. 60 s
-    assert all(t % 1000.0 == 0.0 for t, _, _ in analysis)
+    sim, result = note_batches(scenario)
+    assert sim.tick_times() == [1000.0 * i for i in range(1, 61)]  # ticks at 1 s .. 60 s
+    # One service: its register, its 60 analyses and its moves.
+    assert result.report.run.arbitration_events == 1 + 60 + result.report.run.reschedules
 
 
-def test_baseline_policies_log_no_analysis():
+def test_baseline_policies_log_only_registers():
     scenario = load_scenario(str(SCENARIO_DIR / "minimal.json"))
     result = simulate_scenario(scenario, policy="mno-only")
-    kinds = {e[1] for e in result.arbitration_log}
-    assert "analysis" not in kinds
-    assert "reschedule" not in kinds
+    assert result.arbitration_log == [(0.0, "register", "svc-echo")]
+    assert result.report.run.arbitration_events == 1
 
 
 @pytest.mark.parametrize(
