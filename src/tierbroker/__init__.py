@@ -19,7 +19,6 @@ from .errors import (
     DuplicateService,
     IncompatibleReplacement,
     NoAdmissibleNode,
-    NotBillable,
     NotFoundError,
     ParseError,
     StandardViolation,
@@ -36,7 +35,7 @@ from .model import (
     Topology,
     TrustLevel,
     is_admissible,
-    projected_response_ms,
+    pair_cost,
 )
 from .registry import (
     FunctionalSpec,
@@ -55,7 +54,6 @@ __all__ = [
     "IncompatibleReplacement",
     "InvocationRecord",
     "NoAdmissibleNode",
-    "NotBillable",
     "NotFoundError",
     "ParseError",
     "PlacementDecision",
@@ -79,7 +77,7 @@ __all__ = [
     "generate_workload",
     "is_admissible",
     "load_scenario",
-    "projected_response_ms",
+    "pair_cost",
     "run",
     "schedule_service",
     "simulate_scenario",

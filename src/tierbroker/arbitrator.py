@@ -3,9 +3,10 @@
 schedule_service picks a node through a fixed restricted-set flow
 (security pin, latency preference, data routing, open pool) and then
 minimizes a weighted, min-max normalized blend of projected response
-time and estimated charge. The analysis functions watch completed
-invocations and produce rescheduling advice; reschedule applies it only
-when the move strictly improves the projection.
+time and charge (score_pool), the charge being the one compute_charge
+bills. The analysis functions watch completed invocations and produce
+rescheduling advice; reschedule applies it only when the move strictly
+improves the projection.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from enum import Enum
 from itertools import islice
 from statistics import StatisticsError, fmean
 
+from .billing import compute_charge
 from .errors import ConfigError, NoAdmissibleNode, OutOfOrderEvent
 from .model import (
     TIER_RANK,
@@ -30,8 +32,8 @@ from .model import (
     Tier,
     Topology,
     is_admissible,
+    pair_cost,
     parse_semver,
-    projected_response_ms,
     transmit_ms,
 )
 from .schema import conforms, standard
@@ -188,21 +190,36 @@ def collect_context(record: InvocationRecord, ctx: ContextSnapshot) -> ContextSn
     return ctx
 
 
-def estimate_charge(service: ServiceDescriptor, node: ResourceNode) -> float:
-    """Projected per-invocation charge under the node's tariff."""
-    cpu_seconds = service.cpu_demand / node.cpu_speed
-    return (
-        node.tariff.base_fee
-        + node.tariff.cpu_rate * cpu_seconds
-        + node.tariff.data_rate * service.payload_total
-    )
-
-
 def _normalize(value: float, lo: float, hi: float) -> float:
     # A metric with no spread differentiates nothing.
     if hi <= lo:
         return 0.0
     return (value - lo) / (hi - lo)
+
+
+def score_pool(
+    pool: list[ResourceNode], service: ServiceDescriptor, weights: SchedulerWeights
+) -> list[tuple[float, float, float, str]]:
+    """(score, projected response, charge, node id) for each node, in pool order.
+
+    The score blends the response and the charge, each min-max
+    normalized over the pool, by the weights; the least tuple wins, so
+    equal scores fall to the faster, then the cheaper, then the lower id.
+    """
+    responses = [pair_cost(service, n).response_ms for n in pool]
+    charges = [compute_charge(service, n) for n in pool]
+    r_lo, r_hi = min(responses), max(responses)
+    c_lo, c_hi = min(charges), max(charges)
+    return [
+        (
+            weights.w_latency * _normalize(response, r_lo, r_hi)
+            + weights.w_cost * _normalize(charge, c_lo, c_hi),
+            response,
+            charge,
+            node.id,
+        )
+        for node, response, charge in zip(pool, responses, charges)
+    ]
 
 
 def decide_among(
@@ -212,24 +229,13 @@ def decide_among(
     reason: PlacementReason,
     t_ms: float,
 ) -> PlacementDecision:
-    responses = {n.id: projected_response_ms(service, n) for n in pool}
-    charges = {n.id: estimate_charge(service, n) for n in pool}
-    r_lo, r_hi = min(responses.values()), max(responses.values())
-    c_lo, c_hi = min(charges.values()), max(charges.values())
-
-    def key(node: ResourceNode):
-        score = weights.w_latency * _normalize(
-            responses[node.id], r_lo, r_hi
-        ) + weights.w_cost * _normalize(charges[node.id], c_lo, c_hi)
-        return (score, responses[node.id], charges[node.id], node.id)
-
-    best = min(pool, key=key)
+    _, response, _, node_id = min(score_pool(pool, service, weights))
     return PlacementDecision(
         service_id=service.id,
-        node_id=best.id,
-        tier=best.tier,
+        node_id=node_id,
+        tier=next(n.tier for n in pool if n.id == node_id),
         reason=reason,
-        objective_ms=responses[best.id],
+        objective_ms=response,
         decided_at=t_ms,
     )
 
@@ -318,12 +324,12 @@ def nearer_gain(
     if not service.latency_sensitive:
         return None
     cur_rank = TIER_RANK[current_node.tier]
-    cur_resp = projected_response_ms(service, current_node)
+    cur_resp = pair_cost(service, current_node).response_ms
     for tier in (Tier.DEALER, Tier.MNO):
         if TIER_RANK[tier] >= cur_rank:
             break
         gains = [
-            cur_resp - projected_response_ms(service, n)
+            cur_resp - pair_cost(service, n).response_ms
             for n in topology.by_tier(tier)
             if is_admissible(service, n, t_ms)
         ]
@@ -432,7 +438,7 @@ def reschedule(
         except NoAdmissibleNode:
             # Nothing can take the service right now; stay put.
             return current
-    cur_objective = projected_response_ms(service, topology.get(current.node_id))
+    cur_objective = pair_cost(service, topology.get(current.node_id)).response_ms
     if candidate.node_id != current.node_id and candidate.objective_ms < cur_objective:
         return candidate
     return current

@@ -8,8 +8,7 @@ the consumer gets a fractional rebate.
 
 from __future__ import annotations
 
-from .errors import NotBillable
-from .model import InvocationRecord, Outcome, QoSParameters, Tariff, Tier
+from .model import QoSParameters, ResourceNode, ServiceDescriptor, Tariff, Tier
 
 DEFAULT_REBATE_FRAC = 0.1
 
@@ -26,12 +25,18 @@ def default_tariff(tier: Tier) -> Tariff:
     return Tariff(base_fee=t.base_fee, cpu_rate=t.cpu_rate, data_rate=t.data_rate)
 
 
-def compute_charge(inv: InvocationRecord, tariff: Tariff, payload_mb: float = 0.0) -> float:
-    """Base fee + CPU-seconds metering + per-MB data metering."""
-    if inv.outcome is not Outcome.COMPLETED:
-        raise NotBillable(f"request {inv.request_id} outcome {inv.outcome}")
-    cpu_seconds = inv.exec_ms / 1000.0
-    return tariff.base_fee + tariff.cpu_rate * cpu_seconds + tariff.data_rate * payload_mb
+def compute_charge(service: ServiceDescriptor, node: ResourceNode) -> float:
+    """One request's charge before any rebate, under the node's tariff.
+
+    Base fee + CPU-seconds metering + per-MB data metering. Placement
+    scores nodes by it and the simulator bills it, so the charge a
+    placement projects is the charge the consumer pays.
+    """
+    tariff = node.tariff
+    cpu_seconds = service.cpu_demand / node.cpu_speed
+    return (
+        tariff.base_fee + tariff.cpu_rate * cpu_seconds + tariff.data_rate * service.payload_total
+    )
 
 
 def apply_slo_rebate(

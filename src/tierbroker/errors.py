@@ -85,7 +85,3 @@ class NonDealerNode(Exception):
 
 class OutOfOrderEvent(Exception):
     """Context feed received an event older than the last one for the service."""
-
-
-class NotBillable(Exception):
-    """Only completed invocations produce a charge."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NonDealerNode
 from .schema import standard
@@ -271,11 +272,19 @@ def fits(service: ServiceDescriptor, node: ResourceNode) -> bool:
     return security_ok(service, node)
 
 
-def projected_response_ms(service: ServiceDescriptor, node: ResourceNode) -> float:
-    """Round trip + payload transfer + execution, ignoring queueing."""
-    transfer = transmit_ms(service.payload_total, node.bandwidth_mbps)
+class PairCost(NamedTuple):
+    """The times every request of one service takes on one node."""
+
+    transfer_ms: float
+    exec_ms: float
+    response_ms: float  # round trip + transfer + execution, queueing aside
+
+
+def pair_cost(service: ServiceDescriptor, node: ResourceNode) -> PairCost:
+    """Payload transfer, execution and the projected response, ignoring queueing."""
+    transfer_ms = transmit_ms(service.payload_total, node.bandwidth_mbps)
     exec_ms = service.cpu_demand / node.cpu_speed * 1000.0
-    return node.rtt_ms + transfer + exec_ms
+    return PairCost(transfer_ms, exec_ms, node.rtt_ms + transfer_ms + exec_ms)
 
 
 def check_node(node: ResourceNode) -> list[str]:

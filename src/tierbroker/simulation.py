@@ -52,15 +52,16 @@ every tick counts one per placed service, whether or not the detectors
 ran, so arbitration_events adds floor(horizon / interval) times the
 placed services to the log's length under the arbitrated policy.
 
-What a request costs on a node is fixed per (service, node) pair: its
-transfer and execution times, the transmit half of its energy and
-compute_charge's answer, which reads only the execution time, the
-tariff and the payload. Each is computed once per pair, the charge on
-the pair's first completion; the idle half of the energy and the SLO
-rebate, which read the request's own wait and latency, are computed per
-request. The report is built in one walk over the records in arrival
-order, feeding each service's row and the run row, so every float sum
-adds in arrival order.
+What a request costs on a node is fixed per (service, node) pair, and
+placement reads the same definitions: pair_cost gives its transfer and
+execution times, and compute_charge its charge before rebate, the
+charge score_pool weighs. Each is computed once per pair, the charge on
+the pair's first completion. The energy_j of a request (transmit power
+over its transfer, idle power over its queueing) and its SLO rebate read
+its own wait and latency, so they are computed per request. The report
+is built in one walk over the records in arrival order, feeding each
+service's row and the run row, so every float sum adds in arrival
+order.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ from .model import (
     EnergyModel,
     InvocationRecord,
     Outcome,
+    PairCost,
     PlacementReason,
     ResourceNode,
     ServiceDescriptor,
@@ -100,8 +102,8 @@ from .model import (
     fits,
     is_admissible,
     is_dealer_open,
+    pair_cost,
     security_ok,
-    transmit_ms,
 )
 from .registry import Registry, ServiceRecord
 from .report import MetricsReport, RunRow, ServiceRow, latency_stats
@@ -119,31 +121,9 @@ POLICY_TIERS = {
 POLICIES = ("sami",) + tuple(sorted(POLICY_TIERS))
 
 
-def energy_j(
-    size_mb: float, bandwidth_mbps: float, wait_ms: float, model: EnergyModel
-) -> float:
+def energy_j(transfer_ms: float, wait_ms: float, model: EnergyModel) -> float:
     """Mobile-side energy: radio active while transmitting, idle while waiting."""
-    return waiting_energy_j(transmit_energy_j(size_mb, bandwidth_mbps, model), wait_ms, model)
-
-
-def transmit_energy_j(size_mb: float, bandwidth_mbps: float, model: EnergyModel) -> float:
-    """The radio's energy while transmitting: the half of energy_j fixed per (service, node)."""
-    return model.p_tx_w * (transmit_ms(size_mb, bandwidth_mbps) / 1000.0)
-
-
-def waiting_energy_j(transmit_j: float, wait_ms: float, model: EnergyModel) -> float:
-    """energy_j from its transmit half: the radio idles while the request waits."""
-    return transmit_j + model.p_idle_w * (wait_ms / 1000.0)
-
-
-@dataclass(slots=True)
-class _Cost:
-    """What every request of one service costs on one node."""
-
-    transfer_ms: float
-    exec_ms: float
-    transmit_j: float
-    charge: float | None = None  # compute_charge's answer, from the first completion
+    return model.p_tx_w * (transfer_ms / 1000.0) + model.p_idle_w * (wait_ms / 1000.0)
 
 
 @dataclass
@@ -152,13 +132,14 @@ class _ServiceState:
     record: ServiceRecord | None
     migration_until: float = 0.0
     reschedules: int = 0
-    costs: dict[str, _Cost] = field(default_factory=dict)  # by node id
+    costs: dict[str, PairCost] = field(default_factory=dict)  # by node id
+    charges: dict[str, float] = field(default_factory=dict)  # by node id, once billed
     # The node fits() last checked on arrival, and its answer.
     fits_node: ResourceNode | None = None
     fits_ok: bool = False
     # Whether nearer_gain found a nearer node, and the key of the last quiet
     # analysis: the window version when nearer is set, else the last compute_run
-    # exec times. Both None from a move or a dealer event to the next tick.
+    # exec times. Both None from a move or a dealer event until next analysed.
     nearer: bool | None = None
     quiet_key: int | tuple | None = None
 
@@ -376,10 +357,17 @@ class Simulation:
             self._push(done, self._try_start, self.node_states[new_node.id])
 
     def _forget(self, *states: _ServiceState):
-        """Drop what the last analyses found; the next tick analyses these services anew."""
+        """Drop what the last analyses found; the next tick analyses these services anew.
+
+        A service nothing has completed for is left unmarked: neither
+        detector advises on an empty window, and its first completion
+        marks it, its quiet key being None.
+        """
+        count = self.context.count
         for state in states:
             state.nearer = state.quiet_key = None
-            self._changed.add(state.desc.id)
+            if count(state.desc.id):
+                self._changed.add(state.desc.id)
 
     def _try_start(self, t_ms: float, node_state: _NodeState):
         """Start queued requests in FIFO order while a slot is free.
@@ -407,17 +395,11 @@ class Simulation:
             t_transfer = t_ms + node.rtt_ms + cost.transfer_ms
             self._push(t_transfer, self._on_transfer_done, head)
 
-    def _cost(self, state: _ServiceState, node: ResourceNode) -> _Cost:
-        """What a request of the service costs on the node, built on first use."""
+    def _cost(self, state: _ServiceState, node: ResourceNode) -> PairCost:
+        """The service's pair_cost on the node, computed on first use."""
         cost = state.costs.get(node.id)
         if cost is None:
-            desc = state.desc
-            payload = desc.payload_total
-            cost = state.costs[node.id] = _Cost(
-                transfer_ms=transmit_ms(payload, node.bandwidth_mbps),
-                exec_ms=desc.cpu_demand / node.cpu_speed * 1000.0,
-                transmit_j=transmit_energy_j(payload, node.bandwidth_mbps, self.energy_model),
-            )
+            cost = state.costs[node.id] = pair_cost(state.desc, node)
         return cost
 
     def _on_transfer_done(self, t_ms: float, request: InvocationRecord):
@@ -429,15 +411,14 @@ class Simulation:
         node = node_state.node
         node_state.running -= 1
         state = self.services[request.service_id]
-        cost = state.costs[node.id]
         request.t_done = t_ms
         request.outcome = Outcome.COMPLETED
-        request.energy_j = waiting_energy_j(cost.transmit_j, request.queue_ms, self.energy_model)
-        if cost.charge is None:
-            # It reads only exec_ms, the tariff and the payload, all fixed per pair.
-            cost.charge = compute_charge(request, node.tariff, state.desc.payload_total)
+        request.energy_j = energy_j(request.transfer_ms, request.queue_ms, self.energy_model)
+        charge = state.charges.get(node.id)
+        if charge is None:
+            charge = state.charges[node.id] = compute_charge(state.desc, node)
         request.charge = apply_slo_rebate(
-            cost.charge,
+            charge,
             node.qos,
             t_ms - request.t_arrive,  # request.latency_ms
             state.desc.sla_latency_ms,
@@ -453,7 +434,7 @@ class Simulation:
             if (
                 quiet_key is None
                 or state.nearer
-                or quiet_key.count(cost.exec_ms) != self.thresholds.compute_run
+                or quiet_key.count(request.exec_ms) != self.thresholds.compute_run
             ):
                 self._changed.add(request.service_id)
         self._try_start(t_ms, node_state)
@@ -461,9 +442,10 @@ class Simulation:
     def _on_dealer_open(self, t_ms: float, _node_state: _NodeState):
         """Forget every placed service's verdict; admissibility has changed.
 
-        Nothing needs starting: the queue was empty while the dealer was
-        closed, and a request queued at this instant waits on a busy slot
-        or a migration, whose end calls _try_start.
+        The next tick analyses those something has completed for
+        (_forget). Nothing needs starting: the queue was empty while the
+        dealer was closed, and a request queued at this instant waits on
+        a busy slot or a migration, whose end calls _try_start.
         """
         self._forget(*self._placed)
 

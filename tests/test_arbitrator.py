@@ -19,11 +19,11 @@ from tierbroker.arbitrator import (
     collect_context,
     decide_among,
     enforce_standard,
-    estimate_charge,
     migration_delay_ms,
     reschedule,
     schedule_service,
 )
+from tierbroker.billing import compute_charge
 from tierbroker.errors import (
     NoAdmissibleNode,
     OutOfOrderEvent,
@@ -259,9 +259,9 @@ def test_decide_among_tie_breaks_by_id():
     assert decision.node_id == "N-a"
 
 
-def test_estimate_charge_uses_tariff(t0):
+def test_compute_charge_uses_tariff(t0):
     svc = make_service(cpu_demand=100.0, payload_in=0.1, payload_out=0.1)
-    assert estimate_charge(svc, t0.get("M1")) == pytest.approx(0.5 + 0.005 + 0.004)
+    assert compute_charge(svc, t0.get("M1")) == pytest.approx(0.5 + 0.005 + 0.004)
 
 
 # ----------------------------------------------------------------------

@@ -113,3 +113,36 @@ def test_every_definition_is_reached_outside_tests():
         and not reached.get(node.name, set()) - {(path, node.name)}
     ]
     assert unreached == []
+
+
+def divisions_by_cpu_speed(tree, prefix):
+    """Qualified name of the def around each `x / <expr>.cpu_speed` in tree."""
+    found = []
+
+    def walk(node, name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{name}.{node.name}"
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.Attribute)
+            and node.right.attr == "cpu_speed"
+        ):
+            found.append(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, name)
+
+    walk(tree, prefix)
+    return found
+
+
+def test_one_spelling_of_a_pair_cost():
+    # Execution time and the charge are each written once; placement,
+    # billing and the simulator read them there, so the charge a placement
+    # projects is the charge the consumer is billed, to the bit.
+    found = [
+        name
+        for path in MODULES
+        for name in divisions_by_cpu_speed(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert sorted(found) == ["billing.compute_charge", "model.pair_cost"]

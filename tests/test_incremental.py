@@ -6,6 +6,7 @@ report must come out equal.
 """
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -607,6 +608,39 @@ def test_a_service_nothing_completed_for_is_never_analysed(monkeypatch):
     assert result.records == reference.records
     assert "svc-0" in sim.analysed
     assert "svc-1" not in sim.analysed
+
+
+class NoteEmptyAnalyses(Simulation):
+    """Notes (t_ms, service id) for each _analyze call on an empty window."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.empty = []
+
+    def _analyze(self, t_ms, state):
+        if self.context.count(state.desc.id) == 0:
+            self.empty.append((t_ms, state.desc.id))
+        return super()._analyze(t_ms, state)
+
+
+def test_a_dealer_event_does_not_mark_a_service_nothing_completed_for():
+    # D0 opens at midnight and closes at minute 1. svc-idle has no rate,
+    # so its window stays empty; the close must not send it to _analyze.
+    data = json.loads((SCENARIO_DIR / "minimal.json").read_text(encoding="utf-8"))
+    data["horizon_ms"] = 120000
+    dealer = dict(data["nodes"][0], id="D0", tier="Dealer", open_hours=[0, 1])
+    data["nodes"].append(dealer)
+    data["services"].append(dict(data["services"][0], id="svc-idle", name="idle"))
+    scenario = scenario_from_dict(data, base_dir=str(SCENARIO_DIR))
+    sim = NoteEmptyAnalyses(Topology(scenario.nodes),
+                            Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
+                            scenario)
+    result = sim.run()
+    assert (0.0, "register", "svc-idle") in result.arbitration_log
+    assert sim.empty == []
+    reference = run_with(EveryTickSimulation, scenario)
+    assert result.arbitration_log == reference.arbitration_log
+    assert result.records == reference.records
 
 
 class NoteCompletions(Simulation):

@@ -18,8 +18,8 @@ from tierbroker.model import (
     effective_level_for_security,
     is_admissible,
     is_dealer_open,
+    pair_cost,
     parse_semver,
-    projected_response_ms,
     security_ok,
     transmit_ms,
 )
@@ -37,7 +37,7 @@ def test_projected_response_reference_node():
     m1 = make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0)
     svc = make_service(cpu_demand=2000.0, payload_in=0.5, payload_out=0.5)
     # 50 rtt + 160 transfer + 500 exec
-    assert projected_response_ms(svc, m1) == 710.0
+    assert pair_cost(svc, m1).response_ms == 710.0
 
 
 def test_payload_total():
