@@ -132,7 +132,7 @@ def write_compare_csv(reports: list[MetricsReport], path: str):
 
 
 def _row_to_dict(row: ServiceRow | RunRow) -> dict:
-    # Rounded by declared type: an empty sum is the int 0 but prints as 0.0.
+    # Float fields, by declared type, rounded as the CSV prints them.
     return {
         f.name: round6(getattr(row, f.name)) if f.type == "float" else getattr(row, f.name)
         for f in fields(row)

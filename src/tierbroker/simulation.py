@@ -1,20 +1,24 @@
 """Deterministic discrete-event simulation of the offload fabric.
 
-Arrivals come from generate_workload as one list sorted by time and are
-taken from it in order; every other event sits on a heap of
-(time, push sequence, handler, payload) tuples, where the handler is
-the bound method the loop calls as handler(time, payload). At equal
-times an arrival runs before any heap event, and arrivals with equal
-times run in list order, so every tie is resolved the same way on every
-run. Each node serves its queue in FIFO order across cpu_slots parallel
-slots; a request occupies a slot from start until execution completes.
-Dealers reject whatever is still queued when they close; the next
-arrival of an affected service gets re-placed, so a closed dealer's
-queue stays empty. Simulation refuses every node check_node refuses,
-which holds dealer hours to whole minutes: is_dealer_open then flips
-exactly at the calendar's DealerOpen and DealerClose events and nowhere
-else. Analysis ticks run the delay-pressure and compute-shortfall
-detectors every second under the arbitrated policy.
+Every event waits on one heap of (time, push sequence, handler, payload)
+tuples; one loop calls handler(time, payload) as each pops, and a
+recurring event pushes its successor. Of generate_workload's list, only
+the next arrival waits on the heap, at sequence 0, and each arrival
+pushes the one after it. A dealer with hours reserves a sequence, in node order,
+before any other push; its opening pushes its close and its close the
+next opening at it, so it has one event pending whatever the horizon.
+Ties are resolved alike on every run: arrivals first, in list order,
+then the calendar, in node order, then the rest by push sequence. Each
+node serves its queue in FIFO order across cpu_slots parallel slots; a
+request occupies a slot from start until execution completes. Dealers
+reject whatever is still queued when they close; the next arrival of an
+affected service gets re-placed, so a closed dealer's queue stays empty.
+Simulation refuses every node check_node refuses, which holds dealer
+hours to whole minutes: is_dealer_open then flips exactly at the
+calendar's events, day * DAY_MS + minute * 60000.0 to the bit (whole
+numbers below 2**53 add exactly), and nowhere else. Analysis ticks run
+the delay-pressure and compute-shortfall detectors every second under
+the arbitrated policy.
 
 A start fixes its completion time, yet the ExecDone is pushed by a
 TransferDone when the transfer ends, not at the start: that push
@@ -40,10 +44,7 @@ every service in place, the ticks up to the next event are skipped, as
 no dealer opens or closes before it, and only the first tick not
 skipped is pushed; it takes the heap slot the every-tick loop would
 have given it, so event order is unchanged. Only the arbitrated policy
-feeds the analysis window. run() empties the heap when it ends: its
-entries hold bound methods, so events left past the horizon would keep
-the finished simulation in a reference cycle until the next full
-collection.
+feeds the analysis window.
 
 The arbitration log records decisions: a (t_ms, kind, service id)
 entry for each register and each reschedule, so it grows with what
@@ -59,8 +60,8 @@ charge score_pool weighs. Each is computed once per pair, the charge on
 the pair's first completion. The energy_j of a request (transmit power
 over its transfer, idle power over its queueing) and its SLO rebate read
 its own wait and latency, so they are computed per request. The report
-is built in one walk over the records in arrival order, feeding each
-service's row and the run row, so every float sum adds in arrival
+is built in one walk over the records, feeding each service's row and
+the run row; its sums are math.fsum, correctly rounded whatever the
 order.
 """
 
@@ -149,6 +150,7 @@ class _NodeState:
     node: ResourceNode
     running: int = 0
     queue: deque = field(default_factory=deque)
+    calendar_seq: int = 0  # a dealer's reserved push sequence, when it keeps hours
 
 
 @dataclass
@@ -185,7 +187,7 @@ class Simulation:
         self.energy_model = scenario.energy
 
         self._heap: list[tuple[float, int, Callable, object]] = []
-        self._arrivals: list[Arrival] = []  # pending arrivals, latest first
+        self._arrivals: list[Arrival] = []  # those after the one on the heap, latest first
         self._seq = 0
         self._next_request_id = 1
         self.records: list[InvocationRecord] = []
@@ -204,9 +206,14 @@ class Simulation:
     # setup
 
     def _push(self, t_ms: float, handler: Callable, payload=None):
-        # Sequences are unique, so handler and payload are never compared.
+        # No two entries share (time, sequence), so handler and payload are never compared.
         self._seq += 1
         heapq.heappush(self._heap, (t_ms, self._seq, handler, payload))
+
+    def _push_dealer(self, t_ms: float, handler: Callable, node_state: _NodeState):
+        """Push a dealer's next opening or close at its reserved sequence, up to the horizon."""
+        if t_ms <= self.horizon:
+            heapq.heappush(self._heap, (t_ms, node_state.calendar_seq, handler, node_state))
 
     def _place_all(self):
         for desc in sorted(self.scenario.services, key=lambda s: s.id):
@@ -240,27 +247,28 @@ class Simulation:
         return self.registry.register_service(desc, self.topology, 0.0, placement=decision)
 
     def _schedule_calendar(self):
-        # Reversed, so the next arrival is popped from the end and each
-        # one is freed once handled.
+        # Reversed, so each arrival is popped from the end when the one
+        # before it runs, and freed once handled.
         arrivals = list(generate_workload(self.scenario.consumers, self.seed, self.horizon))
         arrivals.reverse()
+        if arrivals:
+            first = arrivals.pop()
+            heapq.heappush(self._heap, (first.t_ms, 0, self._on_arrival, first))
         self._arrivals = arrivals
         self._push_calendar()
 
     def _push_calendar(self):
-        """Push the dealers' openings and closes, then the first tick, before any other event."""
+        """Push each dealer's first opening or close, then the first tick, before all else."""
         for node in self.topology.by_tier(Tier.DEALER):
             if node.open_hours == (0, 1440):  # open round the clock: never opens or closes
                 continue
             node_state = self.node_states[node.id]
+            self._seq += 1
+            node_state.calendar_seq = self._seq
             open_minute, close_minute = node.open_hours
-            for day in range(int(self.horizon // DAY_MS) + 1):
-                t_open = day * DAY_MS + open_minute * 60000.0
-                t_close = day * DAY_MS + close_minute * 60000.0
-                if 0.0 < t_open <= self.horizon:
-                    self._push(t_open, self._on_dealer_open, node_state)
-                if 0.0 < t_close <= self.horizon:
-                    self._push(t_close, self._on_dealer_close, node_state)
+            # Its first event after 0 ms: the opening, or the close when it opens at 0 ms.
+            first = self._on_dealer_open if open_minute else self._on_dealer_close
+            self._push_dealer((open_minute or close_minute) * 60000.0, first, node_state)
         if self._analysed and ANALYSIS_INTERVAL_MS <= self.horizon:
             self._push(ANALYSIS_INTERVAL_MS, self._on_analysis_tick)
 
@@ -271,33 +279,22 @@ class Simulation:
         self._place_all()
         self._schedule_calendar()
         heap = self._heap
-        arrivals = self._arrivals
         horizon = self.horizon
         pop = heapq.heappop
-        on_arrival = self._on_arrival
-        while arrivals:
-            arrival = arrivals[-1]
-            t_arrival = arrival.t_ms
-            if t_arrival > horizon:  # never from generate_workload, which stops short of it
-                arrivals.clear()
-                break
-            # Strictly earlier: at equal times the arrival goes first.
-            while heap and heap[0][0] < t_arrival:
-                t_ms, _, handler, payload = pop(heap)
-                handler(t_ms, payload)
-            arrivals.pop()
-            on_arrival(t_arrival, arrival)
         while heap:
             t_ms, _, handler, payload = pop(heap)
             if t_ms > horizon:
                 break
             handler(t_ms, payload)
-        # Past the horizon; its handlers are bound methods, so what is left
-        # would hold this simulation in a cycle until the next full collection.
+        # What is left is past the horizon. Its handlers are bound methods, so it
+        # would hold this simulation in a reference cycle until the next full collection.
         heap.clear()
         return self._finish()
 
     def _on_arrival(self, t_ms: float, arrival: Arrival):
+        if self._arrivals:  # the next arrival takes this one's place on the heap
+            upcoming = self._arrivals.pop()
+            heapq.heappush(self._heap, (upcoming.t_ms, 0, self._on_arrival, upcoming))
         state = self.services[arrival.service_id]
         request = InvocationRecord(
             request_id=self._next_request_id,
@@ -439,17 +436,23 @@ class Simulation:
                 self._changed.add(request.service_id)
         self._try_start(t_ms, node_state)
 
-    def _on_dealer_open(self, t_ms: float, _node_state: _NodeState):
-        """Forget every placed service's verdict; admissibility has changed.
+    def _on_dealer_open(self, t_ms: float, node_state: _NodeState):
+        """Push the close and forget every placed service's verdict; admissibility has changed.
 
         The next tick analyses those something has completed for
         (_forget). Nothing needs starting: the queue was empty while the
         dealer was closed, and a request queued at this instant waits on
         a busy slot or a migration, whose end calls _try_start.
         """
+        open_minute, close_minute = node_state.node.open_hours
+        t_close = t_ms + (close_minute - open_minute) * 60000.0
+        self._push_dealer(t_close, self._on_dealer_close, node_state)
         self._forget(*self._placed)
 
     def _on_dealer_close(self, t_ms: float, node_state: _NodeState):
+        open_minute, close_minute = node_state.node.open_hours
+        t_open = t_ms + DAY_MS - (close_minute - open_minute) * 60000.0  # the next day's
+        self._push_dealer(t_open, self._on_dealer_open, node_state)
         while node_state.queue:
             request = node_state.queue.popleft()
             request.outcome = Outcome.REJECTED
@@ -516,13 +519,12 @@ class Simulation:
         """Count the ticks from t_ms on that find every service quiet.
 
         Called after a tick in which every service stayed quiet. Until the
-        next event, the heap's or the next arrival, no window or placement
-        changes, and no dealer opens or closes, as that happens only at
-        calendar events: a tick before it finds the same keys. A tick at
-        exactly the next event's time is left to run after that event, as
-        its push sequence orders it. The batch is skipped: tick i is at
-        t_ms + i * interval, exact because every tick time is a whole
-        multiple of the interval.
+        next event, heap[0], no window or placement changes, and no dealer
+        opens or closes, as that happens only at calendar events: a tick
+        before it finds the same keys. A tick at exactly the next event's
+        time is left to run after that event, as its push sequence orders
+        it. The batch is skipped: tick i is at t_ms + i * interval, exact
+        because every tick time is a whole multiple of the interval.
         """
         # Tick i is in the batch while t_ms + i * interval < end: end is the
         # next event or just past the horizon, as a tick may fall on the
@@ -530,8 +532,6 @@ class Simulation:
         end = math.nextafter(self.horizon, math.inf)
         if self._heap and self._heap[0][0] < end:
             end = self._heap[0][0]
-        if self._arrivals and self._arrivals[-1].t_ms < end:
-            end = self._arrivals[-1].t_ms
         # end is finite even when no event is left. Below 2**53 tick times
         # and their multiples of the interval are whole numbers, so end - t_ms
         # is exact and the rounded quotient crosses no whole number the exact
@@ -544,8 +544,8 @@ class Simulation:
     def _finish(self) -> SimResult:
         """The report, from one walk over the records in arrival order.
 
-        Each record feeds its service's tally and the run's, so every
-        float adds in arrival order, per service and run-wide.
+        Each record feeds its service's tally and the run's; their sums
+        are correctly rounded, so no order is needed for them.
         """
         tallies = {service_id: _Tally() for service_id in self.services}
         run = _Tally()
@@ -616,7 +616,7 @@ class _Tally:
     charge: list[float] = field(default_factory=list)
 
     def totals(self) -> dict:
-        """The row's counts, latency stats and sums; sum() of no samples is the int 0."""
+        """The row's counts, latency stats and correctly rounded sums, whatever the order."""
         mean_ms, p95_ms = latency_stats(self.latencies)
         return dict(
             completed=len(self.latencies),
@@ -625,8 +625,8 @@ class _Tally:
             in_flight=self.in_flight,
             mean_latency_ms=mean_ms,
             p95_latency_ms=p95_ms,
-            energy_j_total=sum(self.energy),
-            charge_total=sum(self.charge),
+            energy_j_total=math.fsum(self.energy),
+            charge_total=math.fsum(self.charge),
         )
 
 

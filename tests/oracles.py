@@ -13,13 +13,13 @@ HeapOnlySimulation keeps the event loop in its plainest form: every
 arrival is pushed onto the heap, with _on_arrival as its handler, before
 any other event, and one loop calls the handler of whatever pops, so
 the order of events at equal times is set by push sequence alone. The
-simulator's merge of the sorted arrival list with the heap must
+simulator, which keeps only the next arrival on the heap, must
 reproduce it exactly.
 
 reference_rows builds a run's report rows with one pass over the
-records per figure and per row, and builtin sum() over each completed
-sample in record order. The simulator's one-walk report must reproduce
-it exactly, int 0 for an empty sum included.
+records per figure and per row, and math.fsum over each completed
+sample, correctly rounded whatever the order. The simulator's one-walk
+report must reproduce it exactly.
 """
 
 import heapq
@@ -240,7 +240,7 @@ class HeapOnlySimulation(Simulation):
 
 
 def reference_totals(records):
-    """Outcome counts, latency stats and sums; floats add up in record order."""
+    """Outcome counts, latency stats and sums; floats add up correctly rounded, in any order."""
     completed = [r for r in records if r.outcome is Outcome.COMPLETED]
     mean_ms, p95_ms = latency_stats([r.latency_ms for r in completed])
     return dict(
@@ -250,8 +250,8 @@ def reference_totals(records):
         in_flight=sum(1 for r in records if r.outcome is None),
         mean_latency_ms=mean_ms,
         p95_latency_ms=p95_ms,
-        energy_j_total=sum(r.energy_j for r in completed),
-        charge_total=sum(r.charge for r in completed),
+        energy_j_total=math.fsum(r.energy_j for r in completed),
+        charge_total=math.fsum(r.charge for r in completed),
     )
 
 

@@ -8,7 +8,8 @@ makes are added to arbitration_events from the horizon.
 
 import dataclasses
 
-from tierbroker.simulation import DAY_MS, simulate_scenario
+from tierbroker.model import DAY_MS
+from tierbroker.simulation import simulate_scenario
 from tierbroker.workload import load_scenario
 
 from conftest import SCENARIO_DIR

@@ -113,11 +113,12 @@ def test_charge_additivity():
 
 
 class OneRequestEach(Simulation):
-    """One request from u1 to each of the scenario's services, all at 1 ms."""
+    """One request from u1 to each of the scenario's services, all at 1 ms,
+    each pushed onto the heap before the calendar."""
 
     def _schedule_calendar(self):
-        arrivals = [Arrival(1.0, "u1", service.id) for service in self.scenario.services]
-        self._arrivals = sorted(arrivals, reverse=True)  # latest first
+        for service in self.scenario.services:
+            self._push(1.0, self._on_arrival, Arrival(1.0, "u1", service.id))
         self._push_calendar()
 
 

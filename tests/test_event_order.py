@@ -1,10 +1,15 @@
-"""The merged arrival list against the heap-only event loop.
+"""The simulator's one event queue against the heap-only event loop.
 
-The simulator takes arrivals from their sorted list and every other
-event from the heap; the reference pushes every arrival onto the heap
-first. Both must run events in the same order, ties included, so the
-arbitration log, every invocation record and the report come out equal.
+The simulator keeps only the next arrival on the heap, each arrival
+pushing the one after it, and each dealer's next opening or close; the
+reference pushes every arrival onto the heap first. Both must run
+events in the same order, ties included, so the arbitration log, every
+invocation record and the report come out equal. The calendar is
+checked on its own against every opening and close up to the horizon.
 """
+
+import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +17,19 @@ from hypothesis import strategies as st
 
 from tierbroker import simulation
 from tierbroker.arbitrator import SchedulerWeights, Thresholds
-from tierbroker.model import EnergyModel, SecurityClass, Tier, Topology
+from tierbroker.model import DAY_MS, EnergyModel, SecurityClass, Tier, Topology
 from tierbroker.registry import Registry
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICIES, Simulation
-from tierbroker.workload import Arrival, ConsumerSpec, Scenario, scenario_from_dict
+from tierbroker.workload import (
+    Arrival,
+    ConsumerSpec,
+    Scenario,
+    load_scenario,
+    scenario_from_dict,
+)
 
-from conftest import make_node, make_service
+from conftest import SCENARIO_DIR, make_node, make_service
 from oracles import HeapOnlySimulation
 
 
@@ -61,7 +72,7 @@ def open_hours(draw):
 
 
 @st.composite
-def grid_nodes(draw):
+def grid_nodes(draw, hours=open_hours()):
     nodes = [
         make_node(
             f"D{i}",
@@ -70,7 +81,7 @@ def grid_nodes(draw):
             rtt_ms=draw(st.sampled_from([0.0, 125.0])),
             bandwidth_mbps=draw(st.sampled_from([32.0, 64.0])),
             cpu_slots=draw(st.integers(1, 2)),
-            open_hours=draw(open_hours()),
+            open_hours=draw(hours),
         )
         for i in range(draw(st.integers(0, 2)))
     ]
@@ -87,6 +98,13 @@ def grid_nodes(draw):
 @st.composite
 def grid_cases(draw):
     horizon = draw(st.integers(4, 720)) * GRID_MS
+    times = st.integers(0, int(horizon / GRID_MS) - 1).map(lambda k: k * GRID_MS)
+    return grid_scenario(draw, horizon, draw(grid_nodes()), times)
+
+
+def grid_scenario(draw, horizon, nodes, times):
+    """(scenario, arrivals, policy): services, consumers and thresholds
+    drawn for the nodes, and arrivals at the times drawn from times."""
     descs = [
         make_service(
             service_id=f"svc-{i}",
@@ -107,7 +125,7 @@ def grid_cases(draw):
     arrivals = draw(st.lists(
         st.builds(
             Arrival,
-            t_ms=st.integers(0, int(horizon / GRID_MS) - 1).map(lambda k: k * GRID_MS),
+            t_ms=times,
             consumer_id=st.sampled_from(["u1", "u2"]),
             service_id=st.sampled_from([d.id for d in descs]),
         ),
@@ -118,7 +136,7 @@ def grid_cases(draw):
     scenario = Scenario(
         horizon_ms=horizon,
         seed=0,
-        nodes=draw(grid_nodes()),
+        nodes=nodes,
         services=descs,
         consumers=consumers,
         weights=SchedulerWeights(),
@@ -142,6 +160,129 @@ def test_merged_arrivals_match_heap_only_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         use_arrivals(mp, arrivals)
         assert_same_order(scenario, policy)
+
+
+# ----------------------------------------------------------------------
+# dealer hours over several days
+
+
+@st.composite
+def day_hours(draw):
+    """Whole minutes anywhere in the day, open < close; opening at
+    midnight and closing at midnight are drawn often."""
+    open_minute = draw(st.one_of(st.just(0), st.integers(0, 1439)))
+    return open_minute, draw(st.one_of(st.just(1440), st.integers(open_minute + 1, 1440)))
+
+
+def near_calendar(nodes, lo, hi):
+    """Times in [lo, hi] on a dealer's opening or close, day * DAY_MS +
+    minute * 60000.0, or a grid step either side of one."""
+    minutes = {minute for node in nodes if node.open_hours for minute in node.open_hours}
+    times = {
+        day * DAY_MS + minute * 60000.0 + step
+        for day in range(4)
+        for minute in minutes
+        for step in (-GRID_MS, 0.0, GRID_MS)
+    }
+    return st.sampled_from(sorted(t for t in times if lo <= t <= hi) or [lo])
+
+
+def on_grid(lo, hi):
+    return st.integers(int(lo / GRID_MS), int(hi / GRID_MS)).map(lambda k: k * GRID_MS)
+
+
+@st.composite
+def multi_day_cases(draw):
+    # The horizon spans two to three days. It, and many arrivals, fall on
+    # an opening or a close or a grid step either side of one.
+    nodes = draw(grid_nodes(day_hours()))
+    lo, hi = 2 * DAY_MS, 3 * DAY_MS
+    horizon = draw(st.one_of(near_calendar(nodes, lo, hi), on_grid(lo, hi)))
+    last = math.ceil(horizon / GRID_MS) * GRID_MS - GRID_MS  # the last grid time before it
+    times = st.one_of(near_calendar(nodes, 0.0, last), on_grid(0.0, last))
+    return grid_scenario(draw, horizon, nodes, times)
+
+
+class NoteEvents(Simulation):
+    """Notes the events the loop runs, in order: arrivals, dealer openings
+    and closes, ticks and transfer and execution ends."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.events = []  # (t_ms, kind, dealer id or None)
+
+    def _on_arrival(self, t_ms, arrival):
+        self.events.append((t_ms, "arrival", None))
+        super()._on_arrival(t_ms, arrival)
+
+    def _on_dealer_open(self, t_ms, node_state):
+        self.events.append((t_ms, "open", node_state.node.id))
+        super()._on_dealer_open(t_ms, node_state)
+
+    def _on_dealer_close(self, t_ms, node_state):
+        self.events.append((t_ms, "close", node_state.node.id))
+        super()._on_dealer_close(t_ms, node_state)
+
+    def _on_analysis_tick(self, t_ms, _payload=None):
+        self.events.append((t_ms, "tick", None))
+        super()._on_analysis_tick(t_ms, _payload)
+
+    def _on_transfer_done(self, t_ms, request):
+        self.events.append((t_ms, "transfer done", None))
+        super()._on_transfer_done(t_ms, request)
+
+    def _on_exec_done(self, t_ms, request):
+        self.events.append((t_ms, "exec done", None))
+        super()._on_exec_done(t_ms, request)
+
+
+def every_opening_and_close(scenario):
+    """(t, kind, dealer id) of each opening and close in (0, horizon], in
+    time order and at equal times in node order."""
+    events = []
+    for node in scenario.nodes:
+        if node.tier is not Tier.DEALER or node.open_hours == (0, 1440):
+            continue
+        for day in range(int(scenario.horizon_ms // DAY_MS) + 1):
+            for minute, kind in zip(node.open_hours, ("open", "close")):
+                t_ms = day * DAY_MS + minute * 60000.0
+                if 0.0 < t_ms <= scenario.horizon_ms:
+                    events.append((t_ms, node.id, kind))
+    return [(t_ms, kind, node_id) for t_ms, node_id, kind in sorted(events)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(multi_day_cases())
+def test_days_of_dealer_hours_match_heap_only_reference(case):
+    scenario, arrivals, policy = case
+    with pytest.MonkeyPatch.context() as mp:
+        use_arrivals(mp, arrivals)
+        assert_same_order(scenario, policy)
+        sim = NoteEvents(Topology(scenario.nodes),
+                         Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
+                         scenario, policy=policy)
+        sim.run()
+    calendar = [event for event in sim.events if event[1] in ("open", "close")]
+    assert calendar == every_opening_and_close(scenario)
+    # At equal times arrivals run first, then the calendar, then the rest.
+    rank = {"arrival": 0, "open": 1, "close": 1}
+    ranks = [(t_ms, rank.get(kind, 2)) for t_ms, kind, _ in sim.events]
+    assert ranks == sorted(ranks)
+
+
+def test_calendar_holds_one_event_per_dealer_whatever_the_horizon():
+    # Ten thousand million seconds of dealer_hours: its one dealer's first
+    # opening and the first tick wait on the heap, and nothing else.
+    scenario = load_scenario(str(SCENARIO_DIR / "dealer_hours.json"))
+    scenario = dataclasses.replace(scenario, horizon_ms=1e13)
+    sim = Simulation(Topology(scenario.nodes),
+                     Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
+                     scenario)
+    sim._push_calendar()
+    assert sorted((t_ms, seq, handler.__name__) for t_ms, seq, handler, _ in sim._heap) == [
+        (1000.0, 2, "_on_analysis_tick"),
+        (540 * 60000.0, 1, "_on_dealer_open"),
+    ]
 
 
 @settings(max_examples=30, deadline=None)

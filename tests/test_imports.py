@@ -146,3 +146,21 @@ def test_one_spelling_of_a_pair_cost():
         for name in divisions_by_cpu_speed(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     ]
     assert sorted(found) == ["billing.compute_charge", "model.pair_cost"]
+
+
+def test_one_event_loop():
+    # Every event waits on the one heap: Simulation.run pops it in a single
+    # loop, and nothing else pops it.
+    tree = ast.parse((PACKAGE / "simulation.py").read_text(encoding="utf-8"))
+    (simulation,) = [n for n in tree.body if getattr(n, "name", None) == "Simulation"]
+    (run,) = [n for n in simulation.body if getattr(n, "name", None) == "run"]
+    assert sum(isinstance(node, ast.While) for node in ast.walk(run)) == 1
+    poppers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and "heappop" in (node.id if isinstance(node, ast.Name) else node.attr)
+    }
+    assert poppers == {"run"}

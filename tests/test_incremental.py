@@ -231,8 +231,8 @@ def test_batch_count_is_exact_far_from_zero(interval, first_tick, span, nudge, b
     sim = Simulation(topology, registry, scenario)
     if bound == "heap":
         sim._heap = [(edge, 1, sim._on_exec_done, None)]
-    elif bound == "arrival":
-        sim._arrivals = [Arrival(edge, "u1", "svc-0")]
+    elif bound == "arrival":  # the next arrival waits on the heap at sequence 0
+        sim._heap = [(edge, 0, sim._on_arrival, Arrival(edge, "u1", "svc-0"))]
     first, step = Fraction(t_ms), Fraction(interval)
     within_horizon = math.floor((Fraction(horizon) - first) / step) + 1
     before_event = math.ceil((Fraction(edge) - first) / step) if bound != "horizon" else math.inf
@@ -256,7 +256,7 @@ class NoteBatches(Simulation):
         super()._on_analysis_tick(t_ms, _payload)
 
     def _fast_forward(self, t_ms):
-        dry = not self._heap and not self._arrivals
+        dry = not self._heap  # the next arrival, if any, is on it
         n = super()._fast_forward(t_ms)
         self.batches.append((t_ms, n, dry))
         return n

@@ -30,7 +30,7 @@ from tierbroker.model import (
 )
 from tierbroker.registry import FunctionalSpec, Registry
 from tierbroker.report import write_metrics_csv, write_metrics_json
-from tierbroker.simulation import POLICIES, Simulation
+from tierbroker.simulation import POLICIES, Simulation, _Tally
 from tierbroker.workload import Scenario
 
 from conftest import T0_NOON, make_service, t0_nodes
@@ -205,9 +205,30 @@ def test_one_pass_report_equals_reference(run):
     sim = finished(*run)
     report = sim._finish().report
     rows, run_row = reference_rows(sim)
-    # repr tells the int 0 of an empty sum from 0.0 and shows every float exactly.
+    # repr shows every float exactly.
     assert repr(report.services) == repr(rows)
     assert repr(report.run) == repr(run_row)
+
+
+@st.composite
+def cancelling_samples(draw):
+    """Floats from 2**-60 to 2**60 in size, and the negations of some of
+    them, so that a left-to-right sum loses low bits in most orders."""
+    values = draw(st.lists(
+        st.builds(lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(-60, 60)),
+        min_size=1,
+        max_size=30,
+    ))
+    return values + [-v for v in draw(st.lists(st.sampled_from(values), max_size=10))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_totals_are_correctly_rounded_in_any_order(data):
+    samples = data.draw(cancelling_samples())
+    order = data.draw(st.permutations(samples))
+    totals = _Tally(energy=list(order), charge=list(order)).totals()
+    assert totals["energy_j_total"] == totals["charge_total"] == math.fsum(samples)
 
 
 class PlainContext:
