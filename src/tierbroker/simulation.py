@@ -59,20 +59,27 @@ execution times, and compute_charge its charge before rebate, the
 charge score_pool weighs. Each is computed once per pair, the charge on
 the pair's first completion. The energy_j of a request (transmit power
 over its transfer, idle power over its queueing) and its SLO rebate read
-its own wait and latency, so they are computed per request. The report
-is built in one walk over the records, feeding each service's row and
-the run row; its sums are math.fsum, correctly rounded whatever the
-order.
+its own wait and latency, so they are computed per request.
+
+Each placed service keeps the _NodeState of its placement's node, set
+at placement and by _move, the only place a placement changes, so an
+arrival reaches its queue without a lookup. _try_start is asked only
+when it can start something: by an arrival while a slot is free, by a
+completion while the queue holds a request, and by a migration's end.
+The report is built in one walk over the records, feeding each
+service's row; the run row takes the services' samples one after
+another. Its mean and sums are math.fsum and its p95 reads a sorted
+copy, so no order is needed for them.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .arbitrator import (
     ContextSnapshot,
@@ -131,6 +138,7 @@ def energy_j(transfer_ms: float, wait_ms: float, model: EnergyModel) -> float:
 class _ServiceState:
     desc: ServiceDescriptor
     record: ServiceRecord | None
+    node_state: _NodeState | None = None  # of the placement's node, while placed
     migration_until: float = 0.0
     reschedules: int = 0
     costs: dict[str, PairCost] = field(default_factory=dict)  # by node id
@@ -207,13 +215,14 @@ class Simulation:
 
     def _push(self, t_ms: float, handler: Callable, payload=None):
         # No two entries share (time, sequence), so handler and payload are never compared.
+        # _try_start and _on_transfer_done push the same way, inline.
         self._seq += 1
-        heapq.heappush(self._heap, (t_ms, self._seq, handler, payload))
+        heappush(self._heap, (t_ms, self._seq, handler, payload))
 
     def _push_dealer(self, t_ms: float, handler: Callable, node_state: _NodeState):
         """Push a dealer's next opening or close at its reserved sequence, up to the horizon."""
         if t_ms <= self.horizon:
-            heapq.heappush(self._heap, (t_ms, node_state.calendar_seq, handler, node_state))
+            heappush(self._heap, (t_ms, node_state.calendar_seq, handler, node_state))
 
     def _place_all(self):
         for desc in sorted(self.scenario.services, key=lambda s: s.id):
@@ -224,6 +233,7 @@ class Simulation:
             state = _ServiceState(desc=desc, record=record)
             self.services[desc.id] = state
             if record is not None:
+                state.node_state = self.node_states[record.placement.node_id]
                 self._placed.append(state)
                 self.arbitration_log.append((0.0, "register", desc.id))
 
@@ -253,7 +263,7 @@ class Simulation:
         arrivals.reverse()
         if arrivals:
             first = arrivals.pop()
-            heapq.heappush(self._heap, (first.t_ms, 0, self._on_arrival, first))
+            heappush(self._heap, (first.t_ms, 0, self._on_arrival, first))
         self._arrivals = arrivals
         self._push_calendar()
 
@@ -280,7 +290,7 @@ class Simulation:
         self._schedule_calendar()
         heap = self._heap
         horizon = self.horizon
-        pop = heapq.heappop
+        pop = heappop
         while heap:
             t_ms, _, handler, payload = pop(heap)
             if t_ms > horizon:
@@ -292,24 +302,21 @@ class Simulation:
         return self._finish()
 
     def _on_arrival(self, t_ms: float, arrival: Arrival):
-        if self._arrivals:  # the next arrival takes this one's place on the heap
-            upcoming = self._arrivals.pop()
-            heapq.heappush(self._heap, (upcoming.t_ms, 0, self._on_arrival, upcoming))
-        state = self.services[arrival.service_id]
-        request = InvocationRecord(
-            request_id=self._next_request_id,
-            service_id=arrival.service_id,
-            consumer_id=arrival.consumer_id,
-            node_id=None,
-            t_arrive=t_ms,
-        )
+        arrivals = self._arrivals
+        if arrivals:  # the next arrival takes this one's place on the heap
+            upcoming = arrivals.pop()
+            heappush(self._heap, (upcoming[0], 0, self._on_arrival, upcoming))
+        _, consumer_id, service_id = arrival
+        state = self.services[service_id]
+        request = InvocationRecord(self._next_request_id, service_id, consumer_id, None, t_ms)
         self._next_request_id += 1
         self.records.append(request)
 
         if state.record is None:
             request.outcome = Outcome.REJECTED
             return
-        node = self.topology.get(state.record.placement.node_id)
+        node_state = state.node_state
+        node = node_state.node
         # is_admissible, with the half that holds at all hours cached per node.
         if node is not state.fits_node:
             state.fits_node = node
@@ -317,9 +324,10 @@ class Simulation:
         admitted = state.fits_ok and (node.tier is not Tier.DEALER or is_dealer_open(node, t_ms))
         if not admitted:
             if self._analysed:
-                node = self._re_resolve(t_ms, state, request)
-                if node is None:
+                node_state = self._re_resolve(t_ms, state, request)
+                if node_state is None:
                     return
+                node = node_state.node
             else:
                 request.node_id = node.id
                 request.outcome = Outcome.REJECTED
@@ -327,12 +335,15 @@ class Simulation:
                     self.security_violations += 1
                 return
         request.node_id = node.id
-        node_state = self.node_states[node.id]
         node_state.queue.append(request)
-        self._try_start(t_ms, node_state)
+        if node_state.running < node.cpu_slots:  # else _try_start would start nothing
+            self._try_start(t_ms, node_state)
 
     def _re_resolve(self, t_ms, state: _ServiceState, request: InvocationRecord):
-        """Current node refuses the service (dealer closed, say): place anew."""
+        """Current node refuses the service (dealer closed, say): place anew.
+
+        Returns the new placement's node state, or None when no node admits it.
+        """
         try:
             decision = schedule_service(state.desc, self.topology, self.weights, t_ms)
         except NoAdmissibleNode:
@@ -341,17 +352,17 @@ class Simulation:
         if decision.node_id != state.record.placement.node_id:
             self.arbitration_log.append((t_ms, "reschedule", state.desc.id))
             self._move(t_ms, state, decision)
-        return self.topology.get(decision.node_id)
+        return state.node_state
 
     def _move(self, t_ms, state: _ServiceState, decision):
         """Place the service anew, unlogged; the next tick analyses it again."""
         state.record.placement = decision
+        state.node_state = node_state = self.node_states[decision.node_id]
         state.reschedules += 1
         self._forget(state)
-        new_node = self.topology.get(decision.node_id)
-        done = state.migration_until = t_ms + migration_delay_ms(state.desc, new_node)
+        done = state.migration_until = t_ms + migration_delay_ms(state.desc, node_state.node)
         if done <= self.horizon:
-            self._push(done, self._try_start, self.node_states[new_node.id])
+            self._push(done, self._try_start, node_state)
 
     def _forget(self, *states: _ServiceState):
         """Drop what the last analyses found; the next tick analyses these services anew.
@@ -373,24 +384,25 @@ class Simulation:
         """
         node = node_state.node
         queue = node_state.queue
+        services = self.services
         while queue and node_state.running < node.cpu_slots:
             head: InvocationRecord = queue[0]
-            state = self.services[head.service_id]
-            migrating_here = (
-                state.record.placement.node_id == node.id and t_ms < state.migration_until
-            )
-            if migrating_here:
-                # Copy still transferring; the queue holds (FIFO preserved).
+            state = services[head.service_id]
+            if t_ms < state.migration_until and state.node_state is node_state:
+                # Copy still transferring here; the queue holds (FIFO preserved).
                 break
             queue.popleft()
             node_state.running += 1
-            cost = self._cost(state, node)
+            cost = state.costs.get(node.id)
+            if cost is None:
+                cost = self._cost(state, node)
             head.t_start = t_ms
             head.queue_ms = t_ms - head.t_arrive
             head.transfer_ms = cost.transfer_ms
             head.exec_ms = cost.exec_ms
+            self._seq = seq = self._seq + 1
             t_transfer = t_ms + node.rtt_ms + cost.transfer_ms
-            self._push(t_transfer, self._on_transfer_done, head)
+            heappush(self._heap, (t_transfer, seq, self._on_transfer_done, head))
 
     def _cost(self, state: _ServiceState, node: ResourceNode) -> PairCost:
         """The service's pair_cost on the node, computed on first use."""
@@ -400,8 +412,8 @@ class Simulation:
         return cost
 
     def _on_transfer_done(self, t_ms: float, request: InvocationRecord):
-        t_exec = t_ms + request.exec_ms
-        self._push(t_exec, self._on_exec_done, request)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (t_ms + request.exec_ms, seq, self._on_exec_done, request))
 
     def _on_exec_done(self, t_ms: float, request: InvocationRecord):
         node_state = self.node_states[request.node_id]
@@ -434,7 +446,8 @@ class Simulation:
                 or quiet_key.count(request.exec_ms) != self.thresholds.compute_run
             ):
                 self._changed.add(request.service_id)
-        self._try_start(t_ms, node_state)
+        if node_state.queue:  # else _try_start would start nothing
+            self._try_start(t_ms, node_state)
 
     def _on_dealer_open(self, t_ms: float, node_state: _NodeState):
         """Push the close and forget every placed service's verdict; admissibility has changed.
@@ -544,8 +557,10 @@ class Simulation:
     def _finish(self) -> SimResult:
         """The report, from one walk over the records in arrival order.
 
-        Each record feeds its service's tally and the run's; their sums
-        are correctly rounded, so no order is needed for them.
+        Each record feeds its service's tally; the run's samples are the
+        services' lists one after another. The mean and the sums are
+        correctly rounded and the p95 reads a sorted copy, so no order is
+        needed for them.
         """
         tallies = {service_id: _Tally() for service_id in self.services}
         run = _Tally()
@@ -555,13 +570,9 @@ class Simulation:
             tally.invocations += 1
             outcome = record.outcome
             if outcome is completed:
-                latency = record.t_done - record.t_arrive  # record.latency_ms
-                tally.latencies.append(latency)
+                tally.latencies.append(record.t_done - record.t_arrive)  # record.latency_ms
                 tally.energy.append(record.energy_j)
                 tally.charge.append(record.charge)
-                run.latencies.append(latency)
-                run.energy.append(record.energy_j)
-                run.charge.append(record.charge)
             elif outcome is None:
                 tally.in_flight += 1
             elif outcome is Outcome.REJECTED:
@@ -578,6 +589,9 @@ class Simulation:
             run.rejected += tally.rejected
             run.dropped += tally.dropped
             run.in_flight += tally.in_flight
+            run.latencies += tally.latencies
+            run.energy += tally.energy
+            run.charge += tally.charge
             rows.append(
                 ServiceRow(
                     service_id=service_id,
@@ -605,7 +619,7 @@ class Simulation:
 
 @dataclass(slots=True)
 class _Tally:
-    """A row's outcome counts and, in record order, its completed samples."""
+    """A row's outcome counts and its completed samples."""
 
     invocations: int = 0
     rejected: int = 0

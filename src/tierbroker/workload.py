@@ -14,6 +14,7 @@ import json
 import math
 import os
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cache
@@ -55,21 +56,30 @@ class SplitMix64:
     state advances by the 64-bit golden-gamma constant; each output is
     the finalizer z ^= z>>30 * C1, z ^= z>>27 * C2, z ^= z>>31 applied
     to the new state. Uniform doubles take the top 53 bits offset by
-    half an ulp so they lie strictly inside (0, 1).
+    half an ulp so they lie strictly inside (0, 1). Iterating the
+    generator yields the same outputs next_u64 returns, one sequence
+    shared by both, at one generator resumption per output.
     """
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self._outputs = self._steps(seed & MASK64)
+
+    @staticmethod
+    def _steps(state: int) -> Iterator[int]:
+        while True:
+            state = (state + _GAMMA) & MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+            yield z ^ (z >> 31)
+
+    def __iter__(self) -> Iterator[int]:
+        return self._outputs
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+        return next(self._outputs)
 
     def next_float(self) -> float:
-        return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
+        return ((next(self._outputs) >> 11) + 0.5) * 2.0**-53
 
 
 class Arrival(NamedTuple):
@@ -124,15 +134,16 @@ def generate_workload(
     arrivals: list[Arrival] = []
     append = arrivals.append
     log = math.log
+    new = tuple.__new__  # Arrival's fields without NamedTuple's keyword-taking __new__
     for index, (consumer_id, service_id, rate) in enumerate(streams):
-        next_float = SplitMix64((seed ^ index) & MASK64).next_float
         t = 0.0
-        while True:
-            # Inverse-CDF exponential inter-arrival; u is never 0 or 1.
-            t += -log(next_float()) / rate * 1000.0
+        for z in SplitMix64((seed ^ index) & MASK64):
+            # Inverse-CDF exponential inter-arrival of next_float's uniform
+            # u = ((z >> 11) + 0.5) * 2**-53, which is never 0 or 1.
+            t += -log(((z >> 11) + 0.5) * 2.0**-53) / rate * 1000.0
             if t >= horizon_ms:
                 break
-            append(Arrival(t, consumer_id, service_id))
+            append(new(Arrival, (t, consumer_id, service_id)))
     arrivals.sort()  # by (t_ms, consumer_id, service_id), the field order
     return arrivals
 

@@ -8,6 +8,7 @@ report must come out equal.
 import dataclasses
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from tierbroker.model import (
 )
 from tierbroker.registry import Registry
 from tierbroker.report import report_to_dict
-from tierbroker.simulation import Simulation
+from tierbroker.simulation import POLICIES, Simulation
 from tierbroker.workload import Arrival, ConsumerSpec, Scenario, load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR, make_node, make_service
@@ -179,6 +180,107 @@ def test_a_dealer_opening_has_nothing_to_start(case, policy):
         sim = CheckOpenings(topology, registry, scenario, policy=policy)
         sim.run()
     event("dealer opened" if sim.openings else "no dealer opened")
+
+
+class CheckNodeStates(Simulation):
+    """Checks after every event, and after every _try_start, that each
+    service's cached node state is its placement's and that every node
+    is work-conserving; counts the moves by what made them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.moves = Counter()  # "advice" or "re-resolve" -> moves
+
+    def _check(self):
+        for state in self.services.values():
+            if state.record is None:
+                assert state.node_state is None
+            else:
+                assert state.node_state.node.id == state.record.placement.node_id
+                assert state.node_state is self.node_states[state.node_state.node.id]
+        # A migration's end asks its node again, with the copy arrived.
+        awaited = {
+            id(payload) for _, _, handler, payload in self._heap if handler == self._try_start
+        }
+        for node_state in self.node_states.values():
+            slots = node_state.node.cpu_slots
+            assert node_state.running <= slots
+            if node_state.queue and node_state.running < slots:
+                # The head waits for its copy, still migrating to this node.
+                assert id(node_state) in awaited
+
+    def _re_resolve(self, t_ms, state, request):
+        before = state.reschedules
+        node_state = super()._re_resolve(t_ms, state, request)
+        self.moves["re-resolve"] += state.reschedules - before
+        return node_state
+
+    def _analyze(self, t_ms, state):
+        moved = super()._analyze(t_ms, state)
+        self.moves["advice"] += moved
+        return moved
+
+    def _try_start(self, t_ms, node_state):
+        super()._try_start(t_ms, node_state)
+        self._check()
+
+    def _on_arrival(self, t_ms, arrival):
+        super()._on_arrival(t_ms, arrival)
+        self._check()
+
+    def _on_transfer_done(self, t_ms, request):
+        super()._on_transfer_done(t_ms, request)
+        self._check()
+
+    def _on_exec_done(self, t_ms, request):
+        super()._on_exec_done(t_ms, request)
+        self._check()
+
+    def _on_dealer_open(self, t_ms, node_state):
+        super()._on_dealer_open(t_ms, node_state)
+        self._check()
+
+    def _on_dealer_close(self, t_ms, node_state):
+        super()._on_dealer_close(t_ms, node_state)
+        self._check()
+
+    def _on_analysis_tick(self, t_ms, _payload=None):
+        super()._on_analysis_tick(t_ms, _payload)
+        self._check()
+
+
+def checked_run(scenario, policy="sami"):
+    topology = Topology(scenario.nodes)
+    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
+    sim = CheckNodeStates(topology, registry, scenario, policy=policy)
+    sim.run()
+    return sim
+
+
+@settings(max_examples=200, deadline=None)
+@given(incremental_cases(), st.sampled_from(POLICIES))
+def test_node_states_follow_placements_and_nodes_conserve_work(case, policy):
+    # _on_arrival asks _try_start only while a slot is free and
+    # _on_exec_done only while the queue holds a request; a wrongly
+    # skipped call would leave a node idle with a startable request.
+    interval, scenario = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
+        sim = checked_run(scenario, policy)
+    for source in ("advice", "re-resolve"):
+        event(f"moved on {source}" if sim.moves[source] else f"no move on {source}")
+
+
+def test_node_states_follow_both_kinds_of_move(monkeypatch):
+    # The property's cases move services both ways, but not in every run;
+    # this one moves svc-0 on an arrival and then on a tick's advice.
+    scenario, arrivals = closed_dealer_then_pressure()
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
+    )
+    sim = checked_run(scenario)
+    assert sim.moves == {"re-resolve": 1, "advice": 1}
+    assert sim.services["svc-0"].node_state.node.id == "M1"
 
 
 # ----------------------------------------------------------------------
@@ -488,11 +590,13 @@ def test_move_to_a_faster_node_with_old_requests_completing(
     assert any(set(execs) == {250.0} for execs in shortfalls) == (compute_factor < 1)
 
 
-def test_moved_on_arrival_is_analysed_on_the_next_tick(monkeypatch):
-    # D0 closes at 60,000 ms. The arrival at 60,500 ms re-places svc-0,
-    # data-intensive, on C1, and its window is still under pressure from
-    # the burst on D0, so the 61,000 ms tick moves it on to M1. Nothing
-    # completes in between: only the move marks it for that tick.
+def closed_dealer_then_pressure():
+    """(scenario, arrivals) in which an arrival and then a tick move svc-0.
+
+    D0 closes at 60,000 ms. The arrival at 60,500 ms re-places svc-0,
+    data-intensive, on C1, and its window is still under pressure from
+    the burst on D0, so the 61,000 ms tick moves it on to M1.
+    """
     nodes = [
         make_node("D0", Tier.DEALER, cpu_speed=4000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
                   open_hours=(0, 1)),
@@ -502,9 +606,6 @@ def test_moved_on_arrival_is_analysed_on_the_next_tick(monkeypatch):
     ]
     arrivals = [Arrival(1000.0 + 100.0 * i, "u1", "svc-0") for i in range(5)]
     arrivals.append(Arrival(60500.0, "u1", "svc-0"))
-    monkeypatch.setattr(
-        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
-    )
     scenario = Scenario(
         horizon_ms=70000.0,
         seed=3,
@@ -515,6 +616,16 @@ def test_moved_on_arrival_is_analysed_on_the_next_tick(monkeypatch):
         weights=SchedulerWeights(),
         thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
         energy=EnergyModel(),
+    )
+    return scenario, arrivals
+
+
+def test_moved_on_arrival_is_analysed_on_the_next_tick(monkeypatch):
+    # Nothing completes between the two moves: only the first marks
+    # svc-0 for the tick that makes the second.
+    scenario, arrivals = closed_dealer_then_pressure()
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
     )
     result = assert_same_run(scenario)
     assert moves_in(result) == [60500.0, 61000.0]
