@@ -93,16 +93,15 @@ class ValidationResult:
 
 
 class _Window:
-    """One service's bounded columns, its last completion time and its version."""
+    """One service's bounded columns and its last completion time."""
 
-    __slots__ = ("times", "latencies", "execs", "last_t", "version")
+    __slots__ = ("times", "latencies", "execs", "last_t")
 
     def __init__(self, window: int):
         self.times: deque = deque(maxlen=window)
         self.latencies: deque = deque(maxlen=window)
         self.execs: deque = deque(maxlen=window)
         self.last_t = -math.inf
-        self.version = 0
 
 
 _NO_WINDOW = _Window(0)  # what every read sees for a service never observed
@@ -113,14 +112,12 @@ class ContextSnapshot:
 
     Keeps at most `window` completed observations per service, as three
     bounded columns: completion times, latencies and execution times.
-    Each service's columns, last completion time and version sit on one
-    object, so an observe looks the service up once. The detectors read
-    the columns in place, with no per-call copy of the window, and sum
-    them afresh on every read rather than keeping running totals, so
-    every mean is rounded as fmean rounds it. Feed order must be
-    nondecreasing in completion time for each service. Every observe
-    bumps the service's window version, so an unchanged version means an
-    unchanged window.
+    Each service's columns and last completion time sit on one object,
+    so an observe looks the service up once. The detectors read the
+    columns in place, with no per-call copy of the window, and sum them
+    afresh on every read rather than keeping running totals, so every
+    mean is rounded as fmean rounds it. Feed order must be nondecreasing
+    in completion time for each service.
     """
 
     def __init__(self, window: int = 100):
@@ -136,14 +133,9 @@ class ContextSnapshot:
                 f"service {service_id}: completion at {t_done} after seeing {w.last_t}"
             )
         w.last_t = t_done
-        w.version += 1
         w.times.append(t_done)
         w.latencies.append(latency_ms)
         w.execs.append(exec_ms)
-
-    def version(self, service_id: str) -> int:
-        """Observations folded in so far for the service."""
-        return self._windows.get(service_id, _NO_WINDOW).version
 
     def count(self, service_id: str) -> int:
         return len(self._windows.get(service_id, _NO_WINDOW).times)

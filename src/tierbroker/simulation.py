@@ -26,25 +26,27 @@ sequence orders it against a tick at the same time, which runs first
 when it was pushed while the request was still transferring.
 
 The analysis loop is incremental but exact. A verdict depends only on
-the service's node, which dealers are open and the part of its window
-the detectors read: the last compute_run execution times where the
-delay-pressure detector cannot fire for want of a nearer node
-(nearer_gain), else the whole window, whose version stands for it.
-When an analysis keeps the service in place, that part is its quiet
-key, and later ticks skip the service while the key is unchanged. A
-move and a dealer's opening or close forget the key and nearer_gain's
-answer (_forget). A tick looks only at the services marked since the
-tick before: forgotten, or completing a request that could change their
-key. A service nothing has completed for is never analysed, as neither
-detector advises on an empty window. Execution times are fixed per
-(service, node), so a completion cannot change a key whose last
-compute_run execution times all equal the time of the node it ran on:
-with one more appended, that run stays the same. When a tick leaves
-every service in place, the ticks up to the next event are skipped, as
-no dealer opens or closes before it, and only the first tick not
-skipped is pushed; it takes the heap slot the every-tick loop would
-have given it, so event order is unchanged. Only the arbitrated policy
-feeds the analysis window.
+the service's node, which dealers are open and its window. Each service
+keeps two answers from its last analysis: whether nearer_gain found a
+nearer node (nearer), and whether the compute check advised (advising).
+A move and a dealer's opening or close forget nearer (_forget);
+advising is read only while nearer is False, which _analyze sets only
+together with advising. A tick looks only at the services marked since
+the tick before: forgotten, or completing a request that could change
+their verdict. A service nothing has completed for is never analysed,
+as neither detector advises on an empty window. While nearer is unknown
+or true, every completion marks its service. With no node nearer, only
+the compute check can advise, on the last compute_run execution times
+against the current node's. A time within the factor silences it, so it
+marks nothing and clears advising. An overrun marks the service unless
+advising is set: then the last compute_run times all still overrun, so
+the check still advises, and reschedule, which reads the time only
+through dealer hours, makes the choice that kept the service in place.
+When a tick leaves every service in place, the ticks up to the next
+event are skipped, as no dealer opens or closes before it, and only the
+first tick not skipped is pushed; it takes the heap slot the every-tick
+loop would have given it, so event order is unchanged. Only the
+arbitrated policy feeds the analysis window.
 
 The arbitration log records decisions: a (t_ms, kind, service id)
 entry for each register and each reschedule, so it grows with what
@@ -53,19 +55,22 @@ every tick counts one per placed service, whether or not the detectors
 ran, so arbitration_events adds floor(horizon / interval) times the
 placed services to the log's length under the arbitrated policy.
 
-What a request costs on a node is fixed per (service, node) pair, and
-placement reads the same definitions: pair_cost gives its transfer and
-execution times, and compute_charge its charge before rebate, the
-charge score_pool weighs. Each is computed once per pair, the charge on
-the pair's first completion. The energy_j of a request (transmit power
-over its transfer, idle power over its queueing) and its SLO rebate read
-its own wait and latency, so they are computed per request.
+What is fixed for a (service, node) pair is one _Pair, built by _pair
+the first time the service is placed on the node: the node's
+_NodeState, pair_cost's transfer and execution times, compute_charge's
+charge before rebate (the charge score_pool weighs, as placement reads
+the same definitions) and whether the service fits the node at all
+hours. The energy_j of a request (transmit power over its transfer,
+idle power over its queueing) and its SLO rebate read its own wait and
+latency, so they are computed per request.
 
-Each placed service keeps the _NodeState of its placement's node, set
-at placement and by _move, the only place a placement changes, so an
-arrival reaches its queue without a lookup. _try_start is asked only
-when it can start something: by an arrival while a slot is free, by a
-completion while the queue holds a request, and by a migration's end.
+Each placed service keeps the pair of its placement, set at placement
+and by _move, the only place a placement changes, so an arrival
+reaches its queue, and a tick its node, without a lookup. _try_start
+is asked only when it can start something: by an arrival while a slot
+is free, by a completion while the queue holds a request, by a
+migration's end, and by a move, on the node left while the copy there
+was still migrating: the requests it held there may start at once.
 The report is built in one walk over the records, feeding each
 service's row; the run row takes the services' samples one after
 another. Its mean and sums are math.fsum and its p95 reads a sorted
@@ -80,6 +85,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .arbitrator import (
     ContextSnapshot,
@@ -135,30 +141,36 @@ def energy_j(transfer_ms: float, wait_ms: float, model: EnergyModel) -> float:
 
 
 @dataclass
-class _ServiceState:
-    desc: ServiceDescriptor
-    record: ServiceRecord | None
-    node_state: _NodeState | None = None  # of the placement's node, while placed
-    migration_until: float = 0.0
-    reschedules: int = 0
-    costs: dict[str, PairCost] = field(default_factory=dict)  # by node id
-    charges: dict[str, float] = field(default_factory=dict)  # by node id, once billed
-    # The node fits() last checked on arrival, and its answer.
-    fits_node: ResourceNode | None = None
-    fits_ok: bool = False
-    # Whether nearer_gain found a nearer node, and the key of the last quiet
-    # analysis: the window version when nearer is set, else the last compute_run
-    # exec times. Both None from a move or a dealer event until next analysed.
-    nearer: bool | None = None
-    quiet_key: int | tuple | None = None
-
-
-@dataclass
 class _NodeState:
     node: ResourceNode
     running: int = 0
     queue: deque = field(default_factory=deque)
     calendar_seq: int = 0  # a dealer's reserved push sequence, when it keeps hours
+
+
+class _Pair(NamedTuple):
+    """What is fixed for one service on one node."""
+
+    node_state: _NodeState
+    cost: PairCost
+    charge: float  # before rebate
+    fits: bool  # the half of is_admissible that holds at all hours
+
+
+@dataclass
+class _ServiceState:
+    desc: ServiceDescriptor
+    record: ServiceRecord | None
+    pair: _Pair | None = None  # on the placement's node, while placed
+    pairs: dict[str, _Pair] = field(default_factory=dict)  # by node id
+    migration_until: float = 0.0
+    reschedules: int = 0
+    # Whether nearer_gain found a nearer node; None from a move or a dealer
+    # event until next analysed.
+    nearer: bool | None = None
+    # The compute check advised at the last analysis, and every completion
+    # since overran by the factor; read only while nearer is False.
+    advising: bool = False
 
 
 @dataclass
@@ -206,7 +218,7 @@ class Simulation:
         self.services: dict[str, _ServiceState] = {}
         self._placed: list[_ServiceState] = []  # placed services, by id
         # Services the next tick analyses: moved or forgotten since the last
-        # tick, or completing a request that could change their quiet key.
+        # tick, or completing a request that could change their verdict.
         self._changed: set[str] = set()
         self.node_states = {n.id: _NodeState(node=n) for n in topology}
 
@@ -233,7 +245,7 @@ class Simulation:
             state = _ServiceState(desc=desc, record=record)
             self.services[desc.id] = state
             if record is not None:
-                state.node_state = self.node_states[record.placement.node_id]
+                state.pair = self._pair(state, record.placement.node_id)
                 self._placed.append(state)
                 self.arbitration_log.append((0.0, "register", desc.id))
 
@@ -315,13 +327,11 @@ class Simulation:
         if state.record is None:
             request.outcome = Outcome.REJECTED
             return
-        node_state = state.node_state
+        pair = state.pair
+        node_state = pair.node_state
         node = node_state.node
-        # is_admissible, with the half that holds at all hours cached per node.
-        if node is not state.fits_node:
-            state.fits_node = node
-            state.fits_ok = fits(state.desc, node)
-        admitted = state.fits_ok and (node.tier is not Tier.DEALER or is_dealer_open(node, t_ms))
+        # is_admissible, with the half that holds at all hours read from the pair.
+        admitted = pair.fits and (node.tier is not Tier.DEALER or is_dealer_open(node, t_ms))
         if not admitted:
             if self._analysed:
                 node_state = self._re_resolve(t_ms, state, request)
@@ -352,28 +362,38 @@ class Simulation:
         if decision.node_id != state.record.placement.node_id:
             self.arbitration_log.append((t_ms, "reschedule", state.desc.id))
             self._move(t_ms, state, decision)
-        return state.node_state
+        return state.pair.node_state
 
     def _move(self, t_ms, state: _ServiceState, decision):
-        """Place the service anew, unlogged; the next tick analyses it again."""
+        """Place the service anew, unlogged; the next tick analyses it again.
+
+        Requests queued on the node left were held while the copy there was
+        still migrating; the hold reads only the current placement, so they
+        are free to start now.
+        """
+        left = state.pair.node_state
         state.record.placement = decision
-        state.node_state = node_state = self.node_states[decision.node_id]
+        state.pair = pair = self._pair(state, decision.node_id)
+        node_state = pair.node_state
         state.reschedules += 1
         self._forget(state)
+        held = t_ms < state.migration_until
         done = state.migration_until = t_ms + migration_delay_ms(state.desc, node_state.node)
         if done <= self.horizon:
             self._push(done, self._try_start, node_state)
+        if held and left.queue:
+            self._try_start(t_ms, left)
 
     def _forget(self, *states: _ServiceState):
         """Drop what the last analyses found; the next tick analyses these services anew.
 
         A service nothing has completed for is left unmarked: neither
         detector advises on an empty window, and its first completion
-        marks it, its quiet key being None.
+        marks it, its nearer being None.
         """
         count = self.context.count
         for state in states:
-            state.nearer = state.quiet_key = None
+            state.nearer = None
             if count(state.desc.id):
                 self._changed.add(state.desc.id)
 
@@ -388,14 +408,13 @@ class Simulation:
         while queue and node_state.running < node.cpu_slots:
             head: InvocationRecord = queue[0]
             state = services[head.service_id]
-            if t_ms < state.migration_until and state.node_state is node_state:
+            pair = state.pairs[node.id]
+            if t_ms < state.migration_until and state.pair is pair:
                 # Copy still transferring here; the queue holds (FIFO preserved).
                 break
             queue.popleft()
             node_state.running += 1
-            cost = state.costs.get(node.id)
-            if cost is None:
-                cost = self._cost(state, node)
+            cost = pair.cost
             head.t_start = t_ms
             head.queue_ms = t_ms - head.t_arrive
             head.transfer_ms = cost.transfer_ms
@@ -404,48 +423,48 @@ class Simulation:
             t_transfer = t_ms + node.rtt_ms + cost.transfer_ms
             heappush(self._heap, (t_transfer, seq, self._on_transfer_done, head))
 
-    def _cost(self, state: _ServiceState, node: ResourceNode) -> PairCost:
-        """The service's pair_cost on the node, computed on first use."""
-        cost = state.costs.get(node.id)
-        if cost is None:
-            cost = state.costs[node.id] = pair_cost(state.desc, node)
-        return cost
+    def _pair(self, state: _ServiceState, node_id: str) -> _Pair:
+        """The service's pair on the node, built on first use."""
+        pair = state.pairs.get(node_id)
+        if pair is None:
+            node_state = self.node_states[node_id]
+            desc, node = state.desc, node_state.node
+            pair = state.pairs[node_id] = _Pair(
+                node_state, pair_cost(desc, node), compute_charge(desc, node), fits(desc, node)
+            )
+        return pair
 
     def _on_transfer_done(self, t_ms: float, request: InvocationRecord):
         self._seq = seq = self._seq + 1
         heappush(self._heap, (t_ms + request.exec_ms, seq, self._on_exec_done, request))
 
     def _on_exec_done(self, t_ms: float, request: InvocationRecord):
-        node_state = self.node_states[request.node_id]
-        node = node_state.node
-        node_state.running -= 1
         state = self.services[request.service_id]
+        pair = state.pairs[request.node_id]
+        node_state = pair.node_state
+        node_state.running -= 1
         request.t_done = t_ms
         request.outcome = Outcome.COMPLETED
         request.energy_j = energy_j(request.transfer_ms, request.queue_ms, self.energy_model)
-        charge = state.charges.get(node.id)
-        if charge is None:
-            charge = state.charges[node.id] = compute_charge(state.desc, node)
         request.charge = apply_slo_rebate(
-            charge,
-            node.qos,
+            pair.charge,
+            node_state.node.qos,
             t_ms - request.t_arrive,  # request.latency_ms
             state.desc.sla_latency_ms,
             self.scenario.rebate_frac,
         )
         if self._analysed:
             collect_context(request, self.context)
-            # Unless nearer is set, the key ends in the last compute_run
-            # execution times, fewer while the window is shorter. When they
-            # are compute_run copies of this node's time, this completion
-            # leaves them so.
-            quiet_key = state.quiet_key
-            if (
-                quiet_key is None
-                or state.nearer
-                or quiet_key.count(request.exec_ms) != self.thresholds.compute_run
-            ):
+            # With no nearer node only the compute check can advise. A time
+            # within the factor silences it; an overrun after it advised
+            # leaves it advising, on the same choice.
+            if state.nearer is not False:
                 self._changed.add(request.service_id)
+            elif request.exec_ms > self.thresholds.compute_factor * state.pair.cost.exec_ms:
+                if not state.advising:
+                    self._changed.add(request.service_id)
+            else:
+                state.advising = False
         if node_state.queue:  # else _try_start would start nothing
             self._try_start(t_ms, node_state)
 
@@ -477,7 +496,7 @@ class Simulation:
         self._changed.clear()
         moved = False
         for state in visit:
-            if self._visit(t_ms, state):
+            if self._analyze(t_ms, state):
                 self.arbitration_log.append((t_ms, "reschedule", state.desc.id))
                 moved = True
         ticks = 1 if moved else 1 + self._fast_forward(t_ms + ANALYSIS_INTERVAL_MS)
@@ -485,33 +504,18 @@ class Simulation:
         if t_next <= self.horizon:
             self._push(t_next, self._on_analysis_tick)
 
-    def _visit(self, t_ms: float, state: _ServiceState) -> bool:
-        """Analyse the service unless its quiet key is unchanged; True when it moved."""
-        if state.nearer is None:
-            node = self.topology.get(state.record.placement.node_id)
-            gain = nearer_gain(state.desc, node, self.topology, self.thresholds, t_ms)
-            state.nearer = gain is not None
-        service_id = state.desc.id
-        if state.nearer:
-            key = self.context.version(service_id)
-        else:
-            key = tuple(self.context.recent_exec(service_id, self.thresholds.compute_run))
-        if key == state.quiet_key:
-            return False
-        if self._analyze(t_ms, state):
-            return True
-        state.quiet_key = key
-        return False
-
     def _analyze(self, t_ms: float, state: _ServiceState) -> bool:
         """Run both detectors and act on their advice; True when the service moved."""
         service_id = state.desc.id
-        current = self.topology.get(state.record.placement.node_id)
+        current = state.pair.node_state.node
+        if state.nearer is None:
+            gain = nearer_gain(state.desc, current, self.topology, self.thresholds, t_ms)
+            state.nearer = gain is not None
         advice = analyze_performance(
             self.context, state.desc, current, self.topology, self.thresholds, t_ms
         )
         if advice is None:
-            expected = self._cost(state, current).exec_ms
+            expected = state.pair.cost.exec_ms
             if expected > 0:
                 advice = analyze_computation(
                     self.context.recent_exec(service_id, self.thresholds.compute_run),
@@ -520,6 +524,7 @@ class Simulation:
                     m=self.thresholds.compute_run,
                     service_id=service_id,
                 )
+            state.advising = advice is not None
         if advice is None:
             return False
         decision = reschedule(state.record, advice, self.topology, self.weights, t_ms)
@@ -534,7 +539,7 @@ class Simulation:
         Called after a tick in which every service stayed quiet. Until the
         next event, heap[0], no window or placement changes, and no dealer
         opens or closes, as that happens only at calendar events: a tick
-        before it finds the same keys. A tick at exactly the next event's
+        before it finds the same verdicts. A tick at exactly the next event's
         time is left to run after that event, as its push sequence orders
         it. The batch is skipped: tick i is at t_ms + i * interval, exact
         because every tick time is a whole multiple of the interval.

@@ -115,25 +115,30 @@ def test_every_definition_is_reached_outside_tests():
     assert unreached == []
 
 
-def divisions_by_cpu_speed(tree, prefix):
-    """Qualified name of the def around each `x / <expr>.cpu_speed` in tree."""
+def enclosing(tree, prefix, match):
+    """Qualified name of the def around each node of tree that match accepts."""
     found = []
 
     def walk(node, name):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = f"{name}.{node.name}"
-        if (
-            isinstance(node, ast.BinOp)
-            and isinstance(node.op, ast.Div)
-            and isinstance(node.right, ast.Attribute)
-            and node.right.attr == "cpu_speed"
-        ):
+        if match(node):
             found.append(name)
         for child in ast.iter_child_nodes(node):
             walk(child, name)
 
     walk(tree, prefix)
     return found
+
+
+def divisions_by_cpu_speed(tree, prefix):
+    """Qualified name of the def around each `x / <expr>.cpu_speed` in tree."""
+    return enclosing(tree, prefix, lambda node: (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.Attribute)
+        and node.right.attr == "cpu_speed"
+    ))
 
 
 def test_one_spelling_of_a_pair_cost():
@@ -146,6 +151,19 @@ def test_one_spelling_of_a_pair_cost():
         for name in divisions_by_cpu_speed(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     ]
     assert sorted(found) == ["billing.compute_charge", "model.pair_cost"]
+
+
+def test_one_place_builds_a_pair():
+    # What is fixed for one service on one node (its times, its charge and
+    # whether it fits) is computed when the simulator builds the pair, and
+    # read from the pair everywhere else.
+    tree = ast.parse((PACKAGE / "simulation.py").read_text(encoding="utf-8"))
+    readers = enclosing(tree, "simulation", lambda node: (
+        isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Load)
+        and node.id in {"pair_cost", "compute_charge", "fits"}
+    ))
+    assert readers == ["simulation.Simulation._pair"] * 3
 
 
 def test_one_event_loop():

@@ -16,7 +16,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tierbroker import simulation
-from tierbroker.arbitrator import SchedulerWeights, Thresholds
+from tierbroker.arbitrator import (
+    SchedulerWeights,
+    Thresholds,
+    analyze_computation,
+    nearer_gain,
+)
 from tierbroker.errors import ConfigError
 from tierbroker.model import (
     DAY_MS,
@@ -77,17 +82,23 @@ def dealers(draw, index):
 
 
 @st.composite
-def services(draw, index):
+def services(draw, index, cloud_leaver=False):
+    """A service; a cloud leaver fits the slow cloud and is placed there,
+    or on an open dealer, and wants to be nearer."""
     return make_service(
         service_id=f"svc-{index}",
         name=f"probe-{index}",
-        cpu_demand=draw(st.sampled_from([200.0, 1000.0, 2500.0])),
+        cpu_demand=draw(st.sampled_from(
+            [200.0, 1000.0] if cloud_leaver else [200.0, 1000.0, 2500.0]
+        )),
         payload_in=draw(st.sampled_from([0.1, 0.5, 2.0])),
         # 500 MB migrates for longer than a tick lasts.
         storage_demand=draw(st.sampled_from([1.0, 500.0])),
-        latency_sensitive=draw(st.booleans()),
-        data_intensive=draw(st.booleans()),
-        security_class=draw(st.sampled_from(list(SecurityClass))),
+        latency_sensitive=cloud_leaver or draw(st.booleans()),
+        data_intensive=cloud_leaver or draw(st.booleans()),
+        security_class=(
+            SecurityClass.PUBLIC if cloud_leaver else draw(st.sampled_from(list(SecurityClass)))
+        ),
     )
 
 
@@ -108,21 +119,33 @@ def incremental_cases(draw):
         ]),
         st.floats(on_tick, on_tick + interval, exclude_max=True),
     ))
+    # A slow single-slot cloud, a service placed there that wants to be
+    # nearer and a hair-trigger delay threshold make most runs move, and
+    # leave requests queued on the cloud to complete after their service
+    # has left it, overrunning its new node's time.
+    slow_cloud = draw(st.booleans())
     nodes = [draw(dealers(i)) for i in range(draw(st.integers(0, 2)))]
     nodes += [
         make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
-        make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=200.0, bandwidth_mbps=100.0,
-                  cpu_slots=8, mem_capacity=65536.0, storage_capacity=1048576.0,
-                  internet_path=True),
+        make_node("C1", Tier.CLOUD, cpu_speed=1000.0 if slow_cloud else 8000.0, rtt_ms=200.0,
+                  bandwidth_mbps=100.0, cpu_slots=1 if slow_cloud else 8,
+                  mem_capacity=65536.0, storage_capacity=1048576.0, internet_path=True),
     ]
-    descs = [draw(services(i)) for i in range(draw(st.integers(1, 3)))]
-    # Rates scale with the horizon so every run draws a few hundred arrivals at most.
+    descs = [
+        draw(services(i, cloud_leaver=slow_cloud and i == 0))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    # Rates scale with the horizon so every run draws a few hundred arrivals
+    # at most; the cloud leaver draws at least 20, more than a window holds.
     rates = {
-        d.id: draw(st.integers(0, 200)) * 1000.0 / horizon for d in descs
+        d.id: draw(st.integers(20 if slow_cloud and i == 0 else 0, 200)) * 1000.0 / horizon
+        for i, d in enumerate(descs)
     }
     window = draw(st.integers(2, 8))
     thresholds = Thresholds(
-        delay_pressure_ms_per_s=draw(st.sampled_from([0.01, 1.0, 200.0, 5000.0])),
+        delay_pressure_ms_per_s=(
+            0.01 if slow_cloud else draw(st.sampled_from([0.01, 1.0, 200.0, 5000.0]))
+        ),
         min_gain_ms=draw(st.sampled_from([0.0, 50.0])),
         # Below 1 the compute check fires on a service that never moved.
         compute_factor=draw(st.sampled_from([0.5, 1.0, 1.5])),
@@ -184,20 +207,24 @@ def test_a_dealer_opening_has_nothing_to_start(case, policy):
 
 class CheckNodeStates(Simulation):
     """Checks after every event, and after every _try_start, that each
-    service's cached node state is its placement's and that every node
-    is work-conserving; counts the moves by what made them."""
+    service's pair is its placement's, that each pair holds its node's
+    state and that every node is work-conserving; counts the moves by
+    what made them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.moves = Counter()  # "advice" or "re-resolve" -> moves
 
-    def _check(self):
+    def _check(self, t_ms):
         for state in self.services.values():
             if state.record is None:
-                assert state.node_state is None
+                assert state.pair is None
             else:
-                assert state.node_state.node.id == state.record.placement.node_id
-                assert state.node_state is self.node_states[state.node_state.node.id]
+                node_id = state.record.placement.node_id
+                assert state.pair is state.pairs[node_id]
+                assert state.pair.node_state.node.id == node_id
+            for node_id, pair in state.pairs.items():
+                assert pair.node_state is self.node_states[node_id]
         # A migration's end asks its node again, with the copy arrived.
         awaited = {
             id(payload) for _, _, handler, payload in self._heap if handler == self._try_start
@@ -206,8 +233,11 @@ class CheckNodeStates(Simulation):
             slots = node_state.node.cpu_slots
             assert node_state.running <= slots
             if node_state.queue and node_state.running < slots:
-                # The head waits for its copy, still migrating to this node.
-                assert id(node_state) in awaited
+                # The head waits for its copy, still migrating to this node;
+                # a migration ending past the horizon is never pushed.
+                head = self.services[node_state.queue[0].service_id]
+                assert head.pair.node_state is node_state and t_ms <= head.migration_until
+                assert head.migration_until > self.horizon or id(node_state) in awaited
 
     def _re_resolve(self, t_ms, state, request):
         before = state.reschedules
@@ -222,31 +252,31 @@ class CheckNodeStates(Simulation):
 
     def _try_start(self, t_ms, node_state):
         super()._try_start(t_ms, node_state)
-        self._check()
+        self._check(t_ms)
 
     def _on_arrival(self, t_ms, arrival):
         super()._on_arrival(t_ms, arrival)
-        self._check()
+        self._check(t_ms)
 
     def _on_transfer_done(self, t_ms, request):
         super()._on_transfer_done(t_ms, request)
-        self._check()
+        self._check(t_ms)
 
     def _on_exec_done(self, t_ms, request):
         super()._on_exec_done(t_ms, request)
-        self._check()
+        self._check(t_ms)
 
     def _on_dealer_open(self, t_ms, node_state):
         super()._on_dealer_open(t_ms, node_state)
-        self._check()
+        self._check(t_ms)
 
     def _on_dealer_close(self, t_ms, node_state):
         super()._on_dealer_close(t_ms, node_state)
-        self._check()
+        self._check(t_ms)
 
     def _on_analysis_tick(self, t_ms, _payload=None):
         super()._on_analysis_tick(t_ms, _payload)
-        self._check()
+        self._check(t_ms)
 
 
 def checked_run(scenario, policy="sami"):
@@ -271,6 +301,53 @@ def test_node_states_follow_placements_and_nodes_conserve_work(case, policy):
         event(f"moved on {source}" if sim.moves[source] else f"no move on {source}")
 
 
+class CheckVerdicts(Simulation):
+    """Checks at every tick that each service it skips has the verdict its
+    last analysis kept: nearer is nearer_gain's answer now, and with no
+    node nearer, advising is the compute check's verdict now."""
+
+    advising_skips = 0  # skips of a service whose compute check advises
+
+    def _on_analysis_tick(self, t_ms, _payload=None):
+        thresholds = self.thresholds
+        for state in self._placed:
+            service_id = state.desc.id
+            if service_id in self._changed or not self.context.count(service_id):
+                continue
+            node = state.pair.node_state.node
+            gain = nearer_gain(state.desc, node, self.topology, thresholds, t_ms)
+            assert state.nearer is (gain is not None)
+            if state.nearer:
+                continue
+            advice = None
+            if state.pair.cost.exec_ms > 0:
+                advice = analyze_computation(
+                    self.context.recent_exec(service_id, thresholds.compute_run),
+                    state.pair.cost.exec_ms,
+                    k=thresholds.compute_factor,
+                    m=thresholds.compute_run,
+                )
+            assert state.advising is (advice is not None)
+            self.advising_skips += state.advising
+        super()._on_analysis_tick(t_ms, _payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(incremental_cases())
+def test_a_skipped_service_keeps_its_verdict(case):
+    # The gate skips a service with no node nearer while its last times
+    # cannot have changed the compute check's verdict; a move or a
+    # dealer event forgets both answers and marks it.
+    interval, scenario = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
+        sim = CheckVerdicts(Topology(scenario.nodes),
+                            Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
+                            scenario)
+        sim.run()
+    event("skipped while advising" if sim.advising_skips else "never skipped while advising")
+
+
 def test_node_states_follow_both_kinds_of_move(monkeypatch):
     # The property's cases move services both ways, but not in every run;
     # this one moves svc-0 on an arrival and then on a tick's advice.
@@ -280,7 +357,7 @@ def test_node_states_follow_both_kinds_of_move(monkeypatch):
     )
     sim = checked_run(scenario)
     assert sim.moves == {"re-resolve": 1, "advice": 1}
-    assert sim.services["svc-0"].node_state.node.id == "M1"
+    assert sim.services["svc-0"].pair.node_state.node.id == "M1"
 
 
 # ----------------------------------------------------------------------
@@ -569,9 +646,11 @@ def moved_while_completing(compute_factor, compute_run):
 def test_move_to_a_faster_node_with_old_requests_completing(
     monkeypatch, compute_factor, compute_run
 ):
-    # On M1 no node is nearer, so the quiet key holds the last execution
-    # times: C1's slow ones fire the compute check, which finds nothing
-    # better than M1, and M1's fast ones fire it again only below factor 1.
+    # On M1 no node is nearer, so only the compute check can advise. C1's
+    # slow times fire it, and it finds nothing better than M1. At factor
+    # 1.5 M1's 250 ms times silence it; at 0.5 they overrun too, so it
+    # stays advising and is not asked again. Either way no advice is
+    # drawn on an all-250 ms tail.
     shortfalls = []
     original = simulation.analyze_computation
 
@@ -587,10 +666,30 @@ def test_move_to_a_faster_node_with_old_requests_completing(
     late = [r.t_done for r in result.records if r.node_id == "C1" and (r.t_done or 0.0) > 2000.0]
     assert len({t // 1000 for t in late}) >= 3  # C1 completions reach several ticks
     assert any(1000.0 in execs for execs in shortfalls)
-    assert any(set(execs) == {250.0} for execs in shortfalls) == (compute_factor < 1)
+    assert not any(set(execs) == {250.0} for execs in shortfalls)
 
 
-def closed_dealer_then_pressure():
+def test_an_advising_service_is_not_analysed_while_it_overruns(monkeypatch):
+    # At factor 0.5 every completion overruns, on either node. The 2000 ms
+    # tick moves svc-x to M1 and the 3000 ms tick finds C1's times
+    # advising, with nothing better than M1. From then on each completion
+    # overruns again, so the verdict and the choice stay the same: none
+    # of M1's completions marks svc-x, and no later tick analyses it.
+    scenario = moved_while_completing(0.5, 3)
+    sim = NoteCompletions(Topology(scenario.nodes),
+                          Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
+                          scenario)
+    result = sim.run()
+    reference = run_with(EveryTickSimulation, scenario)
+    assert result.arbitration_log == reference.arbitration_log
+    assert result.records == reference.records
+    assert moves_in(result) == [2000.0]
+    on_m1 = [(advising, marked) for _, node, advising, marked in sim.done if node == "M1"]
+    assert on_m1 == [(True, False)] * 72
+    assert sim.analysed == [2000.0, 3000.0]
+
+
+def closed_dealer_then_pressure(storage_demand=1.0):
     """(scenario, arrivals) in which an arrival and then a tick move svc-0.
 
     D0 closes at 60,000 ms. The arrival at 60,500 ms re-places svc-0,
@@ -610,8 +709,8 @@ def closed_dealer_then_pressure():
         horizon_ms=70000.0,
         seed=3,
         nodes=nodes,
-        services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True,
-                               data_intensive=True)],
+        services=[make_service("svc-0", cpu_demand=1000.0, storage_demand=storage_demand,
+                               latency_sensitive=True, data_intensive=True)],
         consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
         weights=SchedulerWeights(),
         thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
@@ -633,12 +732,24 @@ def test_moved_on_arrival_is_analysed_on_the_next_tick(monkeypatch):
     assert result.records[-1].t_done > 61000.0
 
 
-def test_latency_mix_memo_skips_most_evaluations(monkeypatch):
-    # All ten services sit on the nearest tier, so only their last
-    # execution times key the verdict. Without the memo every one of the
-    # 6,000 (service, tick) evaluations would run the detectors, and with
-    # a key on the whole window about 39% would; the exact key runs them
-    # on under a tenth.
+def test_a_move_starts_the_requests_held_on_the_node_left(monkeypatch):
+    # A 500 MB copy takes 40 s to reach C1, so the 60,500 ms request waits
+    # there for it. The 61,000 ms tick moves svc-0 on to M1, which lifts the
+    # hold: the request starts at once, not at 100,500 ms, past the horizon,
+    # when the copy left behind would have arrived.
+    scenario, arrivals = closed_dealer_then_pressure(storage_demand=500.0)
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
+    )
+    result = assert_same_run(scenario)
+    assert moves_in(result) == [60500.0, 61000.0]
+    assert result.records[-1].node_id == "C1"
+    assert result.records[-1].t_start == 61000.0
+    checked_run(scenario)
+
+
+def count_detector_calls(monkeypatch):
+    """The times of the calls through simulation.analyze_performance, as they happen."""
     calls = []
     original = simulation.analyze_performance
 
@@ -647,6 +758,16 @@ def test_latency_mix_memo_skips_most_evaluations(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(simulation, "analyze_performance", counting)
+    return calls
+
+
+def test_latency_mix_memo_skips_most_evaluations(monkeypatch):
+    # All ten services sit where no node is nearer, so only the compute
+    # check could advise. Without the memo every one of the 6,000
+    # (service, tick) evaluations would run the detectors, and with a key
+    # on the whole window about 39% would; the gate runs them on under a
+    # tenth.
+    calls = count_detector_calls(monkeypatch)
     scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
     sim, _ = note_batches(scenario)
     evaluations = len(sim.tick_times()) * len(scenario.services)
@@ -658,20 +779,23 @@ def test_quiet_ticks_skip_the_detectors(monkeypatch):
     # dealer_hours counts one analysis per second for a day but sees a
     # completion only every minute or so: most ticks must not reach the
     # detectors, yet every tick is run or skipped.
-    calls = []
-    original = simulation.analyze_performance
-
-    def counting(*args):
-        calls.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(simulation, "analyze_performance", counting)
+    calls = count_detector_calls(monkeypatch)
     scenario = load_scenario(str(SCENARIO_DIR / "dealer_hours.json"))
     sim, _ = note_batches(scenario)
     ticks = sim.tick_times()
     assert len(ticks) == int(scenario.horizon_ms // 1000)
     assert len(calls) < len(ticks) // 10
     assert ticks[-1] == scenario.horizon_ms
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("name, calls", [("latency_mix.json", 10), ("dealer_hours.json", 5)])
+def test_detector_calls_on_shipped_scenarios(monkeypatch, name, calls, seed):
+    # Every latency_mix service runs within the factor where no node is
+    # nearer, so only its first completion is analysed: one call each.
+    detector_calls = count_detector_calls(monkeypatch)
+    simulation.simulate_scenario(load_scenario(str(SCENARIO_DIR / name)), seed=seed)
+    assert len(detector_calls) == calls
 
 
 class NoteAnalysed(Simulation):
@@ -755,7 +879,7 @@ def test_a_dealer_event_does_not_mark_a_service_nothing_completed_for():
 
 
 class NoteCompletions(Simulation):
-    """Notes each completion's (time, node, quiet key before it, marked after
+    """Notes each completion's (time, node, advising before it, marked after
     it) and the time of each analysis."""
 
     def __init__(self, *args, **kwargs):
@@ -764,9 +888,9 @@ class NoteCompletions(Simulation):
         self.analysed = []
 
     def _on_exec_done(self, t_ms, request):
-        quiet_key = self.services[request.service_id].quiet_key
+        advising = self.services[request.service_id].advising
         super()._on_exec_done(t_ms, request)
-        self.done.append((t_ms, request.node_id, quiet_key, request.service_id in self._changed))
+        self.done.append((t_ms, request.node_id, advising, request.service_id in self._changed))
 
     def _analyze(self, t_ms, state):
         self.analysed.append(t_ms)
@@ -778,9 +902,10 @@ def left_behind(monkeypatch, c1_speed, latency_sensitive=True, **thresholds):
 
     Latency-sensitive, it moves to M1 under delay pressure while they
     still queue, and they keep completing on C1 after the move; three
-    later requests run on M1. On M1 no node is nearer, so the quiet key
-    holds the last compute_run execution times: 250 ms on M1, and on C1
-    1000, 500 or 250 ms at its speed of 2000, 4000 or 8000.
+    later requests run on M1. On M1 no node is nearer, so only the
+    compute check can advise, on the last compute_run execution times:
+    250 ms on M1, and on C1 1000, 500 or 250 ms at its speed of 2000,
+    4000 or 8000.
     """
     nodes = [
         make_node("M1", Tier.MNO, cpu_speed=8000.0, rtt_ms=50.0, bandwidth_mbps=100.0),
@@ -816,39 +941,50 @@ def left_behind(monkeypatch, c1_speed, latency_sensitive=True, **thresholds):
 
 
 def test_old_node_completion_with_another_exec_time_is_analysed(monkeypatch):
-    # M1's completions at 4480 and 4680 leave the quiet key (250, 250)
-    # after the 5000 ms tick. C1's at 5220 makes it (250, 1000): it must
-    # mark svc-x, although M1's cost would keep the key, and the 6000 ms
-    # tick must analyse it.
+    # The 4000 ms tick finds C1's 1000 ms times advising, with nothing
+    # better than M1. M1's completion at 4480, within the factor of its
+    # 250 ms, silences the check without marking svc-x. C1's at 5220
+    # overruns M1's time: it must mark svc-x, although it ran on a node
+    # svc-x has left, and the 6000 ms tick must analyse it.
     sim, moves = left_behind(monkeypatch, 2000.0)
     assert moves == [3000.0]
-    assert (5220.0, "C1", (250.0, 250.0), True) in sim.done
+    assert (4480.0, "M1", True, False) in sim.done
+    assert (5220.0, "C1", False, True) in sim.done
     assert 6000.0 in sim.analysed
 
 
 def test_old_node_completion_with_the_same_exec_time_is_skipped(monkeypatch):
-    # At C1's speed of 8000 both nodes take 250 ms, so C1's completions
-    # after the 3000 ms tick keep the key (250, 250), as do M1's: none
-    # marks svc-x, and no later tick analyses it.
+    # At C1's speed of 8000 both nodes take 250 ms, within the factor of
+    # M1's time, so C1's completions after the 3000 ms tick cannot make
+    # the compute check advise, nor can M1's: none marks svc-x, and no
+    # later tick analyses it.
     sim, moves = left_behind(monkeypatch, 8000.0)
     assert moves == [2000.0]
-    skipped = [(t, node) for t, node, quiet_key, marked in sim.done if not marked]
+    skipped = [(t, node) for t, node, _, marked in sim.done if not marked]
     assert skipped == [(3280.0, "C1"), (3810.0, "C1"), (4340.0, "C1"),
                        (4480.0, "M1"), (4680.0, "M1"), (7480.0, "M1")]
     assert sim.analysed == [1000.0, 2000.0, 3000.0]
 
 
 @pytest.mark.parametrize("latency_sensitive", [True, False])
-def test_compute_run_no_window_tail_can_match_never_skips(monkeypatch, latency_sensitive):
-    # Longer than the window of 2, the key's tail has at most 2 times,
-    # never a run of 3 equal times, so every completion marks svc-x: on
-    # M1, the one at 7480 ms too, whose 250 ms the key's (500, 500) does
-    # not hold. Not latency-sensitive, svc-x stays on C1, where nothing
-    # is ever nearer.
+def test_compute_run_longer_than_the_window(monkeypatch, latency_sensitive):
+    # Longer than the window of 2, compute_run 3 finds at most 2 times, so
+    # the compute check never advises and never sets advising. Moved to M1
+    # at 2000 ms, svc-x is marked by each of C1's 500 ms completions, which
+    # overrun 1.5 x 250 ms, and by none of M1's, such as the one at
+    # 7480 ms. Not latency-sensitive, svc-x stays on C1, where nothing is
+    # ever nearer and every time is within the factor: only its first
+    # completion marks it, for the tick at 1000 ms.
     sim, moves = left_behind(monkeypatch, 4000.0, latency_sensitive, window=2, compute_run=3)
-    assert moves == ([2000.0] if latency_sensitive else [])
-    assert all(marked for *_, marked in sim.done)
-    assert any(quiet_key is not None for _, _, quiet_key, _ in sim.done)
+    assert not any(advising for _, _, advising, _ in sim.done)
+    if latency_sensitive:
+        assert moves == [2000.0]
+        assert all(marked for t, node, _, marked in sim.done if node == "C1" and t > 2000.0)
+        assert (7480.0, "M1", False, False) in sim.done
+    else:
+        assert moves == []
+        assert [marked for *_, marked in sim.done] == [True] + [False] * (len(sim.done) - 1)
+        assert sim.analysed == [1000.0]
 
 
 def test_a_dealer_close_is_analysed_on_the_next_tick(monkeypatch):

@@ -257,7 +257,6 @@ class PlainContext:
         else:
             rate = (len(times) - 1) * 1000.0 / (times[-1] - times[0])
         return dict(
-            version=len(self.seen.get(service_id, [])),
             count=len(times),
             latencies=latencies,
             mean=mean,
@@ -272,7 +271,6 @@ def context_reads(ctx, service_id):
     except statistics.StatisticsError:
         mean = "StatisticsError"
     return dict(
-        version=ctx.version(service_id),
         count=ctx.count(service_id),
         latencies=ctx.latencies(service_id),
         mean=mean,
