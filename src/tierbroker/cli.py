@@ -89,9 +89,13 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     started = time.perf_counter()
-    reports = [
-        simulate_scenario(scenario, policy=policy, seed=args.seed).report
-        for policy in COMPARE_ORDER
+    # The first run draws the arrival stream; the others run over it, read
+    # back from the first run's records.
+    first = simulate_scenario(scenario, policy=COMPARE_ORDER[0], seed=args.seed)
+    arrivals = first.arrivals()
+    reports = [first.report] + [
+        simulate_scenario(scenario, policy=policy, seed=args.seed, arrivals=arrivals).report
+        for policy in COMPARE_ORDER[1:]
     ]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     _ensure_out(args.out)

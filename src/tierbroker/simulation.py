@@ -2,11 +2,17 @@
 
 Every event waits on one heap of (time, push sequence, handler, payload)
 tuples; one loop calls handler(time, payload) as each pops, and a
-recurring event pushes its successor. Of generate_workload's list, only
-the next arrival waits on the heap, at sequence 0, and each arrival
-pushes the one after it. A dealer with hours reserves a sequence, in node order,
-before any other push; its opening pushes its close and its close the
-next opening at it, so it has one event pending whatever the horizon.
+recurring event pushes its successor. The arrival stream is drawn by
+generate_workload right before the first event, unless the caller gives
+one already drawn: compare draws it once, in its first run, and runs
+the other policies over the same stream, rebuilt from that run's
+records (SimResult.arrivals). Either way the run walks a reversed copy,
+so a given stream is only read, and a drawn one is held by nothing
+else: each arrival is freed once handled. Only the next arrival waits
+on the heap, at sequence 0, and each arrival pushes the one after it.
+A dealer with hours reserves a sequence, in node order, before any
+other push; its opening pushes its close and its close the next
+opening at it, so it has one event pending whatever the horizon.
 Ties are resolved alike on every run: arrivals first, in list order,
 then the calendar, in node order, then the rest by push sequence. Each
 node serves its queue in FIFO order across cpu_slots parallel slots; a
@@ -179,9 +185,23 @@ class SimResult:
     records: list[InvocationRecord]
     arbitration_log: list[tuple[float, str, str]]  # (t_ms, kind, service id)
 
+    def arrivals(self) -> list[Arrival]:
+        """The arrival stream the run handled, rebuilt from its records.
+
+        Every arrival up to the horizon made one record, in stream order;
+        a stream cut there runs every event up to the horizon as the full
+        one does.
+        """
+        new = tuple.__new__  # Arrival's fields without NamedTuple's keyword-taking __new__
+        return [new(Arrival, (r.t_arrive, r.consumer_id, r.service_id)) for r in self.records]
+
 
 class Simulation:
-    """One policy run over one scenario."""
+    """One policy run over one scenario.
+
+    The run draws its arrivals from the seed, unless given a stream
+    already drawn, which it only reads.
+    """
 
     def __init__(
         self,
@@ -190,6 +210,7 @@ class Simulation:
         scenario: Scenario,
         policy: str = "sami",
         seed: int | None = None,
+        arrivals: list[Arrival] | None = None,
     ):
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
@@ -207,6 +228,7 @@ class Simulation:
         self.energy_model = scenario.energy
 
         self._heap: list[tuple[float, int, Callable, object]] = []
+        self._stream = arrivals  # given, in time order; None to draw it
         self._arrivals: list[Arrival] = []  # those after the one on the heap, latest first
         self._seq = 0
         self._next_request_id = 1
@@ -269,10 +291,13 @@ class Simulation:
         return self.registry.register_service(desc, self.topology, 0.0, placement=decision)
 
     def _schedule_calendar(self):
-        # Reversed, so each arrival is popped from the end when the one
-        # before it runs, and freed once handled.
-        arrivals = list(generate_workload(self.scenario.consumers, self.seed, self.horizon))
-        arrivals.reverse()
+        stream = self._stream
+        if stream is None:
+            stream = generate_workload(self.scenario.consumers, self.seed, self.horizon)
+        # A reversed copy, so each arrival is popped from the end when the
+        # one before it runs, and the stream itself is only read. Nothing
+        # keeps a drawn stream, so each of its arrivals is freed once handled.
+        arrivals = stream[::-1]
         if arrivals:
             first = arrivals.pop()
             heappush(self._heap, (first.t_ms, 0, self._on_arrival, first))
@@ -661,12 +686,22 @@ def run(
 
 
 def simulate_scenario(
-    scenario: Scenario, policy: str = "sami", seed: int | None = None
+    scenario: Scenario,
+    policy: str = "sami",
+    seed: int | None = None,
+    arrivals: list[Arrival] | None = None,
 ) -> SimResult:
-    """Build topology and registry from the scenario, then run."""
+    """Build topology and registry from the scenario, then run.
+
+    The run draws its arrival stream from the seed, or reads `arrivals`,
+    a stream already drawn, in time order, and leaves it as it was. Given
+    the stream the seed would draw, it returns what drawing it returns.
+    """
     topology = Topology(scenario.nodes)
     registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    return Simulation(topology, registry, scenario, policy=policy, seed=seed).run()
+    return Simulation(
+        topology, registry, scenario, policy=policy, seed=seed, arrivals=arrivals
+    ).run()
 
 
 __all__ = [

@@ -10,11 +10,11 @@ placed service runs both detectors on every tick, with no memo and no
 skipped ticks, so the incremental loop must reproduce it exactly.
 
 HeapOnlySimulation keeps the event loop in its plainest form: every
-arrival is pushed onto the heap, with _on_arrival as its handler, before
-any other event, and one loop calls the handler of whatever pops, so
-the order of events at equal times is set by push sequence alone. The
-simulator, which keeps only the next arrival on the heap, must
-reproduce it exactly.
+arrival of the stream, drawn or given, is pushed onto the heap, with
+_on_arrival as its handler, before any other event, and one loop calls
+the handler of whatever pops, so the order of events at equal times is
+set by push sequence alone. The simulator, which keeps only the next
+arrival on the heap, must reproduce it exactly.
 
 reference_rows builds a run's report rows with one pass over the
 records per figure and per row, and math.fsum over each completed
@@ -221,10 +221,11 @@ class HeapOnlySimulation(Simulation):
     """The simulator with every arrival on the event heap."""
 
     def _schedule_calendar(self):
-        # Through the module, so a test's stand-in for generate_workload is seen.
-        for arrival in simulation.generate_workload(
-            self.scenario.consumers, self.seed, self.horizon
-        ):
+        stream = self._stream
+        if stream is None:
+            # Through the module, so a test's stand-in for generate_workload is seen.
+            stream = simulation.generate_workload(self.scenario.consumers, self.seed, self.horizon)
+        for arrival in stream:
             self._push(arrival.t_ms, self._on_arrival, arrival)
         self._push_calendar()
 

@@ -6,12 +6,15 @@ import math
 
 import pytest
 
+from tierbroker import cli, simulation
 from tierbroker.cli import COMPARE_ORDER, EXIT_CONFIG, EXIT_NO_NODE, EXIT_OK, main
-from tierbroker.report import CSV_COLUMNS
+from tierbroker.report import CSV_COLUMNS, report_to_dict
+from tierbroker.workload import load_scenario
 
 from conftest import SCENARIO_DIR
 
 MINIMAL = str(SCENARIO_DIR / "minimal.json")
+SHIPPED = ("dealer_hours", "hot_cloud_service", "latency_mix", "minimal")
 
 
 def test_run_writes_both_formats(tmp_path):
@@ -74,6 +77,45 @@ def test_compare_emits_fixed_policy_order(tmp_path):
     assert tuple(policies) == COMPARE_ORDER
     payload = json.loads((out / "compare.json").read_text())
     assert [r["policy"] for r in payload] == list(COMPARE_ORDER)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_compare_reports_equal_independent_runs(monkeypatch, tmp_path, name, seed):
+    # compare runs its last three policies over the stream its first drew;
+    # each report must be the one a run drawing its own stream gives.
+    path = str(SCENARIO_DIR / f"{name}.json")
+    reports = []
+    simulate = cli.simulate_scenario
+
+    def noting(*args, **kwargs):
+        result = simulate(*args, **kwargs)
+        reports.append(report_to_dict(result.report))
+        return result
+
+    monkeypatch.setattr(cli, "simulate_scenario", noting)
+    assert main(["compare", "--scenario", path, "--seed", str(seed),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    scenario = load_scenario(path)
+    assert reports == [
+        report_to_dict(simulation.simulate_scenario(scenario, policy=policy, seed=seed).report)
+        for policy in COMPARE_ORDER
+    ]
+
+
+def test_compare_draws_the_arrival_stream_once(monkeypatch, tmp_path):
+    draws = []
+    draw = simulation.generate_workload
+
+    def counting(consumers, seed, horizon_ms):
+        draws.append(seed)
+        return draw(consumers, seed, horizon_ms)
+
+    monkeypatch.setattr(simulation, "generate_workload", counting)
+    for name in SHIPPED:
+        assert main(["compare", "--scenario", str(SCENARIO_DIR / f"{name}.json"),
+                     "--seed", "7", "--out", str(tmp_path / name)]) == EXIT_OK
+    assert draws == [7] * len(SHIPPED)
 
 
 @pytest.mark.parametrize("fmt, written, absent", [("json", "compare.json", "compare.csv"),

@@ -33,15 +33,16 @@ from conftest import SCENARIO_DIR, make_node, make_service
 from oracles import HeapOnlySimulation
 
 
-def run_with(cls, scenario, policy):
+def run_with(cls, scenario, policy, arrivals=None):
     topology = Topology(scenario.nodes)
     registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    return cls(topology, registry, scenario, policy=policy).run()
+    return cls(topology, registry, scenario, policy=policy, arrivals=arrivals).run()
 
 
-def assert_same_order(scenario, policy="sami"):
-    merged = run_with(Simulation, scenario, policy)
-    reference = run_with(HeapOnlySimulation, scenario, policy)
+def assert_same_order(scenario, policy="sami", arrivals=None):
+    """Both loops run the stream drawn from the scenario, or `arrivals` when given."""
+    merged = run_with(Simulation, scenario, policy, arrivals)
+    reference = run_with(HeapOnlySimulation, scenario, policy, arrivals)
     assert merged.arbitration_log == reference.arbitration_log
     assert merged.records == reference.records
     assert report_to_dict(merged.report) == report_to_dict(reference.report)
@@ -160,6 +161,31 @@ def test_merged_arrivals_match_heap_only_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         use_arrivals(mp, arrivals)
         assert_same_order(scenario, policy)
+
+
+def refuse_to_draw(consumers, seed, horizon_ms):
+    raise AssertionError("a run given its arrivals drew them")
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases())
+def test_a_given_stream_runs_as_the_drawn_one(case):
+    # compare's dealer-only, mno-only and cloud-only runs read the stream
+    # its sami run drew. Given that stream, a run must match the run that
+    # draws it and leave the stream as it was.
+    scenario, arrivals, policy = case
+    with pytest.MonkeyPatch.context() as mp:
+        use_arrivals(mp, arrivals)
+        drawn = run_with(Simulation, scenario, policy)
+    stream = list(arrivals)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "generate_workload", refuse_to_draw)
+        given_stream = assert_same_order(scenario, policy, arrivals=stream)
+    assert stream == arrivals
+    assert given_stream.records == drawn.records
+    assert given_stream.arbitration_log == drawn.arbitration_log
+    assert report_to_dict(given_stream.report) == report_to_dict(drawn.report)
+    assert drawn.arrivals() == [a for a in arrivals if a.t_ms <= scenario.horizon_ms]
 
 
 # ----------------------------------------------------------------------

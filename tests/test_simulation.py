@@ -5,12 +5,13 @@ import weakref
 
 import pytest
 
+from tierbroker import simulation
 from tierbroker.errors import ConfigError
 from tierbroker.model import DAY_MS, Outcome, Tier, Topology
 from tierbroker.registry import Registry
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICIES, Simulation, simulate_scenario
-from tierbroker.workload import load_scenario, scenario_from_dict
+from tierbroker.workload import generate_workload, load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR, make_node
 from test_incremental import note_batches
@@ -269,3 +270,40 @@ def test_finished_run_frees_its_simulation():
         gc.enable()
     running = [r for r in result.records if r.t_start is not None and r.outcome is None]
     assert len(running) >= 2
+
+
+def test_a_run_keeps_none_of_the_stream_it_drew(monkeypatch):
+    # The run walks a reversed copy of what it draws and pops each arrival
+    # as it is handled. A drawn stream kept past the run, on the
+    # Simulation or its SimResult, would hold every arrival at once.
+    drawn = []
+    draw = simulation.generate_workload
+
+    def keeping(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(simulation, "generate_workload", keeping)
+    scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
+    sim = Simulation(Topology(scenario.nodes),
+                     Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
+                     scenario)
+    result = sim.run()
+    (stream,) = drawn
+    assert len(stream) == len(result.records) > 1000
+    gc.collect()
+    # Only the stand-in's list holds the stream, and only the stream its
+    # arrivals: no copy of it either.
+    assert gc.get_referrers(stream) == [drawn]
+    assert gc.get_referrers(stream[0], stream[len(stream) // 2], stream[-1]) == [stream]
+
+
+def test_a_given_stream_is_only_read():
+    scenario = load_scenario(str(SCENARIO_DIR / "dealer_hours.json"))
+    stream = generate_workload(scenario.consumers, scenario.seed, scenario.horizon_ms)
+    kept = list(stream)
+    for policy in POLICIES:
+        result = simulate_scenario(scenario, policy=policy, arrivals=stream)
+        assert len(result.records) == len(kept)
+        assert len(stream) == len(kept)
+        assert all(a is b for a, b in zip(stream, kept))
