@@ -43,7 +43,7 @@ from .registry import (
     ServiceRecord,
     ServiceState,
 )
-from .simulation import Simulation, run, simulate_scenario
+from .simulation import Simulation, simulate_scenario
 from .workload import Scenario, generate_workload, load_scenario
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "is_admissible",
     "load_scenario",
     "pair_cost",
-    "run",
     "schedule_service",
     "simulate_scenario",
     "__version__",

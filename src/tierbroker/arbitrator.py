@@ -120,7 +120,7 @@ class ContextSnapshot:
     in completion time for each service.
     """
 
-    def __init__(self, window: int = 100):
+    def __init__(self, window: int):
         self.window = window
         self._windows: dict[str, _Window] = {}
 
@@ -139,9 +139,6 @@ class ContextSnapshot:
 
     def count(self, service_id: str) -> int:
         return len(self._windows.get(service_id, _NO_WINDOW).times)
-
-    def latencies(self, service_id: str) -> list[float]:
-        return list(self._windows.get(service_id, _NO_WINDOW).latencies)
 
     def mean_latency(self, service_id: str) -> float:
         latencies = self._windows.get(service_id, _NO_WINDOW).latencies
@@ -177,7 +174,6 @@ def collect_context(record: InvocationRecord, ctx: ContextSnapshot) -> ContextSn
     if record.outcome is not Outcome.COMPLETED:
         return ctx
     t_done = record.t_done
-    # record.latency_ms, without the property call.
     ctx.observe(record.service_id, t_done, t_done - record.t_arrive, record.exec_ms)
     return ctx
 
@@ -366,8 +362,8 @@ def analyze_performance(
 def analyze_computation(
     observed_exec_ms: list[float],
     expected_exec_ms: float,
-    k: float = 1.5,
-    m: int = 3,
+    k: float,
+    m: int,
     service_id: str = "",
 ) -> RescheduleAdvice | None:
     """Compute-shortfall detector.

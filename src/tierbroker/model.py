@@ -174,11 +174,6 @@ class InvocationRecord:
     charge: float = 0.0
     outcome: Outcome | None = None
 
-    @property
-    def latency_ms(self) -> float:
-        """End-to-end sojourn; only meaningful once completed."""
-        return (self.t_done or 0.0) - self.t_arrive
-
 
 class Topology:
     """Static node inventory, sorted by id."""

@@ -199,26 +199,27 @@ class SimResult:
 class Simulation:
     """One policy run over one scenario.
 
-    The run draws its arrivals from the seed, unless given a stream
-    already drawn, which it only reads.
+    The scenario's nodes make the topology, and its services register
+    with a registry of its vocabulary and weights. The run draws its
+    arrivals from the seed, unless given a stream already drawn, which
+    it only reads.
     """
 
     def __init__(
         self,
-        topology: Topology,
-        registry: Registry,
         scenario: Scenario,
         policy: str = "sami",
         seed: int | None = None,
         arrivals: list[Arrival] | None = None,
     ):
+        topology = Topology(scenario.nodes)
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
         problems = [problem for node in topology for problem in check_node(node)]
         if problems:
             raise ConfigError("; ".join(problems))
         self.topology = topology
-        self.registry = registry
+        self.registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
         self.scenario = scenario
         self.policy = policy
         self.seed = scenario.seed if seed is None else seed
@@ -474,7 +475,7 @@ class Simulation:
         request.charge = apply_slo_rebate(
             pair.charge,
             node_state.node.qos,
-            t_ms - request.t_arrive,  # request.latency_ms
+            t_ms - request.t_arrive,
             state.desc.sla_latency_ms,
             self.scenario.rebate_frac,
         )
@@ -600,7 +601,7 @@ class Simulation:
             tally.invocations += 1
             outcome = record.outcome
             if outcome is completed:
-                tally.latencies.append(record.t_done - record.t_arrive)  # record.latency_ms
+                tally.latencies.append(record.t_done - record.t_arrive)
                 tally.energy.append(record.energy_j)
                 tally.charge.append(record.charge)
             elif outcome is None:
@@ -674,34 +675,19 @@ class _Tally:
         )
 
 
-def run(
-    topology: Topology,
-    registry: Registry,
-    scenario: Scenario,
-    seed: int | None = None,
-    policy: str = "sami",
-) -> MetricsReport:
-    """Run one policy over the scenario and return its metrics."""
-    return Simulation(topology, registry, scenario, policy=policy, seed=seed).run().report
-
-
 def simulate_scenario(
     scenario: Scenario,
     policy: str = "sami",
     seed: int | None = None,
     arrivals: list[Arrival] | None = None,
 ) -> SimResult:
-    """Build topology and registry from the scenario, then run.
+    """Run one policy over the scenario.
 
     The run draws its arrival stream from the seed, or reads `arrivals`,
     a stream already drawn, in time order, and leaves it as it was. Given
     the stream the seed would draw, it returns what drawing it returns.
     """
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    return Simulation(
-        topology, registry, scenario, policy=policy, seed=seed, arrivals=arrivals
-    ).run()
+    return Simulation(scenario, policy=policy, seed=seed, arrivals=arrivals).run()
 
 
 __all__ = [
@@ -711,6 +697,5 @@ __all__ = [
     "SimResult",
     "Simulation",
     "energy_j",
-    "run",
     "simulate_scenario",
 ]

@@ -50,36 +50,21 @@ MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-class SplitMix64:
-    """splitmix64 sequence generator.
+def splitmix64(seed: int) -> Iterator[int]:
+    """The splitmix64 sequence of seed's low 64 bits.
 
     state advances by the 64-bit golden-gamma constant; each output is
     the finalizer z ^= z>>30 * C1, z ^= z>>27 * C2, z ^= z>>31 applied
-    to the new state. Uniform doubles take the top 53 bits offset by
-    half an ulp so they lie strictly inside (0, 1). Iterating the
-    generator yields the same outputs next_u64 returns, one sequence
-    shared by both, at one generator resumption per output.
+    to the new state. generate_workload takes a uniform double from the
+    top 53 bits offset by half an ulp, in (0, 1]: the largest output
+    rounds half to even up to exactly 1.0.
     """
-
-    def __init__(self, seed: int):
-        self._outputs = self._steps(seed & MASK64)
-
-    @staticmethod
-    def _steps(state: int) -> Iterator[int]:
-        while True:
-            state = (state + _GAMMA) & MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-            yield z ^ (z >> 31)
-
-    def __iter__(self) -> Iterator[int]:
-        return self._outputs
-
-    def next_u64(self) -> int:
-        return next(self._outputs)
-
-    def next_float(self) -> float:
-        return ((next(self._outputs) >> 11) + 0.5) * 2.0**-53
+    state = seed & MASK64
+    while True:
+        state = (state + _GAMMA) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
 
 
 class Arrival(NamedTuple):
@@ -137,9 +122,11 @@ def generate_workload(
     new = tuple.__new__  # Arrival's fields without NamedTuple's keyword-taking __new__
     for index, (consumer_id, service_id, rate) in enumerate(streams):
         t = 0.0
-        for z in SplitMix64((seed ^ index) & MASK64):
-            # Inverse-CDF exponential inter-arrival of next_float's uniform
-            # u = ((z >> 11) + 0.5) * 2**-53, which is never 0 or 1.
+        for z in splitmix64(seed ^ index):
+            # Inverse-CDF exponential inter-arrival of the uniform
+            # u = ((z >> 11) + 0.5) * 2**-53 in (0, 1]. u is never 0, so the
+            # gap is finite; it is 1.0 only for z >> 11 == 2**53 - 1, whose
+            # sum rounds half to even, and then two arrivals share a time.
             t += -log(((z >> 11) + 0.5) * 2.0**-53) / rate * 1000.0
             if t >= horizon_ms:
                 break

@@ -243,7 +243,7 @@ class HeapOnlySimulation(Simulation):
 def reference_totals(records):
     """Outcome counts, latency stats and sums; floats add up correctly rounded, in any order."""
     completed = [r for r in records if r.outcome is Outcome.COMPLETED]
-    mean_ms, p95_ms = latency_stats([r.latency_ms for r in completed])
+    mean_ms, p95_ms = latency_stats([r.t_done - r.t_arrive for r in completed])
     return dict(
         completed=len(completed),
         rejected=sum(1 for r in records if r.outcome is Outcome.REJECTED),

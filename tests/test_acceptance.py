@@ -37,7 +37,7 @@ from tierbroker.model import (
 )
 from tierbroker.simulation import POLICIES, POLICY_TIERS, energy_j, simulate_scenario
 from tierbroker.trust import aggregate_trust, indirect_trust
-from tierbroker.workload import SplitMix64, load_scenario
+from tierbroker.workload import load_scenario, splitmix64
 
 from conftest import SCENARIO_DIR, T0_NOON, make_node, make_service
 from oracles import OracleNoNode, grid_pools, oracle_schedule, tier_subsets
@@ -102,23 +102,23 @@ def test_c01_scheduler_matches_bruteforce_oracle():
 def test_c02_critical_never_on_internet_path():
     placements = violations = 0
     for seed in range(1000):
-        rng = SplitMix64(seed)
+        rng = splitmix64(seed)
         nodes = []
-        for i in range(1 + rng.next_u64() % 6):
-            tier = (Tier.DEALER, Tier.MNO, Tier.CLOUD)[rng.next_u64() % 3]
+        for i in range(1 + next(rng) % 6):
+            tier = (Tier.DEALER, Tier.MNO, Tier.CLOUD)[next(rng) % 3]
             nodes.append(make_node(
                 f"n{i}",
                 tier,
-                cpu_speed=500.0 + (rng.next_u64() % 8) * 1000.0,
-                rtt_ms=float(rng.next_u64() % 300),
-                bandwidth_mbps=1.0 + (rng.next_u64() % 200),
-                cpu_slots=1 + rng.next_u64() % 4,
-                mem_capacity=256.0 * (1 + rng.next_u64() % 16),
-                storage_capacity=float(10 ** (rng.next_u64() % 6)),
-                internet_path=rng.next_u64() % 3 == 0,
-                trust_level=TRUST_ORDER[rng.next_u64() % 4],
-                trust_basis=list(TrustBasis)[rng.next_u64() % 4],
-                open_hours=((0, 1440), (540, 1020), (600, 660))[rng.next_u64() % 3],
+                cpu_speed=500.0 + (next(rng) % 8) * 1000.0,
+                rtt_ms=float(next(rng) % 300),
+                bandwidth_mbps=1.0 + (next(rng) % 200),
+                cpu_slots=1 + next(rng) % 4,
+                mem_capacity=256.0 * (1 + next(rng) % 16),
+                storage_capacity=float(10 ** (next(rng) % 6)),
+                internet_path=next(rng) % 3 == 0,
+                trust_level=TRUST_ORDER[next(rng) % 4],
+                trust_basis=list(TrustBasis)[next(rng) % 4],
+                open_hours=((0, 1440), (540, 1020), (600, 660))[next(rng) % 3],
             ))
         # Half the scenarios are guaranteed a safe harbor node.
         if seed % 2 == 0:
@@ -127,13 +127,13 @@ def test_c02_critical_never_on_internet_path():
         topology = Topology(nodes)
         svc = make_service(
             service_id=f"crit-{seed}",
-            cpu_demand=float(100 + rng.next_u64() % 4000),
-            storage_demand=(1.0, 1e5)[rng.next_u64() % 2],
-            latency_sensitive=rng.next_u64() % 2 == 1,
-            data_intensive=rng.next_u64() % 2 == 1,
+            cpu_demand=float(100 + next(rng) % 4000),
+            storage_demand=(1.0, 1e5)[next(rng) % 2],
+            latency_sensitive=next(rng) % 2 == 1,
+            data_intensive=next(rng) % 2 == 1,
             security_class=SecurityClass.CRITICAL,
         )
-        t_ms = float(rng.next_u64() % 86_400_000)
+        t_ms = float(next(rng) % 86_400_000)
         weights = SchedulerWeights()
         try:
             decision = schedule_service(svc, topology, weights, t_ms)
@@ -146,7 +146,7 @@ def test_c02_critical_never_on_internet_path():
         advice = RescheduleAdvice(
             service_id=svc.id,
             trigger=AdviceKind.DELAY_PRESSURE,
-            target_tier_hint=(None, Tier.DEALER, Tier.MNO, Tier.CLOUD)[rng.next_u64() % 4],
+            target_tier_hint=(None, Tier.DEALER, Tier.MNO, Tier.CLOUD)[next(rng) % 4],
             projected_gain_ms=100.0,
         )
         record = SimpleNamespace(descriptor=svc, placement=decision)
@@ -189,10 +189,10 @@ def test_c04_hot_cloud_service_migrates_nearer():
     drop = 0.0
     if ok:
         t_move = moves[0][0]
-        pre = [r.latency_ms for r in result.records
+        pre = [r.t_done - r.t_arrive for r in result.records
                if r.outcome is Outcome.COMPLETED and r.t_start is not None
                and r.t_start < t_move]
-        post = [r.latency_ms for r in result.records
+        post = [r.t_done - r.t_arrive for r in result.records
                 if r.outcome is Outcome.COMPLETED and r.t_start is not None
                 and r.t_start >= t_move]
         ok = bool(pre) and bool(post)

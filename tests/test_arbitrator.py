@@ -283,18 +283,19 @@ def test_context_window_evicts_oldest():
     for i in range(101):
         ctx.observe("svc", float(i), latency_ms=float(i), exec_ms=1.0)
     assert ctx.count("svc") == 100
-    assert min(ctx.latencies("svc")) == 1.0
+    # 1 .. 100 left: the mean of 0 .. 99 would be 49.5.
+    assert ctx.mean_latency("svc") == 50.5
 
 
 def test_context_rejects_time_travel():
-    ctx = ContextSnapshot()
+    ctx = ContextSnapshot(window=100)
     ctx.observe("svc", 100.0, 10.0, 1.0)
     with pytest.raises(OutOfOrderEvent):
         ctx.observe("svc", 99.0, 10.0, 1.0)
 
 
 def test_context_rate_over_window_span():
-    ctx = ContextSnapshot()
+    ctx = ContextSnapshot(window=100)
     for i in range(25):
         ctx.observe("svc", i * 100.0, 500.0, 1.0)
     # 24 intervals of 100 ms each.
@@ -322,17 +323,15 @@ def test_context_columns_match_a_plain_window(window, observations):
         ctx.observe("svc", t, latency, exec_ms)
         seen.append((t, latency, exec_ms))
         plain = seen[-window:]
-        latencies = [s[1] for s in plain]
         assert ctx.count("svc") == len(plain)
-        assert ctx.latencies("svc") == latencies
         mean = ctx.mean_latency("svc")
-        assert mean.hex() == statistics.fmean(ctx.latencies("svc")).hex()
+        assert mean.hex() == statistics.fmean([s[1] for s in plain]).hex()
         for m in range(1, window + 2):
             assert ctx.recent_exec("svc", m) == [s[2] for s in plain][-m:]
 
 
 def test_collect_context_skips_unfinished():
-    ctx = ContextSnapshot()
+    ctx = ContextSnapshot(window=100)
     rejected = InvocationRecord(
         request_id=1, service_id="svc", consumer_id="u", node_id="M1",
         t_arrive=0.0, outcome=Outcome.REJECTED,
@@ -353,7 +352,7 @@ def test_collect_context_skips_unfinished():
 
 
 def pressured_context(service_id, n=25, dt_ms=99.0, latency_ms=500.0):
-    ctx = ContextSnapshot()
+    ctx = ContextSnapshot(window=100)
     for i in range(n):
         ctx.observe(service_id, i * dt_ms, latency_ms, 1.0)
     return ctx
@@ -424,16 +423,16 @@ def test_delay_pressure_never_points_farther(t0):
 
 
 def test_compute_shortfall_needs_full_run():
-    assert analyze_computation([301.0, 302.0, 303.0], 100.0) is not None
-    assert analyze_computation([400.0, 80.0, 400.0], 100.0) is None
-    assert analyze_computation([400.0, 400.0], 100.0) is None
-    assert analyze_computation([], 100.0) is None
+    assert analyze_computation([301.0, 302.0, 303.0], 100.0, k=1.5, m=3) is not None
+    assert analyze_computation([400.0, 80.0, 400.0], 100.0, k=1.5, m=3) is None
+    assert analyze_computation([400.0, 400.0], 100.0, k=1.5, m=3) is None
+    assert analyze_computation([], 100.0, k=1.5, m=3) is None
 
 
 def test_compute_shortfall_strict_overrun():
     # Exactly k x expected is not an overrun.
-    assert analyze_computation([150.0, 150.0, 150.0], 100.0) is None
-    advice = analyze_computation([150.1, 150.1, 150.1], 100.0, service_id="svc")
+    assert analyze_computation([150.0, 150.0, 150.0], 100.0, k=1.5, m=3) is None
+    advice = analyze_computation([150.1, 150.1, 150.1], 100.0, k=1.5, m=3, service_id="svc")
     assert advice is not None
     assert advice.trigger is AdviceKind.COMPUTE_SHORTFALL
     assert advice.service_id == "svc"
@@ -442,15 +441,15 @@ def test_compute_shortfall_strict_overrun():
 
 
 def test_compute_shortfall_uses_last_m():
-    assert analyze_computation([9999.0, 50.0, 400.0, 400.0], 100.0, m=3) is None
-    assert analyze_computation([50.0, 400.0, 400.0, 400.0], 100.0, m=3) is not None
+    assert analyze_computation([9999.0, 50.0, 400.0, 400.0], 100.0, k=1.5, m=3) is None
+    assert analyze_computation([50.0, 400.0, 400.0, 400.0], 100.0, k=1.5, m=3) is not None
 
 
 def test_compute_shortfall_rejects_bad_expectation():
     with pytest.raises(ValueError):
-        analyze_computation([100.0], 0.0)
+        analyze_computation([100.0], 0.0, k=1.5, m=3)
     with pytest.raises(ValueError):
-        analyze_computation([100.0], -5.0)
+        analyze_computation([100.0], -5.0, k=1.5, m=3)
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from tierbroker import simulation
 from tierbroker.arbitrator import SchedulerWeights, Thresholds
-from tierbroker.model import DAY_MS, EnergyModel, SecurityClass, Tier, Topology
-from tierbroker.registry import Registry
+from tierbroker.model import DAY_MS, EnergyModel, SecurityClass, Tier
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICIES, Simulation
 from tierbroker.workload import (
@@ -34,9 +33,7 @@ from oracles import HeapOnlySimulation
 
 
 def run_with(cls, scenario, policy, arrivals=None):
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    return cls(topology, registry, scenario, policy=policy, arrivals=arrivals).run()
+    return cls(scenario, policy=policy, arrivals=arrivals).run()
 
 
 def assert_same_order(scenario, policy="sami", arrivals=None):
@@ -284,9 +281,7 @@ def test_days_of_dealer_hours_match_heap_only_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         use_arrivals(mp, arrivals)
         assert_same_order(scenario, policy)
-        sim = NoteEvents(Topology(scenario.nodes),
-                         Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
-                         scenario, policy=policy)
+        sim = NoteEvents(scenario, policy=policy)
         sim.run()
     calendar = [event for event in sim.events if event[1] in ("open", "close")]
     assert calendar == every_opening_and_close(scenario)
@@ -301,9 +296,7 @@ def test_calendar_holds_one_event_per_dealer_whatever_the_horizon():
     # opening and the first tick wait on the heap, and nothing else.
     scenario = load_scenario(str(SCENARIO_DIR / "dealer_hours.json"))
     scenario = dataclasses.replace(scenario, horizon_ms=1e13)
-    sim = Simulation(Topology(scenario.nodes),
-                     Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
-                     scenario)
+    sim = Simulation(scenario)
     sim._push_calendar()
     assert sorted((t_ms, seq, handler.__name__) for t_ms, seq, handler, _ in sim._heap) == [
         (1000.0, 2, "_on_analysis_tick"),
@@ -405,9 +398,7 @@ def test_arrival_on_an_analysis_tick_goes_first(monkeypatch):
     result = assert_same_order(scenario)
     at_61s = [entry for entry in result.arbitration_log if entry[0] == 61000.0]
     assert at_61s == [(61000.0, "reschedule", "svc-x")]
-    sim = NoteHandlers(Topology(scenario.nodes),
-                       Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
-                       scenario)
+    sim = NoteHandlers(scenario)
     assert sim.run().arbitration_log == result.arbitration_log
     assert [kind for t, kind in sim.calls if t == 61000.0] == ["arrival", "tick"]
 

@@ -30,9 +30,7 @@ from tierbroker.model import (
     SecurityClass,
     Tariff,
     Tier,
-    Topology,
 )
-from tierbroker.registry import Registry
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICIES, Simulation
 from tierbroker.workload import Arrival, ConsumerSpec, Scenario, load_scenario, scenario_from_dict
@@ -42,9 +40,7 @@ from oracles import EveryTickSimulation
 
 
 def run_with(cls, scenario, seed=None, policy="sami"):
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    return cls(topology, registry, scenario, policy=policy, seed=seed).run()
+    return cls(scenario, policy=policy, seed=seed).run()
 
 
 def assert_same_run(scenario, seed=None, policy="sami"):
@@ -198,9 +194,7 @@ def test_a_dealer_opening_has_nothing_to_start(case, policy):
     interval, scenario = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
-        topology = Topology(scenario.nodes)
-        registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-        sim = CheckOpenings(topology, registry, scenario, policy=policy)
+        sim = CheckOpenings(scenario, policy=policy)
         sim.run()
     event("dealer opened" if sim.openings else "no dealer opened")
 
@@ -280,9 +274,7 @@ class CheckNodeStates(Simulation):
 
 
 def checked_run(scenario, policy="sami"):
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    sim = CheckNodeStates(topology, registry, scenario, policy=policy)
+    sim = CheckNodeStates(scenario, policy=policy)
     sim.run()
     return sim
 
@@ -341,9 +333,7 @@ def test_a_skipped_service_keeps_its_verdict(case):
     interval, scenario = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
-        sim = CheckVerdicts(Topology(scenario.nodes),
-                            Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
-                            scenario)
+        sim = CheckVerdicts(scenario)
         sim.run()
     event("skipped while advising" if sim.advising_skips else "never skipped while advising")
 
@@ -405,9 +395,7 @@ def test_batch_count_is_exact_far_from_zero(interval, first_tick, span, nudge, b
         thresholds=Thresholds(),
         energy=EnergyModel(),
     )
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    sim = Simulation(topology, registry, scenario)
+    sim = Simulation(scenario)
     if bound == "heap":
         sim._heap = [(edge, 1, sim._on_exec_done, None)]
     elif bound == "arrival":  # the next arrival waits on the heap at sequence 0
@@ -448,9 +436,7 @@ class NoteBatches(Simulation):
 
 
 def note_batches(scenario, policy="sami"):
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    sim = NoteBatches(topology, registry, scenario, policy=policy)
+    sim = NoteBatches(scenario, policy=policy)
     return sim, sim.run()
 
 
@@ -676,9 +662,7 @@ def test_an_advising_service_is_not_analysed_while_it_overruns(monkeypatch):
     # overruns again, so the verdict and the choice stay the same: none
     # of M1's completions marks svc-x, and no later tick analyses it.
     scenario = moved_while_completing(0.5, 3)
-    sim = NoteCompletions(Topology(scenario.nodes),
-                          Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
-                          scenario)
+    sim = NoteCompletions(scenario)
     result = sim.run()
     reference = run_with(EveryTickSimulation, scenario)
     assert result.arbitration_log == reference.arbitration_log
@@ -834,9 +818,7 @@ def test_a_service_nothing_completed_for_is_never_analysed(monkeypatch):
         thresholds=Thresholds(),
         energy=EnergyModel(),
     )
-    sim = NoteAnalysed(Topology(scenario.nodes),
-                       Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
-                       scenario)
+    sim = NoteAnalysed(scenario)
     result = sim.run()
     reference = run_with(EveryTickSimulation, scenario)
     assert result.arbitration_log == reference.arbitration_log
@@ -867,9 +849,7 @@ def test_a_dealer_event_does_not_mark_a_service_nothing_completed_for():
     data["nodes"].append(dealer)
     data["services"].append(dict(data["services"][0], id="svc-idle", name="idle"))
     scenario = scenario_from_dict(data, base_dir=str(SCENARIO_DIR))
-    sim = NoteEmptyAnalyses(Topology(scenario.nodes),
-                            Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
-                            scenario)
+    sim = NoteEmptyAnalyses(scenario)
     result = sim.run()
     assert (0.0, "register", "svc-idle") in result.arbitration_log
     assert sim.empty == []
@@ -929,9 +909,7 @@ def left_behind(monkeypatch, c1_speed, latency_sensitive=True, **thresholds):
                                  "min_samples": 2, "compute_run": 2, **thresholds}),
         energy=EnergyModel(),
     )
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    sim = NoteCompletions(topology, registry, scenario, policy="sami")
+    sim = NoteCompletions(scenario, policy="sami")
     result = sim.run()
     reference = run_with(EveryTickSimulation, scenario)
     assert result.arbitration_log == reference.arbitration_log

@@ -40,9 +40,7 @@ from test_incremental import incremental_cases
 
 
 def run_policy(scenario, policy):
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    return Simulation(topology, registry, scenario, policy=policy).run()
+    return Simulation(scenario, policy=policy).run()
 
 
 def assert_conserved(report):
@@ -169,8 +167,7 @@ def finished(records, unplaced, reschedules):
         thresholds=Thresholds(),
         energy=EnergyModel(),
     )
-    topology = Topology(scenario.nodes)
-    sim = Simulation(topology, Registry(weights=scenario.weights), scenario)
+    sim = Simulation(scenario)
     sim._place_all()
     # An unplaced service was never registered; each reschedule is logged.
     sim._placed = [state for state in sim._placed if state.desc.id not in unplaced]
@@ -258,7 +255,6 @@ class PlainContext:
             rate = (len(times) - 1) * 1000.0 / (times[-1] - times[0])
         return dict(
             count=len(times),
-            latencies=latencies,
             mean=mean,
             rate=rate,
             recent={m: execs[-m:] for m in range(1, self.window + 3)},
@@ -272,7 +268,6 @@ def context_reads(ctx, service_id):
         mean = "StatisticsError"
     return dict(
         count=ctx.count(service_id),
-        latencies=ctx.latencies(service_id),
         mean=mean,
         rate=ctx.rate_per_s(service_id),
         recent={m: ctx.recent_exec(service_id, m) for m in range(1, ctx.window + 3)},

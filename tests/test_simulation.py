@@ -1,5 +1,6 @@
 """Event loop behavior: determinism, queueing, conservation, baselines."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -7,8 +8,7 @@ import pytest
 
 from tierbroker import simulation
 from tierbroker.errors import ConfigError
-from tierbroker.model import DAY_MS, Outcome, Tier, Topology
-from tierbroker.registry import Registry
+from tierbroker.model import DAY_MS, Outcome, Tier
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICIES, Simulation, simulate_scenario
 from tierbroker.workload import generate_workload, load_scenario, scenario_from_dict
@@ -61,7 +61,7 @@ def test_single_request_matches_projection():
     assert len(completed) == 1
     record = completed[0]
     # rtt 50 + transfer 160 + exec 500 on an empty node.
-    assert record.latency_ms == pytest.approx(710.0)
+    assert record.t_done - record.t_arrive == pytest.approx(710.0)
     assert record.queue_ms == 0.0
     assert record.charge == pytest.approx(0.62)
     assert record.energy_j == pytest.approx(0.16)
@@ -237,10 +237,8 @@ def test_simulation_refuses_nodes_check_node_refuses(fields):
     bad = make_node("D9", Tier.DEALER, cpu_speed=2000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
                     **fields)
     scenario = load_scenario(str(SCENARIO_DIR / "minimal.json"))
-    topology = Topology(scenario.nodes + [bad])
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
     with pytest.raises(ConfigError, match="D9: "):
-        Simulation(topology, registry, scenario)
+        Simulation(dataclasses.replace(scenario, nodes=scenario.nodes + [bad]))
 
 
 def test_unknown_policy_rejected():
@@ -257,14 +255,12 @@ def test_finished_run_frees_its_simulation():
     # can free it. At seed 7 two requests are still running at the
     # horizon: the loop pops one's event and stops, leaving the other's.
     scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
-    topology = Topology(scenario.nodes)
-    registry = Registry(vocabulary=scenario.vocabulary, weights=scenario.weights)
-    sim = Simulation(topology, registry, scenario, policy="sami", seed=7)
+    sim = Simulation(scenario, policy="sami", seed=7)
     freed = weakref.ref(sim)
     gc.disable()
     try:
         result = sim.run()
-        del sim, topology
+        del sim
         assert freed() is None
     finally:
         gc.enable()
@@ -285,9 +281,7 @@ def test_a_run_keeps_none_of_the_stream_it_drew(monkeypatch):
 
     monkeypatch.setattr(simulation, "generate_workload", keeping)
     scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
-    sim = Simulation(Topology(scenario.nodes),
-                     Registry(vocabulary=scenario.vocabulary, weights=scenario.weights),
-                     scenario)
+    sim = Simulation(scenario)
     result = sim.run()
     (stream,) = drawn
     assert len(stream) == len(result.records) > 1000

@@ -11,11 +11,11 @@ from tierbroker.errors import ParseError, ValidationError
 from tierbroker.model import SecurityClass, Tier, TrustBasis, TrustLevel
 from tierbroker.workload import (
     ConsumerSpec,
-    SplitMix64,
     generate_workload,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    splitmix64,
 )
 
 from conftest import SCENARIO_DIR
@@ -25,19 +25,12 @@ SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 
 
 def test_splitmix64_reference_vector():
-    rng = SplitMix64(0)
-    assert tuple(rng.next_u64() for _ in range(3)) == SPLITMIX64_SEED0
-
-
-def test_splitmix64_uniform_open_interval():
-    rng = SplitMix64(7)
-    draws = [rng.next_float() for _ in range(2000)]
-    assert all(0.0 < u < 1.0 for u in draws)
-    assert abs(sum(draws) / len(draws) - 0.5) < 0.05
+    rng = splitmix64(0)
+    assert tuple(next(rng) for _ in range(3)) == SPLITMIX64_SEED0
 
 
 def test_splitmix64_wraps_seed():
-    assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()
+    assert next(splitmix64(2**64)) == next(splitmix64(0))
 
 
 def consumers(rate=0.5, n_services=1):
@@ -51,6 +44,17 @@ def test_workload_is_deterministic():
     assert a == b
     c = generate_workload(consumers(), seed=43, horizon_ms=100000.0)
     assert a != c
+
+
+def test_workload_gaps_are_exponential():
+    # Each gap is -log(u) / rate for a uniform u in (0, 1]: never negative
+    # or infinite, and 1000 / rate ms on average.
+    arrivals = generate_workload(consumers(rate=2.0), seed=7, horizon_ms=1_000_000.0)
+    times = [0.0] + [a.t_ms for a in arrivals]
+    gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+    assert len(gaps) > 1900
+    assert all(0.0 <= gap < math.inf for gap in gaps)
+    assert abs(sum(gaps) / len(gaps) - 500.0) < 25.0
 
 
 def test_workload_sorted_and_bounded():
