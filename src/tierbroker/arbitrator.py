@@ -22,8 +22,6 @@ from .billing import compute_charge
 from .errors import ConfigError, NoAdmissibleNode, OutOfOrderEvent
 from .model import (
     TIER_RANK,
-    InvocationRecord,
-    Outcome,
     PlacementDecision,
     PlacementReason,
     ResourceNode,
@@ -92,19 +90,20 @@ class ValidationResult:
         return not self.violations
 
 
-class _Window:
+class ServiceWindow:
     """One service's bounded columns and its last completion time."""
 
-    __slots__ = ("times", "latencies", "execs", "last_t")
+    __slots__ = ("service_id", "times", "latencies", "execs", "last_t")
 
-    def __init__(self, window: int):
+    def __init__(self, service_id: str, window: int):
+        self.service_id = service_id
         self.times: deque = deque(maxlen=window)
         self.latencies: deque = deque(maxlen=window)
         self.execs: deque = deque(maxlen=window)
         self.last_t = -math.inf
 
 
-_NO_WINDOW = _Window(0)  # what every read sees for a service never observed
+_NO_WINDOW = ServiceWindow("", 0)  # what every read sees for a service never observed
 
 
 class ContextSnapshot:
@@ -112,30 +111,26 @@ class ContextSnapshot:
 
     Keeps at most `window` completed observations per service, as three
     bounded columns: completion times, latencies and execution times.
-    Each service's columns and last completion time sit on one object,
-    so an observe looks the service up once. The detectors read the
-    columns in place, with no per-call copy of the window, and sum them
-    afresh on every read rather than keeping running totals, so every
-    mean is rounded as fmean rounds it. Feed order must be nondecreasing
-    in completion time for each service.
+    Each service's columns and last completion time sit on one
+    ServiceWindow, which window_of hands out once: the simulator holds
+    each placed service's window and feeds it through collect_context
+    with no lookup. The detectors read the columns in place, with no
+    per-call copy of the window, and sum them afresh on every read
+    rather than keeping running totals, so every mean is rounded as
+    fmean rounds it. Feed order must be nondecreasing in completion time
+    for each service.
     """
 
     def __init__(self, window: int):
         self.window = window
-        self._windows: dict[str, _Window] = {}
+        self._windows: dict[str, ServiceWindow] = {}
 
-    def observe(self, service_id: str, t_done: float, latency_ms: float, exec_ms: float):
+    def window_of(self, service_id: str) -> ServiceWindow:
+        """The service's window, made empty on first asking."""
         w = self._windows.get(service_id)
         if w is None:
-            w = self._windows[service_id] = _Window(self.window)
-        elif t_done < w.last_t:
-            raise OutOfOrderEvent(
-                f"service {service_id}: completion at {t_done} after seeing {w.last_t}"
-            )
-        w.last_t = t_done
-        w.times.append(t_done)
-        w.latencies.append(latency_ms)
-        w.execs.append(exec_ms)
+            w = self._windows[service_id] = ServiceWindow(service_id, self.window)
+        return w
 
     def count(self, service_id: str) -> int:
         return len(self._windows.get(service_id, _NO_WINDOW).times)
@@ -166,16 +161,21 @@ class ContextSnapshot:
         return list(islice(reversed(execs), m))[::-1]
 
 
-def collect_context(record: InvocationRecord, ctx: ContextSnapshot) -> ContextSnapshot:
+def collect_context(w: ServiceWindow, t_done: float, latency_ms: float, exec_ms: float):
     """Fold one completed invocation into its service's analysis window.
 
-    Records with any other outcome leave the context unchanged.
+    The only feed of a window: the caller passes only completions, so
+    there is no outcome to test. Raises OutOfOrderEvent for a completion
+    earlier than the last one fed.
     """
-    if record.outcome is not Outcome.COMPLETED:
-        return ctx
-    t_done = record.t_done
-    ctx.observe(record.service_id, t_done, t_done - record.t_arrive, record.exec_ms)
-    return ctx
+    if t_done < w.last_t:
+        raise OutOfOrderEvent(
+            f"service {w.service_id}: completion at {t_done} after seeing {w.last_t}"
+        )
+    w.last_t = t_done
+    w.times.append(t_done)
+    w.latencies.append(latency_ms)
+    w.execs.append(exec_ms)
 
 
 def _normalize(value: float, lo: float, hi: float) -> float:

@@ -14,7 +14,8 @@ A dealer with hours reserves a sequence, in node order, before any
 other push; its opening pushes its close and its close the next
 opening at it, so it has one event pending whatever the horizon.
 Ties are resolved alike on every run: arrivals first, in list order,
-then the calendar, in node order, then the rest by push sequence. Each
+then the calendar, in node order, then the rest by push sequence, so an
+arrival at a dealer's close runs before the close does. Each
 node serves its queue in FIFO order across cpu_slots parallel slots; a
 request occupies a slot from start until execution completes. Dealers
 reject whatever is still queued when they close; the next arrival of an
@@ -22,9 +23,16 @@ affected service gets re-placed, so a closed dealer's queue stays empty.
 Simulation refuses every node check_node refuses, which holds dealer
 hours to whole minutes: is_dealer_open then flips exactly at the
 calendar's events, day * DAY_MS + minute * 60000.0 to the bit (whole
-numbers below 2**53 add exactly), and nowhere else. Analysis ticks run
-the delay-pressure and compute-shortfall detectors every second under
-the arbitrated policy.
+numbers below 2**53 add exactly), and nowhere else. So a dealer's
+openness is node state, the interval [open_from, open_until) of its
+current or next day's hours: _push_calendar sets the first day's, and
+only the close moves it on to the next day's. An arrival at a close
+runs before it, so it still sees that day's interval and reads closed
+at open_until: two compares equal is_dealer_open at every arrival,
+boundaries included. Every other node,
+a round-the-clock dealer too, is open over (-inf, inf). Analysis ticks
+run the delay-pressure and compute-shortfall detectors every second
+under the arbitrated policy.
 
 A start fixes its completion time, yet the ExecDone is pushed by a
 TransferDone when the transfer ends, not at the start: that push
@@ -52,7 +60,10 @@ When a tick leaves every service in place, the ticks up to the next
 event are skipped, as no dealer opens or closes before it, and only the
 first tick not skipped is pushed; it takes the heap slot the every-tick
 loop would have given it, so event order is unchanged. Only the
-arbitrated policy feeds the analysis window.
+arbitrated policy feeds the analysis windows. Each service holds its
+window from placement on (ContextSnapshot.window_of), so a completion
+feeds it with one collect_context call and no lookup, and _forget reads
+its length there.
 
 The arbitration log records decisions: a (t_ms, kind, service id)
 entry for each register and each reschedule, so it grows with what
@@ -96,6 +107,7 @@ from typing import NamedTuple
 from .arbitrator import (
     ContextSnapshot,
     SchedulerWeights,
+    ServiceWindow,
     analyze_computation,
     analyze_performance,
     collect_context,
@@ -121,7 +133,6 @@ from .model import (
     check_node,
     fits,
     is_admissible,
-    is_dealer_open,
     pair_cost,
     security_ok,
 )
@@ -152,6 +163,10 @@ class _NodeState:
     running: int = 0
     queue: deque = field(default_factory=deque)
     calendar_seq: int = 0  # a dealer's reserved push sequence, when it keeps hours
+    # Open at t_ms when open_from <= t_ms < open_until: the current or next
+    # day's hours of a dealer that keeps them, all time for any other node.
+    open_from: float = -math.inf
+    open_until: float = math.inf
 
 
 class _Pair(NamedTuple):
@@ -167,6 +182,7 @@ class _Pair(NamedTuple):
 class _ServiceState:
     desc: ServiceDescriptor
     record: ServiceRecord | None
+    window: ServiceWindow  # its analysis window, fed only under the arbitrated policy
     pair: _Pair | None = None  # on the placement's node, while placed
     pairs: dict[str, _Pair] = field(default_factory=dict)  # by node id
     migration_until: float = 0.0
@@ -265,7 +281,7 @@ class Simulation:
                 record = self.registry.register_service(desc, self.topology, 0.0)
             else:
                 record = self._register_pinned(desc)
-            state = _ServiceState(desc=desc, record=record)
+            state = _ServiceState(desc=desc, record=record, window=self.context.window_of(desc.id))
             self.services[desc.id] = state
             if record is not None:
                 state.pair = self._pair(state, record.placement.node_id)
@@ -314,6 +330,9 @@ class Simulation:
             self._seq += 1
             node_state.calendar_seq = self._seq
             open_minute, close_minute = node.open_hours
+            # Open over the first day's hours, until their close moves them on.
+            node_state.open_from = open_minute * 60000.0
+            node_state.open_until = close_minute * 60000.0
             # Its first event after 0 ms: the opening, or the close when it opens at 0 ms.
             first = self._on_dealer_open if open_minute else self._on_dealer_close
             self._push_dealer((open_minute or close_minute) * 60000.0, first, node_state)
@@ -356,9 +375,9 @@ class Simulation:
         pair = state.pair
         node_state = pair.node_state
         node = node_state.node
-        # is_admissible, with the half that holds at all hours read from the pair.
-        admitted = pair.fits and (node.tier is not Tier.DEALER or is_dealer_open(node, t_ms))
-        if not admitted:
+        # is_admissible: the half that holds at all hours read from the pair,
+        # and a dealer's hours from its node state.
+        if not (pair.fits and node_state.open_from <= t_ms < node_state.open_until):
             if self._analysed:
                 node_state = self._re_resolve(t_ms, state, request)
                 if node_state is None:
@@ -417,10 +436,9 @@ class Simulation:
         detector advises on an empty window, and its first completion
         marks it, its nearer being None.
         """
-        count = self.context.count
         for state in states:
             state.nearer = None
-            if count(state.desc.id):
+            if state.window.times:
                 self._changed.add(state.desc.id)
 
     def _try_start(self, t_ms: float, node_state: _NodeState):
@@ -472,15 +490,16 @@ class Simulation:
         request.t_done = t_ms
         request.outcome = Outcome.COMPLETED
         request.energy_j = energy_j(request.transfer_ms, request.queue_ms, self.energy_model)
+        latency_ms = t_ms - request.t_arrive
         request.charge = apply_slo_rebate(
             pair.charge,
             node_state.node.qos,
-            t_ms - request.t_arrive,
+            latency_ms,
             state.desc.sla_latency_ms,
             self.scenario.rebate_frac,
         )
         if self._analysed:
-            collect_context(request, self.context)
+            collect_context(state.window, t_ms, latency_ms, request.exec_ms)
             # With no nearer node only the compute check can advise. A time
             # within the factor silences it; an overrun after it advised
             # leaves it advising, on the same choice.
@@ -508,8 +527,11 @@ class Simulation:
         self._forget(*self._placed)
 
     def _on_dealer_close(self, t_ms: float, node_state: _NodeState):
+        """Move the open interval on to the next day's hours and push their
+        opening; reject what is queued and forget every verdict, as on an opening."""
         open_minute, close_minute = node_state.node.open_hours
-        t_open = t_ms + DAY_MS - (close_minute - open_minute) * 60000.0  # the next day's
+        t_close = node_state.open_until = t_ms + DAY_MS
+        t_open = node_state.open_from = t_close - (close_minute - open_minute) * 60000.0
         self._push_dealer(t_open, self._on_dealer_open, node_state)
         while node_state.queue:
             request = node_state.queue.popleft()

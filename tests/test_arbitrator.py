@@ -29,7 +29,6 @@ from tierbroker.errors import (
     OutOfOrderEvent,
 )
 from tierbroker.model import (
-    InvocationRecord,
     Outcome,
     PlacementDecision,
     PlacementReason,
@@ -41,8 +40,10 @@ from tierbroker.model import (
     TrustLevel,
 )
 from tierbroker.report import percentile
+from tierbroker.simulation import Simulation
+from tierbroker.workload import load_scenario
 
-from conftest import T0_MIDNIGHT, T0_NOON, make_node, make_service
+from conftest import SCENARIO_DIR, T0_MIDNIGHT, T0_NOON, make_node, make_service
 from oracles import (
     OracleNoNode,
     grid_pools,
@@ -51,6 +52,7 @@ from oracles import (
 )
 
 W = SchedulerWeights()
+SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +283,7 @@ def test_percentile_nearest_rank():
 def test_context_window_evicts_oldest():
     ctx = ContextSnapshot(window=100)
     for i in range(101):
-        ctx.observe("svc", float(i), latency_ms=float(i), exec_ms=1.0)
+        collect_context(ctx.window_of("svc"), float(i), latency_ms=float(i), exec_ms=1.0)
     assert ctx.count("svc") == 100
     # 1 .. 100 left: the mean of 0 .. 99 would be 49.5.
     assert ctx.mean_latency("svc") == 50.5
@@ -289,15 +291,15 @@ def test_context_window_evicts_oldest():
 
 def test_context_rejects_time_travel():
     ctx = ContextSnapshot(window=100)
-    ctx.observe("svc", 100.0, 10.0, 1.0)
+    collect_context(ctx.window_of("svc"), 100.0, 10.0, 1.0)
     with pytest.raises(OutOfOrderEvent):
-        ctx.observe("svc", 99.0, 10.0, 1.0)
+        collect_context(ctx.window_of("svc"), 99.0, 10.0, 1.0)
 
 
 def test_context_rate_over_window_span():
     ctx = ContextSnapshot(window=100)
     for i in range(25):
-        ctx.observe("svc", i * 100.0, 500.0, 1.0)
+        collect_context(ctx.window_of("svc"), i * 100.0, 500.0, 1.0)
     # 24 intervals of 100 ms each.
     assert ctx.rate_per_s("svc") == pytest.approx(10.0)
     assert ctx.mean_latency("svc") == 500.0
@@ -320,7 +322,7 @@ def test_context_columns_match_a_plain_window(window, observations):
     t = 0.0
     for gap, latency, exec_ms in observations:
         t += gap
-        ctx.observe("svc", t, latency, exec_ms)
+        collect_context(ctx.window_of("svc"), t, latency, exec_ms)
         seen.append((t, latency, exec_ms))
         plain = seen[-window:]
         assert ctx.count("svc") == len(plain)
@@ -330,21 +332,26 @@ def test_context_columns_match_a_plain_window(window, observations):
             assert ctx.recent_exec("svc", m) == [s[2] for s in plain][-m:]
 
 
-def test_collect_context_skips_unfinished():
-    ctx = ContextSnapshot(window=100)
-    rejected = InvocationRecord(
-        request_id=1, service_id="svc", consumer_id="u", node_id="M1",
-        t_arrive=0.0, outcome=Outcome.REJECTED,
-    )
-    collect_context(rejected, ctx)
-    assert ctx.count("svc") == 0
-    done = InvocationRecord(
-        request_id=2, service_id="svc", consumer_id="u", node_id="M1",
-        t_arrive=0.0, t_start=0.0, t_done=50.0, exec_ms=10.0,
-        outcome=Outcome.COMPLETED,
-    )
-    collect_context(done, ctx)
-    assert ctx.count("svc") == 1
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_each_window_holds_its_last_completions(name, seed):
+    # The simulator feeds a completion straight into its service's window,
+    # so no other outcome can reach it. After a sami run, each window holds
+    # the service's last min(window, completed) completions, in completion
+    # order, as the records tell them.
+    scenario = load_scenario(str(SCENARIO_DIR / name))
+    sim = Simulation(scenario, seed=seed)
+    records = sim.run().records
+    size = scenario.thresholds.window
+    for service_id, state in sim.services.items():
+        assert state.window is sim.context.window_of(service_id)
+        done = sorted(
+            (r for r in records if r.service_id == service_id and r.outcome is Outcome.COMPLETED),
+            key=lambda r: r.t_done,
+        )
+        expected = [(r.t_done, r.t_done - r.t_arrive, r.exec_ms) for r in done][-size:]
+        window = state.window
+        assert list(zip(window.times, window.latencies, window.execs)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +361,7 @@ def test_collect_context_skips_unfinished():
 def pressured_context(service_id, n=25, dt_ms=99.0, latency_ms=500.0):
     ctx = ContextSnapshot(window=100)
     for i in range(n):
-        ctx.observe(service_id, i * dt_ms, latency_ms, 1.0)
+        collect_context(ctx.window_of(service_id), i * dt_ms, latency_ms, 1.0)
     return ctx
 
 

@@ -5,7 +5,9 @@ pushing the one after it, and each dealer's next opening or close; the
 reference pushes every arrival onto the heap first. Both must run
 events in the same order, ties included, so the arbitration log, every
 invocation record and the report come out equal. The calendar is
-checked on its own against every opening and close up to the horizon.
+checked on its own against every opening and close up to the horizon,
+and each node state's open interval against is_dealer_open at every
+arrival.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from tierbroker import simulation
 from tierbroker.arbitrator import SchedulerWeights, Thresholds
-from tierbroker.model import DAY_MS, EnergyModel, SecurityClass, Tier
+from tierbroker.model import DAY_MS, EnergyModel, Outcome, SecurityClass, Tier, is_dealer_open
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICIES, Simulation
 from tierbroker.workload import (
@@ -289,6 +291,65 @@ def test_days_of_dealer_hours_match_heap_only_reference(case):
     rank = {"arrival": 0, "open": 1, "close": 1}
     ranks = [(t_ms, rank.get(kind, 2)) for t_ms, kind, _ in sim.events]
     assert ranks == sorted(ranks)
+
+
+class CheckOpenness(Simulation):
+    """Checks at every arrival that each node state's open interval admits
+    exactly when is_dealer_open does, a node that is no dealer always."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked = []  # (t_ms, dealer id, open) at each arrival
+
+    def _on_arrival(self, t_ms, arrival):
+        for node_state in self.node_states.values():
+            node = node_state.node
+            opened = node_state.open_from <= t_ms < node_state.open_until
+            if node.tier is Tier.DEALER:
+                assert opened is is_dealer_open(node, t_ms), (t_ms, node.id)
+                self.checked.append((t_ms, node.id, opened))
+            else:
+                assert opened, (t_ms, node.id)
+        super()._on_arrival(t_ms, arrival)
+
+
+@settings(max_examples=100, deadline=None)
+@given(multi_day_cases())
+def test_open_interval_admits_as_dealer_hours_do(case):
+    scenario, arrivals, policy = case
+    with pytest.MonkeyPatch.context() as mp:
+        use_arrivals(mp, arrivals)
+        CheckOpenness(scenario, policy=policy).run()
+
+
+def hours_scenario(open_minute, close_minute, horizon_ms):
+    """svc-x, latency-sensitive, on D1 with the given hours, or on M1 or C1."""
+    scenario = tie_scenario(close_minute=1, horizon_ms=horizon_ms)
+    d1 = dataclasses.replace(scenario.nodes[0], open_hours=(open_minute, close_minute))
+    scenario.nodes = [d1] + scenario.nodes[2:]
+    return scenario
+
+
+@pytest.mark.parametrize("policy", ["sami", "dealer-only"])
+@pytest.mark.parametrize("hours", [(540, 1020), (0, 600), (600, 1440), (0, 1440)])
+def test_arrivals_at_opening_and_close(monkeypatch, hours, policy):
+    # An arrival exactly at an opening finds the dealer open and one
+    # exactly at a close finds it closed, as do those a millisecond either
+    # side, on each of three days; hours from and to midnight included.
+    horizon = 2.5 * DAY_MS
+    edges = {day * DAY_MS + minute * 60000.0 for day in range(3) for minute in hours}
+    near = {t + step for t in edges for step in (-1.0, 0.0, 1.0)}
+    times = sorted(t for t in near if 0.0 <= t <= horizon)
+    use_arrivals(monkeypatch, [Arrival(t, "u1", "svc-x") for t in times])
+    sim = CheckOpenness(hours_scenario(*hours, horizon), policy=policy)
+    result = sim.run()
+    assert len(sim.checked) == len(times)
+    for t_ms, _, opened in sim.checked:
+        assert opened is (hours[0] * 60000.0 <= t_ms % DAY_MS < hours[1] * 60000.0)
+    if policy == "dealer-only":
+        # Pinned to D1: an arrival is refused exactly when D1 is closed.
+        refused = [r.t_arrive for r in result.records if r.outcome is Outcome.REJECTED]
+        assert refused == [t for t, _, opened in sim.checked if not opened]
 
 
 def test_calendar_holds_one_event_per_dealer_whatever_the_horizon():

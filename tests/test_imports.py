@@ -108,10 +108,51 @@ def definitions(tree):
                     yield f"{top.name}.{node.name}", node.name
 
 
-def references(tree):
-    """(name, owner) for every Name, Attribute and import alias in tree,
-    owner being the qualified name of the top-level def or class, or of
-    the method, it sits in, or None."""
+def members(cls):
+    """The names a class binds: its defs, its class-level assignments and
+    annotations, its __slots__ and what its methods assign to self."""
+    names = set()
+    for node in cls.body:
+        if is_def(node):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+                names.update(ast.literal_eval(node.value))
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                names.add(node.attr)
+    return names
+
+
+def references(tree, classes):
+    """(name, owner, receiver, called) for every Name, Attribute and import
+    alias in tree, classes mapping each package class to its members.
+
+    owner is the qualified name of the top-level def or class, or of the
+    method, it sits in, or None. receiver is the class an attribute is
+    read from when that is known: the enclosing class for `self.x` and
+    `cls.x` where that class binds x, the class for `SomeClass.x`, and
+    the annotation for `p.x` where p is a parameter annotated with a
+    package class; otherwise None. called is whether the attribute is
+    called.
+    """
+    local = {top.name: members(top) for top in tree.body if isinstance(top, ast.ClassDef)}
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    typed = {}  # id of a parameter's Name node -> the package class it is annotated with
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = function.args
+            params = {
+                arg.arg: arg.annotation.id
+                for arg in args.posonlyargs + args.args + args.kwonlyargs
+                if isinstance(arg.annotation, ast.Name) and arg.annotation.id in classes
+            }
+            for node in ast.walk(function):
+                if isinstance(node, ast.Name) and node.id in params:
+                    typed[id(node)] = params[node.id]
     for top in tree.body:
         if isinstance(top, ast.ClassDef):
             parts = [(node, f"{top.name}.{node.name}" if is_def(node) else top.name)
@@ -122,35 +163,74 @@ def references(tree):
         for part, owner in parts:
             for node in ast.walk(part):
                 if isinstance(node, ast.Name):
-                    yield node.id, owner
+                    yield node.id, owner, None, False
                 elif isinstance(node, ast.Attribute):
-                    yield node.attr, owner
+                    receiver, value = None, node.value
+                    if isinstance(value, ast.Name):
+                        if value.id in ("self", "cls") and isinstance(top, ast.ClassDef):
+                            if node.attr in local[top.name]:
+                                receiver = top.name
+                        elif id(value) in typed:
+                            receiver = typed[id(value)]
+                        elif value.id in classes or value.id in local:
+                            receiver = value.id
+                    yield node.attr, owner, receiver, id(node) in called
                 elif isinstance(node, ast.alias):
-                    yield node.name.rpartition(".")[2], owner
+                    yield node.name.rpartition(".")[2], owner, None, False
 
 
 def test_every_definition_is_reached_outside_tests():
     # A def, class, method or property must be used by the package or the
     # benchmark, not only by its own body (a class's by its own methods) or
     # the tests. The package's __init__.py re-exports names without using
-    # them, so it reaches none.
+    # them, so it reaches none. A method is reached by an attribute of its
+    # name read from its own class (`self.m` inside it, `Class.m`), or from
+    # an unknown receiver when no other package class binds that name;
+    # where one does, such a read may be of the other class's member, save
+    # a call when no other package class defines a method of that name.
     sources = [p for p in MODULES if p.name != "__init__.py"] + sorted(BENCH.glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
-    reached = {}  # name -> {(file, owner)} of its references
+    class_defs = [
+        top
+        for path in sources
+        if path.parent == PACKAGE
+        for top in trees[path].body
+        if isinstance(top, ast.ClassDef)
+    ]
+    classes = {top.name: members(top) for top in class_defs}
+    binders, definers = {}, {}  # name -> package classes binding it, defining it
+    for top in class_defs:
+        for name in classes[top.name]:
+            binders.setdefault(name, set()).add(top.name)
+        for node in top.body:
+            if is_def(node):
+                definers.setdefault(node.name, set()).add(top.name)
+    reached = {}  # name -> {(file, owner, receiver, called)} of its references
     for path, tree in trees.items():
-        for name, owner in references(tree):
-            reached.setdefault(name, set()).add((path, owner))
+        for name, owner, receiver, called in references(tree, classes):
+            reached.setdefault(name, set()).add((path, owner, receiver, called))
 
     def inside(owner, qualified):
         return owner is not None and (owner == qualified or owner.startswith(qualified + "."))
+
+    def reaches(reference, path, qualified, name):
+        where, owner, receiver, called = reference
+        if where == path and inside(owner, qualified):
+            return False
+        cls, dot, _ = qualified.rpartition(".")
+        if not dot:  # a top-level def or class
+            return True
+        if receiver is not None:
+            return receiver == cls
+        others = binders[name] - {cls}
+        return not others or called and not definers[name] - {cls}
 
     unreached = [
         qualified
         for path in sources
         if path.parent == PACKAGE
         for qualified, name in definitions(trees[path])
-        if all(where == path and inside(owner, qualified)
-               for where, owner in reached.get(name, ()))
+        if not any(reaches(ref, path, qualified, name) for ref in reached.get(name, ()))
     ]
     # The keep-list holds nothing a change has since put to use.
     assert sorted(unreached) == sorted(TEST_ONLY)

@@ -4,8 +4,8 @@ and a report equal to the reference one.
 The scenarios come from the strategies that drive the reference-loop
 tests, under every policy. The report property feeds random record
 lists to Simulation._finish directly, the context property feeds
-random completions to ContextSnapshot against plain per-service lists,
-and the composition property draws registries and goals.
+random completions through collect_context against plain per-service
+lists, and the composition property draws registries and goals.
 """
 
 import math
@@ -18,7 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tierbroker import simulation
-from tierbroker.arbitrator import ContextSnapshot, SchedulerWeights, Thresholds
+from tierbroker.arbitrator import (
+    ContextSnapshot,
+    SchedulerWeights,
+    Thresholds,
+    collect_context,
+)
 from tierbroker.errors import OutOfOrderEvent, UncoverableGoal
 from tierbroker.model import (
     EnergyModel,
@@ -293,14 +298,14 @@ def test_context_reads_equal_plain_lists(window, feed):
     t = 0.0
     for service_id, gap, latency, exec_ms in feed:
         t += gap
-        ctx.observe(service_id, t, latency, exec_ms)
+        collect_context(ctx.window_of(service_id), t, latency, exec_ms)
         plain.observe(service_id, t, latency, exec_ms)
         for other in CONTEXT_IDS:
             assert context_reads(ctx, other) == plain.reads(other)
     for service_id in plain.seen:
         last = plain.seen[service_id][-1][0]
         with pytest.raises(OutOfOrderEvent):
-            ctx.observe(service_id, math.nextafter(last, -math.inf), 1.0, 1.0)
+            collect_context(ctx.window_of(service_id), math.nextafter(last, -math.inf), 1.0, 1.0)
         assert context_reads(ctx, service_id) == plain.reads(service_id)
 
 
