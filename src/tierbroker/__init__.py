@@ -8,7 +8,6 @@ comparing placement policies on scenario files.
 __version__ = "0.1.0"
 
 from .arbitrator import (
-    ContextSnapshot,
     RescheduleAdvice,
     SchedulerWeights,
     Thresholds,
@@ -48,7 +47,6 @@ from .workload import Scenario, generate_workload, load_scenario
 
 __all__ = [
     "ConfigError",
-    "ContextSnapshot",
     "DuplicateService",
     "FunctionalSpec",
     "IncompatibleReplacement",

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import islice
 from statistics import StatisticsError, fmean
 
 from .billing import compute_charge
@@ -81,17 +81,18 @@ class Violation:
     message: str
 
 
-@dataclass
-class ValidationResult:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class ServiceWindow:
-    """One service's bounded columns and its last completion time."""
+    """One service's sliding window of completions, fed by collect_context.
+
+    Keeps at most `window` completed observations, as three bounded
+    columns: completion times, latencies and execution times, plus the
+    last completion time. The simulator holds each placed service's
+    window and feeds it with no lookup. The detectors read the columns
+    in place, with no per-call copy of the window, and sum them afresh
+    on every read rather than keeping running totals, so every mean is
+    rounded as fmean rounds it. Feed order must be nondecreasing in
+    completion time.
+    """
 
     __slots__ = ("service_id", "times", "latencies", "execs", "last_t")
 
@@ -102,63 +103,22 @@ class ServiceWindow:
         self.execs: deque = deque(maxlen=window)
         self.last_t = -math.inf
 
-
-_NO_WINDOW = ServiceWindow("", 0)  # what every read sees for a service never observed
-
-
-class ContextSnapshot:
-    """Monitoring state: a sliding window of completions per service.
-
-    Keeps at most `window` completed observations per service, as three
-    bounded columns: completion times, latencies and execution times.
-    Each service's columns and last completion time sit on one
-    ServiceWindow, which window_of hands out once: the simulator holds
-    each placed service's window and feeds it through collect_context
-    with no lookup. The detectors read the columns in place, with no
-    per-call copy of the window, and sum them afresh on every read
-    rather than keeping running totals, so every mean is rounded as
-    fmean rounds it. Feed order must be nondecreasing in completion time
-    for each service.
-    """
-
-    def __init__(self, window: int):
-        self.window = window
-        self._windows: dict[str, ServiceWindow] = {}
-
-    def window_of(self, service_id: str) -> ServiceWindow:
-        """The service's window, made empty on first asking."""
-        w = self._windows.get(service_id)
-        if w is None:
-            w = self._windows[service_id] = ServiceWindow(service_id, self.window)
-        return w
-
-    def count(self, service_id: str) -> int:
-        return len(self._windows.get(service_id, _NO_WINDOW).times)
-
-    def mean_latency(self, service_id: str) -> float:
-        latencies = self._windows.get(service_id, _NO_WINDOW).latencies
+    def mean_latency(self) -> float:
+        latencies = self.latencies
         if not latencies:
             raise StatisticsError("fmean requires at least one data point")
         # What fmean computes, without its copy of the window.
         return math.fsum(latencies) / len(latencies)
 
-    def rate_per_s(self, service_id: str) -> float:
+    def rate_per_s(self) -> float:
         """Observed completion rate over the window span."""
-        times = self._windows.get(service_id, _NO_WINDOW).times
+        times = self.times
         if len(times) < 2:
             return 0.0
         span_ms = times[-1] - times[0]
         if span_ms <= 0:
             return math.inf
         return (len(times) - 1) * 1000.0 / span_ms
-
-    def recent_exec(self, service_id: str, m: int) -> list[float]:
-        """The last m execution times, oldest first, without copying the column.
-
-        m=0 reads no times.
-        """
-        execs = self._windows.get(service_id, _NO_WINDOW).execs
-        return list(islice(reversed(execs), m))[::-1]
 
 
 def collect_context(w: ServiceWindow, t_done: float, latency_ms: float, exec_ms: float):
@@ -300,14 +260,15 @@ def nearer_gain(
     thresholds: Thresholds,
     t_ms: float,
 ) -> tuple[Tier, float] | None:
-    """The window-free half of analyze_performance: where a move could go.
+    """Where a move could go: the answer analyze_performance takes as `nearer`.
 
     None when the service is not latency-sensitive, already sits on the
     nearest tier, or no admissible node in a nearer tier projects a
     response at least min_gain_ms better than the current node's.
     Otherwise the nearest such tier and its best gain. It reads no
     window, so it depends only on the service, its node and which
-    dealers are open at t_ms.
+    dealers are open at t_ms, and a caller may keep the answer until
+    one of those changes.
     """
     if not service.latency_sensitive:
         return None
@@ -328,31 +289,26 @@ def nearer_gain(
 
 
 def analyze_performance(
-    ctx: ContextSnapshot,
-    service: ServiceDescriptor,
-    current_node: ResourceNode,
-    topology: Topology,
+    window: ServiceWindow,
+    nearer: tuple[Tier, float] | None,
     thresholds: Thresholds,
-    t_ms: float,
 ) -> RescheduleAdvice | None:
     """Delay-pressure detector for latency-sensitive services.
 
-    Fires when some admissible node in a nearer tier projects a response
-    at least min_gain_ms better than the current node (nearer_gain) and
-    observed load (arrival rate x mean latency) exceeds the pressure
-    threshold. The window is read only when the first test passes.
+    `nearer` is nearer_gain's answer for the service where it sits now;
+    False stands for None. Fires when it names a tier and the observed
+    load over the service's window (arrival rate x mean latency) exceeds
+    the pressure threshold. The window is read only when a tier is named.
     """
-    nearer = nearer_gain(service, current_node, topology, thresholds, t_ms)
-    if nearer is None:
+    if not nearer:
         return None
-    if ctx.count(service.id) < thresholds.min_samples:
+    if len(window.times) < thresholds.min_samples:
         return None
-    load = ctx.rate_per_s(service.id) * ctx.mean_latency(service.id)
-    if load <= thresholds.delay_pressure_ms_per_s:
+    if window.rate_per_s() * window.mean_latency() <= thresholds.delay_pressure_ms_per_s:
         return None
     tier, gain_ms = nearer
     return RescheduleAdvice(
-        service_id=service.id,
+        service_id=window.service_id,
         trigger=AdviceKind.DELAY_PRESSURE,
         target_tier_hint=tier,
         projected_gain_ms=gain_ms,
@@ -360,7 +316,7 @@ def analyze_performance(
 
 
 def analyze_computation(
-    observed_exec_ms: list[float],
+    observed_exec_ms: Iterable[float],
     expected_exec_ms: float,
     k: float,
     m: int,
@@ -368,8 +324,8 @@ def analyze_computation(
 ) -> RescheduleAdvice | None:
     """Compute-shortfall detector.
 
-    Fires when the last m observed executions each overran the expected
-    execution time by more than factor k.
+    Fires when the last m observed executions, oldest first, each
+    overran the expected execution time by more than factor k.
     """
     if expected_exec_ms <= 0:
         raise ValueError("expected_exec_ms must be > 0")
@@ -434,14 +390,14 @@ def reschedule(
 
 def enforce_standard(
     service: ServiceDescriptor, vocabulary: set[str] | None = None
-) -> ValidationResult:
+) -> list[Violation]:
     """Registration-time conformance gate for service descriptions.
 
     Checks the registration standard of the scenario schema (non-empty
     identity fields, semantic version form, tag count and pattern,
     bounded description), reading its limits from there, plus the
-    optional controlled vocabulary and sane resource figures. All
-    problems are reported, not just the first.
+    optional controlled vocabulary and sane resource figures. Returns
+    every problem, not just the first; an empty list passes.
     """
     rules = standard()
     tags = rules["capability_tags"]
@@ -481,4 +437,4 @@ def enforce_standard(
             v.append(Violation(field_name, "must be >= 0"))
     if service.sla_latency_ms <= 0:
         v.append(Violation("sla_latency_ms", "must be > 0"))
-    return ValidationResult(violations=v)
+    return v

@@ -118,8 +118,7 @@ def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     clean = True
     for desc in sorted(scenario.services, key=lambda s: s.id):
-        outcome = enforce_standard(desc, scenario.vocabulary)
-        for violation in outcome.violations:
+        for violation in enforce_standard(desc, scenario.vocabulary):
             clean = False
             print(f"{desc.id}: {violation.field}: {violation.message}")
     if clean:

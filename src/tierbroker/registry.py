@@ -86,9 +86,9 @@ class Registry:
         A pre-made placement pins the service without consulting the
         arbitration flow (used by the single-tier baseline policies).
         """
-        check = enforce_standard(desc, self.vocabulary)
-        if not check.ok:
-            raise StandardViolation(desc.id, check.violations)
+        violations = enforce_standard(desc, self.vocabulary)
+        if violations:
+            raise StandardViolation(desc.id, violations)
         if desc.id in self._records:
             raise DuplicateService(f"service id {desc.id!r} already registered")
         for rec in self._records.values():

@@ -41,16 +41,21 @@ when it was pushed while the request was still transferring.
 
 The analysis loop is incremental but exact. A verdict depends only on
 the service's node, which dealers are open and its window. Each service
-keeps two answers from its last analysis: whether nearer_gain found a
-nearer node (nearer), and whether the compute check advised (advising).
-A move and a dealer's opening or close forget nearer (_forget);
-advising is read only while nearer is False, which _analyze sets only
-together with advising. A tick looks only at the services marked since
-the tick before: forgotten, or completing a request that could change
-their verdict. A service nothing has completed for is never analysed,
-as neither detector advises on an empty window. While nearer is unknown
-or true, every completion marks its service. With no node nearer, only
-the compute check can advise, on the last compute_run execution times
+keeps two answers from its last analysis: nearer_gain's (nearer: the
+nearest tier with a worthwhile gain and that gain, or False for none),
+and whether the compute check advised (advising). nearer_gain reads no
+window, so its answer stands until the service moves or a dealer opens
+or closes. Each of those forgets nearer (_forget), and a dealer's event
+at a tick's time runs before the tick, its sequence being reserved
+first. So an analysis runs nearer_gain only when nearer is forgotten,
+and analyze_performance reads the answer kept. advising is read only
+while nearer is False, which _analyze sets only together with advising.
+A tick looks only at the services marked since the tick before:
+forgotten, or completing a request that could change their verdict. A
+service nothing has completed for is never analysed, as neither detector
+advises on an empty window. While nearer is unknown or names a tier,
+every completion marks its service. With no node nearer, only the
+compute check can advise, on the last compute_run execution times
 against the current node's. A time within the factor silences it, so it
 marks nothing and clears advising. An overrun marks the service unless
 advising is set: then the last compute_run times all still overrun, so
@@ -61,9 +66,9 @@ event are skipped, as no dealer opens or closes before it, and only the
 first tick not skipped is pushed; it takes the heap slot the every-tick
 loop would have given it, so event order is unchanged. Only the
 arbitrated policy feeds the analysis windows. Each service holds its
-window from placement on (ContextSnapshot.window_of), so a completion
-feeds it with one collect_context call and no lookup, and _forget reads
-its length there.
+ServiceWindow from placement on, so a completion feeds it with one
+collect_context call and no lookup, and the detectors and _forget read
+it there.
 
 The arbitration log records decisions: a (t_ms, kind, service id)
 entry for each register and each reschedule, so it grows with what
@@ -105,7 +110,6 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .arbitrator import (
-    ContextSnapshot,
     SchedulerWeights,
     ServiceWindow,
     analyze_computation,
@@ -187,9 +191,9 @@ class _ServiceState:
     pairs: dict[str, _Pair] = field(default_factory=dict)  # by node id
     migration_until: float = 0.0
     reschedules: int = 0
-    # Whether nearer_gain found a nearer node; None from a move or a dealer
-    # event until next analysed.
-    nearer: bool | None = None
+    # nearer_gain's answer at the last analysis, False for its None; None
+    # from a move or a dealer event until next analysed.
+    nearer: tuple[Tier, float] | bool | None = None
     # The compute check advised at the last analysis, and every completion
     # since overran by the factor; read only while nearer is False.
     advising: bool = False
@@ -253,7 +257,6 @@ class Simulation:
         self.arbitration_log: list[tuple[float, str, str]] = []
         self.security_violations = 0
         self._analysed = policy == "sami"
-        self.context = ContextSnapshot(window=self.thresholds.window)
         self.services: dict[str, _ServiceState] = {}
         self._placed: list[_ServiceState] = []  # placed services, by id
         # Services the next tick analyses: moved or forgotten since the last
@@ -281,7 +284,8 @@ class Simulation:
                 record = self.registry.register_service(desc, self.topology, 0.0)
             else:
                 record = self._register_pinned(desc)
-            state = _ServiceState(desc=desc, record=record, window=self.context.window_of(desc.id))
+            window = ServiceWindow(desc.id, self.thresholds.window)
+            state = _ServiceState(desc=desc, record=record, window=window)
             self.services[desc.id] = state
             if record is not None:
                 state.pair = self._pair(state, record.placement.node_id)
@@ -554,23 +558,20 @@ class Simulation:
 
     def _analyze(self, t_ms: float, state: _ServiceState) -> bool:
         """Run both detectors and act on their advice; True when the service moved."""
-        service_id = state.desc.id
-        current = state.pair.node_state.node
+        thresholds = self.thresholds
         if state.nearer is None:
-            gain = nearer_gain(state.desc, current, self.topology, self.thresholds, t_ms)
-            state.nearer = gain is not None
-        advice = analyze_performance(
-            self.context, state.desc, current, self.topology, self.thresholds, t_ms
-        )
+            node = state.pair.node_state.node
+            state.nearer = nearer_gain(state.desc, node, self.topology, thresholds, t_ms) or False
+        advice = analyze_performance(state.window, state.nearer, thresholds)
         if advice is None:
             expected = state.pair.cost.exec_ms
             if expected > 0:
                 advice = analyze_computation(
-                    self.context.recent_exec(service_id, self.thresholds.compute_run),
+                    state.window.execs,
                     expected,
-                    k=self.thresholds.compute_factor,
-                    m=self.thresholds.compute_run,
-                    service_id=service_id,
+                    k=thresholds.compute_factor,
+                    m=thresholds.compute_run,
+                    service_id=state.desc.id,
                 )
             state.advising = advice is not None
         if advice is None:

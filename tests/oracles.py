@@ -27,7 +27,12 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from tierbroker.arbitrator import analyze_computation, analyze_performance, reschedule
+from tierbroker.arbitrator import (
+    analyze_computation,
+    analyze_performance,
+    nearer_gain,
+    reschedule,
+)
 from tierbroker.model import Outcome, SecurityClass, Tier, TrustBasis, TrustLevel
 from tierbroker.report import RunRow, ServiceRow, latency_stats
 from tierbroker import simulation
@@ -193,13 +198,15 @@ class EveryTickSimulation(Simulation):
                 continue
             current = self.topology.get(state.record.placement.node_id)
             advice = analyze_performance(
-                self.context, state.desc, current, self.topology, self.thresholds, t_ms
+                state.window,
+                nearer_gain(state.desc, current, self.topology, self.thresholds, t_ms),
+                self.thresholds,
             )
             if advice is None:
                 expected = state.desc.cpu_demand / current.cpu_speed * 1000.0
                 if expected > 0:
                     advice = analyze_computation(
-                        self.context.recent_exec(service_id, self.thresholds.compute_run),
+                        state.window.execs,
                         expected,
                         k=self.thresholds.compute_factor,
                         m=self.thresholds.compute_run,

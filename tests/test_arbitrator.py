@@ -1,6 +1,7 @@
 """Scheduler flow, scoring, monitoring context, analysis detectors, rescheduling."""
 
 import statistics
+from collections import deque
 from itertools import product
 from types import SimpleNamespace
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from tierbroker.arbitrator import (
     AdviceKind,
-    ContextSnapshot,
     RescheduleAdvice,
     SchedulerWeights,
+    ServiceWindow,
     Thresholds,
     analyze_computation,
     analyze_performance,
@@ -20,6 +21,7 @@ from tierbroker.arbitrator import (
     decide_among,
     enforce_standard,
     migration_delay_ms,
+    nearer_gain,
     reschedule,
     schedule_service,
 )
@@ -281,28 +283,28 @@ def test_percentile_nearest_rank():
 
 
 def test_context_window_evicts_oldest():
-    ctx = ContextSnapshot(window=100)
+    w = ServiceWindow("svc", 100)
     for i in range(101):
-        collect_context(ctx.window_of("svc"), float(i), latency_ms=float(i), exec_ms=1.0)
-    assert ctx.count("svc") == 100
+        collect_context(w, float(i), latency_ms=float(i), exec_ms=1.0)
+    assert len(w.times) == 100
     # 1 .. 100 left: the mean of 0 .. 99 would be 49.5.
-    assert ctx.mean_latency("svc") == 50.5
+    assert w.mean_latency() == 50.5
 
 
 def test_context_rejects_time_travel():
-    ctx = ContextSnapshot(window=100)
-    collect_context(ctx.window_of("svc"), 100.0, 10.0, 1.0)
+    w = ServiceWindow("svc", 100)
+    collect_context(w, 100.0, 10.0, 1.0)
     with pytest.raises(OutOfOrderEvent):
-        collect_context(ctx.window_of("svc"), 99.0, 10.0, 1.0)
+        collect_context(w, 99.0, 10.0, 1.0)
 
 
 def test_context_rate_over_window_span():
-    ctx = ContextSnapshot(window=100)
+    w = ServiceWindow("svc", 100)
     for i in range(25):
-        collect_context(ctx.window_of("svc"), i * 100.0, 500.0, 1.0)
+        collect_context(w, i * 100.0, 500.0, 1.0)
     # 24 intervals of 100 ms each.
-    assert ctx.rate_per_s("svc") == pytest.approx(10.0)
-    assert ctx.mean_latency("svc") == 500.0
+    assert w.rate_per_s() == pytest.approx(10.0)
+    assert w.mean_latency() == 500.0
 
 
 OBSERVATION = st.tuples(
@@ -317,19 +319,18 @@ OBSERVATION = st.tuples(
 def test_context_columns_match_a_plain_window(window, observations):
     # The reference is the last `window` observations as one list; the
     # draws run up to several windows long, so eviction is exercised.
-    ctx = ContextSnapshot(window=window)
+    w = ServiceWindow("svc", window)
     seen = []
     t = 0.0
     for gap, latency, exec_ms in observations:
         t += gap
-        collect_context(ctx.window_of("svc"), t, latency, exec_ms)
+        collect_context(w, t, latency, exec_ms)
         seen.append((t, latency, exec_ms))
         plain = seen[-window:]
-        assert ctx.count("svc") == len(plain)
-        mean = ctx.mean_latency("svc")
+        assert len(w.times) == len(plain)
+        mean = w.mean_latency()
         assert mean.hex() == statistics.fmean([s[1] for s in plain]).hex()
-        for m in range(1, window + 2):
-            assert ctx.recent_exec("svc", m) == [s[2] for s in plain][-m:]
+        assert list(w.execs) == [s[2] for s in plain]
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -344,7 +345,6 @@ def test_each_window_holds_its_last_completions(name, seed):
     records = sim.run().records
     size = scenario.thresholds.window
     for service_id, state in sim.services.items():
-        assert state.window is sim.context.window_of(service_id)
         done = sorted(
             (r for r in records if r.service_id == service_id and r.outcome is Outcome.COMPLETED),
             key=lambda r: r.t_done,
@@ -358,11 +358,18 @@ def test_each_window_holds_its_last_completions(name, seed):
 # analysis detectors
 
 
-def pressured_context(service_id, n=25, dt_ms=99.0, latency_ms=500.0):
-    ctx = ContextSnapshot(window=100)
+def pressured_window(service_id, n=25, dt_ms=99.0, latency_ms=500.0):
+    w = ServiceWindow(service_id, 100)
     for i in range(n):
-        collect_context(ctx.window_of(service_id), i * dt_ms, latency_ms, 1.0)
-    return ctx
+        collect_context(w, i * dt_ms, latency_ms, 1.0)
+    return w
+
+
+def delay_pressure(w, svc, node, topology, t_ms):
+    """The delay-pressure verdict as the simulator reaches it: nearer_gain, then the detector."""
+    thresholds = Thresholds()
+    nearer = nearer_gain(svc, node, topology, thresholds, t_ms)
+    return analyze_performance(w, nearer, thresholds)
 
 
 def heavy_service():
@@ -372,8 +379,8 @@ def heavy_service():
 
 def test_delay_pressure_fires_above_threshold(t0):
     svc = heavy_service()
-    ctx = pressured_context(svc.id)  # rate about 10.1/s x 500 ms
-    advice = analyze_performance(ctx, svc, t0.get("M1"), t0, Thresholds(), T0_NOON)
+    w = pressured_window(svc.id)  # rate about 10.1/s x 500 ms
+    advice = delay_pressure(w, svc, t0.get("M1"), t0, T0_NOON)
     assert advice is not None
     assert advice.trigger is AdviceKind.DELAY_PRESSURE
     assert advice.target_tier_hint is Tier.DEALER
@@ -384,49 +391,60 @@ def test_delay_pressure_fires_above_threshold(t0):
 def test_delay_pressure_quiet_at_threshold(t0):
     svc = heavy_service()
     # Exactly 10/s x 500 ms = 5000, the boundary itself does not fire.
-    ctx = pressured_context(svc.id, dt_ms=100.0)
-    assert analyze_performance(ctx, svc, t0.get("M1"), t0, Thresholds(), T0_NOON) is None
+    w = pressured_window(svc.id, dt_ms=100.0)
+    assert delay_pressure(w, svc, t0.get("M1"), t0, T0_NOON) is None
 
 
 def test_delay_pressure_needs_enough_samples(t0):
     svc = heavy_service()
-    ctx = pressured_context(svc.id, n=19)
-    assert analyze_performance(ctx, svc, t0.get("M1"), t0, Thresholds(), T0_NOON) is None
+    w = pressured_window(svc.id, n=19)
+    assert delay_pressure(w, svc, t0.get("M1"), t0, T0_NOON) is None
 
 
 def test_delay_pressure_only_for_latency_sensitive(t0):
     svc = make_service(cpu_demand=200.0, payload_in=0.5, payload_out=0.5)
-    ctx = pressured_context(svc.id)
-    assert analyze_performance(ctx, svc, t0.get("M1"), t0, Thresholds(), T0_NOON) is None
+    w = pressured_window(svc.id)
+    assert delay_pressure(w, svc, t0.get("M1"), t0, T0_NOON) is None
 
 
 def test_delay_pressure_needs_a_worthwhile_move(t0):
     # D1 only wins 36 ms for this light service, below the 50 ms bar.
     svc = make_service(latency_sensitive=True)
-    ctx = pressured_context(svc.id)
-    assert analyze_performance(ctx, svc, t0.get("M1"), t0, Thresholds(), T0_NOON) is None
+    w = pressured_window(svc.id)
+    assert delay_pressure(w, svc, t0.get("M1"), t0, T0_NOON) is None
 
 
 def test_delay_pressure_ignores_closed_dealers(t0):
     svc = heavy_service()
-    ctx = pressured_context(svc.id)
-    advice = analyze_performance(ctx, svc, t0.get("M1"), t0, Thresholds(), T0_MIDNIGHT)
+    w = pressured_window(svc.id)
+    advice = delay_pressure(w, svc, t0.get("M1"), t0, T0_MIDNIGHT)
     assert advice is None
 
 
 def test_delay_pressure_checks_dealer_before_mno(t0):
     svc = heavy_service()
-    ctx = pressured_context(svc.id)
-    advice = analyze_performance(ctx, svc, t0.get("C1"), t0, Thresholds(), T0_NOON)
+    w = pressured_window(svc.id)
+    advice = delay_pressure(w, svc, t0.get("C1"), t0, T0_NOON)
     assert advice is not None
     assert advice.target_tier_hint is Tier.DEALER
 
 
 def test_delay_pressure_never_points_farther(t0):
     svc = heavy_service()
-    ctx = pressured_context(svc.id)
-    advice = analyze_performance(ctx, svc, t0.get("D1"), t0, Thresholds(), T0_NOON)
+    w = pressured_window(svc.id)
+    advice = delay_pressure(w, svc, t0.get("D1"), t0, T0_NOON)
     assert advice is None
+
+
+@pytest.mark.parametrize("nearer", [None, False])
+def test_delay_pressure_needs_a_nearer_tier(nearer):
+    # The window alone is under pressure; with no tier named the detector is quiet.
+    w = pressured_window("svc")
+    assert analyze_performance(w, nearer, Thresholds()) is None
+    advice = analyze_performance(w, (Tier.MNO, 60.0), Thresholds())
+    assert (advice.service_id, advice.target_tier_hint, advice.projected_gain_ms) == (
+        "svc", Tier.MNO, 60.0
+    )
 
 
 def test_compute_shortfall_needs_full_run():
@@ -434,6 +452,15 @@ def test_compute_shortfall_needs_full_run():
     assert analyze_computation([400.0, 80.0, 400.0], 100.0, k=1.5, m=3) is None
     assert analyze_computation([400.0, 400.0], 100.0, k=1.5, m=3) is None
     assert analyze_computation([], 100.0, k=1.5, m=3) is None
+
+
+def test_compute_shortfall_reads_the_last_m_of_a_longer_deque():
+    # The simulator passes its window's column; only the last m times count.
+    execs = deque([90.0, 80.0, 300.0, 400.0, 500.0], maxlen=5)
+    advice = analyze_computation(execs, 100.0, k=1.5, m=3)
+    assert advice.projected_gain_ms == 300.0
+    assert analyze_computation(execs, 100.0, k=1.5, m=4) is None
+    assert list(execs) == [90.0, 80.0, 300.0, 400.0, 500.0]
 
 
 def test_compute_shortfall_strict_overrun():
@@ -527,7 +554,7 @@ def test_migration_delay_example(t0):
 
 
 def test_enforce_standard_accepts_valid():
-    assert enforce_standard(make_service()).ok
+    assert enforce_standard(make_service()) == []
 
 
 def test_enforce_standard_collects_every_violation():
@@ -535,37 +562,37 @@ def test_enforce_standard_collects_every_violation():
         service_id="", name="", version="1.0", tags=("UPPER",),
         payload_in=-1.0, sla_latency_ms=0.0,
     )
-    fields = {v.field for v in enforce_standard(svc).violations}
+    fields = {v.field for v in enforce_standard(svc)}
     assert {"id", "name", "version", "capability_tags", "payload_in",
             "sla_latency_ms"} <= fields
 
 
 def test_enforce_standard_tag_budget():
     within = make_service(tags=tuple(f"t{i}" for i in range(16)))
-    assert enforce_standard(within).ok
+    assert enforce_standard(within) == []
     over = make_service(tags=tuple(f"t{i}" for i in range(17)))
-    assert any(v.field == "capability_tags" for v in enforce_standard(over).violations)
+    assert any(v.field == "capability_tags" for v in enforce_standard(over))
 
 
 @pytest.mark.parametrize("tag", ["Compute", "a_b", "a b", "-a", "", "caf\u00e9"])
 def test_enforce_standard_tag_pattern(tag):
     # The capability_tags item pattern of src/tierbroker/scenario.schema.json.
-    result = enforce_standard(make_service(tags=("compute", tag)))
-    assert [v.field for v in result.violations] == ["capability_tags"]
-    assert enforce_standard(make_service(tags=("a-1", "9x"))).ok
+    violations = enforce_standard(make_service(tags=("compute", tag)))
+    assert [v.field for v in violations] == ["capability_tags"]
+    assert enforce_standard(make_service(tags=("a-1", "9x"))) == []
 
 
 def test_enforce_standard_description_budget():
     svc = make_service()
     svc.description = "x" * 2048
-    assert enforce_standard(svc).ok
+    assert enforce_standard(svc) == []
     svc.description = "x" * 2049
-    assert any(v.field == "description" for v in enforce_standard(svc).violations)
+    assert any(v.field == "description" for v in enforce_standard(svc))
 
 
 def test_enforce_standard_vocabulary():
     svc = make_service(tags=("compute", "exotic"))
-    assert enforce_standard(svc, vocabulary={"compute", "exotic"}).ok
-    result = enforce_standard(svc, vocabulary={"compute"})
-    assert any("exotic" in v.message for v in result.violations)
-    assert enforce_standard(svc, vocabulary=None).ok
+    assert enforce_standard(svc, vocabulary={"compute", "exotic"}) == []
+    violations = enforce_standard(svc, vocabulary={"compute"})
+    assert any("exotic" in v.message for v in violations)
+    assert enforce_standard(svc, vocabulary=None) == []

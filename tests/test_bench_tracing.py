@@ -64,6 +64,30 @@ def test_tracer_wraps_live_names_and_records_the_layers():
     assert [getattr(owner, attribute) for owner, attribute, _, _ in targets] == originals
 
 
+def test_traced_analyses_and_moves_are_the_simulators(monkeypatch):
+    # arbitrator.analysis_calls counts analyze_performance spans, one per
+    # analysis, and arbitrator.moves reads reschedule's first argument,
+    # the record, for the placement it leaves. On dealer_hours svc-nav
+    # moves once on advice and once on the arrival that finds its dealer
+    # closed, which the counter must not see.
+    tracing = load_tracing()
+    analyses = []
+    analyze = Simulation._analyze
+
+    def noting(self, t_ms, state):
+        moved = analyze(self, t_ms, state)
+        analyses.append(moved)
+        return moved
+
+    monkeypatch.setattr(Simulation, "_analyze", noting)
+    scenario = load_scenario(str(SCENARIO_DIR / "dealer_hours.json"))
+    with tracing.installed(tracing.Tracer()) as tracer:
+        simulation.simulate_scenario(scenario, policy="sami")
+    assert len(analyses) > 0 and sum(analyses) > 0
+    assert tracer.span_counts()["arbitrator.analyze_performance"] == len(analyses)
+    assert tracer.counts["arbitrator.moves"] == sum(analyses)
+
+
 # Every method the event loop calls as a handler.
 HANDLERS = (
     "_on_arrival", "_on_transfer_done", "_on_exec_done", "_on_dealer_open",

@@ -295,8 +295,9 @@ def test_node_states_follow_placements_and_nodes_conserve_work(case, policy):
 
 class CheckVerdicts(Simulation):
     """Checks at every tick that each service it skips has the verdict its
-    last analysis kept: nearer is nearer_gain's answer now, and with no
-    node nearer, advising is the compute check's verdict now."""
+    last analysis kept: nearer is nearer_gain's answer now, the tier and
+    gain it names or False for none, and with no node nearer, advising
+    is the compute check's verdict now."""
 
     advising_skips = 0  # skips of a service whose compute check advises
 
@@ -304,17 +305,17 @@ class CheckVerdicts(Simulation):
         thresholds = self.thresholds
         for state in self._placed:
             service_id = state.desc.id
-            if service_id in self._changed or not self.context.count(service_id):
+            if service_id in self._changed or not state.window.times:
                 continue
             node = state.pair.node_state.node
             gain = nearer_gain(state.desc, node, self.topology, thresholds, t_ms)
-            assert state.nearer is (gain is not None)
+            assert state.nearer == (gain or False)
             if state.nearer:
                 continue
             advice = None
             if state.pair.cost.exec_ms > 0:
                 advice = analyze_computation(
-                    self.context.recent_exec(service_id, thresholds.compute_run),
+                    state.window.execs,
                     state.pair.cost.exec_ms,
                     k=thresholds.compute_factor,
                     m=thresholds.compute_run,
@@ -733,12 +734,12 @@ def test_a_move_starts_the_requests_held_on_the_node_left(monkeypatch):
 
 
 def count_detector_calls(monkeypatch):
-    """The times of the calls through simulation.analyze_performance, as they happen."""
+    """The windows passed to simulation.analyze_performance, one per call as it happens."""
     calls = []
     original = simulation.analyze_performance
 
     def counting(*args):
-        calls.append(args[-1])
+        calls.append(args[0])
         return original(*args)
 
     monkeypatch.setattr(simulation, "analyze_performance", counting)
@@ -835,7 +836,7 @@ class NoteEmptyAnalyses(Simulation):
         self.empty = []
 
     def _analyze(self, t_ms, state):
-        if self.context.count(state.desc.id) == 0:
+        if not state.window.times:
             self.empty.append((t_ms, state.desc.id))
         return super()._analyze(t_ms, state)
 
@@ -999,6 +1000,55 @@ def test_a_dealer_close_is_analysed_on_the_next_tick(monkeypatch):
     fast = assert_same_run(scenario)
     assert {r.node_id for r in fast.records} == {"C1"}
     assert moves_in(fast) == [180000.0]
+
+
+def test_the_gain_kept_toward_a_dealer_is_forgotten_at_its_close(monkeypatch):
+    # svc-0, data-intensive, starts on C1 while the only dealer, D0, is
+    # closed until 00:01. Its first completion is analysed at the 00:02
+    # tick, which keeps D0's gain of 195 ms: one sample is below
+    # min_samples, so svc-0 stays. Its second completion puts the window
+    # under pressure just before D0 closes at 00:03, on a tick. The close
+    # runs first and forgets the gain, so the tick finds M1, 150 ms
+    # nearer, and moves svc-0 there. A gain kept across the close would
+    # still point at D0, whose pool is empty at 00:03, and the placement
+    # flow, which sends a data-intensive service to the clouds, would
+    # leave svc-0 on C1.
+    monkeypatch.setattr(simulation, "ANALYSIS_INTERVAL_MS", 60000.0)
+    nodes = [
+        make_node("D0", Tier.DEALER, cpu_speed=8000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
+                  open_hours=(1, 3)),
+        make_node("M1", Tier.MNO, cpu_speed=8000.0, rtt_ms=50.0, bandwidth_mbps=100.0),
+        make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=200.0, bandwidth_mbps=100.0,
+                  internet_path=True),
+    ]
+    arrivals = [Arrival(90000.0, "u1", "svc-0"), Arrival(150000.0, "u1", "svc-0")]
+    monkeypatch.setattr(
+        simulation, "generate_workload", lambda consumers, seed, horizon: list(arrivals)
+    )
+    scenario = Scenario(
+        horizon_ms=240000.0,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-0", cpu_demand=1000.0, latency_sensitive=True,
+                               data_intensive=True)],
+        consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
+        weights=SchedulerWeights(),
+        thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
+        energy=EnergyModel(),
+    )
+    original = simulation.analyze_performance
+    passed = []
+
+    def noting(window, nearer, thresholds):
+        passed.append(nearer)
+        return original(window, nearer, thresholds)
+
+    monkeypatch.setattr(simulation, "analyze_performance", noting)
+    fast = assert_same_run(scenario)
+    assert moves_in(fast) == [180000.0]
+    assert [r.node_id for r in fast.records] == ["C1", "C1"]
+    # The 00:04 tick analyses svc-0 on M1, where no node is nearer.
+    assert passed == [(Tier.DEALER, 195.0), (Tier.MNO, 150.0), False]
 
 
 @pytest.mark.parametrize("policy", ["sami", "dealer-only"])

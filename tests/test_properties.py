@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from tierbroker import simulation
 from tierbroker.arbitrator import (
-    ContextSnapshot,
     SchedulerWeights,
+    ServiceWindow,
     Thresholds,
+    analyze_computation,
     collect_context,
 )
 from tierbroker.errors import OutOfOrderEvent, UncoverableGoal
@@ -233,8 +234,13 @@ def test_totals_are_correctly_rounded_in_any_order(data):
     assert totals["energy_j_total"] == totals["charge_total"] == math.fsum(samples)
 
 
+def shortfall(execs, m):
+    """The compute check's verdict on execution times, overrunning at more than 1 ms."""
+    return analyze_computation(execs, 1.0, k=1.0, m=m)
+
+
 class PlainContext:
-    """ContextSnapshot's reads from full per-service lists sliced to the window."""
+    """A window's reads from full per-service lists sliced to the window."""
 
     def __init__(self, window):
         self.window = window
@@ -262,20 +268,20 @@ class PlainContext:
             count=len(times),
             mean=mean,
             rate=rate,
-            recent={m: execs[-m:] for m in range(1, self.window + 3)},
+            recent={m: shortfall(execs[-m:], m) for m in range(1, self.window + 3)},
         )
 
 
-def context_reads(ctx, service_id):
+def context_reads(w, size):
     try:
-        mean = ctx.mean_latency(service_id).hex()
+        mean = w.mean_latency().hex()
     except statistics.StatisticsError:
         mean = "StatisticsError"
     return dict(
-        count=ctx.count(service_id),
+        count=len(w.times),
         mean=mean,
-        rate=ctx.rate_per_s(service_id),
-        recent={m: ctx.recent_exec(service_id, m) for m in range(1, ctx.window + 3)},
+        rate=w.rate_per_s(),
+        recent={m: shortfall(w.execs, m) for m in range(1, size + 3)},
     )
 
 
@@ -291,22 +297,23 @@ FEED = st.lists(st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 6), FEED)
 def test_context_reads_equal_plain_lists(window, feed):
-    # Every read of every service, after every observe, equals the one
-    # from full lists; ties in time give a zero span and an infinite rate.
-    ctx = ContextSnapshot(window=window)
+    # Every read of every service's window, after every completion fed,
+    # equals the one from full lists, the compute check's on the last m
+    # times too; ties in time give a zero span and an infinite rate.
+    windows = {service_id: ServiceWindow(service_id, window) for service_id in CONTEXT_IDS}
     plain = PlainContext(window)
     t = 0.0
     for service_id, gap, latency, exec_ms in feed:
         t += gap
-        collect_context(ctx.window_of(service_id), t, latency, exec_ms)
+        collect_context(windows[service_id], t, latency, exec_ms)
         plain.observe(service_id, t, latency, exec_ms)
         for other in CONTEXT_IDS:
-            assert context_reads(ctx, other) == plain.reads(other)
+            assert context_reads(windows[other], window) == plain.reads(other)
     for service_id in plain.seen:
         last = plain.seen[service_id][-1][0]
         with pytest.raises(OutOfOrderEvent):
-            collect_context(ctx.window_of(service_id), math.nextafter(last, -math.inf), 1.0, 1.0)
-        assert context_reads(ctx, service_id) == plain.reads(service_id)
+            collect_context(windows[service_id], math.nextafter(last, -math.inf), 1.0, 1.0)
+        assert context_reads(windows[service_id], window) == plain.reads(service_id)
 
 
 COMPOSE_TAGS = ("a", "b", "c", "d", "e")

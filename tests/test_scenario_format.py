@@ -99,8 +99,8 @@ def test_tag_pattern_matches_the_whole_tag():
     rule = schema.standard()["capability_tags"]["items"]
     assert schema.conforms("compute", rule)
     assert not schema.conforms("compute\n", rule)
-    result = enforce_standard(make_service(tags=("compute\n",)))
-    assert [v.field for v in result.violations] == ["capability_tags"]
+    violations = enforce_standard(make_service(tags=("compute\n",)))
+    assert [v.field for v in violations] == ["capability_tags"]
 
 
 DEFAULTS = [

@@ -120,7 +120,7 @@ def parser_errors(data):
     return [
         f"{s.id}: {v.field}: {v.message}"
         for s in scenario.services
-        for v in enforce_standard(s, scenario.vocabulary).violations
+        for v in enforce_standard(s, scenario.vocabulary)
     ]
 
 
