@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from statistics import fmean
 
 CSV_COLUMNS = [
@@ -106,7 +106,8 @@ def round6(value: float) -> float:
 
 def _csv_cells(kind: str, report: MetricsReport, row: ServiceRow | RunRow) -> list[str]:
     """One CSV line; the run row's arrivals fill invocations, absent columns stay empty."""
-    cells = {"row": kind, "policy": report.policy, "seed": report.seed, **asdict(row)}
+    # vars, not asdict: the fields are flat, and asdict deep-copies each one.
+    cells = {"row": kind, "policy": report.policy, "seed": report.seed, **vars(row)}
     if "arrivals" in cells:
         cells["invocations"] = cells.pop("arrivals")
     return [fmt(cells.get(column, "")) for column in CSV_COLUMNS]

@@ -3,9 +3,12 @@
 load_scenario checks a JSON scenario against the package's JSON Schema
 (scenario.schema.json) and the few rules JSON Schema cannot state,
 accumulating every problem with its field path instead of stopping at
-the first. Arrival streams are Poisson processes driven by a splitmix64
-generator, one independent stream per (consumer, service) pair, so runs
-are reproducible bit for bit from the seed alone.
+the first. Arrival streams are Poisson processes driven by splitmix64,
+one independent stream per (consumer, service) pair, so runs are
+reproducible bit for bit from the seed alone. Each stream is drawn a
+block of outputs at a time, every output of a block in one lane of a
+single Python int, so that a block costs a few big-int operations
+instead of a generator step per draw.
 """
 
 from __future__ import annotations
@@ -13,11 +16,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .arbitrator import SchedulerWeights, Thresholds
@@ -48,23 +54,48 @@ from .trust import (
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+MAX_LANES = 4096  # the most outputs one block draws
 
 
-def splitmix64(seed: int) -> Iterator[int]:
-    """The splitmix64 sequence of seed's low 64 bits.
+@lru_cache(maxsize=8)
+def _lane_constants(n: int) -> tuple[int, int, int]:
+    """ONES, GAMMA_RAMP and LOW for n 128-bit lanes: lane i holds 1, i * gamma
+    and 2**64 - 1 respectively. Built on first use, not at import; the cache
+    keeps 48 bytes a lane for at most 8 block sizes, under 1.6 MB."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+    ramp = b"".join((i * _GAMMA).to_bytes(16, "little") for i in range(n))
+    low = int.from_bytes((b"\xff" * 8 + bytes(8)) * n, "little")
+    return ones, int.from_bytes(ramp, "little"), low
 
-    state advances by the 64-bit golden-gamma constant; each output is
-    the finalizer z ^= z>>30 * C1, z ^= z>>27 * C2, z ^= z>>31 applied
-    to the new state. generate_workload takes a uniform double from the
-    top 53 bits offset by half an ulp, in (0, 1]: the largest output
-    rounds half to even up to exactly 1.0.
+
+def splitmix64_block(seed: int, start: int, n: int) -> int:
+    """Outputs start .. start + n - 1 (from 0) of the splitmix64 sequence of
+    seed's low 64 bits, output start + i in the low 64 bits of lane i, the
+    128 bits from bit 128 * i. Bits 64 to 96 of a lane are zero, so the
+    block shifted right by up to 33 bits shifts each output in its own
+    lane; bits 97 and up hold part of the next lane's output.
+
+    The state advances by the 64-bit golden-gamma constant, so the state of
+    output j is seed + (j + 1) * gamma mod 2**64: affine in j. A lane of 128
+    bits holds a state plus i * gamma, below 2**77, and after each mask to
+    the low 64 bits a lane times a 64-bit constant stays below 2**128. So
+    the finalizer z ^= z>>30 * C1, z ^= z>>27 * C2, z ^= z>>31 works lane
+    by lane on the whole block: a shift moves the next lane's bits only
+    into bits 97 and up, which the next mask clears, and no carry crosses
+    a lane.
     """
-    state = seed & MASK64
-    while True:
-        state = (state + _GAMMA) & MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        yield z ^ (z >> 31)
+    ones, gamma_ramp, low = _lane_constants(n)
+    state = (((seed + (start + 1) * _GAMMA) & MASK64) * ones + gamma_ramp) & low
+    z = ((state ^ (state >> 30)) & low) * _MIX1 & low
+    z = ((z ^ (z >> 27)) & low) * _MIX2 & low
+    return z ^ (z >> 31)
+
+
+def lane_words(lanes: int, n: int) -> tuple[int, ...]:
+    """The low 64 bits of each of lanes' n 128-bit lanes, lane 0 first."""
+    return struct.unpack(f"<{2 * n}Q", lanes.to_bytes(16 * n, "little"))[0::2]
 
 
 class Arrival(NamedTuple):
@@ -108,7 +139,12 @@ def generate_workload(
 
     Streams are indexed in sorted (consumer, service) order and each is
     seeded seed XOR stream-index, so no stream ever consumes another's
-    draws.
+    draws. A stream is drawn in blocks of splitmix64 outputs, sized from
+    its expected count (rate * horizon) plus three standard deviations,
+    so most streams take one block and a longer one takes more: the
+    state of a stream's j-th draw is affine in j, so splitmix64_block
+    finalizes a whole block's states as one int, a lane per draw, and
+    the draws come out in the order the scalar generator gives them.
     """
     streams = []
     for consumer in sorted(consumers, key=lambda c: c.id):
@@ -117,21 +153,38 @@ def generate_workload(
             if rate > 0:
                 streams.append((consumer.id, service_id, rate))
     arrivals: list[Arrival] = []
-    append = arrivals.append
+    extend = arrivals.extend
     log = math.log
     new = tuple.__new__  # Arrival's fields without NamedTuple's keyword-taking __new__
     for index, (consumer_id, service_id, rate) in enumerate(streams):
-        t = 0.0
-        for z in splitmix64(seed ^ index):
+        # Lanes in a multiple of 64, so that streams of like rates share
+        # lane constants; min before ceil keeps a huge rate finite.
+        expected = rate * horizon_ms / 1000.0
+        lanes = 64 * math.ceil(min(MAX_LANES, expected + 3.0 * math.sqrt(expected) + 1.0) / 64)
+        t, drawn = 0.0, 0
+        while True:
+            block = lane_words(splitmix64_block(seed ^ index, drawn, lanes) >> 11, lanes)
+            drawn += lanes
             # Inverse-CDF exponential inter-arrival of the uniform
-            # u = ((z >> 11) + 0.5) * 2**-53 in (0, 1]. u is never 0, so the
-            # gap is finite; it is 1.0 only for z >> 11 == 2**53 - 1, whose
-            # sum rounds half to even, and then two arrivals share a time.
-            t += -log(((z >> 11) + 0.5) * 2.0**-53) / rate * 1000.0
-            if t >= horizon_ms:
+            # u = (z + 0.5) * 2**-53 in (0, 1], z the top 53 bits of a draw.
+            # u is never 0, so the gap is finite; it is 1.0 only for
+            # z == 2**53 - 1, whose sum rounds half to even, and then two
+            # arrivals share a time. Gaps are never negative, so the times
+            # never fall and the first at or past the horizon is a bisection.
+            times = list(accumulate(
+                [-log((z + 0.5) * 2.0**-53) / rate * 1000.0 for z in block], initial=t
+            ))
+            below = bisect_left(times, horizon_ms, 1)
+            extend(map(new, repeat(Arrival), zip(
+                times[1:below], repeat(consumer_id), repeat(service_id)
+            )))
+            if below <= lanes:
                 break
-            append(new(Arrival, (t, consumer_id, service_id)))
-    arrivals.sort()  # by (t_ms, consumer_id, service_id), the field order
+            t = times[-1]
+    # By time alone: the sort is stable and the streams went in in sorted
+    # (consumer, service) order, so equal times keep the tuple order, as
+    # consumer ids are unique (load_scenario refuses duplicates).
+    arrivals.sort(key=itemgetter(0))
     return arrivals
 
 

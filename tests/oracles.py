@@ -20,6 +20,11 @@ reference_rows builds a run's report rows with one pass over the
 records per figure and per row, and math.fsum over each completed
 sample, correctly rounded whatever the order. The simulator's one-walk
 report must reproduce it exactly.
+
+splitmix64 is the scalar generator, one state step and one finalizer
+per output, and reference_workload draws the arrival stream from it one
+output at a time and sorts whole tuples. The block draw and
+generate_workload must reproduce them exactly.
 """
 
 import heapq
@@ -37,8 +42,12 @@ from tierbroker.model import Outcome, SecurityClass, Tier, TrustBasis, TrustLeve
 from tierbroker.report import RunRow, ServiceRow, latency_stats
 from tierbroker import simulation
 from tierbroker.simulation import Simulation
+from tierbroker.workload import Arrival
 
 from conftest import make_node
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 _TRUST_ORDER = [TrustLevel.UNTRUSTED, TrustLevel.LOW, TrustLevel.MEDIUM, TrustLevel.HIGH]
 
@@ -298,3 +307,43 @@ def reference_rows(sim):
         wall_ms=sim.horizon,
     )
     return rows, run_row
+
+
+def splitmix64(seed):
+    """The splitmix64 sequence of seed's low 64 bits.
+
+    state advances by the 64-bit golden-gamma constant; each output is
+    the finalizer z ^= z>>30 * C1, z ^= z>>27 * C2, z ^= z>>31 applied
+    to the new state.
+    """
+    state = seed & MASK64
+    while True:
+        state = (state + GAMMA) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def reference_workload(consumers, seed, horizon_ms):
+    """Every arrival below the horizon, one scalar draw per gap, sorted as tuples.
+
+    Streams are indexed in sorted (consumer, service) order and each is
+    seeded seed XOR stream-index. Each gap is the inverse-CDF exponential
+    of the uniform ((z >> 11) + 0.5) * 2**-53 in (0, 1].
+    """
+    streams = []
+    for consumer in sorted(consumers, key=lambda c: c.id):
+        for service_id in sorted(consumer.rates):
+            rate = consumer.rates[service_id]
+            if rate > 0:
+                streams.append((consumer.id, service_id, rate))
+    arrivals = []
+    for index, (consumer_id, service_id, rate) in enumerate(streams):
+        t = 0.0
+        for z in splitmix64(seed ^ index):
+            t += -math.log(((z >> 11) + 0.5) * 2.0**-53) / rate * 1000.0
+            if t >= horizon_ms:
+                break
+            arrivals.append(Arrival(t, consumer_id, service_id))
+    arrivals.sort()  # by (t_ms, consumer_id, service_id)
+    return arrivals

@@ -37,10 +37,10 @@ from tierbroker.model import (
 )
 from tierbroker.simulation import POLICIES, POLICY_TIERS, energy_j, simulate_scenario
 from tierbroker.trust import aggregate_trust, indirect_trust
-from tierbroker.workload import load_scenario, splitmix64
+from tierbroker.workload import load_scenario
 
 from conftest import SCENARIO_DIR, T0_NOON, make_node, make_service
-from oracles import OracleNoNode, grid_pools, oracle_schedule, tier_subsets
+from oracles import OracleNoNode, grid_pools, oracle_schedule, splitmix64, tier_subsets
 
 TRUST_ORDER = [TrustLevel.UNTRUSTED, TrustLevel.LOW, TrustLevel.MEDIUM, TrustLevel.HIGH]
 

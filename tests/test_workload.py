@@ -2,35 +2,70 @@
 
 import json
 import math
+from itertools import islice
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tierbroker import workload
 from tierbroker.errors import ParseError, ValidationError
 from tierbroker.model import SecurityClass, Tier, TrustBasis, TrustLevel
 from tierbroker.workload import (
+    Arrival,
     ConsumerSpec,
     generate_workload,
+    lane_words,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    splitmix64,
+    splitmix64_block,
 )
 
 from conftest import SCENARIO_DIR
+from oracles import GAMMA, reference_workload, splitmix64
 
 # Reference outputs of the splitmix64 finalizer for seed 0.
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 
 
+def block_outputs(seed, start, n):
+    return lane_words(splitmix64_block(seed, start, n), n)
+
+
 def test_splitmix64_reference_vector():
-    rng = splitmix64(0)
-    assert tuple(next(rng) for _ in range(3)) == SPLITMIX64_SEED0
+    assert block_outputs(0, 0, 3) == SPLITMIX64_SEED0
+    assert block_outputs(0, 1, 2) == SPLITMIX64_SEED0[1:]
+    assert tuple(islice(splitmix64(0), 3)) == SPLITMIX64_SEED0
 
 
 def test_splitmix64_wraps_seed():
-    assert next(splitmix64(2**64)) == next(splitmix64(0))
+    assert block_outputs(2**64, 0, 3) == block_outputs(-(2**64), 0, 3) == SPLITMIX64_SEED0
+
+
+SEEDS = st.integers(-(2**80), 2**80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(0, 700), st.integers(1, 600))
+@example(-1, 0, 1)
+@example(2**64 - 1, 700, 600)
+def test_block_draw_continues_the_scalar_generator(seed, start, n):
+    expected = tuple(islice(splitmix64(seed), start, start + n))
+    assert block_outputs(seed, start, n) == expected
+    # Each lane shifts on its own: the draw reads the top 53 bits this way.
+    assert lane_words(splitmix64_block(seed, start, n) >> 11, n) == tuple(
+        z >> 11 for z in expected
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(0, 2**40), st.integers(1, 600))
+@example(-(2**70), 2**40, 1)
+@example(2**64, 2**40, 600)
+def test_block_draw_at_a_far_offset(seed, start, n):
+    # The scalar generator's state after start steps is seed + start * GAMMA.
+    assert block_outputs(seed, start, n) == tuple(islice(splitmix64(seed + start * GAMMA), n))
 
 
 def consumers(rate=0.5, n_services=1):
@@ -151,6 +186,80 @@ def test_workload_count_concentrates_at_rate_times_horizon():
     assert all(abs(c - expected) <= bound for c in counts)
     mean = sum(counts) / len(counts)
     assert abs(mean - expected) <= 4.0 * math.sqrt(expected / len(counts))
+
+
+CONSUMERS = st.dictionaries(
+    st.sampled_from(["u0", "u1", "u2"]),
+    st.dictionaries(
+        st.sampled_from(["svc-a", "svc-b", "svc-c"]),
+        st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.01, 20.0)),
+        max_size=3,
+    ),
+    max_size=3,
+)
+
+
+def specs(rates):
+    """{consumer: {service: rate}} as ConsumerSpecs, consumers out of order."""
+    return [ConsumerSpec(id=c, rates=r) for c, r in sorted(rates.items(), reverse=True)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONSUMERS, SEEDS, st.floats(1.0, 200_000.0))
+@example({"u1": {"svc-a": 50.0}}, 11, 200_000.0)  # three blocks of MAX_LANES
+@example({"u1": {"svc-a": 1e-12, "svc-b": 0.5}}, 3, 60_000.0)  # a near-zero rate
+@example({"u0": {"svc-a": 0.3}, "u2": {"svc-c": 9.0}}, -(2**65) - 1, 100_000.0)
+def test_block_draw_equals_the_scalar_draw(rates, seed, horizon_ms):
+    drawn = generate_workload(specs(rates), seed, horizon_ms)
+    assert drawn == reference_workload(specs(rates), seed, horizon_ms)
+    assert all(type(arrival) is Arrival for arrival in drawn)
+
+
+@settings(max_examples=50, deadline=None)
+@given(CONSUMERS, SEEDS, st.floats(1.0, 100_000.0))
+def test_small_blocks_equal_the_scalar_draw(rates, seed, horizon_ms):
+    # At 64 lanes a block most often ends below the horizon, and a stream
+    # goes on from its last time in the next block.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workload, "MAX_LANES", 64)
+        drawn = generate_workload(specs(rates), seed, horizon_ms)
+    assert drawn == reference_workload(specs(rates), seed, horizon_ms)
+
+
+def test_a_long_stream_draws_block_after_block(monkeypatch):
+    # 50/s over 200 s expects 10,000 arrivals: the first two blocks of
+    # MAX_LANES fall wholly below the horizon and the third crosses it.
+    blocks = []
+    draw = workload.splitmix64_block
+
+    def counting(seed, start, n):
+        blocks.append((start, n))
+        return draw(seed, start, n)
+
+    monkeypatch.setattr(workload, "splitmix64_block", counting)
+    consumers = [ConsumerSpec(id="u1", rates={"svc-0": 50.0})]
+    drawn = generate_workload(consumers, 11, 200_000.0)
+    assert blocks == [(0, 4096), (4096, 4096), (8192, 4096)]
+    assert drawn == reference_workload(consumers, 11, 200_000.0)
+
+
+def test_equal_times_come_out_in_consumer_then_service_order(monkeypatch):
+    # Every stream draws the same outputs, so the four streams share every
+    # time; the sort by time alone must keep them in (consumer, service)
+    # order, the order the streams were drawn in.
+    draw = workload.splitmix64_block
+    monkeypatch.setattr(workload, "splitmix64_block", lambda seed, start, n: draw(0, start, n))
+    consumers = [
+        ConsumerSpec(id="u2", rates={"svc-b": 1.0, "svc-a": 1.0}),
+        ConsumerSpec(id="u1", rates={"svc-b": 1.0, "svc-a": 1.0}),
+    ]
+    drawn = generate_workload(consumers, 5, 30_000.0)
+    assert len(drawn) > 40 and len(drawn) % 4 == 0
+    pairs = [("u1", "svc-a"), ("u1", "svc-b"), ("u2", "svc-a"), ("u2", "svc-b")]
+    for at in range(0, len(drawn), 4):
+        group = drawn[at:at + 4]
+        assert len({a.t_ms for a in group}) == 1
+        assert [(a.consumer_id, a.service_id) for a in group] == pairs
 
 
 # ----------------------------------------------------------------------
