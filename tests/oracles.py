@@ -16,6 +16,11 @@ the handler of whatever pops, so the order of events at equal times is
 set by push sequence alone. The simulator, which keeps only the next
 arrival on the heap, must reproduce it exactly.
 
+ThreeEventSimulation keeps the request path in its plainest form: every
+start pushes a TransferDone under every policy, and that pushes the
+ExecDone when the transfer ends. The simulator, whose pinned policies
+push the ExecDone at the start, must reproduce it exactly.
+
 reference_rows builds a run's report rows with one pass over the
 records per figure and per row, and math.fsum over each completed
 sample, correctly rounded whatever the order. The simulator's one-walk
@@ -254,6 +259,28 @@ class HeapOnlySimulation(Simulation):
                 break
             handler(t_ms, payload)
         return self._finish()
+
+
+class ThreeEventSimulation(Simulation):
+    """The simulator with a TransferDone pushed by every start, whatever the policy."""
+
+    def _try_start(self, t_ms, node_state):
+        node = node_state.node
+        queue = node_state.queue
+        while queue and node_state.running < node.cpu_slots:
+            head = queue[0]
+            state = self.services[head.service_id]
+            pair = state.pairs[node.id]
+            if t_ms < state.migration_until and state.pair is pair:
+                break
+            queue.popleft()
+            node_state.running += 1
+            cost = pair.cost
+            head.t_start = t_ms
+            head.queue_ms = t_ms - head.t_arrive
+            head.transfer_ms = cost.transfer_ms
+            head.exec_ms = cost.exec_ms
+            self._push(t_ms + node.rtt_ms + cost.transfer_ms, self._on_transfer_done, head)
 
 
 def reference_totals(records):

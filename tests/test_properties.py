@@ -2,12 +2,18 @@
 and a report equal to the reference one.
 
 The scenarios come from the strategies that drive the reference-loop
-tests, under every policy. The report property feeds random record
-lists to Simulation._finish directly, the context property feeds
+tests, under every policy. The report property fills a placed run's
+tallies from random record lists, as each request would have settled,
+and calls Simulation._finish directly; the run-level report properties
+run the shipped scenarios at drawn seeds, the tied-event grids, and a
+lone dealer whose close rejects what it queued and after which sami
+drops what arrives. The context property feeds
 random completions through collect_context against plain per-service
 lists, and the composition property draws registries and goals.
 """
 
+import dataclasses
+import functools
 import math
 import os
 import statistics
@@ -30,18 +36,26 @@ from tierbroker.model import (
     EnergyModel,
     InvocationRecord,
     Outcome,
+    SecurityClass,
     Tier,
     Topology,
     is_dealer_open,
 )
 from tierbroker.registry import FunctionalSpec, Registry
 from tierbroker.report import write_metrics_csv, write_metrics_json
-from tierbroker.simulation import POLICIES, Simulation, _Tally
-from tierbroker.workload import Scenario
+from tierbroker.simulation import POLICIES, Simulation, _Tally, _totals
+from tierbroker.workload import Scenario, load_scenario
 
-from conftest import T0_NOON, make_service, t0_nodes
+from conftest import SCENARIO_DIR, T0_NOON, make_node, make_service, t0_nodes
 from oracles import reference_rows
-from test_event_order import grid_cases, use_arrivals
+from test_event_order import (
+    GRID_MS,
+    grid_cases,
+    grid_scenario,
+    multi_day_cases,
+    on_grid,
+    use_arrivals,
+)
 from test_incremental import incremental_cases
 
 
@@ -184,7 +198,22 @@ def finished(records, unplaced, reschedules):
         if service_id in unplaced:
             state.record = None
     sim.records = records
+    for rec in records:
+        settle(sim.services[rec.service_id].tally, rec)
     return sim
+
+
+def settle(tally, rec):
+    """Feed a record to its service's tally, as the run does when the request settles."""
+    tally.invocations += 1
+    if rec.outcome is Outcome.COMPLETED:
+        tally.latencies.append(rec.t_done - rec.t_arrive)
+        tally.energy.append(rec.energy_j)
+        tally.charge.append(rec.charge)
+    elif rec.outcome is Outcome.REJECTED:
+        tally.rejected += 1
+    elif rec.outcome is Outcome.DROPPED:
+        tally.dropped += 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,6 +242,89 @@ def test_one_pass_report_equals_reference(run):
     assert repr(report.run) == repr(run_row)
 
 
+SHIPPED = ("dealer_hours", "hot_cloud_service", "latency_mix", "minimal")
+
+
+@functools.cache
+def shipped(name):
+    return load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+
+
+def assert_report_from_records(sim):
+    report = sim.run().report
+    rows, run_row = reference_rows(sim)
+    assert repr(report.services) == repr(rows)
+    assert repr(report.run) == repr(run_row)
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHIPPED), st.sampled_from(POLICIES), st.integers(0, 2**64))
+def test_run_report_equals_reference_from_records(name, policy, seed):
+    # Every row is fed as its requests settle; the reference reads the
+    # records the run leaves, with what is unsettled at the horizon in flight.
+    assert_report_from_records(Simulation(shipped(name), policy=policy, seed=seed))
+
+
+@st.composite
+def lone_dealer_cases(draw):
+    """A single-slot dealer alone, open from midnight for a minute or two,
+    under the policies that place on it. Arrivals fall on the grid, most
+    of them in the seconds before its close: the close rejects what it
+    queued, and after it sami drops what arrives."""
+    close_minute = draw(st.integers(1, 2))
+    nodes = [make_node("D0", Tier.DEALER, cpu_speed=2000.0, rtt_ms=125.0,
+                       bandwidth_mbps=32.0, cpu_slots=1, open_hours=(0, close_minute))]
+    close, horizon = close_minute * 60000.0, (close_minute + 1) * 60000.0
+    times = st.one_of(on_grid(close - 2000.0, close - GRID_MS), on_grid(0.0, horizon - GRID_MS))
+    scenario, arrivals, _ = grid_scenario(draw, horizon, nodes, times)
+    policy = draw(st.sampled_from(["sami", "dealer-only"]))
+    # sami refuses to register a critical service no node admits.
+    services = [
+        dataclasses.replace(desc, security_class=SecurityClass.SENSITIVE)
+        if desc.security_class is SecurityClass.CRITICAL else desc
+        for desc in scenario.services
+    ]
+    return dataclasses.replace(scenario, services=services), arrivals, policy
+
+
+@settings(max_examples=100, deadline=None)
+@given(lone_dealer_cases())
+def test_report_tallies_close_rejections_and_drops(case):
+    scenario, arrivals, policy = case
+    with pytest.MonkeyPatch.context() as mp:
+        use_arrivals(mp, arrivals)
+        assert_report_from_records(Simulation(scenario, policy=policy))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(grid_cases(), multi_day_cases()))
+def test_tied_event_report_equals_reference_from_records(case):
+    # A settlement left untallied would pass as in flight, which
+    # conservation alone cannot tell.
+    scenario, arrivals, policy = case
+    with pytest.MonkeyPatch.context() as mp:
+        use_arrivals(mp, arrivals)
+        assert_report_from_records(Simulation(scenario, policy=policy))
+
+
+def test_report_counts_requests_cut_at_the_horizon_in_flight():
+    # At 7.6 s under cloud-only the horizon cuts one request while queued,
+    # eleven while transferring and one while executing; none of them
+    # settled, so each is in flight by the remainder alone.
+    scenario = dataclasses.replace(shipped("hot_cloud_service"), horizon_ms=7600.0)
+    sim = Simulation(scenario, policy="cloud-only", seed=42)
+    report = assert_report_from_records(sim)
+    node = sim.topology.get("C1")
+    cut = [r for r in sim.records if r.outcome is None]
+    queued = [r for r in cut if r.t_start is None]
+    transferring = [r for r in cut if r.t_start is not None
+                    and r.t_start + node.rtt_ms + r.transfer_ms > scenario.horizon_ms]
+    executing = [r for r in cut if r.t_start is not None and r not in transferring]
+    assert (len(queued), len(transferring), len(executing)) == (1, 11, 1)
+    assert report.run.in_flight == len(cut) == 13
+
+
 @st.composite
 def cancelling_samples(draw):
     """Floats from 2**-60 to 2**60 in size, and the negations of some of
@@ -230,7 +342,10 @@ def cancelling_samples(draw):
 def test_totals_are_correctly_rounded_in_any_order(data):
     samples = data.draw(cancelling_samples())
     order = data.draw(st.permutations(samples))
-    totals = _Tally(energy=list(order), charge=list(order)).totals()
+    # The run row sums across its services' tallies: split the order between two.
+    cut = data.draw(st.integers(0, len(order)))
+    parts = (order[:cut], order[cut:])
+    totals = _totals([_Tally(energy=list(part), charge=list(part)) for part in parts])
     assert totals["energy_j_total"] == totals["charge_total"] == math.fsum(samples)
 
 
