@@ -167,9 +167,6 @@ class InvocationRecord:
     t_arrive: float
     t_start: float | None = None
     t_done: float | None = None
-    transfer_ms: float = 0.0
-    exec_ms: float = 0.0
-    queue_ms: float = 0.0
     energy_j: float = 0.0
     charge: float = 0.0
     outcome: Outcome | None = None

@@ -88,9 +88,12 @@ the first time the service is placed on the node: the node's
 _NodeState, pair_cost's transfer and execution times, compute_charge's
 charge before rebate (the charge score_pool weighs, as placement reads
 the same definitions) and whether the service fits the node at all
-hours. The energy_j of a request (transmit power over its transfer,
-idle power over its queueing) and its SLO rebate read its own wait and
-latency, so they are computed per request.
+hours. A request's InvocationRecord holds what the run decided for it:
+arrival, node, start, completion, outcome, energy and charge. Its
+transfer and execution times are its pair's on the record's node, and
+its wait is t_start - t_arrive. Its energy_j (transmit power over its
+transfer, idle power over its wait) and its SLO rebate read its own
+wait and latency, so they are computed per request.
 
 Each placed service keeps the pair of its placement, set at placement
 and by _move, the only place a placement changes, so an arrival
@@ -310,13 +313,11 @@ class Simulation:
         self._stream = arrivals  # given, in time order; None to draw it
         self._arrivals: list[Arrival] = []  # those after the one on the heap, latest first
         self._seq = 0
-        self._next_request_id = 1
         self.records: list[InvocationRecord] = []
         self.arbitration_log: list[tuple[float, str, str]] = []
         self.security_violations = 0
         self._analysed = policy == "sami"
         self.services: dict[str, _ServiceState] = {}
-        self._placed: list[_ServiceState] = []  # placed services, by id
         # Services the next tick analyses: moved or forgotten since the last
         # tick, or completing a request that could change their verdict.
         self._changed: set[str] = set()
@@ -347,7 +348,6 @@ class Simulation:
             self.services[desc.id] = state
             if record is not None:
                 state.pair = self._pair(state, record.placement.node_id)
-                self._placed.append(state)
                 self.arbitration_log.append((0.0, "register", desc.id))
 
     def _register_pinned(self, desc: ServiceDescriptor) -> ServiceRecord | None:
@@ -427,8 +427,7 @@ class Simulation:
             heappush(self._heap, (upcoming[0], 0, self._on_arrival, upcoming))
         _, consumer_id, service_id = arrival
         state = self.services[service_id]
-        request = InvocationRecord(self._next_request_id, service_id, consumer_id, None, t_ms)
-        self._next_request_id += 1
+        request = InvocationRecord(len(self.records) + 1, service_id, consumer_id, None, t_ms)
         self.records.append(request)
         tally = state.tally
         tally.invocations += 1
@@ -499,9 +498,9 @@ class Simulation:
     def _forget(self, *states: _ServiceState):
         """Drop what the last analyses found; the next tick analyses these services anew.
 
-        A service nothing has completed for is left unmarked: neither
-        detector advises on an empty window, and its first completion
-        marks it, its nearer being None.
+        A service nothing has completed for, an unplaced one among them,
+        is left unmarked: neither detector advises on an empty window,
+        and its first completion marks it, its nearer being None.
         """
         for state in states:
             state.nearer = None
@@ -532,9 +531,6 @@ class Simulation:
             node_state.running += 1
             cost = pair.cost
             head.t_start = t_ms
-            head.queue_ms = t_ms - head.t_arrive
-            head.transfer_ms = cost.transfer_ms
-            head.exec_ms = cost.exec_ms
             self._seq = seq = self._seq + 1
             t_event = t_ms + node.rtt_ms + cost.transfer_ms
             if pinned:
@@ -553,18 +549,20 @@ class Simulation:
         return pair
 
     def _on_transfer_done(self, t_ms: float, request: InvocationRecord):
+        exec_ms = self.services[request.service_id].pairs[request.node_id].cost.exec_ms
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (t_ms + request.exec_ms, seq, self._on_exec_done, request))
+        heappush(self._heap, (t_ms + exec_ms, seq, self._on_exec_done, request))
 
     def _on_exec_done(self, t_ms: float, request: InvocationRecord):
         state = self.services[request.service_id]
         pair = state.pairs[request.node_id]
+        cost = pair.cost
         node_state = pair.node_state
         node_state.running -= 1
         request.t_done = t_ms
         request.outcome = Outcome.COMPLETED
         request.energy_j = energy = energy_j(
-            request.transfer_ms, request.queue_ms, self.energy_model
+            cost.transfer_ms, request.t_start - request.t_arrive, self.energy_model
         )
         latency_ms = t_ms - request.t_arrive
         request.charge = charge = apply_slo_rebate(
@@ -579,13 +577,13 @@ class Simulation:
         tally.energy.append(energy)
         tally.charge.append(charge)
         if self._analysed:
-            collect_context(state.window, t_ms, latency_ms, request.exec_ms)
+            collect_context(state.window, t_ms, latency_ms, cost.exec_ms)
             # With no nearer node only the compute check can advise. A time
             # within the factor silences it; an overrun after it advised
             # leaves it advising, on the same choice.
             if state.nearer is not False:
                 self._changed.add(request.service_id)
-            elif request.exec_ms > self.thresholds.compute_factor * state.pair.cost.exec_ms:
+            elif cost.exec_ms > self.thresholds.compute_factor * state.pair.cost.exec_ms:
                 if not state.advising:
                     self._changed.add(request.service_id)
             else:
@@ -594,7 +592,7 @@ class Simulation:
             self._try_start(t_ms, node_state)
 
     def _on_dealer_open(self, t_ms: float, node_state: _NodeState):
-        """Push the close and forget every placed service's verdict; admissibility has changed.
+        """Push the close and forget every service's verdict; admissibility has changed.
 
         The next tick analyses those something has completed for
         (_forget). Nothing needs starting: the queue was empty while the
@@ -604,7 +602,7 @@ class Simulation:
         open_minute, close_minute = node_state.node.open_hours
         t_close = t_ms + (close_minute - open_minute) * 60000.0
         self._push_dealer(t_close, self._on_dealer_close, node_state)
-        self._forget(*self._placed)
+        self._forget(*self.services.values())
 
     def _on_dealer_close(self, t_ms: float, node_state: _NodeState):
         """Move the open interval on to the next day's hours and push their
@@ -617,7 +615,7 @@ class Simulation:
             request = node_state.queue.popleft()
             request.outcome = Outcome.REJECTED
             self.services[request.service_id].tally.rejected += 1
-        self._forget(*self._placed)
+        self._forget(*self.services.values())
 
     def _on_analysis_tick(self, t_ms: float, _payload=None):
         """Analyse the services in _changed, in id order, and log each move."""
@@ -706,11 +704,12 @@ class Simulation:
                 )
             )
         tallies = [state.tally for state in self.services.values()]
+        placed = sum(1 for state in self.services.values() if state.record is not None)
         run_row = RunRow(
             arrivals=sum(tally.invocations for tally in tallies),
             **_totals(tallies),
             reschedules=sum(s.reschedules for s in self.services.values()),
-            arbitration_events=len(self.arbitration_log) + ticks * len(self._placed),
+            arbitration_events=len(self.arbitration_log) + ticks * placed,
             security_violations=self.security_violations,
             wall_ms=self.horizon,
         )

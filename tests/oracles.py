@@ -277,9 +277,6 @@ class ThreeEventSimulation(Simulation):
             node_state.running += 1
             cost = pair.cost
             head.t_start = t_ms
-            head.queue_ms = t_ms - head.t_arrive
-            head.transfer_ms = cost.transfer_ms
-            head.exec_ms = cost.exec_ms
             self._push(t_ms + node.rtt_ms + cost.transfer_ms, self._on_transfer_done, head)
 
 

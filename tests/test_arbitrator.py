@@ -40,6 +40,7 @@ from tierbroker.model import (
     Topology,
     TrustBasis,
     TrustLevel,
+    pair_cost,
 )
 from tierbroker.report import percentile
 from tierbroker.simulation import Simulation
@@ -349,7 +350,11 @@ def test_each_window_holds_its_last_completions(name, seed):
             (r for r in records if r.service_id == service_id and r.outcome is Outcome.COMPLETED),
             key=lambda r: r.t_done,
         )
-        expected = [(r.t_done, r.t_done - r.t_arrive, r.exec_ms) for r in done][-size:]
+        desc = state.desc
+        expected = [
+            (r.t_done, r.t_done - r.t_arrive, pair_cost(desc, sim.topology.get(r.node_id)).exec_ms)
+            for r in done
+        ][-size:]
         window = state.window
         assert list(zip(window.times, window.latencies, window.execs)) == expected
 

@@ -14,12 +14,20 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tierbroker import simulation
-from tierbroker.arbitrator import SchedulerWeights, Thresholds
-from tierbroker.model import DAY_MS, EnergyModel, Outcome, SecurityClass, Tier, is_dealer_open
+from tierbroker.arbitrator import SchedulerWeights, Thresholds, admissible_nodes
+from tierbroker.model import (
+    DAY_MS,
+    EnergyModel,
+    Outcome,
+    SecurityClass,
+    Tier,
+    Topology,
+    is_dealer_open,
+)
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICIES, Simulation
 from tierbroker.workload import (
@@ -85,21 +93,36 @@ def grid_nodes(draw, hours=open_hours()):
         )
         for i in range(draw(st.integers(0, 2)))
     ]
-    nodes += [
-        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=250.0, bandwidth_mbps=32.0,
-                  cpu_slots=draw(st.integers(1, 2))),
-        make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=500.0, bandwidth_mbps=64.0,
-                  cpu_slots=8, mem_capacity=65536.0, storage_capacity=1048576.0,
-                  internet_path=True),
-    ]
-    return nodes
+    m1 = make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=250.0, bandwidth_mbps=32.0,
+                   cpu_slots=draw(st.integers(1, 2)))
+    c1 = make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=500.0, bandwidth_mbps=64.0,
+                   cpu_slots=8, mem_capacity=65536.0, storage_capacity=1048576.0,
+                   internet_path=True)
+    # M1 admits every service drawn, and C1 every one but a critical one.
+    # Without them a dealer open from midnight can hold a service that no
+    # node admits after its close, and a baseline without its tier places
+    # nothing.
+    return nodes + draw(st.sampled_from([[m1, c1], [m1, c1], [m1], [c1], []]))
+
+
+def sami_places(case):
+    """Whether the case's policy can register every service: sami refuses
+    a service no node admits at 0 ms, a baseline pins it or leaves it
+    unplaced."""
+    scenario, _, policy = case
+    topology = Topology(scenario.nodes)
+    return policy != "sami" or all(
+        admissible_nodes(desc, topology, 0.0) for desc in scenario.services
+    )
 
 
 @st.composite
 def grid_cases(draw):
     horizon = draw(st.integers(4, 720)) * GRID_MS
     times = st.integers(0, int(horizon / GRID_MS) - 1).map(lambda k: k * GRID_MS)
-    return grid_scenario(draw, horizon, draw(grid_nodes()), times)
+    case = grid_scenario(draw, horizon, draw(grid_nodes()), times)
+    assume(sami_places(case))
+    return case
 
 
 def grid_scenario(draw, horizon, nodes, times):
@@ -153,9 +176,42 @@ def grid_scenario(draw, horizon, nodes, times):
     return scenario, arrivals, draw(st.sampled_from(POLICIES))
 
 
+@st.composite
+def lone_dealer_cases(draw):
+    """A single-slot dealer alone, open from midnight for a minute or two,
+    under the policies that place on it. Arrivals fall on the grid, most
+    of them in the seconds before its close: the close rejects what it
+    queued, and after it sami drops what arrives."""
+    close_minute = draw(st.integers(1, 2))
+    nodes = [make_node("D0", Tier.DEALER, cpu_speed=2000.0, rtt_ms=125.0,
+                       bandwidth_mbps=32.0, cpu_slots=1, open_hours=(0, close_minute))]
+    close, horizon = close_minute * 60000.0, (close_minute + 1) * 60000.0
+    times = st.one_of(on_grid(close - 2000.0, close - GRID_MS), on_grid(0.0, horizon - GRID_MS))
+    scenario, arrivals, _ = grid_scenario(draw, horizon, nodes, times)
+    policy = draw(st.sampled_from(["sami", "dealer-only"]))
+    # sami refuses to register a critical service no node admits.
+    services = [
+        dataclasses.replace(desc, security_class=SecurityClass.SENSITIVE)
+        if desc.security_class is SecurityClass.CRITICAL else desc
+        for desc in scenario.services
+    ]
+    return dataclasses.replace(scenario, services=services), arrivals, policy
+
+
 @settings(max_examples=150, deadline=None)
 @given(grid_cases())
 def test_merged_arrivals_match_heap_only_reference(case):
+    scenario, arrivals, policy = case
+    with pytest.MonkeyPatch.context() as mp:
+        use_arrivals(mp, arrivals)
+        assert_same_order(scenario, policy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lone_dealer_cases())
+def test_a_lone_dealer_run_matches_heap_only_reference(case):
+    # After the dealer's close no node admits its services: sami drops
+    # what arrives, and the reference must drop the same requests.
     scenario, arrivals, policy = case
     with pytest.MonkeyPatch.context() as mp:
         use_arrivals(mp, arrivals)
@@ -225,7 +281,9 @@ def multi_day_cases(draw):
     horizon = draw(st.one_of(near_calendar(nodes, lo, hi), on_grid(lo, hi)))
     last = math.ceil(horizon / GRID_MS) * GRID_MS - GRID_MS  # the last grid time before it
     times = st.one_of(near_calendar(nodes, 0.0, last), on_grid(0.0, last))
-    return grid_scenario(draw, horizon, nodes, times)
+    case = grid_scenario(draw, horizon, nodes, times)
+    assume(sami_places(case))
+    return case
 
 
 class NoteEvents(Simulation):

@@ -12,13 +12,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from tierbroker import simulation
 from tierbroker.arbitrator import (
     SchedulerWeights,
     Thresholds,
+    admissible_nodes,
     analyze_computation,
     nearer_gain,
 )
@@ -30,6 +31,7 @@ from tierbroker.model import (
     SecurityClass,
     Tariff,
     Tier,
+    Topology,
 )
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICIES, Simulation
@@ -37,6 +39,7 @@ from tierbroker.workload import Arrival, ConsumerSpec, Scenario, load_scenario, 
 
 from conftest import SCENARIO_DIR, make_node, make_service
 from oracles import EveryTickSimulation
+from test_event_order import lone_dealer_cases, use_arrivals
 
 
 def run_with(cls, scenario, seed=None, policy="sami"):
@@ -57,10 +60,12 @@ def assert_same_run(scenario, seed=None, policy="sami"):
 
 MINUTE = st.one_of(st.integers(0, 60), st.integers(1380, 1440), st.integers(0, 1440))
 # Whole minutes with open < close, as check_node requires; hours near
-# midnight make quiet batches that run across it.
+# midnight make quiet batches that run across it. A dealer open from
+# midnight can take a service at placement that no other node admits.
 OPEN_HOURS = st.one_of(
     st.just((0, 1440)),
     st.tuples(MINUTE, MINUTE).map(sorted).filter(lambda h: h[0] < h[1]).map(tuple),
+    st.tuples(st.just(0), st.integers(1, 1439)),
 )
 
 
@@ -80,12 +85,14 @@ def dealers(draw, index):
 @st.composite
 def services(draw, index, cloud_leaver=False):
     """A service; a cloud leaver fits the slow cloud and is placed there,
-    or on an open dealer, and wants to be nearer."""
+    or on an open dealer, and wants to be nearer. 6000 MIPS is too much
+    for M1 and the slow cloud: only the fast cloud or an 8000 MIPS dealer
+    can have it."""
     return make_service(
         service_id=f"svc-{index}",
         name=f"probe-{index}",
         cpu_demand=draw(st.sampled_from(
-            [200.0, 1000.0] if cloud_leaver else [200.0, 1000.0, 2500.0]
+            [200.0, 1000.0] if cloud_leaver else [200.0, 1000.0, 2500.0, 6000.0]
         )),
         payload_in=draw(st.sampled_from([0.1, 0.5, 2.0])),
         # 500 MB migrates for longer than a tick lasts.
@@ -121,16 +128,23 @@ def incremental_cases(draw):
     # has left it, overrunning its new node's time.
     slow_cloud = draw(st.booleans())
     nodes = [draw(dealers(i)) for i in range(draw(st.integers(0, 2)))]
-    nodes += [
-        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
+    # Without M1 a critical service fits no node, and a service too large
+    # for the slow cloud may fit only a dealer: after the dealers close,
+    # sami drops its requests.
+    if draw(st.sampled_from([True, True, False])):
+        nodes.append(make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0))
+    nodes.append(
         make_node("C1", Tier.CLOUD, cpu_speed=1000.0 if slow_cloud else 8000.0, rtt_ms=200.0,
                   bandwidth_mbps=100.0, cpu_slots=1 if slow_cloud else 8,
-                  mem_capacity=65536.0, storage_capacity=1048576.0, internet_path=True),
-    ]
+                  mem_capacity=65536.0, storage_capacity=1048576.0, internet_path=True)
+    )
     descs = [
         draw(services(i, cloud_leaver=slow_cloud and i == 0))
         for i in range(draw(st.integers(1, 3)))
     ]
+    # sami refuses to register a service no node admits at 0 ms.
+    topology = Topology(nodes)
+    assume(all(admissible_nodes(desc, topology, 0.0) for desc in descs))
     # Rates scale with the horizon so every run draws a few hundred arrivals
     # at most; the cloud leaver draws at least 20, more than a window holds.
     rates = {
@@ -169,6 +183,18 @@ def test_memoized_loop_matches_every_tick_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
         assert_same_run(scenario)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lone_dealer_cases())
+def test_a_lone_dealer_run_matches_every_tick_reference(case):
+    # After the dealer's close no node admits its services: sami drops
+    # what arrives, and the reference must drop the same requests.
+    scenario, arrivals, policy = case
+    with pytest.MonkeyPatch.context() as mp:
+        use_arrivals(mp, arrivals)
+        result = assert_same_run(scenario, policy=policy)
+    event("dropped" if result.report.run.dropped else "none dropped")
 
 
 class CheckOpenings(Simulation):
@@ -303,7 +329,7 @@ class CheckVerdicts(Simulation):
 
     def _on_analysis_tick(self, t_ms, _payload=None):
         thresholds = self.thresholds
-        for state in self._placed:
+        for state in self.services.values():
             service_id = state.desc.id
             if service_id in self._changed or not state.window.times:
                 continue

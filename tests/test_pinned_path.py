@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tierbroker.model import pair_cost
 from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICY_TIERS, Simulation
 
@@ -75,14 +76,17 @@ def test_only_the_arbitrated_policy_runs_transfer_ends(name, policy):
     sim = CountTransfers(scenario, policy=policy)
     result = sim.run()
     nodes = {node.id: node for node in scenario.nodes}
+    services = {desc.id: desc for desc in scenario.services}
     started = [r for r in result.records if r.t_start is not None]
     assert len(started) > 500
     if policy in POLICY_TIERS:
         assert sim.transferred == []
         return
+
+    def transfer_end(r):
+        node = nodes[r.node_id]
+        return r.t_start + node.rtt_ms + pair_cost(services[r.service_id], node).transfer_ms
+
     # Once per started request whose transfer ended by the horizon.
-    ended = [
-        r.request_id for r in started
-        if r.t_start + nodes[r.node_id].rtt_ms + r.transfer_ms <= scenario.horizon_ms
-    ]
+    ended = [r.request_id for r in started if transfer_end(r) <= scenario.horizon_ms]
     assert sorted(sim.transferred) == ended

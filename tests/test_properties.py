@@ -7,7 +7,9 @@ tallies from random record lists, as each request would have settled,
 and calls Simulation._finish directly; the run-level report properties
 run the shipped scenarios at drawn seeds, the tied-event grids, and a
 lone dealer whose close rejects what it queued and after which sami
-drops what arrives. The context property feeds
+drops what arrives. Each completed record of the shipped runs and the
+grids recomputes its completion time and energy from its pair's costs,
+bit for bit. The context property feeds
 random completions through collect_context against plain per-service
 lists, and the composition property draws registries and goals.
 """
@@ -36,24 +38,22 @@ from tierbroker.model import (
     EnergyModel,
     InvocationRecord,
     Outcome,
-    SecurityClass,
     Tier,
     Topology,
     is_dealer_open,
+    pair_cost,
 )
 from tierbroker.registry import FunctionalSpec, Registry
 from tierbroker.report import write_metrics_csv, write_metrics_json
 from tierbroker.simulation import POLICIES, Simulation, _Tally, _totals
 from tierbroker.workload import Scenario, load_scenario
 
-from conftest import SCENARIO_DIR, T0_NOON, make_node, make_service, t0_nodes
+from conftest import SCENARIO_DIR, T0_NOON, make_service, t0_nodes
 from oracles import reference_rows
 from test_event_order import (
-    GRID_MS,
     grid_cases,
-    grid_scenario,
+    lone_dealer_cases,
     multi_day_cases,
-    on_grid,
     use_arrivals,
 )
 from test_incremental import incremental_cases
@@ -190,7 +190,6 @@ def finished(records, unplaced, reschedules):
     sim = Simulation(scenario)
     sim._place_all()
     # An unplaced service was never registered; each reschedule is logged.
-    sim._placed = [state for state in sim._placed if state.desc.id not in unplaced]
     sim.arbitration_log = [entry for entry in sim.arbitration_log if entry[2] not in unplaced]
     for (service_id, state), count in zip(sorted(sim.services.items()), reschedules):
         state.reschedules = count
@@ -266,28 +265,6 @@ def test_run_report_equals_reference_from_records(name, policy, seed):
     assert_report_from_records(Simulation(shipped(name), policy=policy, seed=seed))
 
 
-@st.composite
-def lone_dealer_cases(draw):
-    """A single-slot dealer alone, open from midnight for a minute or two,
-    under the policies that place on it. Arrivals fall on the grid, most
-    of them in the seconds before its close: the close rejects what it
-    queued, and after it sami drops what arrives."""
-    close_minute = draw(st.integers(1, 2))
-    nodes = [make_node("D0", Tier.DEALER, cpu_speed=2000.0, rtt_ms=125.0,
-                       bandwidth_mbps=32.0, cpu_slots=1, open_hours=(0, close_minute))]
-    close, horizon = close_minute * 60000.0, (close_minute + 1) * 60000.0
-    times = st.one_of(on_grid(close - 2000.0, close - GRID_MS), on_grid(0.0, horizon - GRID_MS))
-    scenario, arrivals, _ = grid_scenario(draw, horizon, nodes, times)
-    policy = draw(st.sampled_from(["sami", "dealer-only"]))
-    # sami refuses to register a critical service no node admits.
-    services = [
-        dataclasses.replace(desc, security_class=SecurityClass.SENSITIVE)
-        if desc.security_class is SecurityClass.CRITICAL else desc
-        for desc in scenario.services
-    ]
-    return dataclasses.replace(scenario, services=services), arrivals, policy
-
-
 @settings(max_examples=100, deadline=None)
 @given(lone_dealer_cases())
 def test_report_tallies_close_rejections_and_drops(case):
@@ -297,15 +274,43 @@ def test_report_tallies_close_rejections_and_drops(case):
         assert_report_from_records(Simulation(scenario, policy=policy))
 
 
+def assert_derived_figures(scenario, records):
+    """Each completed record's completion time and energy, recomputed from
+    the record and its pair's costs on its node, bit for bit. Returns the
+    number of completed records."""
+    nodes = {node.id: node for node in scenario.nodes}
+    services = {desc.id: desc for desc in scenario.services}
+    done = [r for r in records if r.outcome is Outcome.COMPLETED]
+    for r in done:
+        node = nodes[r.node_id]
+        cost = pair_cost(services[r.service_id], node)
+        assert r.t_done == ((r.t_start + node.rtt_ms) + cost.transfer_ms) + cost.exec_ms, r
+        wait_ms = r.t_start - r.t_arrive
+        assert r.energy_j == simulation.energy_j(cost.transfer_ms, wait_ms, scenario.energy), r
+    return len(done)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(grid_cases(), multi_day_cases()))
 def test_tied_event_report_equals_reference_from_records(case):
     # A settlement left untallied would pass as in flight, which
-    # conservation alone cannot tell.
+    # conservation alone cannot tell. Each completed record also
+    # recomputes from its pair.
     scenario, arrivals, policy = case
     with pytest.MonkeyPatch.context() as mp:
         use_arrivals(mp, arrivals)
-        assert_report_from_records(Simulation(scenario, policy=policy))
+        sim = Simulation(scenario, policy=policy)
+        report = assert_report_from_records(sim)
+    assert assert_derived_figures(scenario, sim.records) == report.run.completed
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_records_recompute_from_their_pairs(name, policy, seed):
+    scenario = shipped(name)
+    result = Simulation(scenario, policy=policy, seed=seed).run()
+    assert assert_derived_figures(scenario, result.records) == result.report.run.completed
 
 
 def test_report_counts_requests_cut_at_the_horizon_in_flight():
@@ -316,10 +321,11 @@ def test_report_counts_requests_cut_at_the_horizon_in_flight():
     sim = Simulation(scenario, policy="cloud-only", seed=42)
     report = assert_report_from_records(sim)
     node = sim.topology.get("C1")
+    transfer_ms = {desc.id: pair_cost(desc, node).transfer_ms for desc in scenario.services}
     cut = [r for r in sim.records if r.outcome is None]
     queued = [r for r in cut if r.t_start is None]
     transferring = [r for r in cut if r.t_start is not None
-                    and r.t_start + node.rtt_ms + r.transfer_ms > scenario.horizon_ms]
+                    and r.t_start + node.rtt_ms + transfer_ms[r.service_id] > scenario.horizon_ms]
     executing = [r for r in cut if r.t_start is not None and r not in transferring]
     assert (len(queued), len(transferring), len(executing)) == (1, 11, 1)
     assert report.run.in_flight == len(cut) == 13

@@ -62,7 +62,7 @@ def test_single_request_matches_projection():
     record = completed[0]
     # rtt 50 + transfer 160 + exec 500 on an empty node.
     assert record.t_done - record.t_arrive == pytest.approx(710.0)
-    assert record.queue_ms == 0.0
+    assert record.t_start == record.t_arrive
     assert record.charge == pytest.approx(0.62)
     assert record.energy_j == pytest.approx(0.16)
     row = result.report.services[0]
