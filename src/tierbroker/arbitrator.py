@@ -69,7 +69,6 @@ class AdviceKind(str, Enum):
 
 @dataclass
 class RescheduleAdvice:
-    service_id: str
     trigger: AdviceKind
     target_tier_hint: Tier | None
     projected_gain_ms: float
@@ -85,23 +84,22 @@ class ServiceWindow:
     """One service's sliding window of completions, fed by collect_context.
 
     Keeps at most `window` completed observations, as three bounded
-    columns: completion times, latencies and execution times, plus the
-    last completion time. The simulator holds each placed service's
-    window and feeds it with no lookup. The detectors read the columns
-    in place, with no per-call copy of the window, and sum them afresh
-    on every read rather than keeping running totals, so every mean is
-    rounded as fmean rounds it. Feed order must be nondecreasing in
-    completion time.
+    columns: completion times, latencies and execution times. The
+    simulator holds each placed service's window and feeds it with no
+    lookup. The detectors read the columns in place, with no per-call
+    copy of the window, and sum them afresh on every read rather than
+    keeping running totals, so every mean is rounded as fmean rounds it.
+    Feed order must be nondecreasing in completion time: the last time
+    fed is the last entry of `times`.
     """
 
-    __slots__ = ("service_id", "times", "latencies", "execs", "last_t")
+    __slots__ = ("service_id", "times", "latencies", "execs")
 
     def __init__(self, service_id: str, window: int):
         self.service_id = service_id
         self.times: deque = deque(maxlen=window)
         self.latencies: deque = deque(maxlen=window)
         self.execs: deque = deque(maxlen=window)
-        self.last_t = -math.inf
 
     def mean_latency(self) -> float:
         latencies = self.latencies
@@ -128,12 +126,12 @@ def collect_context(w: ServiceWindow, t_done: float, latency_ms: float, exec_ms:
     there is no outcome to test. Raises OutOfOrderEvent for a completion
     earlier than the last one fed.
     """
-    if t_done < w.last_t:
+    times = w.times
+    if times and t_done < times[-1]:
         raise OutOfOrderEvent(
-            f"service {w.service_id}: completion at {t_done} after seeing {w.last_t}"
+            f"service {w.service_id}: completion at {t_done} after seeing {times[-1]}"
         )
-    w.last_t = t_done
-    w.times.append(t_done)
+    times.append(t_done)
     w.latencies.append(latency_ms)
     w.execs.append(exec_ms)
 
@@ -308,7 +306,6 @@ def analyze_performance(
         return None
     tier, gain_ms = nearer
     return RescheduleAdvice(
-        service_id=window.service_id,
         trigger=AdviceKind.DELAY_PRESSURE,
         target_tier_hint=tier,
         projected_gain_ms=gain_ms,
@@ -320,7 +317,6 @@ def analyze_computation(
     expected_exec_ms: float,
     k: float,
     m: int,
-    service_id: str = "",
 ) -> RescheduleAdvice | None:
     """Compute-shortfall detector.
 
@@ -334,7 +330,6 @@ def analyze_computation(
         return None
     if all(x > k * expected_exec_ms for x in recent):
         return RescheduleAdvice(
-            service_id=service_id,
             trigger=AdviceKind.COMPUTE_SHORTFALL,
             target_tier_hint=None,
             projected_gain_ms=fmean(recent) - expected_exec_ms,

@@ -62,16 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ensure_out(path: str):
-    os.makedirs(path, exist_ok=True)
-
-
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     started = time.perf_counter()
     result = simulate_scenario(scenario, policy=args.policy, seed=args.seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     if args.fmt in ("csv", "both"):
         write_metrics_csv(result.report, os.path.join(args.out, "metrics.csv"))
     if args.fmt in ("json", "both"):
@@ -98,7 +94,7 @@ def cmd_compare(args) -> int:
         for policy in COMPARE_ORDER[1:]
     ]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    _ensure_out(args.out)
+    os.makedirs(args.out, exist_ok=True)
     if args.fmt in ("csv", "both"):
         write_compare_csv(reports, os.path.join(args.out, "compare.csv"))
     if args.fmt in ("json", "both"):

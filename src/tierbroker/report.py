@@ -93,8 +93,6 @@ def latency_stats(latencies: list[float]) -> tuple[float, float]:
 
 
 def fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".6g")
     return str(value)

@@ -67,21 +67,25 @@ marks nothing and clears advising. An overrun marks the service unless
 advising is set: then the last compute_run times all still overrun, so
 the check still advises, and reschedule, which reads the time only
 through dealer hours, makes the choice that kept the service in place.
-When a tick leaves every service in place, the ticks up to the next
-event are skipped, as no dealer opens or closes before it, and only the
-first tick not skipped is pushed; it takes the heap slot the every-tick
-loop would have given it, so event order is unchanged. Only the
-arbitrated policy feeds the analysis windows. Each service holds its
-ServiceWindow from placement on, so a completion feeds it with one
+When a tick leaves no service marked, which is when it moved none (a
+move marks the mover, whose window is not empty), the ticks up to the
+next event are skipped, as no dealer opens or closes before it, and
+only the first tick not skipped is pushed; it takes the heap slot the
+every-tick loop would have given it, so event order is unchanged. Only
+the arbitrated policy feeds the analysis windows. Each service holds
+its ServiceWindow from placement on, so a completion feeds it with one
 collect_context call and no lookup, and the detectors and _forget read
 it there.
 
 The arbitration log records decisions: a (t_ms, kind, service id)
 entry for each register and each reschedule, so it grows with what
-happened, not with the horizon. The analyses are counted, not logged:
-every tick counts one per placed service, whether or not the detectors
-ran, so arbitration_events adds floor(horizon / interval) times the
-placed services to the log's length under the arbitrated policy.
+happened, not with the horizon. It is their one record: a service's
+reschedules are its reschedule entries, the run's are all of them, and
+the placed services are those with a register entry. The analyses
+are counted, not logged: every tick counts one per placed service,
+whether or not the detectors ran, so arbitration_events adds
+floor(horizon / interval) times the placed services to the log's
+length under the arbitrated policy.
 
 What is fixed for a (service, node) pair is one _Pair, built by _pair
 the first time the service is placed on the node: the node's
@@ -116,7 +120,7 @@ from __future__ import annotations
 import logging
 import math
 from array import array
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -250,7 +254,6 @@ class _ServiceState:
     pair: _Pair | None = None  # on the placement's node, while placed
     pairs: dict[str, _Pair] = field(default_factory=dict)  # by node id
     migration_until: float = 0.0
-    reschedules: int = 0
     # nearer_gain's answer at the last analysis, False for its None; None
     # from a move or a dealer event until next analysed.
     nearer: tuple[Tier, float] | bool | None = None
@@ -486,7 +489,6 @@ class Simulation:
         state.record.placement = decision
         state.pair = pair = self._pair(state, decision.node_id)
         node_state = pair.node_state
-        state.reschedules += 1
         self._forget(state)
         held = t_ms < state.migration_until
         done = state.migration_until = t_ms + migration_delay_ms(state.desc, node_state.node)
@@ -621,12 +623,12 @@ class Simulation:
         """Analyse the services in _changed, in id order, and log each move."""
         visit = [self.services[service_id] for service_id in sorted(self._changed)]
         self._changed.clear()
-        moved = False
         for state in visit:
             if self._analyze(t_ms, state):
                 self.arbitration_log.append((t_ms, "reschedule", state.desc.id))
-                moved = True
-        ticks = 1 if moved else 1 + self._fast_forward(t_ms + ANALYSIS_INTERVAL_MS)
+        # A move marks the mover (_forget), whose window is not empty, so
+        # nothing is marked exactly when no service moved.
+        ticks = 1 if self._changed else 1 + self._fast_forward(t_ms + ANALYSIS_INTERVAL_MS)
         t_next = t_ms + ticks * ANALYSIS_INTERVAL_MS
         if t_next <= self.horizon:
             self._push(t_next, self._on_analysis_tick)
@@ -646,7 +648,6 @@ class Simulation:
                     expected,
                     k=thresholds.compute_factor,
                     m=thresholds.compute_run,
-                    service_id=state.desc.id,
                 )
             state.advising = advice is not None
         if advice is None:
@@ -691,6 +692,8 @@ class Simulation:
         # A tick falls on each whole multiple of the interval up to the horizon,
         # and docs/metrics.md counts an analysis per placed service at each.
         ticks = int(self.horizon // ANALYSIS_INTERVAL_MS) if self._analysed else 0
+        # Placements and moves are counted from the log, their one record.
+        logged = Counter((kind, service_id) for _, kind, service_id in self.arbitration_log)
         rows = []
         for service_id in sorted(self.services):
             state = self.services[service_id]
@@ -699,16 +702,16 @@ class Simulation:
                     service_id=service_id,
                     tier=state.record.placement.tier.value if state.record else "-",
                     invocations=state.tally.invocations,
-                    reschedules=state.reschedules,
+                    reschedules=logged["reschedule", service_id],
                     **_totals([state.tally]),
                 )
             )
         tallies = [state.tally for state in self.services.values()]
-        placed = sum(1 for state in self.services.values() if state.record is not None)
+        placed = sum(logged["register", service_id] for service_id in self.services)
         run_row = RunRow(
             arrivals=sum(tally.invocations for tally in tallies),
             **_totals(tallies),
-            reschedules=sum(s.reschedules for s in self.services.values()),
+            reschedules=sum(row.reschedules for row in rows),
             arbitration_events=len(self.arbitration_log) + ticks * placed,
             security_violations=self.security_violations,
             wall_ms=self.horizon,

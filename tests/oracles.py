@@ -34,6 +34,7 @@ generate_workload must reproduce them exactly.
 
 import heapq
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -224,7 +225,6 @@ class EveryTickSimulation(Simulation):
                         expected,
                         k=self.thresholds.compute_factor,
                         m=self.thresholds.compute_run,
-                        service_id=service_id,
                     )
             if advice is None:
                 continue
@@ -301,8 +301,9 @@ def reference_rows(sim):
 
     arbitration_events is docs/metrics.md's sum: one registration per
     placed service, one analysis per placed service per tick under sami,
-    and the reschedules.
+    and the reschedules, each a reschedule entry of the log.
     """
+    moves = Counter(sid for _, kind, sid in sim.arbitration_log if kind == "reschedule")
     by_service = {sid: [] for sid in sim.services}
     for record in sim.records:
         by_service[record.service_id].append(record)
@@ -314,14 +315,14 @@ def reference_rows(sim):
             service_id=service_id,
             tier=state.record.placement.tier.value if state.record else "-",
             invocations=len(recs),
-            reschedules=state.reschedules,
+            reschedules=moves[service_id],
             **reference_totals(recs),
         ))
     placed = sum(1 for state in sim.services.values() if state.record is not None)
     # Ticks fall on every whole multiple of the interval up to the horizon.
     interval = Fraction(simulation.ANALYSIS_INTERVAL_MS)
     ticks = math.floor(Fraction(sim.horizon) / interval) if sim.policy == "sami" else 0
-    reschedules = sum(s.reschedules for s in sim.services.values())
+    reschedules = sum(moves.values())
     run_row = RunRow(
         arrivals=len(sim.records),
         **reference_totals(sim.records),

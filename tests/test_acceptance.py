@@ -144,7 +144,6 @@ def test_c02_critical_never_on_internet_path():
         if node.internet_path or node.tier is not Tier.MNO:
             violations += 1
         advice = RescheduleAdvice(
-            service_id=svc.id,
             trigger=AdviceKind.DELAY_PRESSURE,
             target_tier_hint=(None, Tier.DEALER, Tier.MNO, Tier.CLOUD)[next(rng) % 4],
             projected_gain_ms=100.0,

@@ -295,8 +295,11 @@ def test_context_window_evicts_oldest():
 def test_context_rejects_time_travel():
     w = ServiceWindow("svc", 100)
     collect_context(w, 100.0, 10.0, 1.0)
-    with pytest.raises(OutOfOrderEvent):
+    message = r"^service svc: completion at 99.0 after seeing 100.0$"
+    with pytest.raises(OutOfOrderEvent, match=message):
         collect_context(w, 99.0, 10.0, 1.0)
+    collect_context(w, 100.0, 10.0, 1.0)  # a tie is in order
+    assert list(w.times) == [100.0, 100.0]
 
 
 def test_context_rate_over_window_span():
@@ -447,8 +450,8 @@ def test_delay_pressure_needs_a_nearer_tier(nearer):
     w = pressured_window("svc")
     assert analyze_performance(w, nearer, Thresholds()) is None
     advice = analyze_performance(w, (Tier.MNO, 60.0), Thresholds())
-    assert (advice.service_id, advice.target_tier_hint, advice.projected_gain_ms) == (
-        "svc", Tier.MNO, 60.0
+    assert (advice.trigger, advice.target_tier_hint, advice.projected_gain_ms) == (
+        AdviceKind.DELAY_PRESSURE, Tier.MNO, 60.0
     )
 
 
@@ -471,10 +474,9 @@ def test_compute_shortfall_reads_the_last_m_of_a_longer_deque():
 def test_compute_shortfall_strict_overrun():
     # Exactly k x expected is not an overrun.
     assert analyze_computation([150.0, 150.0, 150.0], 100.0, k=1.5, m=3) is None
-    advice = analyze_computation([150.1, 150.1, 150.1], 100.0, k=1.5, m=3, service_id="svc")
+    advice = analyze_computation([150.1, 150.1, 150.1], 100.0, k=1.5, m=3)
     assert advice is not None
     assert advice.trigger is AdviceKind.COMPUTE_SHORTFALL
-    assert advice.service_id == "svc"
     assert advice.target_tier_hint is None
     assert advice.projected_gain_ms == pytest.approx(50.1)
 
@@ -510,17 +512,16 @@ def placed(t0, svc, node_id, reason=PlacementReason.CAPACITY_FALLBACK):
     )
 
 
-def advice_for(svc, hint=Tier.DEALER, gain=100.0):
+def advice_for(hint=Tier.DEALER, gain=100.0):
     return RescheduleAdvice(
-        service_id=svc.id, trigger=AdviceKind.DELAY_PRESSURE,
-        target_tier_hint=hint, projected_gain_ms=gain,
+        trigger=AdviceKind.DELAY_PRESSURE, target_tier_hint=hint, projected_gain_ms=gain,
     )
 
 
 def test_reschedule_moves_on_strict_improvement(t0):
     svc = heavy_service()
     record = placed(t0, svc, "C1")
-    decision = reschedule(record, advice_for(svc), t0, W, T0_NOON)
+    decision = reschedule(record, advice_for(), t0, W, T0_NOON)
     assert decision.node_id == "D1"
     assert decision.reason is PlacementReason.RESCHEDULE
     assert decision.decided_at == T0_NOON
@@ -529,7 +530,7 @@ def test_reschedule_moves_on_strict_improvement(t0):
 def test_reschedule_stays_when_already_best(t0):
     svc = heavy_service()
     record = placed(t0, svc, "D1")
-    decision = reschedule(record, advice_for(svc), t0, W, T0_NOON)
+    decision = reschedule(record, advice_for(), t0, W, T0_NOON)
     assert decision is record.placement
 
 
@@ -537,7 +538,7 @@ def test_reschedule_falls_back_past_empty_hint(t0):
     svc = heavy_service()
     record = placed(t0, svc, "C1")
     # Dealer hint at midnight is empty; the full flow still finds M1.
-    decision = reschedule(record, advice_for(svc), t0, W, T0_MIDNIGHT)
+    decision = reschedule(record, advice_for(), t0, W, T0_MIDNIGHT)
     assert decision.node_id == "M1"
     assert decision.reason is PlacementReason.RESCHEDULE
 
@@ -545,7 +546,7 @@ def test_reschedule_falls_back_past_empty_hint(t0):
 def test_reschedule_keeps_placement_when_nothing_admits(t0):
     svc = make_service(cpu_demand=1e9)
     record = placed(t0, svc, "M1")
-    decision = reschedule(record, advice_for(svc, hint=None), t0, W, T0_NOON)
+    decision = reschedule(record, advice_for(hint=None), t0, W, T0_NOON)
     assert decision is record.placement
 
 

@@ -1,10 +1,12 @@
-"""Every statement of the event handlers runs under the oracle comparisons.
+"""Every statement of the event handlers and the analysis path runs under
+the oracle comparisons.
 
 A fixed list of cases goes through each oracle comparison (the
 heap-only loop, the every-tick analysis, the three-event request path
 under the baselines, and the report rebuilt from the records) under a
 sys.settrace line tracer from the standard library. Every line of each
-handler that holds bytecode must run, the drop included. A list, not
+handler, and of the tick and what it calls, that holds bytecode must
+run, the drop and a move at a tick included. A list, not
 Hypothesis draws, so the lines reached do not depend on the draw.
 """
 
@@ -20,7 +22,7 @@ from tierbroker.workload import Arrival, ConsumerSpec, Scenario, generate_worklo
 
 from conftest import make_node, make_service
 from test_event_order import assert_same_order, use_arrivals
-from test_incremental import assert_same_run
+from test_incremental import assert_same_run, closed_dealer_then_pressure
 from test_pinned_path import assert_same_as_three_events
 from test_properties import assert_report_from_records
 
@@ -32,6 +34,11 @@ HANDLERS = (
     "_on_exec_done",
     "_on_dealer_open",
     "_on_dealer_close",
+    "_on_analysis_tick",
+    "_analyze",
+    "_move",
+    "_forget",
+    "_fast_forward",
 )
 
 THRESHOLDS = Thresholds(delay_pressure_ms_per_s=0.01, min_gain_ms=0.0, compute_factor=1.0,
@@ -91,7 +98,8 @@ def cases():
     critical service, which breaks its pin to the dealer at every
     arrival, and with a compute factor below 1, so every completion
     overruns on a node with none nearer, the first ones before a run of
-    three can advise."""
+    three can advise; last, a tick that moves a service on while a
+    request waits on the node left for the copy still migrating there."""
     for policy in POLICIES:
         yield *dealer_alone(), policy
         yield *nowhere_after_close(), policy
@@ -102,6 +110,7 @@ def cases():
     yield dataclasses.replace(alone, services=[critical]), arrivals, "dealer-only"
     thresholds = dataclasses.replace(alone.thresholds, compute_factor=0.5, compute_run=3)
     yield dataclasses.replace(alone, thresholds=thresholds), arrivals, "sami"
+    yield *closed_dealer_then_pressure(storage_demand=500.0), "sami"
 
 
 def compare_with_oracles(scenario, arrivals, policy):

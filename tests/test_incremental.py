@@ -260,9 +260,9 @@ class CheckNodeStates(Simulation):
                 assert head.migration_until > self.horizon or id(node_state) in awaited
 
     def _re_resolve(self, t_ms, state, request):
-        before = state.reschedules
+        before = len(self.arbitration_log)
         node_state = super()._re_resolve(t_ms, state, request)
-        self.moves["re-resolve"] += state.reschedules - before
+        self.moves["re-resolve"] += len(self.arbitration_log) - before
         return node_state
 
     def _analyze(self, t_ms, state):
@@ -757,6 +757,56 @@ def test_a_move_starts_the_requests_held_on_the_node_left(monkeypatch):
     assert result.records[-1].node_id == "C1"
     assert result.records[-1].t_start == 61000.0
     checked_run(scenario)
+
+
+def moved_twice_in_two_ticks():
+    """(scenario, arrivals) in which two ticks in a row move svc-0, nothing between them.
+
+    svc-0 sits on the cheap C1 until D0 opens at 60,000 ms. Its window is
+    under pressure and only M1 gains min_gain_ms, so that tick moves it
+    to the MNO tier, where the cheaper M2 wins. From M2 no tier is
+    nearer, but C1's times overrun M2's at factor 0.5, and the full flow
+    prefers D0, faster than M2: the 61,000 ms tick moves it again. The
+    three requests complete before 60,000 ms and the 500 MB copy reaches
+    M2 past the horizon, so no event falls between the two ticks.
+    """
+    nodes = [
+        make_node("C1", Tier.CLOUD, cpu_speed=4000.0, rtt_ms=300.0, bandwidth_mbps=100.0,
+                  internet_path=True, tariff=Tariff(base_fee=0.1, cpu_rate=0.0, data_rate=0.0)),
+        make_node("D0", Tier.DEALER, cpu_speed=4000.0, rtt_ms=270.0, bandwidth_mbps=100.0,
+                  open_hours=(1, 1440)),
+        make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=200.0, bandwidth_mbps=100.0,
+                  tariff=Tariff(base_fee=1.0, cpu_rate=0.0, data_rate=0.0)),
+        make_node("M2", Tier.MNO, cpu_speed=4000.0, rtt_ms=290.0, bandwidth_mbps=100.0,
+                  tariff=Tariff(base_fee=0.3, cpu_rate=0.0, data_rate=0.0)),
+    ]
+    arrivals = [Arrival(58000.0 + 500.0 * i, "u1", "svc-0") for i in range(3)]
+    scenario = Scenario(
+        horizon_ms=70000.0,
+        seed=3,
+        nodes=nodes,
+        services=[make_service("svc-0", cpu_demand=1000.0, storage_demand=500.0,
+                               latency_sensitive=True)],
+        consumers=[ConsumerSpec("u1", {"svc-0": 1.0})],
+        weights=SchedulerWeights(w_latency=0.1, w_cost=0.9),
+        thresholds=Thresholds(delay_pressure_ms_per_s=0.01, compute_factor=0.5, window=4,
+                              min_samples=2),
+        energy=EnergyModel(),
+    )
+    return scenario, arrivals
+
+
+def test_a_tick_that_moves_leaves_the_next_tick_to_run(monkeypatch):
+    # The 60,000 ms tick leaves svc-0 marked, as its move forgot it, so
+    # the next tick is not skipped although no event comes before it.
+    scenario, arrivals = moved_twice_in_two_ticks()
+    use_arrivals(monkeypatch, arrivals)
+    result = assert_same_run(scenario)
+    assert moves_in(result) == [60000.0, 61000.0]
+    assert all(r.t_done < 60000.0 for r in result.records)
+    assert result.report.services[0].tier == Tier.DEALER.value
+    sim, _ = note_batches(scenario)
+    assert [t for t in sim.ticks if t >= 60000.0] == [60000.0, 61000.0, 62000.0]
 
 
 def count_detector_calls(monkeypatch):

@@ -192,7 +192,6 @@ def finished(records, unplaced, reschedules):
     # An unplaced service was never registered; each reschedule is logged.
     sim.arbitration_log = [entry for entry in sim.arbitration_log if entry[2] not in unplaced]
     for (service_id, state), count in zip(sorted(sim.services.items()), reschedules):
-        state.reschedules = count
         sim.arbitration_log += [(scenario.horizon_ms, "reschedule", service_id)] * count
         if service_id in unplaced:
             state.record = None
