@@ -14,8 +14,9 @@ A dealer with hours reserves a sequence, in node order, before any
 other push; its opening pushes its close and its close the next
 opening at it, so it has one event pending whatever the horizon.
 Ties are resolved alike on every run: arrivals first, in list order,
-then the calendar, in node order, then the rest by push sequence, so an
-arrival at a dealer's close runs before the close does. Each
+then the calendar, in node order, then the rest by push sequence, then
+the analysis tick, last, so an arrival at a dealer's close runs before
+the close does and the tick at T sees every completion up to T. Each
 node serves its queue in FIFO order across cpu_slots parallel slots; a
 request occupies a slot from start until execution completes. Dealers
 reject whatever is still queued when they close; the next arrival of an
@@ -34,16 +35,9 @@ a round-the-clock dealer too, is open over (-inf, inf). Analysis ticks
 run the delay-pressure and compute-shortfall detectors every second
 under the arbitrated policy.
 
-A start fixes its completion time. Under the arbitrated policy the
-ExecDone is pushed by a TransferDone when the transfer ends, not at the
-start: that push sequence orders it against a tick at the same time,
-which runs first when it was pushed while the request was still
-transferring. A pinned policy has no tick, so its start pushes the
-ExecDone itself, at the same float sum, (start + rtt + transfer) + exec.
-No pinned run reads that push's sequence: arrivals (sequence 0) and the
-calendar (reserved sequences) run first at equal times in either
-scheme, nodes share no state, and two completions on one node at one
-time start its queue's heads in FIFO order whichever pops first.
+A start fixes its completion time, ((start + rtt) + transfer) + exec,
+and pushes its ExecDone there under every policy. So completions at the
+same time run in the order their requests started.
 
 The analysis loop is incremental but exact. A verdict depends only on
 the service's node, which dealers are open and its window. Each service
@@ -52,10 +46,10 @@ nearest tier with a worthwhile gain and that gain, or False for none),
 and whether the compute check advised (advising). nearer_gain reads no
 window, so its answer stands until the service moves or a dealer opens
 or closes. Each of those forgets nearer (_forget), and a dealer's event
-at a tick's time runs before the tick, its sequence being reserved
-first. So an analysis runs nearer_gain only when nearer is forgotten,
-and analyze_performance reads the answer kept. advising is read only
-while nearer is False, which _analyze sets only together with advising.
+at a tick's time runs before the tick, as ticks run last. So an
+analysis runs nearer_gain only when nearer is forgotten, and
+analyze_performance reads the answer kept. advising is read only while
+nearer is False, which _analyze sets only together with advising.
 A tick looks only at the services marked since the tick before:
 forgotten, or completing a request that could change their verdict. A
 service nothing has completed for is never analysed, as neither detector
@@ -70,8 +64,8 @@ through dealer hours, makes the choice that kept the service in place.
 When a tick leaves no service marked, which is when it moved none (a
 move marks the mover, whose window is not empty), the ticks up to the
 next event are skipped, as no dealer opens or closes before it, and
-only the first tick not skipped is pushed; it takes the heap slot the
-every-tick loop would have given it, so event order is unchanged. Only
+only the first tick not skipped is pushed; it runs last at its time, as
+the every-tick loop's would, so event order is unchanged. Only
 the arbitrated policy feeds the analysis windows. Each service holds
 its ServiceWindow from placement on, so a completion feeds it with one
 collect_context call and no lookup, and the detectors and _forget read
@@ -165,6 +159,9 @@ from .workload import Arrival, Scenario, generate_workload
 log = logging.getLogger(__name__)
 
 ANALYSIS_INTERVAL_MS = 1000.0
+# The analysis tick's push sequence: at equal times it runs after every
+# other event. At most one tick is pending, so no two entries share a key.
+TICK_SEQ = math.inf
 
 POLICY_TIERS = {
     "cloud-only": Tier.CLOUD,
@@ -312,7 +309,7 @@ class Simulation:
         self.thresholds = scenario.thresholds
         self.energy_model = scenario.energy
 
-        self._heap: list[tuple[float, int, Callable, object]] = []
+        self._heap: list[tuple[float, float, Callable, object]] = []
         self._stream = arrivals  # given, in time order; None to draw it
         self._arrivals: list[Arrival] = []  # those after the one on the heap, latest first
         self._seq = 0
@@ -331,7 +328,7 @@ class Simulation:
 
     def _push(self, t_ms: float, handler: Callable, payload=None):
         # No two entries share (time, sequence), so handler and payload are never compared.
-        # _try_start and _on_transfer_done push the same way, inline.
+        # _try_start pushes the same way, inline; a tick takes TICK_SEQ instead.
         self._seq += 1
         heappush(self._heap, (t_ms, self._seq, handler, payload))
 
@@ -402,7 +399,7 @@ class Simulation:
             first = self._on_dealer_open if open_minute else self._on_dealer_close
             self._push_dealer((open_minute or close_minute) * 60000.0, first, node_state)
         if self._analysed and ANALYSIS_INTERVAL_MS <= self.horizon:
-            self._push(ANALYSIS_INTERVAL_MS, self._on_analysis_tick)
+            heappush(self._heap, (ANALYSIS_INTERVAL_MS, TICK_SEQ, self._on_analysis_tick, None))
 
     # ------------------------------------------------------------------
     # event handlers
@@ -510,18 +507,16 @@ class Simulation:
                 self._changed.add(state.desc.id)
 
     def _try_start(self, t_ms: float, node_state: _NodeState):
-        """Start queued requests in FIFO order while a slot is free.
+        """Start queued requests in FIFO order while a slot is free, and
+        push each one's ExecDone.
 
         A dealer needs no asking: its queue is empty while it is closed.
-        The arbitrated policy pushes each start's TransferDone, a pinned
-        one its ExecDone.
         """
         node = node_state.node
         queue = node_state.queue
         services = self.services
         heap = self._heap
-        pinned = not self._analysed  # no tick to order an ExecDone against
-        handler = self._on_exec_done if pinned else self._on_transfer_done
+        on_exec_done = self._on_exec_done
         while queue and node_state.running < node.cpu_slots:
             head: InvocationRecord = queue[0]
             state = services[head.service_id]
@@ -534,10 +529,8 @@ class Simulation:
             cost = pair.cost
             head.t_start = t_ms
             self._seq = seq = self._seq + 1
-            t_event = t_ms + node.rtt_ms + cost.transfer_ms
-            if pinned:
-                t_event += cost.exec_ms
-            heappush(heap, (t_event, seq, handler, head))
+            t_done = t_ms + node.rtt_ms + cost.transfer_ms + cost.exec_ms
+            heappush(heap, (t_done, seq, on_exec_done, head))
 
     def _pair(self, state: _ServiceState, node_id: str) -> _Pair:
         """The service's pair on the node, built on first use."""
@@ -549,11 +542,6 @@ class Simulation:
                 node_state, pair_cost(desc, node), compute_charge(desc, node), fits(desc, node)
             )
         return pair
-
-    def _on_transfer_done(self, t_ms: float, request: InvocationRecord):
-        exec_ms = self.services[request.service_id].pairs[request.node_id].cost.exec_ms
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (t_ms + exec_ms, seq, self._on_exec_done, request))
 
     def _on_exec_done(self, t_ms: float, request: InvocationRecord):
         state = self.services[request.service_id]
@@ -631,7 +619,7 @@ class Simulation:
         ticks = 1 if self._changed else 1 + self._fast_forward(t_ms + ANALYSIS_INTERVAL_MS)
         t_next = t_ms + ticks * ANALYSIS_INTERVAL_MS
         if t_next <= self.horizon:
-            self._push(t_next, self._on_analysis_tick)
+            heappush(self._heap, (t_next, TICK_SEQ, self._on_analysis_tick, None))
 
     def _analyze(self, t_ms: float, state: _ServiceState) -> bool:
         """Run both detectors and act on their advice; True when the service moved."""
@@ -665,8 +653,8 @@ class Simulation:
         next event, heap[0], no window or placement changes, and no dealer
         opens or closes, as that happens only at calendar events: a tick
         before it finds the same verdicts. A tick at exactly the next event's
-        time is left to run after that event, as its push sequence orders
-        it. The batch is skipped: tick i is at t_ms + i * interval, exact
+        time is left to run after that event, as ticks run last at their
+        time. The batch is skipped: tick i is at t_ms + i * interval, exact
         because every tick time is a whole multiple of the interval.
         """
         # Tick i is in the batch while t_ms + i * interval < end: end is the

@@ -13,13 +13,15 @@ HeapOnlySimulation keeps the event loop in its plainest form: every
 arrival of the stream, drawn or given, is pushed onto the heap, with
 _on_arrival as its handler, before any other event, and one loop calls
 the handler of whatever pops, so the order of events at equal times is
-set by push sequence alone. The simulator, which keeps only the next
-arrival on the heap, must reproduce it exactly.
+set by push sequence alone, but for the tick, which runs last. The
+simulator, which keeps only the next arrival on the heap, must
+reproduce it exactly.
 
 ThreeEventSimulation keeps the request path in its plainest form: every
 start pushes a TransferDone under every policy, and that pushes the
-ExecDone when the transfer ends. The simulator, whose pinned policies
-push the ExecDone at the start, must reproduce it exactly.
+ExecDone when the transfer ends. The simulator, whose starts push the
+ExecDone itself, must reproduce it exactly: the tick runs last at its
+time, so it sees a completion at its time whichever event pushed it.
 
 reference_rows builds a run's report rows with one pass over the
 records per figure and per row, and math.fsum over each completed
@@ -235,7 +237,7 @@ class EveryTickSimulation(Simulation):
         # Read at call time, like the simulator, so a test may stretch the interval.
         t_next = t_ms + simulation.ANALYSIS_INTERVAL_MS
         if t_next <= self.horizon:
-            self._push(t_next, self._on_analysis_tick)
+            heapq.heappush(self._heap, (t_next, simulation.TICK_SEQ, self._on_analysis_tick, None))
 
 
 class HeapOnlySimulation(Simulation):
@@ -278,6 +280,10 @@ class ThreeEventSimulation(Simulation):
             cost = pair.cost
             head.t_start = t_ms
             self._push(t_ms + node.rtt_ms + cost.transfer_ms, self._on_transfer_done, head)
+
+    def _on_transfer_done(self, t_ms, request):
+        exec_ms = self.services[request.service_id].pairs[request.node_id].cost.exec_ms
+        self._push(t_ms + exec_ms, self._on_exec_done, request)
 
 
 def reference_totals(records):

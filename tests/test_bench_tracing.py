@@ -90,8 +90,8 @@ def test_traced_analyses_and_moves_are_the_simulators(monkeypatch):
 
 # Every method the event loop calls as a handler.
 HANDLERS = (
-    "_on_arrival", "_on_transfer_done", "_on_exec_done", "_on_dealer_open",
-    "_on_dealer_close", "_on_analysis_tick", "_try_start",
+    "_on_arrival", "_on_exec_done", "_on_dealer_open", "_on_dealer_close",
+    "_on_analysis_tick", "_try_start",
 )
 
 

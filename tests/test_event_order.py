@@ -288,7 +288,7 @@ def multi_day_cases(draw):
 
 class NoteEvents(Simulation):
     """Notes the events the loop runs, in order: arrivals, dealer openings
-    and closes, ticks and transfer and execution ends."""
+    and closes, ticks and execution ends."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -309,10 +309,6 @@ class NoteEvents(Simulation):
     def _on_analysis_tick(self, t_ms, _payload=None):
         self.events.append((t_ms, "tick", None))
         super()._on_analysis_tick(t_ms, _payload)
-
-    def _on_transfer_done(self, t_ms, request):
-        self.events.append((t_ms, "transfer done", None))
-        super()._on_transfer_done(t_ms, request)
 
     def _on_exec_done(self, t_ms, request):
         self.events.append((t_ms, "exec done", None))
@@ -345,8 +341,9 @@ def test_days_of_dealer_hours_match_heap_only_reference(case):
         sim.run()
     calendar = [event for event in sim.events if event[1] in ("open", "close")]
     assert calendar == every_opening_and_close(scenario)
-    # At equal times arrivals run first, then the calendar, then the rest.
-    rank = {"arrival": 0, "open": 1, "close": 1}
+    # At equal times arrivals run first, then the calendar, then the rest,
+    # then the tick.
+    rank = {"arrival": 0, "open": 1, "close": 1, "tick": 3}
     ranks = [(t_ms, rank.get(kind, 2)) for t_ms, kind, _ in sim.events]
     assert ranks == sorted(ranks)
 
@@ -418,7 +415,7 @@ def test_calendar_holds_one_event_per_dealer_whatever_the_horizon():
     sim = Simulation(scenario)
     sim._push_calendar()
     assert sorted((t_ms, seq, handler.__name__) for t_ms, seq, handler, _ in sim._heap) == [
-        (1000.0, 2, "_on_analysis_tick"),
+        (1000.0, math.inf, "_on_analysis_tick"),
         (540 * 60000.0, 1, "_on_dealer_open"),
     ]
 

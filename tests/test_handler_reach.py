@@ -3,8 +3,8 @@ the oracle comparisons.
 
 A fixed list of cases goes through each oracle comparison (the
 heap-only loop, the every-tick analysis, the three-event request path
-under the baselines, and the report rebuilt from the records) under a
-sys.settrace line tracer from the standard library. Every line of each
+and the report rebuilt from the records) under a sys.settrace line
+tracer from the standard library. Every line of each
 handler, and of the tick and what it calls, that holds bytecode must
 run, the drop and a move at a tick included. A list, not
 Hypothesis draws, so the lines reached do not depend on the draw.
@@ -17,7 +17,7 @@ import pytest
 
 from tierbroker.arbitrator import SchedulerWeights, Thresholds
 from tierbroker.model import EnergyModel, SecurityClass, Tier
-from tierbroker.simulation import POLICIES, POLICY_TIERS, Simulation
+from tierbroker.simulation import POLICIES, Simulation
 from tierbroker.workload import Arrival, ConsumerSpec, Scenario, generate_workload
 
 from conftest import make_node, make_service
@@ -30,7 +30,6 @@ HANDLERS = (
     "_on_arrival",
     "_re_resolve",
     "_try_start",
-    "_on_transfer_done",
     "_on_exec_done",
     "_on_dealer_open",
     "_on_dealer_close",
@@ -118,8 +117,7 @@ def compare_with_oracles(scenario, arrivals, policy):
         use_arrivals(mp, arrivals)
         assert_same_order(scenario, policy)
         assert_same_run(scenario, policy=policy)
-        if policy in POLICY_TIERS:
-            assert_same_as_three_events(scenario, policy)
+        assert_same_as_three_events(scenario, policy)
         assert_report_from_records(Simulation(scenario, policy=policy))
 
 

@@ -38,7 +38,7 @@ from tierbroker.simulation import POLICIES, Simulation
 from tierbroker.workload import Arrival, ConsumerSpec, Scenario, load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR, make_node, make_service
-from oracles import EveryTickSimulation
+from oracles import EveryTickSimulation, ThreeEventSimulation
 from test_event_order import lone_dealer_cases, use_arrivals
 
 
@@ -276,10 +276,6 @@ class CheckNodeStates(Simulation):
 
     def _on_arrival(self, t_ms, arrival):
         super()._on_arrival(t_ms, arrival)
-        self._check(t_ms)
-
-    def _on_transfer_done(self, t_ms, request):
-        super()._on_transfer_done(t_ms, request)
         self._check(t_ms)
 
     def _on_exec_done(self, t_ms, request):
@@ -593,24 +589,25 @@ def tie_scenario(cloud):
     "cloud, arrivals, done, moved_at",
     [
         # Cloud response 200 + 80 + 250 = 530 ms. The second ExecDone, at
-        # 1000, is pushed at 750, after the 1000 ms tick: the tick runs
-        # first and sees one sample, so the move waits for 2000 ms.
-        ({"cpu_speed": 8000, "bandwidth_mbps": 100}, [100.0, 470.0], [630.0, 1000.0], 2000.0),
+        # 1000, is pushed at its start, 470, after the 1000 ms tick was
+        # pushed. The tick still runs last at its time and sees both
+        # samples, so it moves svc-x at 1000 ms.
+        ({"cpu_speed": 8000, "bandwidth_mbps": 100}, [100.0, 470.0], [630.0, 1000.0], 1000.0),
         # Cloud response 200 + 800 + 1000 = 2000 ms. Each ExecDone is
-        # pushed when its transfer ends, a second before it and before
-        # the tick at its time is pushed, so it runs first: the quiet
-        # 3000 ms tick sees one sample and the 4000 ms tick sees two.
+        # pushed at its start, before the tick at its time is pushed: the
+        # quiet 3000 ms tick sees one sample and the 4000 ms tick sees two.
         ({"cpu_speed": 2000, "bandwidth_mbps": 10}, [1000.0, 2000.0], [3000.0, 4000.0], 4000.0),
         # Cloud response 200 + 800 + 500 = 1500 ms. The ticks at 2000 and
         # 3000 are pushed at 1000 and 2000, while the request completing
-        # at their time is still in flight, so each tick runs before its
-        # ExecDone: the 3000 ms tick sees one sample and the move waits
-        # for 4000 ms. An ExecDone pushed at the start would overtake them.
-        ({"cpu_speed": 4000, "bandwidth_mbps": 10}, [500.0, 1500.0], [2000.0, 3000.0], 4000.0),
+        # at their time is in flight; a TransferDone would push its
+        # ExecDone after them, at 1500 and 2500. Either way each tick runs
+        # after the ExecDone at its time: the 2000 ms tick sees one sample
+        # and the 3000 ms tick sees two and moves svc-x.
+        ({"cpu_speed": 4000, "bandwidth_mbps": 10}, [500.0, 1500.0], [2000.0, 3000.0], 3000.0),
     ],
-    ids=["tick-first", "exec-done-first", "tick-pushed-mid-flight"],
+    ids=["tick-pushed-first", "exec-done-pushed-first", "tick-pushed-mid-flight"],
 )
-def test_exec_done_on_a_tick_keeps_push_order(monkeypatch, cloud, arrivals, done, moved_at):
+def test_exec_done_on_a_tick_runs_before_the_tick(monkeypatch, cloud, arrivals, done, moved_at):
     scenario = tie_scenario(cloud)
     monkeypatch.setattr(
         simulation,
@@ -618,6 +615,9 @@ def test_exec_done_on_a_tick_keeps_push_order(monkeypatch, cloud, arrivals, done
         lambda consumers, seed, horizon: [Arrival(t, "u1", "svc-x") for t in arrivals],
     )
     result = assert_same_run(scenario)
+    reference = ThreeEventSimulation(scenario).run()
+    assert result.records == reference.records
+    assert result.arbitration_log == reference.arbitration_log
     assert [r.t_done for r in result.records] == done
     assert [r.node_id for r in result.records] == ["C1", "C1"]
     moves = [(t, sid) for t, kind, sid in result.arbitration_log if kind == "reschedule"]
