@@ -1,10 +1,11 @@
-"""Deterministic discrete-event simulation of the offload fabric.
+"""Deterministic simulation of the offload fabric, one policy per run.
 
-Every event waits on one heap of (time, push sequence, handler, payload)
-tuples; one loop calls handler(time, payload) as each pops, and a
-recurring event pushes its successor. The arrival stream is drawn by
-generate_workload right before the first event, unless the caller gives
-one already drawn: compare draws it once, in its first run, and runs
+The arbitrated policy, sami, runs as a discrete-event simulation
+(Simulation). Every event waits on one heap of (time, push sequence,
+handler, payload) tuples; one loop calls handler(time, payload) as each
+pops, and a recurring event pushes its successor. The arrival stream
+is drawn by generate_workload right before the first event, unless the
+caller gives one already drawn: compare draws it once, in its first run, and runs
 the other policies over the same stream, rebuilt from that run's
 records (SimResult.arrivals). Either way the run walks a reversed copy,
 so a given stream is only read, and a drawn one is held by nothing
@@ -21,7 +22,7 @@ node serves its queue in FIFO order across cpu_slots parallel slots; a
 request occupies a slot from start until execution completes. Dealers
 reject whatever is still queued when they close; the next arrival of an
 affected service gets re-placed, so a closed dealer's queue stays empty.
-Simulation refuses every node check_node refuses, which holds dealer
+Both runs refuse every node check_node refuses, which holds dealer
 hours to whole minutes: is_dealer_open then flips exactly at the
 calendar's events, day * DAY_MS + minute * 60000.0 to the bit (whole
 numbers below 2**53 add exactly), and nowhere else. So a dealer's
@@ -32,12 +33,32 @@ runs before it, so it still sees that day's interval and reads closed
 at open_until: two compares equal is_dealer_open at every arrival,
 boundaries included. Every other node,
 a round-the-clock dealer too, is open over (-inf, inf). Analysis ticks
-run the delay-pressure and compute-shortfall detectors every second
-under the arbitrated policy.
+run the delay-pressure and compute-shortfall detectors every second.
 
 A start fixes its completion time, ((start + rtt) + transfer) + exec,
-and pushes its ExecDone there under every policy. So completions at the
-same time run in the order their requests started.
+and pushes its ExecDone there. So completions at the same time run in
+the order their requests started.
+
+The pinned baselines, cloud-only, mno-only and dealer-only, run as a
+FIFO queue per node, with no events (PinnedQueues). That is exact
+because nothing moves under them: no tick runs, nothing is re-placed,
+and every request of a service goes to the node it was registered on,
+at that pair's fixed costs. So nodes share nothing, and each serves the
+requests it admits in arrival order over its cpu_slots slots. Read in
+stream order, a request starts at the later of its arrival and its
+node's earliest slot-free time, a heap of its slots' completion times,
+when the event loop would start it: a slot that frees at an arrival's
+time frees after it, as arrivals run first, and the completion then
+starts it at that same time. It completes at the same float sum. A
+dealer's openness is the same interval, moved on a day at a time as
+its close moves it. The close runs after the arrivals at its time and
+before every completion there, so it rejects a request that would start
+at or after it, if it falls within the horizon; a request that would
+start or complete past the horizon is in flight. Completions at one
+time settle in another order than the event loop's, which no output
+reads: the report sums with math.fsum and sorts for its p95.
+tests/oracles.py keeps the event loop under every policy as the
+queues' reference.
 
 The analysis loop is incremental but exact. A verdict depends only on
 the service's node, which dealers are open and its window. Each service
@@ -65,11 +86,10 @@ When a tick leaves no service marked, which is when it moved none (a
 move marks the mover, whose window is not empty), the ticks up to the
 next event are skipped, as no dealer opens or closes before it, and
 only the first tick not skipped is pushed; it runs last at its time, as
-the every-tick loop's would, so event order is unchanged. Only
-the arbitrated policy feeds the analysis windows. Each service holds
-its ServiceWindow from placement on, so a completion feeds it with one
-collect_context call and no lookup, and the detectors and _forget read
-it there.
+the every-tick loop's would, so event order is unchanged. Each service
+holds its ServiceWindow from placement on, so a completion feeds it
+with one collect_context call and no lookup, and the detectors and
+_forget read it there.
 
 The arbitration log records decisions: a (t_ms, kind, service id)
 entry for each register and each reschedule, so it grows with what
@@ -79,7 +99,7 @@ the placed services are those with a register entry. The analyses
 are counted, not logged: every tick counts one per placed service,
 whether or not the detectors ran, so arbitration_events adds
 floor(horizon / interval) times the placed services to the log's
-length under the arbitrated policy.
+length under the arbitrated policy, and nothing under a pinned one.
 
 What is fixed for a (service, node) pair is one _Pair, built by _pair
 the first time the service is placed on the node: the node's
@@ -117,7 +137,7 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import chain
 from typing import NamedTuple
 
@@ -278,13 +298,16 @@ class SimResult:
 
 
 class Simulation:
-    """One policy run over one scenario.
+    """One arbitrated run over one scenario, as events.
 
     The scenario's nodes make the topology, and its services register
     with a registry of its vocabulary and weights. The run draws its
     arrivals from the seed, unless given a stream already drawn, which
-    it only reads.
+    it only reads. A pinned policy is refused: PinnedQueues runs it, and
+    a subclass overriding a handler would check nothing there.
     """
+
+    policies: tuple[str, ...] = ("sami",)  # those this class runs
 
     def __init__(
         self,
@@ -296,6 +319,11 @@ class Simulation:
         topology = Topology(scenario.nodes)
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
+        if policy not in self.policies:
+            raise ConfigError(
+                f"{type(self).__name__} runs {', '.join(self.policies)}, not {policy!r};"
+                " simulate_scenario runs every policy"
+            )
         problems = [problem for node in topology for problem in check_node(node)]
         if problems:
             raise ConfigError("; ".join(problems))
@@ -316,7 +344,6 @@ class Simulation:
         self.records: list[InvocationRecord] = []
         self.arbitration_log: list[tuple[float, str, str]] = []
         self.security_violations = 0
-        self._analysed = policy == "sami"
         self.services: dict[str, _ServiceState] = {}
         # Services the next tick analyses: moved or forgotten since the last
         # tick, or completing a request that could change their verdict.
@@ -339,10 +366,10 @@ class Simulation:
 
     def _place_all(self):
         for desc in sorted(self.scenario.services, key=lambda s: s.id):
-            if self._analysed:
-                record = self.registry.register_service(desc, self.topology, 0.0)
-            else:
+            if self.policy in POLICY_TIERS:
                 record = self._register_pinned(desc)
+            else:
+                record = self.registry.register_service(desc, self.topology, 0.0)
             window = ServiceWindow(desc.id, self.thresholds.window)
             state = _ServiceState(desc=desc, record=record, window=window)
             self.services[desc.id] = state
@@ -369,36 +396,50 @@ class Simulation:
         )
         return self.registry.register_service(desc, self.topology, 0.0, placement=decision)
 
-    def _schedule_calendar(self):
+    def _reversed_stream(self) -> list[Arrival]:
+        """The stream, drawn or given, latest first.
+
+        A reversed copy, so each arrival is popped from the end as it is
+        handled, and the stream itself is only read. Nothing keeps a drawn
+        stream, so each of its arrivals is freed once handled.
+        """
         stream = self._stream
         if stream is None:
             stream = generate_workload(self.scenario.consumers, self.seed, self.horizon)
-        # A reversed copy, so each arrival is popped from the end when the
-        # one before it runs, and the stream itself is only read. Nothing
-        # keeps a drawn stream, so each of its arrivals is freed once handled.
-        arrivals = stream[::-1]
+        return stream[::-1]
+
+    def _schedule_calendar(self):
+        arrivals = self._reversed_stream()
         if arrivals:
             first = arrivals.pop()
             heappush(self._heap, (first.t_ms, 0, self._on_arrival, first))
         self._arrivals = arrivals
         self._push_calendar()
 
-    def _push_calendar(self):
-        """Push each dealer's first opening or close, then the first tick, before all else."""
+    def _open_first_day(self) -> list[_NodeState]:
+        """Open each dealer that keeps hours over its first day's, until
+        their close moves them on; returns their states, in node order."""
+        dealers = []
         for node in self.topology.by_tier(Tier.DEALER):
             if node.open_hours == (0, 1440):  # open round the clock: never opens or closes
                 continue
             node_state = self.node_states[node.id]
-            self._seq += 1
-            node_state.calendar_seq = self._seq
             open_minute, close_minute = node.open_hours
-            # Open over the first day's hours, until their close moves them on.
             node_state.open_from = open_minute * 60000.0
             node_state.open_until = close_minute * 60000.0
+            dealers.append(node_state)
+        return dealers
+
+    def _push_calendar(self):
+        """Push each dealer's first opening or close, then the first tick, before all else."""
+        for node_state in self._open_first_day():
+            self._seq += 1
+            node_state.calendar_seq = self._seq
+            open_minute, close_minute = node_state.node.open_hours
             # Its first event after 0 ms: the opening, or the close when it opens at 0 ms.
             first = self._on_dealer_open if open_minute else self._on_dealer_close
             self._push_dealer((open_minute or close_minute) * 60000.0, first, node_state)
-        if self._analysed and ANALYSIS_INTERVAL_MS <= self.horizon:
+        if ANALYSIS_INTERVAL_MS <= self.horizon:
             heappush(self._heap, (ANALYSIS_INTERVAL_MS, TICK_SEQ, self._on_analysis_tick, None))
 
     # ------------------------------------------------------------------
@@ -418,7 +459,8 @@ class Simulation:
         # What is left is past the horizon. Its handlers are bound methods, so it
         # would hold this simulation in a reference cycle until the next full collection.
         heap.clear()
-        return self._finish()
+        # A tick falls on each whole multiple of the interval up to the horizon.
+        return self._finish(int(horizon // ANALYSIS_INTERVAL_MS))
 
     def _on_arrival(self, t_ms: float, arrival: Arrival):
         arrivals = self._arrivals
@@ -442,18 +484,10 @@ class Simulation:
         # is_admissible: the half that holds at all hours read from the pair,
         # and a dealer's hours from its node state.
         if not (pair.fits and node_state.open_from <= t_ms < node_state.open_until):
-            if self._analysed:
-                node_state = self._re_resolve(t_ms, state, request)
-                if node_state is None:
-                    return
-                node = node_state.node
-            else:
-                request.node_id = node.id
-                request.outcome = Outcome.REJECTED
-                tally.rejected += 1
-                if not security_ok(state.desc, node):
-                    self.security_violations += 1
+            node_state = self._re_resolve(t_ms, state, request)
+            if node_state is None:
                 return
+            node = node_state.node
         request.node_id = node.id
         node_state.queue.append(request)
         if node_state.running < node.cpu_slots:  # else _try_start would start nothing
@@ -543,21 +577,19 @@ class Simulation:
             )
         return pair
 
-    def _on_exec_done(self, t_ms: float, request: InvocationRecord):
-        state = self.services[request.service_id]
-        pair = state.pairs[request.node_id]
-        cost = pair.cost
-        node_state = pair.node_state
-        node_state.running -= 1
+    def _complete(self, t_ms: float, request: InvocationRecord, state: _ServiceState,
+                  pair: _Pair) -> float:
+        """Settle a request completing at t_ms on its pair's node, in its
+        record and its service's tally; returns its latency."""
         request.t_done = t_ms
         request.outcome = Outcome.COMPLETED
         request.energy_j = energy = energy_j(
-            cost.transfer_ms, request.t_start - request.t_arrive, self.energy_model
+            pair.cost.transfer_ms, request.t_start - request.t_arrive, self.energy_model
         )
         latency_ms = t_ms - request.t_arrive
         request.charge = charge = apply_slo_rebate(
             pair.charge,
-            node_state.node.qos,
+            pair.node_state.node.qos,
             latency_ms,
             state.desc.sla_latency_ms,
             self.scenario.rebate_frac,
@@ -566,18 +598,26 @@ class Simulation:
         tally.latencies.append(latency_ms)
         tally.energy.append(energy)
         tally.charge.append(charge)
-        if self._analysed:
-            collect_context(state.window, t_ms, latency_ms, cost.exec_ms)
-            # With no nearer node only the compute check can advise. A time
-            # within the factor silences it; an overrun after it advised
-            # leaves it advising, on the same choice.
-            if state.nearer is not False:
+        return latency_ms
+
+    def _on_exec_done(self, t_ms: float, request: InvocationRecord):
+        state = self.services[request.service_id]
+        pair = state.pairs[request.node_id]
+        cost = pair.cost
+        node_state = pair.node_state
+        node_state.running -= 1
+        latency_ms = self._complete(t_ms, request, state, pair)
+        collect_context(state.window, t_ms, latency_ms, cost.exec_ms)
+        # With no nearer node only the compute check can advise. A time
+        # within the factor silences it; an overrun after it advised
+        # leaves it advising, on the same choice.
+        if state.nearer is not False:
+            self._changed.add(request.service_id)
+        elif cost.exec_ms > self.thresholds.compute_factor * state.pair.cost.exec_ms:
+            if not state.advising:
                 self._changed.add(request.service_id)
-            elif cost.exec_ms > self.thresholds.compute_factor * state.pair.cost.exec_ms:
-                if not state.advising:
-                    self._changed.add(request.service_id)
-            else:
-                state.advising = False
+        else:
+            state.advising = False
         if node_state.queue:  # else _try_start would start nothing
             self._try_start(t_ms, node_state)
 
@@ -672,14 +712,13 @@ class Simulation:
     # ------------------------------------------------------------------
     # reporting
 
-    def _finish(self) -> SimResult:
+    def _finish(self, ticks: int) -> SimResult:
         """The report, from the services' tallies, each fed as its requests settled.
 
         No record is read; the run row reads every service's tally.
+        docs/metrics.md counts an analysis per placed service at each of
+        the run's ticks.
         """
-        # A tick falls on each whole multiple of the interval up to the horizon,
-        # and docs/metrics.md counts an analysis per placed service at each.
-        ticks = int(self.horizon // ANALYSIS_INTERVAL_MS) if self._analysed else 0
         # Placements and moves are counted from the log, their one record.
         logged = Counter((kind, service_id) for _, kind, service_id in self.arbitration_log)
         rows = []
@@ -712,18 +751,96 @@ class Simulation:
         )
 
 
+class PinnedQueues(Simulation):
+    """One pinned-policy run over one scenario, as a FIFO queue per node.
+
+    Nothing moves under a pinned policy, so each node serves the requests
+    it admits in arrival order over its slots; see the module docstring
+    for why that reproduces the event loop exactly.
+    """
+
+    policies = tuple(POLICY_TIERS)
+
+    def run_queues(self) -> SimResult:
+        """Settle each arrival up to the horizon, in stream order.
+
+        An arrival is refused when its service is unplaced, unfit for its
+        node (a security violation when trust or security is why) or its
+        dealer is closed.
+        """
+        self._place_all()
+        arrivals = self._reversed_stream()
+        self._open_first_day()
+        horizon = self.horizon
+        services = self.services
+        records = self.records
+        # Each node's slots' free times, a heap: when their last starts complete.
+        free = {
+            node_id: [-math.inf] * node_state.node.cpu_slots
+            for node_id, node_state in self.node_states.items()
+        }
+        while arrivals:
+            t_ms, consumer_id, service_id = arrivals.pop()
+            if t_ms > horizon:
+                break
+            state = services[service_id]
+            request = InvocationRecord(len(records) + 1, service_id, consumer_id, None, t_ms)
+            records.append(request)
+            tally = state.tally
+            tally.invocations += 1
+            pair = state.pair
+            if pair is None:
+                request.outcome = Outcome.REJECTED
+                tally.rejected += 1
+                continue
+            node_state = pair.node_state
+            node = node_state.node
+            request.node_id = node.id
+            while t_ms >= node_state.open_until:  # past a close, as _on_dealer_close moves on
+                open_minute, close_minute = node.open_hours
+                t_close = node_state.open_until = node_state.open_until + DAY_MS
+                node_state.open_from = t_close - (close_minute - open_minute) * 60000.0
+            t_close = node_state.open_until
+            if not (pair.fits and node_state.open_from <= t_ms < t_close):
+                request.outcome = Outcome.REJECTED
+                tally.rejected += 1
+                if not security_ok(state.desc, node):
+                    self.security_violations += 1
+                continue
+            slots = free[node.id]
+            t_start = slots[0] if slots[0] > t_ms else t_ms
+            if t_start >= t_close:  # still queued when its dealer closes
+                if t_close <= horizon:
+                    request.outcome = Outcome.REJECTED
+                    tally.rejected += 1
+                continue
+            if t_start > horizon:  # still queued at the horizon
+                continue
+            request.t_start = t_start
+            cost = pair.cost
+            t_done = t_start + node.rtt_ms + cost.transfer_ms + cost.exec_ms
+            heapreplace(slots, t_done)
+            if t_done <= horizon:  # else still running at the horizon
+                self._complete(t_done, request, state, pair)
+        return self._finish(0)
+
+    run = run_queues  # not the event loop it inherits, which runs sami alone
+
+
 def simulate_scenario(
     scenario: Scenario,
     policy: str = "sami",
     seed: int | None = None,
     arrivals: list[Arrival] | None = None,
 ) -> SimResult:
-    """Run one policy over the scenario.
+    """Run one policy over the scenario: sami as events, a pinned one as queues.
 
     The run draws its arrival stream from the seed, or reads `arrivals`,
     a stream already drawn, in time order, and leaves it as it was. Given
     the stream the seed would draw, it returns what drawing it returns.
     """
+    if policy in POLICY_TIERS:
+        return PinnedQueues(scenario, policy=policy, seed=seed, arrivals=arrivals).run_queues()
     return Simulation(scenario, policy=policy, seed=seed, arrivals=arrivals).run()
 
 
@@ -731,6 +848,7 @@ __all__ = [
     "ANALYSIS_INTERVAL_MS",
     "POLICIES",
     "POLICY_TIERS",
+    "PinnedQueues",
     "SimResult",
     "Simulation",
     "energy_j",

@@ -1,4 +1,5 @@
-"""Shared fixtures: the three-node reference topology and builders."""
+"""Shared fixtures: the three-node reference topology, builders and the
+program's runner for a policy."""
 
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from tierbroker.model import (
     TrustBasis,
     TrustLevel,
 )
+from tierbroker.simulation import POLICY_TIERS, PinnedQueues, Simulation
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -96,6 +98,15 @@ def t0_nodes():
                    cpu_slots=8, mem_capacity=65536.0, storage_capacity=1048576.0,
                    internet_path=True)
     return [d1, m1, c1]
+
+
+def program_run(scenario, policy="sami", seed=None, arrivals=None):
+    """(runner, result) of the program's run of the policy, as
+    simulate_scenario picks it: the event loop under sami, the pinned
+    queues under the others."""
+    runner = PinnedQueues if policy in POLICY_TIERS else Simulation
+    sim = runner(scenario, policy=policy, seed=seed, arrivals=arrivals)
+    return sim, sim.run()
 
 
 @pytest.fixture

@@ -5,6 +5,13 @@ rules only: it re-derives admissibility, projections, scoring and the
 restricted-set flow from scratch so the scheduler can be checked against
 an implementation that shares no code with it beyond the data types.
 
+EventSimulation is the event loop under every policy, the reference
+for the pinned queues: under a pinned policy no tick is pushed, so
+nothing moves, and an arrival its node refuses, unfit or closed, is
+rejected there, counting a security violation when the pair fails on
+trust or security. Under sami it is the simulator itself. The oracles
+below build on it, so each checks both the simulator and the queues.
+
 EveryTickSimulation keeps the analysis loop in its plainest form: every
 placed service runs both detectors on every tick, with no memo and no
 skipped ticks, so the incremental loop must reproduce it exactly.
@@ -46,7 +53,14 @@ from tierbroker.arbitrator import (
     nearer_gain,
     reschedule,
 )
-from tierbroker.model import Outcome, SecurityClass, Tier, TrustBasis, TrustLevel
+from tierbroker.model import (
+    Outcome,
+    SecurityClass,
+    Tier,
+    TrustBasis,
+    TrustLevel,
+    security_ok,
+)
 from tierbroker.report import RunRow, ServiceRow, latency_stats
 from tierbroker import simulation
 from tierbroker.simulation import Simulation
@@ -205,7 +219,33 @@ def tier_subsets(pool, max_size=None):
     return out
 
 
-class EveryTickSimulation(Simulation):
+class EventSimulation(Simulation):
+    """The simulator's event loop under every policy."""
+
+    policies = simulation.POLICIES
+
+    def _push_calendar(self):
+        super()._push_calendar()
+        if self.policy != "sami":  # nothing is analysed: no tick
+            self._heap = [entry for entry in self._heap if entry[1] != simulation.TICK_SEQ]
+            heapq.heapify(self._heap)
+
+    def _re_resolve(self, t_ms, state, request):
+        if self.policy == "sami":
+            return super()._re_resolve(t_ms, state, request)
+        node = state.pair.node_state.node
+        request.node_id = node.id
+        request.outcome = Outcome.REJECTED
+        state.tally.rejected += 1
+        if not security_ok(state.desc, node):
+            self.security_violations += 1
+        return None
+
+    def _finish(self, ticks):
+        return super()._finish(ticks if self.policy == "sami" else 0)
+
+
+class EveryTickSimulation(EventSimulation):
     """The simulator with the analysis tick evaluated in full every second."""
 
     def _on_analysis_tick(self, t_ms, _payload=None):
@@ -240,7 +280,7 @@ class EveryTickSimulation(Simulation):
             heapq.heappush(self._heap, (t_next, simulation.TICK_SEQ, self._on_analysis_tick, None))
 
 
-class HeapOnlySimulation(Simulation):
+class HeapOnlySimulation(EventSimulation):
     """The simulator with every arrival on the event heap."""
 
     def _schedule_calendar(self):
@@ -260,10 +300,10 @@ class HeapOnlySimulation(Simulation):
             if t_ms > self.horizon:
                 break
             handler(t_ms, payload)
-        return self._finish()
+        return self._finish(int(self.horizon // simulation.ANALYSIS_INTERVAL_MS))
 
 
-class ThreeEventSimulation(Simulation):
+class ThreeEventSimulation(EventSimulation):
     """The simulator with a TransferDone pushed by every start, whatever the policy."""
 
     def _try_start(self, t_ms, node_state):

@@ -4,10 +4,12 @@ The simulator keeps only the next arrival on the heap, each arrival
 pushing the one after it, and each dealer's next opening or close; the
 reference pushes every arrival onto the heap first. Both must run
 events in the same order, ties included, so the arbitration log, every
-invocation record and the report come out equal. The calendar is
-checked on its own against every opening and close up to the horizon,
-and each node state's open interval against is_dealer_open at every
-arrival.
+invocation record and the report come out equal. Under a pinned policy
+the program runs no events: its per-node queues must come out equal to
+the reference all the same. The calendar is checked on its own against
+every opening and close up to the horizon, and each node state's open
+interval against is_dealer_open at every arrival, on the event loop
+under every policy.
 """
 
 import dataclasses
@@ -38,8 +40,8 @@ from tierbroker.workload import (
     scenario_from_dict,
 )
 
-from conftest import SCENARIO_DIR, make_node, make_service
-from oracles import HeapOnlySimulation
+from conftest import SCENARIO_DIR, make_node, make_service, program_run
+from oracles import EventSimulation, HeapOnlySimulation
 
 
 def run_with(cls, scenario, policy, arrivals=None):
@@ -47,8 +49,9 @@ def run_with(cls, scenario, policy, arrivals=None):
 
 
 def assert_same_order(scenario, policy="sami", arrivals=None):
-    """Both loops run the stream drawn from the scenario, or `arrivals` when given."""
-    merged = run_with(Simulation, scenario, policy, arrivals)
+    """The program and the heap-only loop run the stream drawn from the
+    scenario, or `arrivals` when given."""
+    _, merged = program_run(scenario, policy, arrivals=arrivals)
     reference = run_with(HeapOnlySimulation, scenario, policy, arrivals)
     assert merged.arbitration_log == reference.arbitration_log
     assert merged.records == reference.records
@@ -231,7 +234,7 @@ def test_a_given_stream_runs_as_the_drawn_one(case):
     scenario, arrivals, policy = case
     with pytest.MonkeyPatch.context() as mp:
         use_arrivals(mp, arrivals)
-        drawn = run_with(Simulation, scenario, policy)
+        _, drawn = program_run(scenario, policy)
     stream = list(arrivals)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "generate_workload", refuse_to_draw)
@@ -286,7 +289,7 @@ def multi_day_cases(draw):
     return case
 
 
-class NoteEvents(Simulation):
+class NoteEvents(EventSimulation):
     """Notes the events the loop runs, in order: arrivals, dealer openings
     and closes, ticks and execution ends."""
 
@@ -348,7 +351,7 @@ def test_days_of_dealer_hours_match_heap_only_reference(case):
     assert ranks == sorted(ranks)
 
 
-class CheckOpenness(Simulation):
+class CheckOpenness(EventSimulation):
     """Checks at every arrival that each node state's open interval admits
     exactly when is_dealer_open does, a node that is no dealer always."""
 
@@ -396,13 +399,15 @@ def test_arrivals_at_opening_and_close(monkeypatch, hours, policy):
     near = {t + step for t in edges for step in (-1.0, 0.0, 1.0)}
     times = sorted(t for t in near if 0.0 <= t <= horizon)
     use_arrivals(monkeypatch, [Arrival(t, "u1", "svc-x") for t in times])
-    sim = CheckOpenness(hours_scenario(*hours, horizon), policy=policy)
-    result = sim.run()
+    scenario = hours_scenario(*hours, horizon)
+    sim = CheckOpenness(scenario, policy=policy)
+    sim.run()
     assert len(sim.checked) == len(times)
     for t_ms, _, opened in sim.checked:
         assert opened is (hours[0] * 60000.0 <= t_ms % DAY_MS < hours[1] * 60000.0)
     if policy == "dealer-only":
-        # Pinned to D1: an arrival is refused exactly when D1 is closed.
+        # Pinned to D1: the queues refuse an arrival exactly when D1 is closed.
+        _, result = program_run(scenario, policy)
         refused = [r.t_arrive for r in result.records if r.outcome is Outcome.REJECTED]
         assert refused == [t for t, _, opened in sim.checked if not opened]
 

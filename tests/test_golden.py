@@ -1,16 +1,24 @@
 """Byte-stable outputs: the SHA-256 of every file `run` and `compare` write.
 
 The digests pin the four shipped scenarios at seed 42 and at the
-held-out seed 7. A change that moves any of them changes what users
-get, and needs its own CHANGES.md entry saying why, together with the
-new digests.
+held-out seed 7, and the benchmark's 100-service fleet, the one large
+run with queueing and requests in flight at the horizon, under sami
+and cloud-only at both seeds. A change that moves any of them changes
+what users get, and needs its own CHANGES.md entry saying why, together
+with the new digests.
 """
 
 import hashlib
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
 from tierbroker.cli import EXIT_OK, main
+from tierbroker.report import write_metrics_csv, write_metrics_json
+from tierbroker.simulation import simulate_scenario
+from tierbroker.workload import load_scenario
 
 from conftest import SCENARIO_DIR
 
@@ -88,3 +96,53 @@ def test_shipped_scenario_outputs_match_golden_digests(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SEED_7))
 def test_held_out_seed_outputs_match_golden_digests(tmp_path, name):
     assert output_digests(tmp_path, name, 7, GOLDEN_SEED_7[name]) == GOLDEN_SEED_7[name]
+
+
+# bench/digest.py's fleet_sami and fleet_cloud lines: (seed, policy) -> file -> SHA-256.
+GOLDEN_FLEET = {
+    (42, "cloud-only"): {
+        "metrics.csv": "03ac246314027fabcadacd49bbee2109940f378979ed0182add231c756829e7b",
+        "metrics.json": "67fe46d830188b10667483596e853edab66f6232fadc4a4cdc0c3833391dfe44",
+    },
+    (42, "sami"): {
+        "metrics.csv": "87a3792c30237e5e2bf9829c7b305da48f4b3821c70b88956bb5a6baac8b1fb4",
+        "metrics.json": "9c94e64eb41d7ed39b0d9afac713a56aba6fb752561b93e922aa4a568b48d29f",
+    },
+    (7, "cloud-only"): {
+        "metrics.csv": "75a8e510757201cc7efe005b43c2b3bb069306243118dc8eff6c061b3d603659",
+        "metrics.json": "7b38354a443a7e47ee934f1d00f39dd4f44f17c648577b7c240c58f1807a1f43",
+    },
+    (7, "sami"): {
+        "metrics.csv": "701bc4f2746b5713e84633fcfb58c34345b0181bae2350134d17854ab4635113",
+        "metrics.json": "3996a36bd340957b6c6416bc8a1f2fb2cc5d2b38059549bcb1f60f9b9db6e487",
+    },
+}
+
+WORKLOADS = SCENARIO_DIR.parent / "bench" / "workloads.py"
+
+
+def fleet_dict(seed):
+    """bench/workloads.py's fleet at seed, loaded from its file, which is left as it is."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    fleet = module.fleet_dict(seed)
+    # Made relative to where bench/ writes the fleet; read from the scenarios here.
+    fleet["tag_vocabulary"] = str(SCENARIO_DIR / Path(fleet["tag_vocabulary"]).name)
+    return fleet
+
+
+@pytest.mark.parametrize("seed, policy", sorted(GOLDEN_FLEET))
+def test_fleet_outputs_match_golden_digests(tmp_path, seed, policy):
+    # As the fleet workloads run it: the scenario read from its file, one
+    # simulate_scenario and both metrics files.
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(fleet_dict(seed), indent=1) + "\n", encoding="utf-8")
+    result = simulate_scenario(load_scenario(str(path)), policy=policy)
+    write_metrics_csv(result.report, str(tmp_path / "metrics.csv"))
+    write_metrics_json(result.report, str(tmp_path / "metrics.json"))
+    digests = {
+        filename: hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
+        for filename in GOLDEN_FLEET[seed, policy]
+    }
+    assert digests == GOLDEN_FLEET[seed, policy]

@@ -1,12 +1,14 @@
-"""Every statement of the event handlers and the analysis path runs under
-the oracle comparisons.
+"""Every statement of the event handlers, the analysis path and the
+pinned queues runs under the oracle comparisons.
 
 A fixed list of cases goes through each oracle comparison (the
 heap-only loop, the every-tick analysis, the three-event request path
 and the report rebuilt from the records) under a sys.settrace line
 tracer from the standard library. Every line of each
 handler, and of the tick and what it calls, that holds bytecode must
-run, the drop and a move at a tick included. A list, not
+run, the drop and a move at a tick included; so must every line of the
+pinned queues' run, a close's reject and starts and completions past
+the horizon included. A list, not
 Hypothesis draws, so the lines reached do not depend on the draw.
 """
 
@@ -17,7 +19,7 @@ import pytest
 
 from tierbroker.arbitrator import SchedulerWeights, Thresholds
 from tierbroker.model import EnergyModel, SecurityClass, Tier
-from tierbroker.simulation import POLICIES, Simulation
+from tierbroker.simulation import POLICIES, PinnedQueues, Simulation
 from tierbroker.workload import Arrival, ConsumerSpec, Scenario, generate_workload
 
 from conftest import make_node, make_service
@@ -31,6 +33,7 @@ HANDLERS = (
     "_re_resolve",
     "_try_start",
     "_on_exec_done",
+    "_complete",
     "_on_dealer_open",
     "_on_dealer_close",
     "_on_analysis_tick",
@@ -97,8 +100,11 @@ def cases():
     critical service, which breaks its pin to the dealer at every
     arrival, and with a compute factor below 1, so every completion
     overruns on a node with none nearer, the first ones before a run of
-    three can advise; last, a tick that moves a service on while a
-    request waits on the node left for the copy still migrating there."""
+    three can advise; the dealer alone under dealer-only again, with the
+    horizon falling after the first request of the burst starts, so it
+    completes past it, and before the next can start; last, a tick that
+    moves a service on while a request waits on the node left for the
+    copy still migrating there."""
     for policy in POLICIES:
         yield *dealer_alone(), policy
         yield *nowhere_after_close(), policy
@@ -109,6 +115,7 @@ def cases():
     yield dataclasses.replace(alone, services=[critical]), arrivals, "dealer-only"
     thresholds = dataclasses.replace(alone.thresholds, compute_factor=0.5, compute_run=3)
     yield dataclasses.replace(alone, thresholds=thresholds), arrivals, "sami"
+    yield dataclasses.replace(alone, horizon_ms=59600.0), arrivals, "dealer-only"
     yield *closed_dealer_then_pressure(storage_demand=500.0), "sami"
 
 
@@ -118,7 +125,7 @@ def compare_with_oracles(scenario, arrivals, policy):
         assert_same_order(scenario, policy)
         assert_same_run(scenario, policy=policy)
         assert_same_as_three_events(scenario, policy)
-        assert_report_from_records(Simulation(scenario, policy=policy))
+        assert_report_from_records(scenario, policy)
 
 
 def body_lines(code):
@@ -128,7 +135,8 @@ def body_lines(code):
 
 def test_oracle_cases_reach_every_handler_statement():
     codes = {getattr(Simulation, name).__code__: name for name in HANDLERS}
-    reached = {name: set() for name in HANDLERS}
+    codes[PinnedQueues.run_queues.__code__] = "run_queues"
+    reached = {name: set() for name in codes.values()}
 
     def trace_lines(frame, event, arg):
         if event == "line":

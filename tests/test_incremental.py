@@ -37,8 +37,8 @@ from tierbroker.report import report_to_dict
 from tierbroker.simulation import POLICIES, Simulation
 from tierbroker.workload import Arrival, ConsumerSpec, Scenario, load_scenario, scenario_from_dict
 
-from conftest import SCENARIO_DIR, make_node, make_service
-from oracles import EveryTickSimulation, ThreeEventSimulation
+from conftest import SCENARIO_DIR, make_node, make_service, program_run
+from oracles import EventSimulation, EveryTickSimulation, ThreeEventSimulation
 from test_event_order import lone_dealer_cases, use_arrivals
 
 
@@ -47,7 +47,7 @@ def run_with(cls, scenario, seed=None, policy="sami"):
 
 
 def assert_same_run(scenario, seed=None, policy="sami"):
-    fast = run_with(Simulation, scenario, seed, policy)
+    _, fast = program_run(scenario, policy, seed)
     reference = run_with(EveryTickSimulation, scenario, seed, policy)
     assert fast.arbitration_log == reference.arbitration_log
     assert fast.records == reference.records
@@ -197,7 +197,7 @@ def test_a_lone_dealer_run_matches_every_tick_reference(case):
     event("dropped" if result.report.run.dropped else "none dropped")
 
 
-class CheckOpenings(Simulation):
+class CheckOpenings(EventSimulation):
     """Asserts at every dealer opening that _try_start would start nothing."""
 
     openings = 0
@@ -225,7 +225,7 @@ def test_a_dealer_opening_has_nothing_to_start(case, policy):
     event("dealer opened" if sim.openings else "no dealer opened")
 
 
-class CheckNodeStates(Simulation):
+class CheckNodeStates(EventSimulation):
     """Checks after every event, and after every _try_start, that each
     service's pair is its placement's, that each pair holds its node's
     state and that every node is work-conserving; counts the moves by
@@ -431,7 +431,7 @@ def test_batch_count_is_exact_far_from_zero(interval, first_tick, span, nudge, b
         assert sim._fast_forward(t_ms) == max(0, min(before_event, within_horizon))
 
 
-class NoteBatches(Simulation):
+class NoteBatches(EventSimulation):
     """Notes each analysis tick the loop runs and each batch of quiet ticks
     it skips: the batch's first tick, its tick count and whether no event
     is left at all."""

@@ -2,7 +2,8 @@
 and a report equal to the reference one.
 
 The scenarios come from the strategies that drive the reference-loop
-tests, under every policy. The report property fills a placed run's
+tests, under every policy, each run as the program runs it: the event
+loop under sami, the pinned queues under the others. The report property fills a placed run's
 tallies from random record lists, as each request would have settled,
 and calls Simulation._finish directly; the run-level report properties
 run the shipped scenarios at drawn seeds, the tied-event grids, and a
@@ -48,7 +49,7 @@ from tierbroker.report import write_metrics_csv, write_metrics_json
 from tierbroker.simulation import POLICIES, Simulation, _Tally, _totals
 from tierbroker.workload import Scenario, load_scenario
 
-from conftest import SCENARIO_DIR, T0_NOON, make_service, t0_nodes
+from conftest import SCENARIO_DIR, T0_NOON, make_service, program_run, t0_nodes
 from oracles import reference_rows
 from test_event_order import (
     grid_cases,
@@ -60,7 +61,7 @@ from test_incremental import incremental_cases
 
 
 def run_policy(scenario, policy):
-    return Simulation(scenario, policy=policy).run()
+    return program_run(scenario, policy)[1]
 
 
 def assert_conserved(report):
@@ -233,7 +234,7 @@ def settle(tally, rec):
 ))
 def test_one_pass_report_equals_reference(run):
     sim = finished(*run)
-    report = sim._finish().report
+    report = sim._finish(int(sim.horizon // simulation.ANALYSIS_INTERVAL_MS)).report
     rows, run_row = reference_rows(sim)
     # repr shows every float exactly.
     assert repr(report.services) == repr(rows)
@@ -248,12 +249,13 @@ def shipped(name):
     return load_scenario(str(SCENARIO_DIR / f"{name}.json"))
 
 
-def assert_report_from_records(sim):
-    report = sim.run().report
+def assert_report_from_records(scenario, policy, seed=None):
+    """Runs the policy as the program does; returns the runner and its report."""
+    sim, result = program_run(scenario, policy, seed)
     rows, run_row = reference_rows(sim)
-    assert repr(report.services) == repr(rows)
-    assert repr(report.run) == repr(run_row)
-    return report
+    assert repr(result.report.services) == repr(rows)
+    assert repr(result.report.run) == repr(run_row)
+    return sim, result.report
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,7 +263,7 @@ def assert_report_from_records(sim):
 def test_run_report_equals_reference_from_records(name, policy, seed):
     # Every row is fed as its requests settle; the reference reads the
     # records the run leaves, with what is unsettled at the horizon in flight.
-    assert_report_from_records(Simulation(shipped(name), policy=policy, seed=seed))
+    assert_report_from_records(shipped(name), policy, seed)
 
 
 @settings(max_examples=100, deadline=None)
@@ -270,7 +272,7 @@ def test_report_tallies_close_rejections_and_drops(case):
     scenario, arrivals, policy = case
     with pytest.MonkeyPatch.context() as mp:
         use_arrivals(mp, arrivals)
-        assert_report_from_records(Simulation(scenario, policy=policy))
+        assert_report_from_records(scenario, policy)
 
 
 def assert_derived_figures(scenario, records):
@@ -298,8 +300,7 @@ def test_tied_event_report_equals_reference_from_records(case):
     scenario, arrivals, policy = case
     with pytest.MonkeyPatch.context() as mp:
         use_arrivals(mp, arrivals)
-        sim = Simulation(scenario, policy=policy)
-        report = assert_report_from_records(sim)
+        sim, report = assert_report_from_records(scenario, policy)
     assert assert_derived_figures(scenario, sim.records) == report.run.completed
 
 
@@ -308,7 +309,7 @@ def test_tied_event_report_equals_reference_from_records(case):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_records_recompute_from_their_pairs(name, policy, seed):
     scenario = shipped(name)
-    result = Simulation(scenario, policy=policy, seed=seed).run()
+    _, result = program_run(scenario, policy, seed)
     assert assert_derived_figures(scenario, result.records) == result.report.run.completed
 
 
@@ -317,8 +318,7 @@ def test_report_counts_requests_cut_at_the_horizon_in_flight():
     # eleven while transferring and one while executing; none of them
     # settled, so each is in flight by the remainder alone.
     scenario = dataclasses.replace(shipped("hot_cloud_service"), horizon_ms=7600.0)
-    sim = Simulation(scenario, policy="cloud-only", seed=42)
-    report = assert_report_from_records(sim)
+    sim, report = assert_report_from_records(scenario, "cloud-only", 42)
     node = sim.topology.get("C1")
     transfer_ms = {desc.id: pair_cost(desc, node).transfer_ms for desc in scenario.services}
     cut = [r for r in sim.records if r.outcome is None]

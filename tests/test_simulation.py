@@ -10,7 +10,13 @@ from tierbroker import simulation
 from tierbroker.errors import ConfigError
 from tierbroker.model import DAY_MS, Outcome, Tier
 from tierbroker.report import report_to_dict
-from tierbroker.simulation import POLICIES, Simulation, simulate_scenario
+from tierbroker.simulation import (
+    POLICIES,
+    POLICY_TIERS,
+    PinnedQueues,
+    Simulation,
+    simulate_scenario,
+)
 from tierbroker.workload import generate_workload, load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR, make_node
@@ -247,6 +253,25 @@ def test_unknown_policy_rejected():
         simulate_scenario(scenario, policy="closest-first")
 
 
+class NoteArrivals(Simulation):
+    """A subclass overriding a handler, as the event-order tests write them."""
+
+    def _on_arrival(self, t_ms, arrival):
+        super()._on_arrival(t_ms, arrival)
+
+
+@pytest.mark.parametrize("runner", [Simulation, NoteArrivals])
+@pytest.mark.parametrize("policy", sorted(POLICY_TIERS))
+def test_the_event_loop_refuses_a_pinned_policy(runner, policy):
+    # A pinned policy runs as queues; the event loop would run no handler
+    # a subclass overrides there, so it is refused rather than run.
+    scenario = load_scenario(str(SCENARIO_DIR / "minimal.json"))
+    with pytest.raises(ConfigError, match=f"not '{policy}'"):
+        runner(scenario, policy=policy)
+    with pytest.raises(ConfigError, match="not 'sami'"):
+        PinnedQueues(scenario, policy="sami")
+
+
 
 def test_finished_run_frees_its_simulation():
     # Heap entries hold bound methods, so events left past the horizon
@@ -290,6 +315,35 @@ def test_a_run_keeps_none_of_the_stream_it_drew(monkeypatch):
     # arrivals: no copy of it either.
     assert gc.get_referrers(stream) == [drawn]
     assert gc.get_referrers(stream[0], stream[len(stream) // 2], stream[-1]) == [stream]
+
+
+@pytest.mark.parametrize("policy", ["sami", "cloud-only"])
+def test_each_arrival_is_freed_once_handled(monkeypatch, policy):
+    # The run pops each arrival from a reversed copy of what it draws, so
+    # an arrival handled is held by no list: walking the drawn list
+    # instead would hold every arrival until the run ends. At the
+    # hundredth billed completion the first arrival is held by nothing
+    # but this test.
+    first = []
+    draw, rebate = simulation.generate_workload, simulation.apply_slo_rebate
+
+    def drawing(*args):
+        stream = draw(*args)
+        first.append(stream[0])
+        return stream
+
+    def billing(*args):
+        if len(first) == 100:
+            held = [r for r in gc.get_referrers(first[0]) if isinstance(r, (list, tuple))]
+            assert held == [first]
+        first.append(None)
+        return rebate(*args)
+
+    monkeypatch.setattr(simulation, "generate_workload", drawing)
+    monkeypatch.setattr(simulation, "apply_slo_rebate", billing)
+    scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
+    simulate_scenario(scenario, policy=policy)
+    assert len(first) > 100
 
 
 def test_a_given_stream_is_only_read():

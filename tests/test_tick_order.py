@@ -13,7 +13,7 @@ import heapq
 import pytest
 from hypothesis import assume, given, settings
 
-from tierbroker.simulation import Simulation
+from tierbroker.simulation import ANALYSIS_INTERVAL_MS, Simulation
 from tierbroker.workload import Arrival
 
 from test_event_order import (
@@ -39,7 +39,7 @@ class NotePops(Simulation):
                 break
             self.popped.append((t_ms, handler.__name__))
             handler(t_ms, payload)
-        return self._finish()
+        return self._finish(int(self.horizon // ANALYSIS_INTERVAL_MS))
 
 
 def ticks_run_last(scenario, seed=None):
