@@ -1,23 +1,25 @@
 """Deterministic simulation of the offload fabric, one policy per run.
 
 The arbitrated policy, sami, runs as a discrete-event simulation
-(Simulation). Every event waits on one heap of (time, push sequence,
-handler, payload) tuples; one loop calls handler(time, payload) as each
-pops, and a recurring event pushes its successor. The arrival stream
-is drawn by generate_workload right before the first event, unless the
-caller gives one already drawn: compare draws it once, in its first run, and runs
-the other policies over the same stream, rebuilt from that run's
-records (SimResult.arrivals). Either way the run walks a reversed copy,
-so a given stream is only read, and a drawn one is held by nothing
-else: each arrival is freed once handled. Only the next arrival waits
-on the heap, at sequence 0, and each arrival pushes the one after it.
-A dealer with hours reserves a sequence, in node order, before any
-other push; its opening pushes its close and its close the next
-opening at it, so it has one event pending whatever the horizon.
-Ties are resolved alike on every run: arrivals first, in list order,
-then the calendar, in node order, then the rest by push sequence, then
-the analysis tick, last, so an arrival at a dealer's close runs before
-the close does and the tick at T sees every completion up to T. Each
+(Simulation). One loop merges three sources in time order: the arrival
+stream, a heap of every other event and the analysis tick's clock. The
+arrival stream is drawn by generate_workload right before the first
+event, unless the caller gives one already drawn: compare draws it
+once, in its first run, and runs the other policies over the same
+stream, rebuilt from that run's records (SimResult.arrivals). Either
+way the run walks a reversed copy, so a given stream is only read, and
+a drawn one is held by nothing else: each arrival is freed once
+handled. The heap holds (time, push sequence, handler, payload) tuples,
+and the loop calls handler(time, payload) as each pops; a recurring
+event pushes its successor. A dealer with hours reserves a sequence, in
+node order, before any other push; its opening pushes its close and its
+close the next opening at it, so it has one event pending whatever the
+horizon. Ties are resolved alike on every run: arrivals first, in list
+order, as the next arrival runs while it is no later than the heap's
+first event; then the calendar, in node order, then the rest by push
+sequence; then the analysis tick, last, as it runs only while it is
+earlier than both. So an arrival at a dealer's close runs before the
+close does and the tick at T sees every completion up to T. Each
 node serves its queue in FIFO order across cpu_slots parallel slots; a
 request occupies a slot from start until execution completes. Dealers
 reject whatever is still queued when they close; the next arrival of an
@@ -31,9 +33,10 @@ current or next day's hours: _push_calendar sets the first day's, and
 only the close moves it on to the next day's. An arrival at a close
 runs before it, so it still sees that day's interval and reads closed
 at open_until: two compares equal is_dealer_open at every arrival,
-boundaries included. Every other node,
-a round-the-clock dealer too, is open over (-inf, inf). Analysis ticks
-run the delay-pressure and compute-shortfall detectors every second.
+boundaries included. Every other node, a round-the-clock dealer too,
+is open over (-inf, inf). An analysis tick falls on every whole second
+and runs the delay-pressure and compute-shortfall detectors, while a
+service is marked for them (below).
 
 A start fixes its completion time, ((start + rtt) + transfer) + exec,
 and pushes its ExecDone there. So completions at the same time run in
@@ -82,24 +85,27 @@ marks nothing and clears advising. An overrun marks the service unless
 advising is set: then the last compute_run times all still overrun, so
 the check still advises, and reschedule, which reads the time only
 through dealer hours, makes the choice that kept the service in place.
-When a tick leaves no service marked, which is when it moved none (a
-move marks the mover, whose window is not empty), the ticks up to the
-next event are skipped, as no dealer opens or closes before it, and
-only the first tick not skipped is pushed; it runs last at its time, as
-the every-tick loop's would, so event order is unchanged. Each service
-holds its ServiceWindow from placement on, so a completion feeds it
-with one collect_context call and no lookup, and the detectors and
-_forget read it there.
+So a tick runs only while a service is marked, as a tick that finds
+none analyses nothing. The event that marks a service while none is
+sets the clock to the first whole multiple of the interval at or after
+its time (_first_tick), and a tick that leaves a service marked, which
+is when it moved one (a move marks the mover, whose window is not
+empty), keeps it at the next multiple; one that leaves none stops it.
+The tick runs last at its time, as the every-tick loop's would, so
+event order is unchanged. Each service holds its ServiceWindow from
+placement on, so a completion feeds it with one collect_context call
+and no lookup, and the detectors and _forget read it there.
 
 The arbitration log records decisions: a (t_ms, kind, service id)
 entry for each register and each reschedule, so it grows with what
 happened, not with the horizon. It is their one record: a service's
 reschedules are its reschedule entries, the run's are all of them, and
 the placed services are those with a register entry. The analyses
-are counted, not logged: every tick counts one per placed service,
-whether or not the detectors ran, so arbitration_events adds
-floor(horizon / interval) times the placed services to the log's
-length under the arbitrated policy, and nothing under a pinned one.
+are counted, not logged: every whole multiple of the interval up to
+the horizon counts one per placed service, whether or not its tick ran
+or the detectors did, so arbitration_events adds floor(horizon /
+interval) times the placed services to the log's length under the
+arbitrated policy, and nothing under a pinned one.
 
 What is fixed for a (service, node) pair is one _Pair, built by _pair
 the first time the service is placed on the node: the node's
@@ -115,11 +121,14 @@ wait and latency, so they are computed per request.
 
 Each placed service keeps the pair of its placement, set at placement
 and by _move, the only place a placement changes, so an arrival
-reaches its queue, and a tick its node, without a lookup. _try_start
-is asked only when it can start something: by an arrival while a slot
-is free, by a completion while the queue holds a request, by a
-migration's end, and by a move, on the node left while the copy there
-was still migrating: the requests it held there may start at once.
+reaches its queue, and a tick its node, without a lookup. An arrival
+that finds its node's queue empty, a slot free and its copy not
+migrating there starts at once, as _try_start would start it; any
+other queues. _try_start is asked only when it can start something: by
+an arrival that queued while a slot is free, by a completion while the
+queue holds a request, by a migration's end, and by a move, on the
+node left while the copy there was still migrating: the requests it
+held there may start at once.
 Each request feeds its service's _Tally as it settles: invocations
 and rejections at arrival, a drop at re-placement, a rejection at a
 dealer's close and a completion's latency, energy and charge at its
@@ -179,9 +188,6 @@ from .workload import Arrival, Scenario, generate_workload
 log = logging.getLogger(__name__)
 
 ANALYSIS_INTERVAL_MS = 1000.0
-# The analysis tick's push sequence: at equal times it runs after every
-# other event. At most one tick is pending, so no two entries share a key.
-TICK_SEQ = math.inf
 
 POLICY_TIERS = {
     "cloud-only": Tier.CLOUD,
@@ -189,6 +195,24 @@ POLICY_TIERS = {
     "dealer-only": Tier.DEALER,
 }
 POLICIES = ("sami",) + tuple(sorted(POLICY_TIERS))
+
+
+def _first_tick(t_ms: float, interval: float) -> float:
+    """The first tick at or after t_ms: the least whole multiple of the
+    interval, from the interval itself on, not below t_ms.
+
+    Below 2**53 the multiples of a whole interval are whole numbers, so
+    k * interval and its compare with t_ms are exact. The quotient is
+    rounded, but never above its exact value's ceiling, a whole number
+    and so a float; and never below the whole number under that, for
+    the same reason. So its ceiling is the count, or one less when it
+    rounds down onto a whole number, and then k * interval falls below
+    t_ms and k steps up.
+    """
+    k = max(1, math.ceil(t_ms / interval))
+    if k * interval < t_ms:
+        k += 1
+    return k * interval
 
 
 def energy_j(transfer_ms: float, wait_ms: float, model: EnergyModel) -> float:
@@ -339,7 +363,7 @@ class Simulation:
 
         self._heap: list[tuple[float, float, Callable, object]] = []
         self._stream = arrivals  # given, in time order; None to draw it
-        self._arrivals: list[Arrival] = []  # those after the one on the heap, latest first
+        self._arrivals: list[Arrival] = []  # those not yet handled, latest first
         self._seq = 0
         self.records: list[InvocationRecord] = []
         self.arbitration_log: list[tuple[float, str, str]] = []
@@ -355,7 +379,7 @@ class Simulation:
 
     def _push(self, t_ms: float, handler: Callable, payload=None):
         # No two entries share (time, sequence), so handler and payload are never compared.
-        # _try_start pushes the same way, inline; a tick takes TICK_SEQ instead.
+        # _on_arrival and _try_start push the same way, inline.
         self._seq += 1
         heappush(self._heap, (t_ms, self._seq, handler, payload))
 
@@ -409,11 +433,7 @@ class Simulation:
         return stream[::-1]
 
     def _schedule_calendar(self):
-        arrivals = self._reversed_stream()
-        if arrivals:
-            first = arrivals.pop()
-            heappush(self._heap, (first.t_ms, 0, self._on_arrival, first))
-        self._arrivals = arrivals
+        self._arrivals = self._reversed_stream()
         self._push_calendar()
 
     def _open_first_day(self) -> list[_NodeState]:
@@ -431,7 +451,7 @@ class Simulation:
         return dealers
 
     def _push_calendar(self):
-        """Push each dealer's first opening or close, then the first tick, before all else."""
+        """Push each dealer's first opening or close, before all else."""
         for node_state in self._open_first_day():
             self._seq += 1
             node_state.calendar_seq = self._seq
@@ -439,34 +459,54 @@ class Simulation:
             # Its first event after 0 ms: the opening, or the close when it opens at 0 ms.
             first = self._on_dealer_open if open_minute else self._on_dealer_close
             self._push_dealer((open_minute or close_minute) * 60000.0, first, node_state)
-        if ANALYSIS_INTERVAL_MS <= self.horizon:
-            heappush(self._heap, (ANALYSIS_INTERVAL_MS, TICK_SEQ, self._on_analysis_tick, None))
 
     # ------------------------------------------------------------------
     # event handlers
 
     def run(self) -> SimResult:
+        """Run the arrivals, the heap's events and the ticks up to the horizon, merged."""
         self._place_all()
         self._schedule_calendar()
         heap = self._heap
+        arrivals = self._arrivals
+        changed = self._changed
         horizon = self.horizon
+        interval = ANALYSIS_INTERVAL_MS
+        on_arrival = self._on_arrival
+        on_tick = self._on_analysis_tick
         pop = heappop
-        while heap:
-            t_ms, _, handler, payload = pop(heap)
+        inf = math.inf
+        t_tick = inf  # the next tick while a service is marked
+        while True:
+            t_ms = heap[0][0] if heap else inf
+            if arrivals and arrivals[-1][0] <= t_ms:  # an arrival runs first at its time
+                t_ms = arrivals[-1][0]
+                if t_tick < t_ms:
+                    t_ms = t_tick
+                elif t_ms <= horizon:
+                    on_arrival(t_ms, arrivals.pop())
+                    if changed and t_tick == inf:
+                        t_tick = _first_tick(t_ms, interval)
+                    continue
+            elif t_tick < t_ms:  # a tick runs last at its time
+                t_ms = t_tick
+            elif t_ms <= horizon:
+                _, _, handler, payload = pop(heap)
+                handler(t_ms, payload)
+                if changed and t_tick == inf:
+                    t_tick = _first_tick(t_ms, interval)
+                continue
             if t_ms > horizon:
                 break
-            handler(t_ms, payload)
+            on_tick(t_ms)
+            t_tick = t_ms + interval if changed else inf
         # What is left is past the horizon. Its handlers are bound methods, so it
         # would hold this simulation in a reference cycle until the next full collection.
         heap.clear()
         # A tick falls on each whole multiple of the interval up to the horizon.
-        return self._finish(int(horizon // ANALYSIS_INTERVAL_MS))
+        return self._finish(int(horizon // interval))
 
     def _on_arrival(self, t_ms: float, arrival: Arrival):
-        arrivals = self._arrivals
-        if arrivals:  # the next arrival takes this one's place on the heap
-            upcoming = arrivals.pop()
-            heappush(self._heap, (upcoming[0], 0, self._on_arrival, upcoming))
         _, consumer_id, service_id = arrival
         state = self.services[service_id]
         request = InvocationRecord(len(self.records) + 1, service_id, consumer_id, None, t_ms)
@@ -480,18 +520,30 @@ class Simulation:
             return
         pair = state.pair
         node_state = pair.node_state
-        node = node_state.node
         # is_admissible: the half that holds at all hours read from the pair,
         # and a dealer's hours from its node state.
         if not (pair.fits and node_state.open_from <= t_ms < node_state.open_until):
             node_state = self._re_resolve(t_ms, state, request)
             if node_state is None:
                 return
-            node = node_state.node
+            pair = state.pair
+        node = node_state.node
         request.node_id = node.id
-        node_state.queue.append(request)
-        if node_state.running < node.cpu_slots:  # else _try_start would start nothing
+        queue = node_state.queue
+        if node_state.running >= node.cpu_slots:
+            queue.append(request)
+        elif queue or t_ms < state.migration_until:
+            # In FIFO order behind the queue, or held for its copy; the head
+            # may start now, its copy arriving at this very time.
+            queue.append(request)
             self._try_start(t_ms, node_state)
+        else:  # it starts at once, as _try_start would start it
+            node_state.running += 1
+            cost = pair.cost
+            request.t_start = t_ms
+            self._seq = seq = self._seq + 1
+            t_done = t_ms + node.rtt_ms + cost.transfer_ms + cost.exec_ms
+            heappush(self._heap, (t_done, seq, self._on_exec_done, request))
 
     def _re_resolve(self, t_ms, state: _ServiceState, request: InvocationRecord):
         """Current node refuses the service (dealer closed, say): place anew.
@@ -647,19 +699,17 @@ class Simulation:
             self.services[request.service_id].tally.rejected += 1
         self._forget(*self.services.values())
 
-    def _on_analysis_tick(self, t_ms: float, _payload=None):
-        """Analyse the services in _changed, in id order, and log each move."""
+    def _on_analysis_tick(self, t_ms: float):
+        """Analyse the services in _changed, in id order, and log each move.
+
+        A move marks the mover (_forget), whose window is not empty, so
+        it leaves a service marked exactly when it moved one.
+        """
         visit = [self.services[service_id] for service_id in sorted(self._changed)]
         self._changed.clear()
         for state in visit:
             if self._analyze(t_ms, state):
                 self.arbitration_log.append((t_ms, "reschedule", state.desc.id))
-        # A move marks the mover (_forget), whose window is not empty, so
-        # nothing is marked exactly when no service moved.
-        ticks = 1 if self._changed else 1 + self._fast_forward(t_ms + ANALYSIS_INTERVAL_MS)
-        t_next = t_ms + ticks * ANALYSIS_INTERVAL_MS
-        if t_next <= self.horizon:
-            heappush(self._heap, (t_next, TICK_SEQ, self._on_analysis_tick, None))
 
     def _analyze(self, t_ms: float, state: _ServiceState) -> bool:
         """Run both detectors and act on their advice; True when the service moved."""
@@ -685,29 +735,6 @@ class Simulation:
             return False
         self._move(t_ms, state, decision)
         return True
-
-    def _fast_forward(self, t_ms: float) -> int:
-        """Count the ticks from t_ms on that find every service quiet.
-
-        Called after a tick in which every service stayed quiet. Until the
-        next event, heap[0], no window or placement changes, and no dealer
-        opens or closes, as that happens only at calendar events: a tick
-        before it finds the same verdicts. A tick at exactly the next event's
-        time is left to run after that event, as ticks run last at their
-        time. The batch is skipped: tick i is at t_ms + i * interval, exact
-        because every tick time is a whole multiple of the interval.
-        """
-        # Tick i is in the batch while t_ms + i * interval < end: end is the
-        # next event or just past the horizon, as a tick may fall on the
-        # horizon itself.
-        end = math.nextafter(self.horizon, math.inf)
-        if self._heap and self._heap[0][0] < end:
-            end = self._heap[0][0]
-        # end is finite even when no event is left. Below 2**53 tick times
-        # and their multiples of the interval are whole numbers, so end - t_ms
-        # is exact and the rounded quotient crosses no whole number the exact
-        # one does not: its ceiling is the count.
-        return max(0, math.ceil((end - t_ms) / ANALYSIS_INTERVAL_MS))
 
     # ------------------------------------------------------------------
     # reporting

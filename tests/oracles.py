@@ -6,29 +6,36 @@ restricted-set flow from scratch so the scheduler can be checked against
 an implementation that shares no code with it beyond the data types.
 
 EventSimulation is the event loop under every policy, the reference
-for the pinned queues: under a pinned policy no tick is pushed, so
-nothing moves, and an arrival its node refuses, unfit or closed, is
-rejected there, counting a security violation when the pair fails on
-trust or security. Under sami it is the simulator itself. The oracles
-below build on it, so each checks both the simulator and the queues.
-
-EveryTickSimulation keeps the analysis loop in its plainest form: every
-placed service runs both detectors on every tick, with no memo and no
-skipped ticks, so the incremental loop must reproduce it exactly.
+for the pinned queues: under a pinned policy no service is ever marked,
+so no tick runs and nothing moves, and an arrival its node refuses,
+unfit or closed, is rejected there, counting a security violation when
+the pair fails on trust or security. Under sami it is the simulator
+itself. The oracles below build on it, so each checks both the
+simulator and the queues.
 
 HeapOnlySimulation keeps the event loop in its plainest form: every
 arrival of the stream, drawn or given, is pushed onto the heap, with
-_on_arrival as its handler, before any other event, and one loop calls
-the handler of whatever pops, so the order of events at equal times is
-set by push sequence alone, but for the tick, which runs last. The
-simulator, which keeps only the next arrival on the heap, must
+_on_arrival as its handler, before any other event, and under sami a
+tick is pushed for every whole multiple of the interval up to the
+horizon, keyed (time, TICK_SEQ) so that it runs after every other
+event at its time. One loop calls the handler of whatever pops, so the
+order of events at equal times is set by push sequence alone, but for
+the tick, which runs last. The simulator, which merges the stream, the
+heap and a tick clock that runs only while a service is marked, must
+reproduce it exactly.
+
+EveryTickSimulation keeps the analysis loop in its plainest form, on
+the heap-only loop: every placed service runs both detectors on every
+tick, with no memo and no skipped ticks, so the incremental loop must
 reproduce it exactly.
 
 ThreeEventSimulation keeps the request path in its plainest form: every
-start pushes a TransferDone under every policy, and that pushes the
-ExecDone when the transfer ends. The simulator, whose starts push the
-ExecDone itself, must reproduce it exactly: the tick runs last at its
-time, so it sees a completion at its time whichever event pushed it.
+arrival queues its request and asks _try_start, and every start pushes
+a TransferDone under every policy, which pushes the ExecDone when the
+transfer ends. The simulator, whose arrival starts itself on an idle
+node and whose starts push the ExecDone themselves, must reproduce it
+exactly: the tick runs last at its time, so it sees a completion at
+its time whichever event pushed it.
 
 reference_rows builds a run's report rows with one pass over the
 records per figure and per row, and math.fsum over each completed
@@ -54,11 +61,13 @@ from tierbroker.arbitrator import (
     reschedule,
 )
 from tierbroker.model import (
+    InvocationRecord,
     Outcome,
     SecurityClass,
     Tier,
     TrustBasis,
     TrustLevel,
+    is_admissible,
     security_ok,
 )
 from tierbroker.report import RunRow, ServiceRow, latency_stats
@@ -69,6 +78,10 @@ from tierbroker.workload import Arrival
 from conftest import make_node
 
 MASK64 = (1 << 64) - 1
+# The analysis tick's push sequence on the heap-only loop: at equal times
+# it runs after every other event. At most one tick is pending, so no two
+# entries share a key.
+TICK_SEQ = math.inf
 GAMMA = 0x9E3779B97F4A7C15
 
 _TRUST_ORDER = [TrustLevel.UNTRUSTED, TrustLevel.LOW, TrustLevel.MEDIUM, TrustLevel.HIGH]
@@ -219,16 +232,22 @@ def tier_subsets(pool, max_size=None):
     return out
 
 
+class Unmarked(set):
+    """A set of marked services that stays empty: nothing is analysed."""
+
+    def add(self, service_id):
+        pass
+
+
 class EventSimulation(Simulation):
     """The simulator's event loop under every policy."""
 
     policies = simulation.POLICIES
 
-    def _push_calendar(self):
-        super()._push_calendar()
-        if self.policy != "sami":  # nothing is analysed: no tick
-            self._heap = [entry for entry in self._heap if entry[1] != simulation.TICK_SEQ]
-            heapq.heapify(self._heap)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.policy != "sami":  # no service is marked, so no tick runs
+            self._changed = Unmarked()
 
     def _re_resolve(self, t_ms, state, request):
         if self.policy == "sami":
@@ -245,10 +264,44 @@ class EventSimulation(Simulation):
         return super()._finish(ticks if self.policy == "sami" else 0)
 
 
-class EveryTickSimulation(EventSimulation):
-    """The simulator with the analysis tick evaluated in full every second."""
+class HeapOnlySimulation(EventSimulation):
+    """The simulator with every arrival, and under sami every tick, on the event heap."""
 
-    def _on_analysis_tick(self, t_ms, _payload=None):
+    def _schedule_calendar(self):
+        stream = self._stream
+        if stream is None:
+            # Through the module, so a test's stand-in for generate_workload is seen.
+            stream = simulation.generate_workload(self.scenario.consumers, self.seed, self.horizon)
+        for arrival in stream:
+            self._push(arrival.t_ms, self._on_arrival, arrival)
+        self._push_calendar()
+        if self.policy == "sami":
+            self._push_tick(simulation.ANALYSIS_INTERVAL_MS)
+
+    def _push_tick(self, t_ms):
+        if t_ms <= self.horizon:
+            heapq.heappush(self._heap, (t_ms, TICK_SEQ, self._on_every_tick, None))
+
+    def _on_every_tick(self, t_ms, _payload):
+        self._on_analysis_tick(t_ms)
+        # Read at call time, like the simulator, so a test may stretch the interval.
+        self._push_tick(t_ms + simulation.ANALYSIS_INTERVAL_MS)
+
+    def run(self):
+        self._place_all()
+        self._schedule_calendar()
+        while self._heap:
+            t_ms, _, handler, payload = heapq.heappop(self._heap)
+            if t_ms > self.horizon:
+                break
+            handler(t_ms, payload)
+        return self._finish(int(self.horizon // simulation.ANALYSIS_INTERVAL_MS))
+
+
+class EveryTickSimulation(HeapOnlySimulation):
+    """The heap-only loop with the analysis tick evaluated in full every second."""
+
+    def _on_analysis_tick(self, t_ms):
         for service_id in sorted(self.services):
             state = self.services[service_id]
             if state.record is None:
@@ -274,37 +327,30 @@ class EveryTickSimulation(EventSimulation):
             if decision.node_id != state.record.placement.node_id:
                 self.arbitration_log.append((t_ms, "reschedule", service_id))
                 self._move(t_ms, state, decision)
-        # Read at call time, like the simulator, so a test may stretch the interval.
-        t_next = t_ms + simulation.ANALYSIS_INTERVAL_MS
-        if t_next <= self.horizon:
-            heapq.heappush(self._heap, (t_next, simulation.TICK_SEQ, self._on_analysis_tick, None))
-
-
-class HeapOnlySimulation(EventSimulation):
-    """The simulator with every arrival on the event heap."""
-
-    def _schedule_calendar(self):
-        stream = self._stream
-        if stream is None:
-            # Through the module, so a test's stand-in for generate_workload is seen.
-            stream = simulation.generate_workload(self.scenario.consumers, self.seed, self.horizon)
-        for arrival in stream:
-            self._push(arrival.t_ms, self._on_arrival, arrival)
-        self._push_calendar()
-
-    def run(self):
-        self._place_all()
-        self._schedule_calendar()
-        while self._heap:
-            t_ms, _, handler, payload = heapq.heappop(self._heap)
-            if t_ms > self.horizon:
-                break
-            handler(t_ms, payload)
-        return self._finish(int(self.horizon // simulation.ANALYSIS_INTERVAL_MS))
 
 
 class ThreeEventSimulation(EventSimulation):
-    """The simulator with a TransferDone pushed by every start, whatever the policy."""
+    """The simulator with every arrival queued, and a TransferDone pushed by
+    every start, whatever the policy."""
+
+    def _on_arrival(self, t_ms, arrival):
+        _, consumer_id, service_id = arrival
+        state = self.services[service_id]
+        request = InvocationRecord(len(self.records) + 1, service_id, consumer_id, None, t_ms)
+        self.records.append(request)
+        state.tally.invocations += 1
+        if state.record is None:
+            request.outcome = Outcome.REJECTED
+            state.tally.rejected += 1
+            return
+        node_state = state.pair.node_state
+        if not is_admissible(state.desc, node_state.node, t_ms):
+            node_state = self._re_resolve(t_ms, state, request)
+            if node_state is None:
+                return
+        request.node_id = node_state.node.id
+        node_state.queue.append(request)
+        self._try_start(t_ms, node_state)
 
     def _try_start(self, t_ms, node_state):
         node = node_state.node

@@ -1,8 +1,9 @@
 """The simulator's one event queue against the heap-only event loop.
 
-The simulator keeps only the next arrival on the heap, each arrival
-pushing the one after it, and each dealer's next opening or close; the
-reference pushes every arrival onto the heap first. Both must run
+The simulator reads arrivals from the stream and merges them with a
+heap that holds each dealer's next opening or close, and with its tick
+clock; the reference pushes every arrival, and every tick, onto the
+heap first. Both must run
 events in the same order, ties included, so the arbitration log, every
 invocation record and the report come out equal. Under a pinned policy
 the program runs no events: its per-node queues must come out equal to
@@ -309,9 +310,9 @@ class NoteEvents(EventSimulation):
         self.events.append((t_ms, "close", node_state.node.id))
         super()._on_dealer_close(t_ms, node_state)
 
-    def _on_analysis_tick(self, t_ms, _payload=None):
+    def _on_analysis_tick(self, t_ms):
         self.events.append((t_ms, "tick", None))
-        super()._on_analysis_tick(t_ms, _payload)
+        super()._on_analysis_tick(t_ms)
 
     def _on_exec_done(self, t_ms, request):
         self.events.append((t_ms, "exec done", None))
@@ -414,13 +415,12 @@ def test_arrivals_at_opening_and_close(monkeypatch, hours, policy):
 
 def test_calendar_holds_one_event_per_dealer_whatever_the_horizon():
     # Ten thousand million seconds of dealer_hours: its one dealer's first
-    # opening and the first tick wait on the heap, and nothing else.
+    # opening waits on the heap, and nothing else; the tick is a clock.
     scenario = load_scenario(str(SCENARIO_DIR / "dealer_hours.json"))
     scenario = dataclasses.replace(scenario, horizon_ms=1e13)
     sim = Simulation(scenario)
     sim._push_calendar()
-    assert sorted((t_ms, seq, handler.__name__) for t_ms, seq, handler, _ in sim._heap) == [
-        (1000.0, math.inf, "_on_analysis_tick"),
+    assert [(t_ms, seq, handler.__name__) for t_ms, seq, handler, _ in sim._heap] == [
         (540 * 60000.0, 1, "_on_dealer_open"),
     ]
 
@@ -506,9 +506,9 @@ class NoteHandlers(Simulation):
         self.calls.append((t_ms, "arrival"))
         super()._on_arrival(t_ms, arrival)
 
-    def _on_analysis_tick(self, t_ms, _payload=None):
+    def _on_analysis_tick(self, t_ms):
         self.calls.append((t_ms, "tick"))
-        super()._on_analysis_tick(t_ms, _payload)
+        super()._on_analysis_tick(t_ms)
 
 
 def test_arrival_on_an_analysis_tick_goes_first(monkeypatch):

@@ -4,11 +4,12 @@ pinned queues runs under the oracle comparisons.
 A fixed list of cases goes through each oracle comparison (the
 heap-only loop, the every-tick analysis, the three-event request path
 and the report rebuilt from the records) under a sys.settrace line
-tracer from the standard library. Every line of each
-handler, and of the tick and what it calls, that holds bytecode must
-run, the drop and a move at a tick included; so must every line of the
-pinned queues' run, a close's reject and starts and completions past
-the horizon included. A list, not
+tracer from the standard library. Every line of the loop that merges
+the stream, the heap and the tick clock, of each handler, and of the
+tick and what it calls, that holds bytecode must run: the drop, a move
+at a tick, an arrival that starts itself and one held for its copy
+included. So must every line of the pinned queues' run, a close's
+reject and starts and completions past the horizon included. A list, not
 Hypothesis draws, so the lines reached do not depend on the draw.
 """
 
@@ -29,6 +30,7 @@ from test_pinned_path import assert_same_as_three_events
 from test_properties import assert_report_from_records
 
 HANDLERS = (
+    "run",
     "_on_arrival",
     "_re_resolve",
     "_try_start",
@@ -40,7 +42,6 @@ HANDLERS = (
     "_analyze",
     "_move",
     "_forget",
-    "_fast_forward",
 )
 
 THRESHOLDS = Thresholds(delay_pressure_ms_per_s=0.01, min_gain_ms=0.0, compute_factor=1.0,

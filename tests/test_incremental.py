@@ -38,7 +38,12 @@ from tierbroker.simulation import POLICIES, Simulation
 from tierbroker.workload import Arrival, ConsumerSpec, Scenario, load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR, make_node, make_service, program_run
-from oracles import EventSimulation, EveryTickSimulation, ThreeEventSimulation
+from oracles import (
+    EventSimulation,
+    EveryTickSimulation,
+    HeapOnlySimulation,
+    ThreeEventSimulation,
+)
 from test_event_order import lone_dealer_cases, use_arrivals
 
 
@@ -290,8 +295,8 @@ class CheckNodeStates(EventSimulation):
         super()._on_dealer_close(t_ms, node_state)
         self._check(t_ms)
 
-    def _on_analysis_tick(self, t_ms, _payload=None):
-        super()._on_analysis_tick(t_ms, _payload)
+    def _on_analysis_tick(self, t_ms):
+        super()._on_analysis_tick(t_ms)
         self._check(t_ms)
 
 
@@ -315,7 +320,7 @@ def test_node_states_follow_placements_and_nodes_conserve_work(case, policy):
         event(f"moved on {source}" if sim.moves[source] else f"no move on {source}")
 
 
-class CheckVerdicts(Simulation):
+class CheckVerdicts(HeapOnlySimulation):
     """Checks at every tick that each service it skips has the verdict its
     last analysis kept: nearer is nearer_gain's answer now, the tier and
     gain it names or False for none, and with no node nearer, advising
@@ -323,7 +328,7 @@ class CheckVerdicts(Simulation):
 
     advising_skips = 0  # skips of a service whose compute check advises
 
-    def _on_analysis_tick(self, t_ms, _payload=None):
+    def _on_analysis_tick(self, t_ms):
         thresholds = self.thresholds
         for state in self.services.values():
             service_id = state.desc.id
@@ -344,7 +349,7 @@ class CheckVerdicts(Simulation):
                 )
             assert state.advising is (advice is not None)
             self.advising_skips += state.advising
-        super()._on_analysis_tick(t_ms, _payload)
+        super()._on_analysis_tick(t_ms)
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,101 +398,106 @@ def test_dealer_hours_across_midnight_matches_reference():
 @settings(max_examples=300, deadline=None)
 @given(
     interval=st.sampled_from([1000.0, 45000.0, 60000.0]),
-    first_tick=st.integers(1, 2**32),
-    span=st.integers(0, 2**20),
+    tick=st.integers(1, 2**32),
     nudge=st.sampled_from([None, 0.0, math.inf]),
-    bound=st.sampled_from(["heap", "arrival", "horizon"]),
 )
-def test_batch_count_is_exact_far_from_zero(interval, first_tick, span, nudge, bound):
-    # The batch is counted by dividing, not by stepping, so check the count
-    # against exact rational arithmetic where tick times are large: the
-    # batch ends before the next event or after the last tick within the
-    # horizon, exactly on a tick or a rounding step either side of one.
-    t_ms = first_tick * interval
-    edge = t_ms + span * interval
+def test_first_tick_is_exact_far_from_zero(interval, tick, nudge):
+    # The first tick is found by dividing, not by stepping, so check it
+    # against exact rational arithmetic where tick times are large: a
+    # mark exactly on a tick or a rounding step either side of one.
+    t_ms = tick * interval
     if nudge is not None:
-        edge = math.nextafter(edge, nudge)
-    horizon = edge if bound == "horizon" else edge + 10 * interval
-    scenario = Scenario(
-        horizon_ms=horizon,
-        seed=0,
-        nodes=[make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0)],
-        services=[make_service("svc-0")],
-        consumers=[],
-        weights=SchedulerWeights(),
-        thresholds=Thresholds(),
-        energy=EnergyModel(),
-    )
-    sim = Simulation(scenario)
-    if bound == "heap":
-        sim._heap = [(edge, 1, sim._on_exec_done, None)]
-    elif bound == "arrival":  # the next arrival waits on the heap at sequence 0
-        sim._heap = [(edge, 0, sim._on_arrival, Arrival(edge, "u1", "svc-0"))]
-    first, step = Fraction(t_ms), Fraction(interval)
-    within_horizon = math.floor((Fraction(horizon) - first) / step) + 1
-    before_event = math.ceil((Fraction(edge) - first) / step) if bound != "horizon" else math.inf
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
-        assert sim._fast_forward(t_ms) == max(0, min(before_event, within_horizon))
+        t_ms = math.nextafter(t_ms, nudge)
+    step = Fraction(interval)
+    exact = max(1, math.ceil(Fraction(t_ms) / step)) * step
+    assert Fraction(simulation._first_tick(t_ms, interval)) == exact
 
 
-class NoteBatches(EventSimulation):
-    """Notes each analysis tick the loop runs and each batch of quiet ticks
-    it skips: the batch's first tick, its tick count and whether no event
-    is left at all."""
+def first_tick_at_or_after(t_ms):
+    """The least whole multiple of the interval, from the interval on, not below t_ms."""
+    step = Fraction(simulation.ANALYSIS_INTERVAL_MS)
+    return max(1, math.ceil(Fraction(t_ms) / step)) * step
+
+
+class NoteTicks(EventSimulation):
+    """Notes each analysis tick the loop runs and checks the tick clock.
+
+    The ticks run are increasing whole multiples of the interval within
+    the horizon, and each finds a service marked. No mark waits past the
+    first multiple at or after the event that made it, or, made by a
+    tick's move, past the next tick time; one still waiting at the end
+    waits for a tick past the horizon.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.ticks = []
-        self.batches = []
+        self.due = None  # the latest a tick may run, exact, while a service is marked
 
-    def _on_analysis_tick(self, t_ms, _payload=None):
+    def _marks(self, t_ms):
+        if self._changed and self.due is None:
+            self.due = first_tick_at_or_after(t_ms)
+
+    def _on_arrival(self, t_ms, arrival):
+        super()._on_arrival(t_ms, arrival)
+        self._marks(t_ms)
+
+    def _on_exec_done(self, t_ms, request):
+        super()._on_exec_done(t_ms, request)
+        self._marks(t_ms)
+
+    def _on_dealer_open(self, t_ms, node_state):
+        super()._on_dealer_open(t_ms, node_state)
+        self._marks(t_ms)
+
+    def _on_dealer_close(self, t_ms, node_state):
+        super()._on_dealer_close(t_ms, node_state)
+        self._marks(t_ms)
+
+    def _on_analysis_tick(self, t_ms):
+        step = Fraction(simulation.ANALYSIS_INTERVAL_MS)
+        assert (Fraction(t_ms) / step).denominator == 1 and step <= t_ms <= self.horizon
+        assert not self.ticks or t_ms > self.ticks[-1]
+        assert self._changed and Fraction(t_ms) <= self.due, (t_ms, self.due)
         self.ticks.append(t_ms)
-        super()._on_analysis_tick(t_ms, _payload)
+        super()._on_analysis_tick(t_ms)
+        self.due = Fraction(t_ms) + step if self._changed else None
 
-    def _fast_forward(self, t_ms):
-        dry = not self._heap  # the next arrival, if any, is on it
-        n = super()._fast_forward(t_ms)
-        self.batches.append((t_ms, n, dry))
-        return n
-
-    def tick_times(self):
-        """The times of the ticks run and skipped, in order."""
-        interval = simulation.ANALYSIS_INTERVAL_MS
-        skipped = [t_first + i * interval for t_first, n, _ in self.batches for i in range(n)]
-        return sorted(self.ticks + skipped)
+    def run(self):
+        result = super().run()
+        assert self.due is None or self.due > self.horizon
+        return result
 
 
-def note_batches(scenario, policy="sami"):
-    sim = NoteBatches(scenario, policy=policy)
+def note_ticks(scenario, policy="sami"):
+    sim = NoteTicks(scenario, policy=policy)
     return sim, sim.run()
 
 
 @settings(max_examples=100, deadline=None)
 @given(incremental_cases(), st.sampled_from(simulation.POLICIES))
-def test_ticks_run_and_skipped_are_every_tick_to_the_horizon(case, policy):
-    # arbitration_events counts an analysis per placed service at every
-    # whole multiple of the interval up to the horizon; each of those
-    # ticks must be run or skipped exactly once, and no other.
+def test_ticks_run_while_a_service_is_marked(case, policy):
+    # NoteTicks checks the clock, and arbitration_events counts an analysis per placed
+    # service at every whole multiple of the interval up to the horizon,
+    # run or not.
     interval, scenario = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "ANALYSIS_INTERVAL_MS", interval)
-        sim, result = note_batches(scenario, policy)
-        ticks = sim.tick_times()
-    if policy == "sami":
-        assert ticks == [k * interval for k in range(1, int(scenario.horizon_ms // interval) + 1)]
-    else:
-        assert ticks == []
+        sim, result = note_ticks(scenario, policy)
+    if policy != "sami":
+        assert sim.ticks == []
     placed = sum(1 for state in sim.services.values() if state.record is not None)
+    nominal = int(scenario.horizon_ms // interval) if policy == "sami" else 0
     run = result.report.run
-    assert run.arbitration_events == len(result.arbitration_log) + len(ticks) * placed
+    assert run.arbitration_events == len(result.arbitration_log) + nominal * placed
 
 
 @pytest.mark.parametrize("horizon", [30000.0, 30000.5, math.nextafter(31000.0, 0.0)])
-def test_ticks_after_the_last_event_run_to_the_horizon(monkeypatch, horizon):
-    # Once the two requests have completed neither the heap nor the
-    # arrivals hold an event: the next event is at math.inf and the
-    # horizon alone ends the batch.
+def test_no_tick_runs_after_the_last_mark(monkeypatch, horizon):
+    # The two requests complete at 432 and 532 ms and mark svc-0 for the
+    # 1000 ms tick, which moves nothing. Then neither the heap nor the
+    # arrivals hold an event and nothing is marked, so no tick runs to
+    # the horizon, whichever it is; arbitration_events still counts them.
     nodes = [
         make_node("M1", Tier.MNO, cpu_speed=4000.0, rtt_ms=50.0, bandwidth_mbps=50.0),
         make_node("C1", Tier.CLOUD, cpu_speed=8000.0, rtt_ms=200.0, bandwidth_mbps=100.0,
@@ -507,22 +517,23 @@ def test_ticks_after_the_last_event_run_to_the_horizon(monkeypatch, horizon):
         thresholds=Thresholds(),
         energy=EnergyModel(),
     )
-    sim, fast = note_batches(scenario)
+    sim, fast = note_ticks(scenario)
     reference = run_with(EveryTickSimulation, scenario)
     assert fast.arbitration_log == reference.arbitration_log
     assert fast.records == reference.records
-    assert sim.batches[-1][2]
-    assert sim.tick_times() == [1000.0 * i for i in range(1, int(horizon // 1000.0) + 1)]
+    assert [r.t_done for r in fast.records] == [432.0, 532.0]
+    assert sim.ticks == [1000.0]
+    assert fast.report.run.arbitration_events == 1 + int(horizon // 1000.0)
 
 
-def test_quiet_batch_runs_across_midnight(monkeypatch):
+def test_no_tick_runs_across_a_quiet_midnight(monkeypatch):
     # D0 keeps hours 09:00-17:00, so the calendar has no event at
     # midnight and the dealers open read the same on both sides of it.
     # svc-0 is on M1 from the start, and five requests at 18:20 on day
     # zero leave its window under pressure with D0 closed. Nothing
-    # happens from their completion until D0 opens on day one: one
-    # batch of quiet ticks covers midnight, and the tick at 09:00 moves
-    # svc-0 to D0. Minute ticks keep the two days short.
+    # happens from their completion until D0 opens on day one: no tick
+    # runs across midnight, and the tick at 09:00 moves svc-0 to D0.
+    # Minute ticks keep the two days short.
     monkeypatch.setattr(simulation, "ANALYSIS_INTERVAL_MS", 60000.0)
     nodes = [
         make_node("D0", Tier.DEALER, cpu_speed=4000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
@@ -544,7 +555,7 @@ def test_quiet_batch_runs_across_midnight(monkeypatch):
         thresholds=Thresholds(delay_pressure_ms_per_s=0.01, window=4, min_samples=2),
         energy=EnergyModel(),
     )
-    sim, fast = note_batches(scenario)
+    sim, fast = note_ticks(scenario)
     reference = run_with(EveryTickSimulation, scenario)
     assert fast.arbitration_log == reference.arbitration_log
     assert fast.records == reference.records
@@ -552,11 +563,11 @@ def test_quiet_batch_runs_across_midnight(monkeypatch):
     assert [r.node_id for r in fast.records] == ["M1"] * 5
     opens = DAY_MS + 540 * 60000.0
     assert moves_in(fast) == [opens]
-    across = [(t, n) for t, n, _ in sim.batches if t < DAY_MS <= t + (n - 1) * 60000.0]
-    assert len(across) == 1
-    # The 18:21 tick analyses the burst's completions; the batch starts
-    # at the next one and stops short of D0's DealerOpen.
-    assert across == [(burst_at + 2 * 60000.0, (opens - burst_at) / 60000.0 - 2)]
+    # The 18:21 tick analyses the burst's completions and moves nothing.
+    # The next runs at D0's opening, which marks svc-0, then one after the
+    # move, and one at D0's close on day one.
+    closes = DAY_MS + 1020 * 60000.0
+    assert sim.ticks == [burst_at + 60000.0, opens, opens + 60000.0, closes]
 
 
 def tie_scenario(cloud):
@@ -805,7 +816,7 @@ def test_a_tick_that_moves_leaves_the_next_tick_to_run(monkeypatch):
     assert moves_in(result) == [60000.0, 61000.0]
     assert all(r.t_done < 60000.0 for r in result.records)
     assert result.report.services[0].tier == Tier.DEALER.value
-    sim, _ = note_batches(scenario)
+    sim, _ = note_ticks(scenario)
     assert [t for t in sim.ticks if t >= 60000.0] == [60000.0, 61000.0, 62000.0]
 
 
@@ -827,26 +838,28 @@ def test_latency_mix_memo_skips_most_evaluations(monkeypatch):
     # check could advise. Without the memo every one of the 6,000
     # (service, tick) evaluations would run the detectors, and with a key
     # on the whole window about 39% would; the gate runs them on under a
-    # tenth.
+    # tenth. A tick runs only for a service marked, so every tick run
+    # reaches the detectors.
     calls = count_detector_calls(monkeypatch)
     scenario = load_scenario(str(SCENARIO_DIR / "latency_mix.json"))
-    sim, _ = note_batches(scenario)
-    evaluations = len(sim.tick_times()) * len(scenario.services)
-    assert evaluations == int(scenario.horizon_ms // 1000) * len(scenario.services)
+    sim, _ = note_ticks(scenario)
+    evaluations = int(scenario.horizon_ms // 1000) * len(scenario.services)
     assert len(calls) < evaluations // 10
+    assert 0 < len(sim.ticks) <= len(calls)
 
 
 def test_quiet_ticks_skip_the_detectors(monkeypatch):
     # dealer_hours counts one analysis per second for a day but sees a
     # completion only every minute or so: most ticks must not reach the
-    # detectors, yet every tick is run or skipped.
+    # detectors, and only those that do run.
     calls = count_detector_calls(monkeypatch)
     scenario = load_scenario(str(SCENARIO_DIR / "dealer_hours.json"))
-    sim, _ = note_batches(scenario)
-    ticks = sim.tick_times()
-    assert len(ticks) == int(scenario.horizon_ms // 1000)
-    assert len(calls) < len(ticks) // 10
-    assert ticks[-1] == scenario.horizon_ms
+    sim, result = note_ticks(scenario)
+    ticks = int(scenario.horizon_ms // 1000)
+    assert len(calls) < ticks // 10
+    assert 0 < len(sim.ticks) <= len(calls)
+    placed = len(scenario.services)
+    assert result.report.run.arbitration_events == len(result.arbitration_log) + ticks * placed
 
 
 @pytest.mark.parametrize("seed", [42, 7])
