@@ -1,4 +1,5 @@
-"""The memoized, fast-forwarding analysis loop against the every-tick reference.
+"""The memoized analysis loop, ticking only while a service is marked,
+against the every-tick reference.
 
 Both simulators run the same scenario on fresh topologies and
 registries; the arbitration log, every invocation record and the
@@ -65,7 +66,7 @@ def assert_same_run(scenario, seed=None, policy="sami"):
 
 MINUTE = st.one_of(st.integers(0, 60), st.integers(1380, 1440), st.integers(0, 1440))
 # Whole minutes with open < close, as check_node requires; hours near
-# midnight make quiet batches that run across it. A dealer open from
+# midnight make quiet stretches that run across it. A dealer open from
 # midnight can take a service at placement that no other node admits.
 OPEN_HOURS = st.one_of(
     st.just((0, 1440)),
@@ -117,8 +118,8 @@ def incremental_cases(draw):
     # tick; 45 s ticks miss most of them.
     interval = draw(st.sampled_from([1000.0, 45000.0, 60000.0]))
     ticks = draw(st.integers(1, 3000))
-    # The last batch stops at the horizon: exactly on a tick, a rounding
-    # step either side of one, or anywhere before the next.
+    # The last tick falls at or before the horizon: exactly on a tick, a
+    # rounding step either side of one, or anywhere before the next.
     on_tick = ticks * interval
     horizon = draw(st.one_of(
         st.sampled_from([

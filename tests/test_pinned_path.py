@@ -1,16 +1,18 @@
 """The program's request paths against the three-event reference, and
 the pinned queues' rules on fixed cases.
 
-Under sami a start pushes the request's ExecDone itself; the reference
-pushes a TransferDone at every start, which pushes the ExecDone. Under
-a pinned policy the program runs no events at all: each node is a FIFO
-queue, and the reference is the event loop. Both must run the same
-requests to the same records, log and report, ties included: the grids
-put arrivals, completions and dealer hours on the same millisecond, and
-under sami the tick, which runs last at its time, sees a completion at
-its time whichever event pushed it. HeapOnlySimulation and
-EveryTickSimulation inherit _try_start, so only this reference would
-see a start go wrong.
+Under sami an arrival that finds its node idle starts itself, and a
+start pushes the request's ExecDone itself; the reference queues every
+arrival and asks _try_start, and pushes a TransferDone at every start,
+which pushes the ExecDone. Under a pinned policy the program runs no
+events at all: each node is a FIFO queue, and the reference is the
+event loop. Both must run the same requests to the same records, log
+and report, ties included: the grids put arrivals, completions and
+dealer hours on the same millisecond, and under sami the tick, which
+runs last at its time, sees a completion at its time whichever event
+pushed it. HeapOnlySimulation and
+EveryTickSimulation inherit _on_arrival and _try_start, so only this
+reference would see a start go wrong.
 
 The fixed cases pin what a dealer's close does to its queue, which the
 event order decides: the close runs after the arrivals at its time and
