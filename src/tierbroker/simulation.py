@@ -29,8 +29,8 @@ hours to whole minutes: is_dealer_open then flips exactly at the
 calendar's events, day * DAY_MS + minute * 60000.0 to the bit (whole
 numbers below 2**53 add exactly), and nowhere else. So a dealer's
 openness is node state, the interval [open_from, open_until) of its
-current or next day's hours: _push_calendar sets the first day's, and
-only the close moves it on to the next day's. An arrival at a close
+current or next day's hours: _open_first_day sets the first day's, and
+only a close moves it on, by _NodeState.next_day. An arrival at a close
 runs before it, so it still sees that day's interval and reads closed
 at open_until: two compares equal is_dealer_open at every arrival,
 boundaries included. Every other node, a round-the-clock dealer too,
@@ -53,15 +53,15 @@ node's earliest slot-free time, a heap of its slots' completion times,
 when the event loop would start it: a slot that frees at an arrival's
 time frees after it, as arrivals run first, and the completion then
 starts it at that same time. It completes at the same float sum. A
-dealer's openness is the same interval, moved on a day at a time as
-its close moves it. The close runs after the arrivals at its time and
+dealer's openness is the same interval, moved on by next_day as its
+close moves it. The close runs after the arrivals at its time and
 before every completion there, so it rejects a request that would start
 at or after it, if it falls within the horizon; a request that would
 start or complete past the horizon is in flight. Completions at one
 time settle in another order than the event loop's, which no output
 reads: the report sums with math.fsum and sorts for its p95.
 tests/oracles.py keeps the event loop under every policy as the
-queues' reference.
+queues' reference. Both runners build on _Run; neither on the other.
 
 The analysis loop is incremental but exact. A verdict depends only on
 the service's node, which dealers are open and its window. Each service
@@ -112,12 +112,12 @@ the first time the service is placed on the node: the node's
 _NodeState, pair_cost's transfer and execution times, compute_charge's
 charge before rebate (the charge score_pool weighs, as placement reads
 the same definitions) and whether the service fits the node at all
-hours. A request's InvocationRecord holds what the run decided for it:
-arrival, node, start, completion, outcome, energy and charge. Its
-transfer and execution times are its pair's on the record's node, and
-its wait is t_start - t_arrive. Its energy_j (transmit power over its
-transfer, idle power over its wait) and its SLO rebate read its own
-wait and latency, so they are computed per request.
+hours. A request's InvocationRecord, made by _arrive alone, holds what
+the run decided for it: arrival, node, start, completion, outcome,
+energy and charge. Its transfer and execution times are its pair's on
+the record's node, and its wait is t_start - t_arrive. Its energy_j
+(transmit power over its transfer, idle power over its wait) and SLO
+rebate read its own wait and latency: they are computed per request.
 
 Each placed service keeps the pair of its placement, set at placement
 and by _move, the only place a placement changes, so an arrival
@@ -231,6 +231,12 @@ class _NodeState:
     open_from: float = -math.inf
     open_until: float = math.inf
 
+    def next_day(self):
+        """Move the open interval on to the next day's hours, at a close."""
+        open_minute, close_minute = self.node.open_hours
+        self.open_until += DAY_MS
+        self.open_from = self.open_until - (close_minute - open_minute) * 60000.0
+
 
 class _Pair(NamedTuple):
     """What is fixed for one service on one node."""
@@ -321,17 +327,16 @@ class SimResult:
         return [new(Arrival, (r.t_arrive, r.consumer_id, r.service_id)) for r in self.records]
 
 
-class Simulation:
-    """One arbitrated run over one scenario, as events.
+class _Run:
+    """What both runners share: one policy's run over one scenario.
 
     The scenario's nodes make the topology, and its services register
     with a registry of its vocabulary and weights. The run draws its
     arrivals from the seed, unless given a stream already drawn, which
-    it only reads. A pinned policy is refused: PinnedQueues runs it, and
-    a subclass overriding a handler would check nothing there.
+    it only reads. Each runner names the policies it runs and refuses
+    any other. A request's record is made in _arrive and settled as
+    completed in _complete, for both.
     """
-
-    policies: tuple[str, ...] = ("sami",)  # those this class runs
 
     def __init__(
         self,
@@ -361,32 +366,15 @@ class Simulation:
         self.thresholds = scenario.thresholds
         self.energy_model = scenario.energy
 
-        self._heap: list[tuple[float, float, Callable, object]] = []
         self._stream = arrivals  # given, in time order; None to draw it
-        self._arrivals: list[Arrival] = []  # those not yet handled, latest first
-        self._seq = 0
         self.records: list[InvocationRecord] = []
         self.arbitration_log: list[tuple[float, str, str]] = []
         self.security_violations = 0
         self.services: dict[str, _ServiceState] = {}
-        # Services the next tick analyses: moved or forgotten since the last
-        # tick, or completing a request that could change their verdict.
-        self._changed: set[str] = set()
         self.node_states = {n.id: _NodeState(node=n) for n in topology}
 
     # ------------------------------------------------------------------
     # setup
-
-    def _push(self, t_ms: float, handler: Callable, payload=None):
-        # No two entries share (time, sequence), so handler and payload are never compared.
-        # _on_arrival and _try_start push the same way, inline.
-        self._seq += 1
-        heappush(self._heap, (t_ms, self._seq, handler, payload))
-
-    def _push_dealer(self, t_ms: float, handler: Callable, node_state: _NodeState):
-        """Push a dealer's next opening or close at its reserved sequence, up to the horizon."""
-        if t_ms <= self.horizon:
-            heappush(self._heap, (t_ms, node_state.calendar_seq, handler, node_state))
 
     def _place_all(self):
         for desc in sorted(self.scenario.services, key=lambda s: s.id):
@@ -432,10 +420,6 @@ class Simulation:
             stream = generate_workload(self.scenario.consumers, self.seed, self.horizon)
         return stream[::-1]
 
-    def _schedule_calendar(self):
-        self._arrivals = self._reversed_stream()
-        self._push_calendar()
-
     def _open_first_day(self) -> list[_NodeState]:
         """Open each dealer that keeps hours over its first day's, until
         their close moves them on; returns their states, in node order."""
@@ -449,6 +433,125 @@ class Simulation:
             node_state.open_until = close_minute * 60000.0
             dealers.append(node_state)
         return dealers
+
+    def _arrive(self, t_ms: float, arrival: Arrival) -> InvocationRecord | None:
+        """Record and count the arrival; None when its service is unplaced, which refuses it."""
+        _, consumer_id, service_id = arrival
+        state = self.services[service_id]
+        request = InvocationRecord(len(self.records) + 1, service_id, consumer_id, None, t_ms)
+        self.records.append(request)
+        state.tally.invocations += 1
+        if state.record is None:
+            request.outcome = Outcome.REJECTED
+            state.tally.rejected += 1
+            return None
+        return request
+
+    def _pair(self, state: _ServiceState, node_id: str) -> _Pair:
+        """The service's pair on the node, built on first use."""
+        pair = state.pairs.get(node_id)
+        if pair is None:
+            node_state = self.node_states[node_id]
+            desc, node = state.desc, node_state.node
+            pair = state.pairs[node_id] = _Pair(
+                node_state, pair_cost(desc, node), compute_charge(desc, node), fits(desc, node)
+            )
+        return pair
+
+    def _complete(self, t_ms: float, request: InvocationRecord, state: _ServiceState,
+                  pair: _Pair) -> float:
+        """Settle a request completing at t_ms on its pair's node, in its
+        record and its service's tally; returns its latency."""
+        request.t_done = t_ms
+        request.outcome = Outcome.COMPLETED
+        request.energy_j = energy = energy_j(
+            pair.cost.transfer_ms, request.t_start - request.t_arrive, self.energy_model
+        )
+        latency_ms = t_ms - request.t_arrive
+        request.charge = charge = apply_slo_rebate(
+            pair.charge,
+            pair.node_state.node.qos,
+            latency_ms,
+            state.desc.sla_latency_ms,
+            self.scenario.rebate_frac,
+        )
+        tally = state.tally
+        tally.latencies.append(latency_ms)
+        tally.energy.append(energy)
+        tally.charge.append(charge)
+        return latency_ms
+
+    # ------------------------------------------------------------------
+    # reporting
+
+    def _finish(self, ticks: int) -> SimResult:
+        """The report, from the services' tallies, each fed as its requests settled.
+
+        No record is read; the run row reads every service's tally.
+        docs/metrics.md counts an analysis per placed service at each of
+        the run's ticks.
+        """
+        # Placements and moves are counted from the log, their one record.
+        logged = Counter((kind, service_id) for _, kind, service_id in self.arbitration_log)
+        rows = []
+        for service_id in sorted(self.services):
+            state = self.services[service_id]
+            rows.append(
+                ServiceRow(
+                    service_id=service_id,
+                    tier=state.record.placement.tier.value if state.record else "-",
+                    invocations=state.tally.invocations,
+                    reschedules=logged["reschedule", service_id],
+                    **_totals([state.tally]),
+                )
+            )
+        tallies = [state.tally for state in self.services.values()]
+        placed = sum(logged["register", service_id] for service_id in self.services)
+        run_row = RunRow(
+            arrivals=sum(tally.invocations for tally in tallies),
+            **_totals(tallies),
+            reschedules=sum(row.reschedules for row in rows),
+            arbitration_events=len(self.arbitration_log) + ticks * placed,
+            security_violations=self.security_violations,
+            wall_ms=self.horizon,
+        )
+        report = MetricsReport(
+            policy=self.policy, seed=self.seed, services=rows, run=run_row
+        )
+        return SimResult(
+            report=report, records=self.records, arbitration_log=self.arbitration_log
+        )
+
+
+class Simulation(_Run):
+    """The arbitrated run, as events. A pinned policy is refused: PinnedQueues
+    runs it, and a subclass overriding a handler would check nothing there."""
+
+    policies = ("sami",)  # those the runner runs
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._heap: list[tuple[float, float, Callable, object]] = []
+        self._arrivals: list[Arrival] = []  # those not yet handled, latest first
+        self._seq = 0
+        # Services the next tick analyses: moved or forgotten since the last
+        # tick, or completing a request that could change their verdict.
+        self._changed: set[str] = set()
+
+    def _push(self, t_ms: float, handler: Callable, payload=None):
+        # No two entries share (time, sequence), so handler and payload are never compared.
+        # _on_arrival and _try_start push the same way, inline.
+        self._seq += 1
+        heappush(self._heap, (t_ms, self._seq, handler, payload))
+
+    def _push_dealer(self, t_ms: float, handler: Callable, node_state: _NodeState):
+        """Push a dealer's next opening or close at its reserved sequence, up to the horizon."""
+        if t_ms <= self.horizon:
+            heappush(self._heap, (t_ms, node_state.calendar_seq, handler, node_state))
+
+    def _schedule_calendar(self):
+        self._arrivals = self._reversed_stream()
+        self._push_calendar()
 
     def _push_calendar(self):
         """Push each dealer's first opening or close, before all else."""
@@ -507,17 +610,10 @@ class Simulation:
         return self._finish(int(horizon // interval))
 
     def _on_arrival(self, t_ms: float, arrival: Arrival):
-        _, consumer_id, service_id = arrival
-        state = self.services[service_id]
-        request = InvocationRecord(len(self.records) + 1, service_id, consumer_id, None, t_ms)
-        self.records.append(request)
-        tally = state.tally
-        tally.invocations += 1
-
-        if state.record is None:
-            request.outcome = Outcome.REJECTED
-            tally.rejected += 1
+        request = self._arrive(t_ms, arrival)
+        if request is None:
             return
+        state = self.services[request.service_id]
         pair = state.pair
         node_state = pair.node_state
         # is_admissible: the half that holds at all hours read from the pair,
@@ -618,40 +714,6 @@ class Simulation:
             t_done = t_ms + node.rtt_ms + cost.transfer_ms + cost.exec_ms
             heappush(heap, (t_done, seq, on_exec_done, head))
 
-    def _pair(self, state: _ServiceState, node_id: str) -> _Pair:
-        """The service's pair on the node, built on first use."""
-        pair = state.pairs.get(node_id)
-        if pair is None:
-            node_state = self.node_states[node_id]
-            desc, node = state.desc, node_state.node
-            pair = state.pairs[node_id] = _Pair(
-                node_state, pair_cost(desc, node), compute_charge(desc, node), fits(desc, node)
-            )
-        return pair
-
-    def _complete(self, t_ms: float, request: InvocationRecord, state: _ServiceState,
-                  pair: _Pair) -> float:
-        """Settle a request completing at t_ms on its pair's node, in its
-        record and its service's tally; returns its latency."""
-        request.t_done = t_ms
-        request.outcome = Outcome.COMPLETED
-        request.energy_j = energy = energy_j(
-            pair.cost.transfer_ms, request.t_start - request.t_arrive, self.energy_model
-        )
-        latency_ms = t_ms - request.t_arrive
-        request.charge = charge = apply_slo_rebate(
-            pair.charge,
-            pair.node_state.node.qos,
-            latency_ms,
-            state.desc.sla_latency_ms,
-            self.scenario.rebate_frac,
-        )
-        tally = state.tally
-        tally.latencies.append(latency_ms)
-        tally.energy.append(energy)
-        tally.charge.append(charge)
-        return latency_ms
-
     def _on_exec_done(self, t_ms: float, request: InvocationRecord):
         state = self.services[request.service_id]
         pair = state.pairs[request.node_id]
@@ -674,25 +736,21 @@ class Simulation:
             self._try_start(t_ms, node_state)
 
     def _on_dealer_open(self, t_ms: float, node_state: _NodeState):
-        """Push the close and forget every service's verdict; admissibility has changed.
+        """Push the close at open_until and forget every verdict; admissibility has changed.
 
         The next tick analyses those something has completed for
         (_forget). Nothing needs starting: the queue was empty while the
         dealer was closed, and a request queued at this instant waits on
         a busy slot or a migration, whose end calls _try_start.
         """
-        open_minute, close_minute = node_state.node.open_hours
-        t_close = t_ms + (close_minute - open_minute) * 60000.0
-        self._push_dealer(t_close, self._on_dealer_close, node_state)
+        self._push_dealer(node_state.open_until, self._on_dealer_close, node_state)
         self._forget(*self.services.values())
 
     def _on_dealer_close(self, t_ms: float, node_state: _NodeState):
         """Move the open interval on to the next day's hours and push their
         opening; reject what is queued and forget every verdict, as on an opening."""
-        open_minute, close_minute = node_state.node.open_hours
-        t_close = node_state.open_until = t_ms + DAY_MS
-        t_open = node_state.open_from = t_close - (close_minute - open_minute) * 60000.0
-        self._push_dealer(t_open, self._on_dealer_open, node_state)
+        node_state.next_day()
+        self._push_dealer(node_state.open_from, self._on_dealer_open, node_state)
         while node_state.queue:
             request = node_state.queue.popleft()
             request.outcome = Outcome.REJECTED
@@ -736,50 +794,9 @@ class Simulation:
         self._move(t_ms, state, decision)
         return True
 
-    # ------------------------------------------------------------------
-    # reporting
 
-    def _finish(self, ticks: int) -> SimResult:
-        """The report, from the services' tallies, each fed as its requests settled.
-
-        No record is read; the run row reads every service's tally.
-        docs/metrics.md counts an analysis per placed service at each of
-        the run's ticks.
-        """
-        # Placements and moves are counted from the log, their one record.
-        logged = Counter((kind, service_id) for _, kind, service_id in self.arbitration_log)
-        rows = []
-        for service_id in sorted(self.services):
-            state = self.services[service_id]
-            rows.append(
-                ServiceRow(
-                    service_id=service_id,
-                    tier=state.record.placement.tier.value if state.record else "-",
-                    invocations=state.tally.invocations,
-                    reschedules=logged["reschedule", service_id],
-                    **_totals([state.tally]),
-                )
-            )
-        tallies = [state.tally for state in self.services.values()]
-        placed = sum(logged["register", service_id] for service_id in self.services)
-        run_row = RunRow(
-            arrivals=sum(tally.invocations for tally in tallies),
-            **_totals(tallies),
-            reschedules=sum(row.reschedules for row in rows),
-            arbitration_events=len(self.arbitration_log) + ticks * placed,
-            security_violations=self.security_violations,
-            wall_ms=self.horizon,
-        )
-        report = MetricsReport(
-            policy=self.policy, seed=self.seed, services=rows, run=run_row
-        )
-        return SimResult(
-            report=report, records=self.records, arbitration_log=self.arbitration_log
-        )
-
-
-class PinnedQueues(Simulation):
-    """One pinned-policy run over one scenario, as a FIFO queue per node.
+class PinnedQueues(_Run):
+    """A pinned policy's run, as a FIFO queue per node, with no events.
 
     Nothing moves under a pinned policy, so each node serves the requests
     it admits in arrival order over its slots; see the module docstring
@@ -788,7 +805,7 @@ class PinnedQueues(Simulation):
 
     policies = tuple(POLICY_TIERS)
 
-    def run_queues(self) -> SimResult:
+    def run(self) -> SimResult:
         """Settle each arrival up to the horizon, in stream order.
 
         An arrival is refused when its service is unplaced, unfit for its
@@ -800,37 +817,31 @@ class PinnedQueues(Simulation):
         self._open_first_day()
         horizon = self.horizon
         services = self.services
-        records = self.records
+        arrive = self._arrive
         # Each node's slots' free times, a heap: when their last starts complete.
         free = {
             node_id: [-math.inf] * node_state.node.cpu_slots
             for node_id, node_state in self.node_states.items()
         }
         while arrivals:
-            t_ms, consumer_id, service_id = arrivals.pop()
+            arrival = arrivals.pop()
+            t_ms = arrival[0]
             if t_ms > horizon:
                 break
-            state = services[service_id]
-            request = InvocationRecord(len(records) + 1, service_id, consumer_id, None, t_ms)
-            records.append(request)
-            tally = state.tally
-            tally.invocations += 1
-            pair = state.pair
-            if pair is None:
-                request.outcome = Outcome.REJECTED
-                tally.rejected += 1
+            request = arrive(t_ms, arrival)
+            if request is None:
                 continue
+            state = services[request.service_id]
+            pair = state.pair
             node_state = pair.node_state
             node = node_state.node
             request.node_id = node.id
             while t_ms >= node_state.open_until:  # past a close, as _on_dealer_close moves on
-                open_minute, close_minute = node.open_hours
-                t_close = node_state.open_until = node_state.open_until + DAY_MS
-                node_state.open_from = t_close - (close_minute - open_minute) * 60000.0
+                node_state.next_day()
             t_close = node_state.open_until
             if not (pair.fits and node_state.open_from <= t_ms < t_close):
                 request.outcome = Outcome.REJECTED
-                tally.rejected += 1
+                state.tally.rejected += 1
                 if not security_ok(state.desc, node):
                     self.security_violations += 1
                 continue
@@ -839,7 +850,7 @@ class PinnedQueues(Simulation):
             if t_start >= t_close:  # still queued when its dealer closes
                 if t_close <= horizon:
                     request.outcome = Outcome.REJECTED
-                    tally.rejected += 1
+                    state.tally.rejected += 1
                 continue
             if t_start > horizon:  # still queued at the horizon
                 continue
@@ -850,8 +861,6 @@ class PinnedQueues(Simulation):
             if t_done <= horizon:  # else still running at the horizon
                 self._complete(t_done, request, state, pair)
         return self._finish(0)
-
-    run = run_queues  # not the event loop it inherits, which runs sami alone
 
 
 def simulate_scenario(
@@ -867,7 +876,7 @@ def simulate_scenario(
     the stream the seed would draw, it returns what drawing it returns.
     """
     if policy in POLICY_TIERS:
-        return PinnedQueues(scenario, policy=policy, seed=seed, arrivals=arrivals).run_queues()
+        return PinnedQueues(scenario, policy=policy, seed=seed, arrivals=arrivals).run()
     return Simulation(scenario, policy=policy, seed=seed, arrivals=arrivals).run()
 
 

@@ -9,7 +9,9 @@ the stream, the heap and the tick clock, of each handler, and of the
 tick and what it calls, that holds bytecode must run: the drop, a move
 at a tick, an arrival that starts itself and one held for its copy
 included. So must every line of the pinned queues' run, a close's
-reject and starts and completions past the horizon included. A list, not
+reject and starts and completions past the horizon included, and of
+what both runners share: the record an arrival makes and a dealer's
+day step. A list, not
 Hypothesis draws, so the lines reached do not depend on the draw.
 """
 
@@ -20,7 +22,7 @@ import pytest
 
 from tierbroker.arbitrator import SchedulerWeights, Thresholds
 from tierbroker.model import EnergyModel, SecurityClass, Tier
-from tierbroker.simulation import POLICIES, PinnedQueues, Simulation
+from tierbroker.simulation import POLICIES, PinnedQueues, Simulation, _NodeState
 from tierbroker.workload import Arrival, ConsumerSpec, Scenario, generate_workload
 
 from conftest import make_node, make_service
@@ -32,6 +34,7 @@ from test_properties import assert_report_from_records
 HANDLERS = (
     "run",
     "_on_arrival",
+    "_arrive",
     "_re_resolve",
     "_try_start",
     "_on_exec_done",
@@ -136,7 +139,8 @@ def body_lines(code):
 
 def test_oracle_cases_reach_every_handler_statement():
     codes = {getattr(Simulation, name).__code__: name for name in HANDLERS}
-    codes[PinnedQueues.run_queues.__code__] = "run_queues"
+    codes[PinnedQueues.run.__code__] = "PinnedQueues.run"
+    codes[_NodeState.next_day.__code__] = "_NodeState.next_day"
     reached = {name: set() for name in codes.values()}
 
     def trace_lines(frame, event, arg):

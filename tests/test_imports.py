@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from tierbroker.simulation import PinnedQueues, Simulation
+from tierbroker.workload import load_scenario
+
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "tierbroker"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -134,9 +137,10 @@ def references(tree, classes):
     owner is the qualified name of the top-level def or class, or of the
     method, it sits in, or None. receiver is the class an attribute is
     read from when that is known: the enclosing class for `self.x` and
-    `cls.x` where that class binds x, the class for `SomeClass.x`, and
-    the annotation for `p.x` where p is a parameter annotated with a
-    package class; otherwise None. called is whether the attribute is
+    `cls.x` where that class binds x, the class for `SomeClass.x` and for
+    `SomeClass(...).x`, a package class's new instance, and the annotation
+    for `p.x` where p is a parameter annotated with a package class;
+    otherwise None. called is whether the attribute is
     called.
     """
     local = {top.name: members(top) for top in tree.body if isinstance(top, ast.ClassDef)}
@@ -166,7 +170,10 @@ def references(tree, classes):
                     yield node.id, owner, None, False
                 elif isinstance(node, ast.Attribute):
                     receiver, value = None, node.value
-                    if isinstance(value, ast.Name):
+                    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+                        if value.func.id in classes or value.func.id in local:
+                            receiver = value.func.id
+                    elif isinstance(value, ast.Name):
                         if value.id in ("self", "cls") and isinstance(top, ast.ClassDef):
                             if node.attr in local[top.name]:
                                 receiver = top.name
@@ -284,7 +291,23 @@ def test_one_place_builds_a_pair():
         and isinstance(node.ctx, ast.Load)
         and node.id in {"pair_cost", "compute_charge", "fits"}
     ))
-    assert readers == ["simulation.Simulation._pair"] * 3
+    assert readers == ["simulation._Run._pair"] * 3
+
+
+def test_one_place_makes_a_request_record():
+    # Both runners make a request's record and count its arrival in the
+    # base's _arrive, and the queues inherit none of the event loop.
+    tree = ast.parse((PACKAGE / "simulation.py").read_text(encoding="utf-8"))
+    makers = enclosing(tree, "simulation", lambda node: (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "InvocationRecord"
+    ))
+    assert makers == ["simulation._Run._arrive"]
+    assert not issubclass(PinnedQueues, Simulation)
+    scenario = load_scenario(str(TESTS.parent / "scenarios" / "minimal.json"))
+    queues = PinnedQueues(scenario, policy="cloud-only")
+    assert [name for name in dir(queues) if name == "_heap" or name.startswith("_on_")] == []
 
 
 def test_one_event_loop():

@@ -239,13 +239,16 @@ def test_baseline_policies_log_only_registers():
     ids=["fractional-minute", "before-midnight", "never-open", "no-slots"],
 )
 def test_simulation_refuses_nodes_check_node_refuses(fields):
-    # Nodes built in code skip the parser, so the simulator applies the
-    # node rules itself; only whole-minute hours flip at calendar events.
+    # Nodes built in code skip the parser, so both runners apply the
+    # node rules themselves; only whole-minute hours flip at calendar events.
     bad = make_node("D9", Tier.DEALER, cpu_speed=2000.0, rtt_ms=5.0, bandwidth_mbps=100.0,
                     **fields)
     scenario = load_scenario(str(SCENARIO_DIR / "minimal.json"))
+    scenario = dataclasses.replace(scenario, nodes=scenario.nodes + [bad])
     with pytest.raises(ConfigError, match="D9: "):
-        Simulation(dataclasses.replace(scenario, nodes=scenario.nodes + [bad]))
+        Simulation(scenario)
+    with pytest.raises(ConfigError, match="D9: "):
+        PinnedQueues(scenario, policy="dealer-only")
 
 
 def test_unknown_policy_rejected():
