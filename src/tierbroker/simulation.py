@@ -92,9 +92,10 @@ its time (_first_tick), and a tick that leaves a service marked, which
 is when it moved one (a move marks the mover, whose window is not
 empty), keeps it at the next multiple; one that leaves none stops it.
 The tick runs last at its time, as the every-tick loop's would, so
-event order is unchanged. Each service holds its ServiceWindow from
-placement on, so a completion feeds it with one collect_context call
-and no lookup, and the detectors and _forget read it there.
+event order is unchanged. Under the event loop each service holds its
+ServiceWindow from placement on, so a completion feeds it with one
+collect_context call and no lookup, and the detectors and _forget read
+it there. The pinned queues feed no window and build none.
 
 The arbitration log records decisions: a (t_ms, kind, service id)
 entry for each register and each reschedule, so it grows with what
@@ -111,13 +112,16 @@ What is fixed for a (service, node) pair is one _Pair, built by _pair
 the first time the service is placed on the node: the node's
 _NodeState, pair_cost's transfer and execution times, compute_charge's
 charge before rebate (the charge score_pool weighs, as placement reads
-the same definitions) and whether the service fits the node at all
-hours. A request's InvocationRecord, made by _arrive alone, holds what
-the run decided for it: arrival, node, start, completion, outcome,
-energy and charge. Its transfer and execution times are its pair's on
-the record's node, and its wait is t_start - t_arrive. Its energy_j
-(transmit power over its transfer, idle power over its wait) and SLO
-rebate read its own wait and latency: they are computed per request.
+the same definitions), whether the service fits the node at all hours
+and the energy of a request that waits for nothing. A request's
+InvocationRecord, made by _arrive alone, holds what the run decided for
+it: arrival, node, start, completion, outcome, energy and charge. Its
+transfer and execution times are its pair's on the record's node, and
+its wait is t_start - t_arrive. Its energy_j is transmit power over its
+transfer and idle power over its wait. A request that starts on arrival
+holds its pair's, energy_j at a zero wait, so the float is shared, not
+made per request; one that waited computes its own. The SLO rebate
+reads its own latency, per request.
 
 Each placed service keeps the pair of its placement, set at placement
 and by _move, the only place a placement changes, so an arrival
@@ -245,6 +249,7 @@ class _Pair(NamedTuple):
     cost: PairCost
     charge: float  # before rebate
     fits: bool  # the half of is_admissible that holds at all hours
+    energy_j: float  # a request's that starts on arrival, shared by every such record
 
 
 @dataclass(slots=True)
@@ -253,10 +258,11 @@ class _Tally:
 
     A request is counted when it arrives and again when it settles;
     in_flight, the requests not settled by the horizon, is the remainder.
-    The energy and charge lists hold the record's own floats. A latency
-    is kept as a double: float objects made during the run cannot reuse
-    the memory the handled arrivals free, and raised peak RSS by about
-    4% on a 100-service fleet.
+    The energy and charge lists hold the record's floats, its pair's
+    energy for a request that started on arrival. A latency is kept as
+    a double: float objects made during the run cannot reuse the memory
+    the handled arrivals free, and raised peak RSS by about 4% on a
+    100-service fleet.
     """
 
     invocations: int = 0
@@ -297,7 +303,7 @@ def _totals(tallies: list[_Tally]) -> dict:
 class _ServiceState:
     desc: ServiceDescriptor
     record: ServiceRecord | None
-    window: ServiceWindow  # its analysis window, fed only under the arbitrated policy
+    window: ServiceWindow | None = None  # its analysis window, where an event loop feeds it
     pair: _Pair | None = None  # on the placement's node, while placed
     pairs: dict[str, _Pair] = field(default_factory=dict)  # by node id
     migration_until: float = 0.0
@@ -382,8 +388,7 @@ class _Run:
                 record = self._register_pinned(desc)
             else:
                 record = self.registry.register_service(desc, self.topology, 0.0)
-            window = ServiceWindow(desc.id, self.thresholds.window)
-            state = _ServiceState(desc=desc, record=record, window=window)
+            state = _ServiceState(desc=desc, record=record)
             self.services[desc.id] = state
             if record is not None:
                 state.pair = self._pair(state, record.placement.node_id)
@@ -453,20 +458,33 @@ class _Run:
         if pair is None:
             node_state = self.node_states[node_id]
             desc, node = state.desc, node_state.node
+            cost = pair_cost(desc, node)
             pair = state.pairs[node_id] = _Pair(
-                node_state, pair_cost(desc, node), compute_charge(desc, node), fits(desc, node)
+                node_state,
+                cost,
+                compute_charge(desc, node),
+                fits(desc, node),
+                energy_j(cost.transfer_ms, 0.0, self.energy_model),
             )
         return pair
 
     def _complete(self, t_ms: float, request: InvocationRecord, state: _ServiceState,
                   pair: _Pair) -> float:
         """Settle a request completing at t_ms on its pair's node, in its
-        record and its service's tally; returns its latency."""
+        record and its service's tally; returns its latency.
+
+        A request that started on arrival takes its pair's energy, the
+        same expression at a zero wait, so its record and tally hold the
+        pair's float and make none; only one that waited computes its own.
+        """
         request.t_done = t_ms
         request.outcome = Outcome.COMPLETED
-        request.energy_j = energy = energy_j(
-            pair.cost.transfer_ms, request.t_start - request.t_arrive, self.energy_model
-        )
+        wait_ms = request.t_start - request.t_arrive
+        if wait_ms:
+            energy = energy_j(pair.cost.transfer_ms, wait_ms, self.energy_model)
+        else:
+            energy = pair.energy_j
+        request.energy_j = energy
         latency_ms = t_ms - request.t_arrive
         request.charge = charge = apply_slo_rebate(
             pair.charge,
@@ -537,6 +555,13 @@ class Simulation(_Run):
         # Services the next tick analyses: moved or forgotten since the last
         # tick, or completing a request that could change their verdict.
         self._changed: set[str] = set()
+
+    def _place_all(self):
+        """Place every service, each with the analysis window its completions feed."""
+        super()._place_all()
+        size = self.thresholds.window
+        for service_id, state in self.services.items():
+            state.window = ServiceWindow(service_id, size)
 
     def _push(self, t_ms: float, handler: Callable, payload=None):
         # No two entries share (time, sequence), so handler and payload are never compared.

@@ -19,13 +19,15 @@ from tierbroker.model import (
     QoSParameters,
     Tariff,
     Tier,
+    pair_cost,
     transmit_ms,
 )
-from tierbroker.simulation import Simulation, energy_j
+from tierbroker.simulation import POLICIES, Simulation, energy_j, simulate_scenario
 from tierbroker.workload import Arrival, ConsumerSpec, Scenario
 
 from conftest import make_node, make_service
 from oracles import oracle_charge
+from test_properties import SHIPPED, shipped
 
 
 def priced(tariff, cpu_demand=1000.0, payload_mb=0.0):
@@ -96,6 +98,27 @@ def test_energy_monotone_in_bandwidth():
         energy_j(transmit_ms(5.0, bw), 100.0, EnergyModel()) for bw in (1.0, 2.0, 10.0, 100.0)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", SHIPPED)
+def test_requests_that_start_on_arrival_share_their_pairs_energy(name, policy, seed):
+    # Every completed request's energy is energy_j at its own wait, to the
+    # bit. Those of one (service, node) pair that started on arrival hold
+    # one float between them, not one each.
+    scenario = shipped(name)
+    nodes = {node.id: node for node in scenario.nodes}
+    services = {desc.id: desc for desc in scenario.services}
+    shared = {}  # (service id, node id) -> the float its zero-wait requests hold
+    for r in simulate_scenario(scenario, policy, seed=seed).records:
+        if r.outcome is not Outcome.COMPLETED:
+            continue
+        wait_ms = r.t_start - r.t_arrive
+        transfer_ms = pair_cost(services[r.service_id], nodes[r.node_id]).transfer_ms
+        assert r.energy_j.hex() == energy_j(transfer_ms, wait_ms, scenario.energy).hex(), r
+        if not wait_ms:
+            assert shared.setdefault((r.service_id, r.node_id), r.energy_j) is r.energy_j, r
 
 
 def test_charge_additivity():

@@ -10,8 +10,9 @@ tick and what it calls, that holds bytecode must run: the drop, a move
 at a tick, an arrival that starts itself and one held for its copy
 included. So must every line of the pinned queues' run, a close's
 reject and starts and completions past the horizon included, and of
-what both runners share: the record an arrival makes and a dealer's
-day step. A list, not
+what both runners share: the record an arrival makes, a completion's
+settling, after a wait and after none, and a dealer's day step. A
+list, not
 Hypothesis draws, so the lines reached do not depend on the draw.
 """
 

@@ -138,12 +138,29 @@ def references(tree, classes):
     method, it sits in, or None. receiver is the class an attribute is
     read from when that is known: the enclosing class for `self.x` and
     `cls.x` where that class binds x, the class for `SomeClass.x` and for
-    `SomeClass(...).x`, a package class's new instance, and the annotation
-    for `p.x` where p is a parameter annotated with a package class;
-    otherwise None. called is whether the attribute is
-    called.
+    `SomeClass(...).x`, a package class's new instance, the first class
+    up the enclosing class's bases in tree that binds x for
+    `super().x`, and the annotation for `p.x` where p is a parameter
+    annotated with a package class; otherwise None. called is whether
+    the attribute is called.
     """
     local = {top.name: members(top) for top in tree.body if isinstance(top, ast.ClassDef)}
+    bases = {
+        top.name: [base.id for base in top.bases if isinstance(base, ast.Name)]
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+    }
+
+    def inherited(cls, name):
+        """The first class up cls's bases, depth first, that binds name, or None."""
+        for base in bases.get(cls, ()):
+            if name in local.get(base, ()):
+                return base
+            found = inherited(base, name)
+            if found is not None:
+                return found
+        return None
+
     called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     typed = {}  # id of a parameter's Name node -> the package class it is annotated with
     for function in ast.walk(tree):
@@ -173,6 +190,8 @@ def references(tree, classes):
                     if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
                         if value.func.id in classes or value.func.id in local:
                             receiver = value.func.id
+                        elif value.func.id == "super" and isinstance(top, ast.ClassDef):
+                            receiver = inherited(top.name, node.attr)
                     elif isinstance(value, ast.Name):
                         if value.id in ("self", "cls") and isinstance(top, ast.ClassDef):
                             if node.attr in local[top.name]:
@@ -191,8 +210,8 @@ def test_every_definition_is_reached_outside_tests():
     # benchmark, not only by its own body (a class's by its own methods) or
     # the tests. The package's __init__.py re-exports names without using
     # them, so it reaches none. A method is reached by an attribute of its
-    # name read from its own class (`self.m` inside it, `Class.m`), or from
-    # an unknown receiver when no other package class binds that name;
+    # name read from its own class (`self.m` inside it, `Class.m`,
+    # `super().m` in a subclass), or from an unknown receiver when no other package class binds that name;
     # where one does, such a read may be of the other class's member, save
     # a call when no other package class defines a method of that name.
     sources = [p for p in MODULES if p.name != "__init__.py"] + sorted(BENCH.glob("*.py"))

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from tierbroker.arbitrator import SchedulerWeights, Thresholds
 from tierbroker.model import EnergyModel, Outcome, SecurityClass, Tier
 from tierbroker.report import report_to_dict
-from tierbroker.simulation import POLICY_TIERS
+from tierbroker.simulation import POLICY_TIERS, PinnedQueues
 from tierbroker.workload import Arrival, ConsumerSpec, Scenario
 
 from conftest import make_node, make_service, program_run
@@ -104,6 +104,18 @@ def test_shipped_pinned_runs_match_three_event_reference(name, policy, seed):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_sami_runs_match_three_event_reference(name, seed):
     assert_same_as_three_events(shipped(name), "sami", seed)
+
+
+def test_only_an_event_loop_keeps_analysis_windows():
+    # The queues feed no window, so they build none; the event loop under
+    # a pinned policy feeds each service's window as its requests complete.
+    scenario = shipped("latency_mix")
+    queues = PinnedQueues(scenario, policy="cloud-only")
+    queues.run()
+    assert [state.window for state in queues.services.values()] == [None] * 10
+    events = EventSimulation(scenario, policy="cloud-only")
+    events.run()
+    assert all(state.window.times for state in events.services.values())
 
 
 # ----------------------------------------------------------------------
